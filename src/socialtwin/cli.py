@@ -149,7 +149,8 @@ def cmd_simulate(config: RunConfig) -> None:
     contexts = contexts_from_policy(policy, ranges)
     if not contexts:
         raise DataError("no policy dates fall inside the configured split ranges")
-    aggregates, sim_log = twin.simulate_contexts(contexts)
+    with twin.cache:
+        aggregates, sim_log = twin.simulate_contexts(contexts)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     save_population(twin.population, config.output_dir / "population.jsonl")
     write_aggregates(config, aggregates)
@@ -161,6 +162,7 @@ def cmd_simulate(config: RunConfig) -> None:
             "engine_calls": engine.call_count,
             "cache_hits": twin.cache.hits,
             "cache_misses": twin.cache.misses,
+            "cache_lines_skipped": twin.cache.skipped_lines,
             "n_dates": len(aggregates),
             "policy_load_report": policy_report.to_dict(),
             "simulation_log": sim_log.to_dict(),
@@ -333,7 +335,8 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
     )
     scenarios = load_scenarios(scenario_path)
     twin, engine = _build_twin(config, calibration=calibration)
-    report = run_counterfactuals(twin, scenarios)
+    with twin.cache:
+        report = run_counterfactuals(twin, scenarios)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["config_hash"] = config.config_hash
@@ -370,7 +373,8 @@ def cmd_ablate(config: RunConfig) -> None:
         population_seed=config.seeds["population"],
         aggregation=config.aggregation,
     )
-    report = run_ablation_suite(inputs, cache=ResponseCache(config.cache_path))
+    with ResponseCache(config.cache_path) as cache:
+        report = run_ablation_suite(inputs, cache=cache)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["config_hash"] = config.config_hash

@@ -18,6 +18,7 @@ text, category list) so a populated cache replays a full run byte-for-byte.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import hashlib
 import json
 import math
@@ -48,25 +49,13 @@ class SimContext:
         if not 0.0 <= self.stringency <= 100.0:
             raise ConfigError(f"stringency must be in [0, 100], got {self.stringency}")
 
-    def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "date": self.date.isoformat(),
-                "stringency": self.stringency,
-                "extra": dict(sorted(self.extra.items())),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
 
 @dataclass(frozen=True)
 class PromptText:
-    """A fully rendered prompt, traceable to its persona and context."""
+    """A fully rendered prompt, traceable to the persona it was rendered for."""
 
     text: str
     persona_id: str
-    context_digest: str
 
 
 @dataclass(frozen=True)
@@ -89,50 +78,56 @@ class BehaviorVector:
     def __getitem__(self, key: str) -> float:
         return self.probs[key]
 
-    def values_array(self) -> np.ndarray:
-        return np.array(list(self.probs.values()), dtype=float)
-
     def to_dict(self) -> dict[str, float]:
         return dict(self.probs)
+
+
+@functools.lru_cache(maxsize=32)
+def _template_parts(template: str) -> tuple[tuple[str, str | None], ...]:
+    """(literal, placeholder name or None) pairs of a template, parsed once
+    per template text."""
+    parts = []
+    for literal, field_name, format_spec, conversion in string.Formatter().parse(template):
+        if field_name is not None and (field_name == "" or format_spec or conversion):
+            raise ConfigError(
+                f"template placeholder {{{field_name}{'!' + conversion if conversion else ''}"
+                f"{':' + format_spec if format_spec else ''}}} is not a plain name"
+            )
+        parts.append((literal, field_name))
+    return tuple(parts)
+
+
+def _field_value(name: str, persona: Persona, context: SimContext) -> str:
+    if name in context.extra:
+        return context.extra[name]
+    if name == "date":
+        return context.date.isoformat()
+    if name == "stringency":
+        return format(context.stringency, "g")
+    if name in persona.attributes:
+        return persona.attributes[name]
+    if name == "persona_block":
+        return "\n".join(f"- {attr}: {value}" for attr, value in persona.attributes.items())
+    raise ConfigError(
+        f"template placeholder {{{name}}} has no matching persona attribute or context field"
+    )
 
 
 def render_prompt(persona: Persona, context: SimContext, template: str) -> PromptText:
     """Substitute ``{placeholder}`` fields from persona attributes and context.
 
-    Placeholders resolve from, in order of availability: persona attributes,
-    ``date`` (ISO format), ``stringency`` (trailing-zero-free), a computed
-    ``persona_block`` (bulleted attribute list, for generic templates), and
-    context extras. An unresolved placeholder is an error naming the field,
-    never a silent passthrough.
+    A placeholder resolves to, in order of precedence: a context extra,
+    ``date`` (ISO format), ``stringency`` (trailing-zero-free), a persona
+    attribute, or ``persona_block`` (bulleted attribute list, for generic
+    templates). Only the fields the template names are built. An unresolved
+    placeholder is an error naming the field, never a silent passthrough.
     """
-    mapping: dict[str, str] = dict(persona.attributes)
-    mapping["date"] = context.date.isoformat()
-    mapping["stringency"] = format(context.stringency, "g")
-    mapping.setdefault(
-        "persona_block",
-        "\n".join(f"- {name}: {value}" for name, value in persona.attributes.items()),
-    )
-    mapping.update(context.extra)
-
     out_parts: list[str] = []
-    for literal, field_name, format_spec, conversion in string.Formatter().parse(template):
+    for literal, field_name in _template_parts(template):
         out_parts.append(literal)
-        if field_name is None:
-            continue
-        if field_name == "" or format_spec or conversion:
-            raise ConfigError(
-                f"template placeholder {{{field_name}{'!' + conversion if conversion else ''}"
-                f"{':' + format_spec if format_spec else ''}}} is not a plain name"
-            )
-        if field_name not in mapping:
-            raise ConfigError(
-                f"template placeholder {{{field_name}}} has no matching persona "
-                f"attribute or context field"
-            )
-        out_parts.append(mapping[field_name])
-    return PromptText(
-        text="".join(out_parts), persona_id=persona.id, context_digest=context.digest()
-    )
+        if field_name is not None:
+            out_parts.append(_field_value(field_name, persona, context))
+    return PromptText(text="".join(out_parts), persona_id=persona.id)
 
 
 def _first_json_object(raw: str) -> dict:
@@ -345,9 +340,11 @@ class SyntheticOracleEngine:
         self.digest = config.engine_digest()
         self.retry_limit = config.retry_limit
         self.call_count = 0
+        self._count_lock = threading.Lock()  # respond runs on worker threads
 
     def respond(self, prompt: PromptText, persona: Persona, context: SimContext) -> str:
-        self.call_count += 1
+        with self._count_lock:
+            self.call_count += 1
         vector = oracle_respond(self.params, persona, context)
         return json.dumps({c.response_key: vector[c.key] for c in self.schema})
 
@@ -381,11 +378,13 @@ class RemoteHttpEngine:
         self.digest = config.engine_digest()
         self.retry_limit = config.retry_limit
         self.call_count = 0
+        self._count_lock = threading.Lock()  # respond runs on worker threads
 
     def respond(self, prompt: PromptText, persona: Persona, context: SimContext) -> str:
         import requests
 
-        self.call_count += 1
+        with self._count_lock:
+            self.call_count += 1
         cfg = self.config
         body = {
             cfg.request_fields.get("model", "model"): cfg.model_name,
@@ -395,11 +394,12 @@ class RemoteHttpEngine:
         try:
             resp = requests.post(cfg.endpoint, json=body, timeout=cfg.timeout)
             resp.raise_for_status()
+            if cfg.response_text_path is None:
+                return resp.text
+            payload = resp.json()  # a non-JSON body raises a RequestException too
         except requests.RequestException as exc:
             raise EngineError(f"engine request to {cfg.endpoint} failed: {exc}") from exc
-        if cfg.response_text_path is None:
-            return resp.text
-        return str(walk_response_path(resp.json(), cfg.response_text_path))
+        return str(walk_response_path(payload, cfg.response_text_path))
 
 
 class ReplayEngine:
@@ -435,26 +435,34 @@ def build_engine(config: EngineConfig, schema: CategorySchema):
 class ResponseCache:
     """Append-safe store of raw responses and parsed vectors.
 
-    On-disk format is line-delimited JSON, one record per key. Writes are
-    serialized under a lock; readers tolerate concurrent writers because
-    lookups go through the in-memory index. A ``path`` of None keeps the
-    cache purely in memory.
+    On-disk format is line-delimited JSON, one record per line (the last
+    record read for a key wins). Loading skips and counts lines that are not
+    a record, such as the torn line a crash mid-append leaves. Each ``put``
+    writes and flushes one line through an append handle that ``close`` (or
+    leaving a ``with`` block) releases. A ``path`` of None keeps the cache
+    purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
+        self._fh = None
+        self._torn_tail = False  # the file does not end with a newline
         self.hits = 0
         self.misses = 0
+        self.skipped_lines = 0
         if self.path is not None and self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
+            # put writes ASCII; "replace" keeps a foreign byte from aborting the load
+            with self.path.open("r", encoding="utf-8", errors="replace") as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    self._entries[rec["key"]] = rec
+                    self._torn_tail = not line.endswith("\n")
+                    try:
+                        rec = json.loads(line)
+                        self._entries[rec["key"]] = rec
+                    except (ValueError, TypeError, KeyError):
+                        if line.strip():
+                            self.skipped_lines += 1
 
     @staticmethod
     def make_key(engine_digest: str, prompt_text: str, response_keys: tuple[str, ...]) -> str:
@@ -464,13 +472,25 @@ class ResponseCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __enter__(self) -> "ResponseCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+
     def get(self, key: str) -> dict | None:
         with self._lock:
             rec = self._entries.get(key)
-        if rec is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+            if rec is None:
+                self.misses += 1
+            else:
+                self.hits += 1
         return rec
 
     def put(self, key: str, raw: str, probs: dict[str, float], engine_digest: str) -> None:
@@ -481,33 +501,40 @@ class ResponseCache:
             "engine": engine_digest,
             "created": time.time(),
         }
+        line = json.dumps(rec, sort_keys=True) + "\n"
         with self._lock:
             self._entries[key] = rec
-            if self.path is not None:
+            if self.path is None:
+                return
+            if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                with self.path.open("a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                self._fh = self.path.open("a", encoding="utf-8")
+                if self._torn_tail:  # start past the torn record, on a line of its own
+                    self._fh.write("\n")
+            self._fh.write(line)
+            self._fh.flush()
 
 
-def query(
+def cached_vector(rec: dict, categories: CategorySchema) -> BehaviorVector:
+    """The behavior vector stored in a cache record."""
+    return BehaviorVector({c.key: float(rec["probs"][c.key]) for c in categories})
+
+
+def ask_engine(
     engine,
+    key: str,
     prompt: PromptText,
     persona: Persona,
     context: SimContext,
     categories: CategorySchema,
     cache: ResponseCache,
 ) -> BehaviorVector:
-    """Resolve one (persona, context) cell through the cache and engine.
+    """Resolve a cache miss: ask the engine and store the answer under ``key``.
 
-    A cache hit returns the stored vector without touching the engine. On a
-    miss the engine is asked; parse failures re-ask the identical prompt up
-    to the engine config's retry limit, then hard-fail the cell so the caller
-    can exclude and log it. Replay engines error on any miss.
+    Parse failures re-ask the identical prompt up to the engine config's
+    retry limit, then hard-fail the prompt so the caller can exclude and log
+    it. Replay engines error on any miss.
     """
-    key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
-    cached = cache.get(key)
-    if cached is not None:
-        return BehaviorVector({c.key: float(cached["probs"][c.key]) for c in categories})
     if engine.replay_only:
         raise EngineError(
             f"replay cache miss for persona {prompt.persona_id} on {context.date} "
@@ -536,3 +563,23 @@ def query(
     if isinstance(last_error, ParseError):
         raise ParseError(message)
     raise EngineError(message)
+
+
+def query(
+    engine,
+    prompt: PromptText,
+    persona: Persona,
+    context: SimContext,
+    categories: CategorySchema,
+    cache: ResponseCache,
+) -> BehaviorVector:
+    """Resolve one (persona, context) cell through the cache and engine.
+
+    A cache hit returns the stored vector without touching the engine; a
+    miss goes to ``ask_engine``.
+    """
+    key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached_vector(cached, categories)
+    return ask_engine(engine, key, prompt, persona, context, categories, cache)

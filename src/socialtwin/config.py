@@ -34,13 +34,27 @@ ENGINE_FLAG_KINDS = {
 }
 
 
+# libyaml's parser is several times faster than the pure-Python one and
+# builds the same objects through the same safe constructor.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def _load_yaml(path):
+    """Parse one YAML file (a ``Path`` or packaged resource) safely; invalid
+    YAML is a config error naming the file."""
+    try:
+        return yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+
+
 def load_profile(name: str) -> dict:
     """Read a packaged domain profile by name (dashes map to underscores)."""
     filename = name.replace("-", "_") + ".yaml"
     ref = resources.files("socialtwin") / "profiles" / filename
     if not ref.is_file():
         raise ConfigError(f"unknown profile {name!r} (no packaged {filename})")
-    return yaml.safe_load(ref.read_text(encoding="utf-8"))
+    return _load_yaml(ref)
 
 
 def packaged_template(filename: str) -> str:
@@ -125,10 +139,7 @@ def load_run_config(
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
     base = config_path.parent
-    try:
-        raw = yaml.safe_load(config_path.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{config_path}: invalid YAML: {exc}") from exc
+    raw = _load_yaml(config_path) or {}
 
     profile_name = raw.get("profile", "pandemic-uae")
     profile = load_profile(profile_name)
@@ -160,9 +171,7 @@ def load_run_config(
         spec_path = _resolve_path(base, paths["population_spec"])
         if not spec_path.exists():
             raise ConfigError(f"population spec not found: {spec_path}")
-        population_spec = DemographicSpec.from_dict(
-            yaml.safe_load(spec_path.read_text(encoding="utf-8"))
-        )
+        population_spec = DemographicSpec.from_dict(_load_yaml(spec_path))
     else:
         population_spec = DemographicSpec.from_dict(
             raw.get("population") or profile["population"]
@@ -278,12 +287,14 @@ def load_run_config(
         "policy_columns": policy_columns,
         "observation_columns": observation_columns,
         "observation_date_column": observation_date_column,
+        # Ordered lists, not mappings: sampling depends on the order of the
+        # attributes and of their values, and sort_keys would hide it.
         "population": {
             "population_size": population_spec.population_size,
-            "attributes": {
-                name: {v: p for v, p in pairs}
+            "attributes": [
+                [name, [[v, p] for v, p in pairs]]
                 for name, pairs in population_spec.attributes.items()
-            },
+            ],
         },
         "input_digests": {
             "policy_csv": _file_digest(policy_csv),

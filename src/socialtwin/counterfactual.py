@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-import yaml
-
-from .calibrate import FitConfig, fit_calibration, fit_single_slope, pair_by_date
+from .calibrate import FitConfig, apply_calibration, fit_calibration, fit_single_slope, pair_by_date
 from .cognition import BehaviorVector, EngineConfig, ResponseCache, SimContext, build_engine
+from .config import _load_yaml
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_predictions
 from .ingest import ObservationSeries, PolicyRecord, TemporalSplit
@@ -220,7 +219,7 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"scenario file not found: {p}")
-    raw = yaml.safe_load(p.read_text(encoding="utf-8"))
+    raw = _load_yaml(p)
     if not isinstance(raw, list):
         raise ConfigError(f"{p}: scenario file must be a list of scenarios")
     scenarios = []
@@ -287,6 +286,10 @@ class AblationReport:
         return "\n".join(lines)
 
 
+# The variants that swap the population; the others share the sampled one.
+POPULATION_VARIANTS = ("uniform-personas", "single-persona")
+
+
 def _variant_population(variant: str, inputs: AblationInputs):
     spec = inputs.population_spec
     if variant == "uniform-personas":
@@ -299,23 +302,13 @@ def _variant_population(variant: str, inputs: AblationInputs):
     return sample_population(spec, inputs.population_seed)
 
 
-def run_ablation(
-    variant: str, inputs: AblationInputs, cache: ResponseCache | None = None
-) -> tuple[float, dict[str, float]]:
-    """Run one pipeline variant; returns (macro RMSE, per-category RMSE).
-
-    Variant semantics: no-calibration predicts 100 * aggregated probability
-    with no fitted map; no-clipping fits the affine map with unbounded clip;
-    single-slope shares one (alpha, beta) across categories; the persona
-    variants swap the population and keep the full calibration.
-    """
-    if variant not in ABLATION_VARIANTS:
-        raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
-    population = _variant_population(variant, inputs)
-    engine = build_engine(inputs.engine_config, inputs.schema)
+def _simulate_variant(
+    variant: str, inputs: AblationInputs, cache: ResponseCache | None
+) -> dict[dt.date, BehaviorVector]:
+    """Aggregates of the variant's population over the train and eval dates."""
     twin = DigitalTwin(
-        population=population,
-        engine=engine,
+        population=_variant_population(variant, inputs),
+        engine=build_engine(inputs.engine_config, inputs.schema),
         cache=cache if cache is not None else ResponseCache(None),
         template=inputs.template,
         schema=inputs.schema,
@@ -324,7 +317,28 @@ def run_ablation(
     eval_range = inputs.split.range_for(inputs.eval_split)
     contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
     aggregates, _ = twin.simulate_contexts(contexts)
+    return aggregates
 
+
+def run_ablation(
+    variant: str,
+    inputs: AblationInputs,
+    cache: ResponseCache | None = None,
+    aggregates: dict[dt.date, BehaviorVector] | None = None,
+) -> tuple[float, dict[str, float]]:
+    """Run one pipeline variant; returns (macro RMSE, per-category RMSE).
+
+    Variant semantics: no-calibration predicts 100 * aggregated probability
+    with no fitted map; no-clipping fits the affine map with unbounded clip;
+    single-slope shares one (alpha, beta) across categories; the persona
+    variants swap the population and keep the full calibration. The
+    variant's population is simulated unless its ``aggregates`` are given.
+    """
+    if variant not in ABLATION_VARIANTS:
+        raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
+    if aggregates is None:
+        aggregates = _simulate_variant(variant, inputs, cache)
+    eval_range = inputs.split.range_for(inputs.eval_split)
     train_aggregates = {
         d: v for d, v in aggregates.items() if inputs.split.train.contains(d)
     }
@@ -341,20 +355,11 @@ def run_ablation(
         if variant == "single-slope":
             params, _ = fit_single_slope(train_pairs, inputs.fit_config)
         elif variant == "no-clipping":
-            unclipped = FitConfig(
-                trials=inputs.fit_config.trials,
-                alpha_range=inputs.fit_config.alpha_range,
-                beta_range=inputs.fit_config.beta_range,
-                seed=inputs.fit_config.seed,
-                objective=inputs.fit_config.objective,
-                sampler=inputs.fit_config.sampler,
-                clip_bounds=(-math.inf, math.inf),
-            )
+            unclipped = replace(inputs.fit_config, clip_bounds=(-math.inf, math.inf))
             params, _ = fit_calibration(train_pairs, unclipped)
         else:
             params, _ = fit_calibration(train_pairs, inputs.fit_config)
-        twin.calibration = params
-        predictions = {d: twin.predict_metrics(v) for d, v in eval_aggregates.items()}
+        predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
 
     report = evaluate_predictions(variant, inputs.eval_split, predictions, eval_obs)
     return report.macro_rmse, report.per_category_rmse
@@ -365,9 +370,15 @@ def run_ablation_suite(
     variants: Sequence[str] = ABLATION_VARIANTS,
     cache: ResponseCache | None = None,
 ) -> AblationReport:
+    """Run each variant; the variants that keep the sampled population share
+    one simulation of it."""
     report = AblationReport()
+    shared: dict[str, dict[dt.date, BehaviorVector]] = {}
     for variant in variants:
-        macro, per_category = run_ablation(variant, inputs, cache=cache)
+        population = variant if variant in POPULATION_VARIANTS else "sampled"
+        if population not in shared:
+            shared[population] = _simulate_variant(variant, inputs, cache)
+        macro, per_category = run_ablation(variant, inputs, aggregates=shared[population])
         report.macro_rmse[variant] = macro
         report.per_category[variant] = per_category
     return report

@@ -1,16 +1,20 @@
 """The composed pipeline: population -> cognitive engine -> aggregation,
 with an optional fitted calibration on top.
 
-Cells whose engine query cannot be parsed after retries are excluded from
-aggregation and logged; the per-date survivor counts go into the run log so
-exclusions are auditable. Aggregation always consumes vectors in persona
-order, so results are bit-stable regardless of query parallelism.
+A simulation pass works once per distinct prompt: personas with the same
+ordered attributes form a profile, each (profile, context) pair is rendered,
+keyed and looked up once, and the misses go to the engine through one worker
+pool per pass. Aggregation expands each profile's vector back to its members
+in persona order, so results are bit-identical at any query parallelism. A
+prompt that cannot be parsed after retries excludes every member of its
+profile; each is logged under its own id, and the per-date survivor counts
+go into the run log so exclusions are auditable.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,15 +22,34 @@ from .aggregate import aggregate_mean, aggregate_weighted
 from .calibrate import CalibrationParams, apply_calibration
 from .cognition import (
     BehaviorVector,
-    PromptText,
     ResponseCache,
     SimContext,
-    query,
+    ask_engine,
+    cached_vector,
     render_prompt,
 )
 from .errors import ConfigError, ParseError
 from .persona import Persona
 from .schema import CategorySchema
+
+
+def _group_profiles(population: Sequence[Persona]) -> tuple[list[int], list[Persona]]:
+    """Each persona's profile index, and each profile's first member.
+
+    A profile is the ordered attribute items; profiles are numbered in order
+    of their first member.
+    """
+    index: dict[tuple, int] = {}
+    profile_of: list[int] = []
+    representatives: list[Persona] = []
+    for persona in population:
+        signature = tuple(persona.attributes.items())
+        j = index.get(signature)
+        if j is None:
+            j = index[signature] = len(representatives)
+            representatives.append(persona)
+        profile_of.append(j)
+    return profile_of, representatives
 
 
 @dataclass
@@ -64,12 +87,35 @@ class DigitalTwin:
         if not self.population:
             raise ConfigError("twin needs a nonempty population")
 
-    def _query_cell(self, persona: Persona, context: SimContext):
-        prompt: PromptText = render_prompt(persona, context, self.template)
+    def _ask(self, key, prompt, persona, context):
         try:
-            return query(self.engine, prompt, persona, context, self.schema, self.cache)
+            return ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
         except ParseError as exc:
             return exc
+
+    def _outcome(self, pending: dict, pool, persona: Persona, context: SimContext):
+        """The vector, ParseError or Future for one (profile, context) pair.
+
+        ``pending`` maps the cache keys of this pass's failed prompts and
+        submitted misses to their outcome; answered prompts are found in the
+        cache. Each distinct prompt therefore reaches the engine once.
+        """
+        prompt = render_prompt(persona, context, self.template)
+        key = self.cache.make_key(self.engine.digest, prompt.text, self.schema.response_keys)
+        outcome = pending.get(key)
+        if outcome is not None:
+            return outcome
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached_vector(cached, self.schema)
+        if pool is None:
+            outcome = self._ask(key, prompt, persona, context)
+            if not isinstance(outcome, ParseError):
+                return outcome
+        else:
+            outcome = pool.submit(self._ask, key, prompt, persona, context)
+        pending[key] = outcome
+        return outcome
 
     def simulate_context(
         self, context: SimContext, log: SimulationLog | None = None
@@ -77,51 +123,59 @@ class DigitalTwin:
         """Aggregate over all personas for one context.
 
         Returns None when every cell failed (the date is then excluded
-        upstream). Parse failures are logged per cell; transport or replay
+        upstream). Parse failures are logged per persona; transport or replay
         errors propagate.
         """
-        if self.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                outcomes = list(
-                    pool.map(lambda p: self._query_cell(p, context), self.population)
-                )
-        else:
-            outcomes = [self._query_cell(p, context) for p in self.population]
-
-        vectors: list[BehaviorVector] = []
-        weights: list[float] = []
-        for persona, outcome in zip(self.population, outcomes):
-            if isinstance(outcome, ParseError):
-                if log is not None:
-                    log.failures.append(
-                        {
-                            "date": context.date.isoformat(),
-                            "persona": persona.id,
-                            "error": str(outcome),
-                        }
-                    )
-                continue
-            vectors.append(outcome)
-            weights.append(persona.weight)
+        aggregates, context_log = self.simulate_contexts([context])
         if log is not None:
-            log.survivors_by_date[context.date] = len(vectors)
-        if not vectors:
-            return None
-        if self.aggregation == "weighted":
-            return aggregate_weighted(vectors, weights)
-        return aggregate_mean(vectors)
+            log.survivors_by_date.update(context_log.survivors_by_date)
+            log.failures.extend(context_log.failures)
+        return aggregates.get(context.date)
 
     def simulate_contexts(
         self, contexts: Sequence[SimContext]
     ) -> tuple[dict[dt.date, BehaviorVector], SimulationLog]:
         """One aggregated vector per context date (dates without survivors
         are omitted)."""
+        profile_of, representatives = _group_profiles(self.population)
         log = SimulationLog()
         aggregates: dict[dt.date, BehaviorVector] = {}
-        for context in contexts:
-            vector = self.simulate_context(context, log)
-            if vector is not None:
-                aggregates[context.date] = vector
+        pending: dict[str, object] = {}
+        pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
+        try:
+            plan = (
+                (context, [self._outcome(pending, pool, p, context) for p in representatives])
+                for context in contexts
+            )
+            if pool is not None:  # submit every miss of the pass before waiting on any
+                plan = list(plan)
+            for context, per_profile in plan:
+                resolved = [o.result() if isinstance(o, Future) else o for o in per_profile]
+                vectors: list[BehaviorVector] = []
+                weights: list[float] = []
+                for persona, j in zip(self.population, profile_of):
+                    outcome = resolved[j]
+                    if isinstance(outcome, ParseError):
+                        log.failures.append(
+                            {
+                                "date": context.date.isoformat(),
+                                "persona": persona.id,
+                                "error": str(outcome),
+                            }
+                        )
+                        continue
+                    vectors.append(outcome)
+                    weights.append(persona.weight)
+                log.survivors_by_date[context.date] = len(vectors)
+                if not vectors:
+                    continue
+                if self.aggregation == "weighted":
+                    aggregates[context.date] = aggregate_weighted(vectors, weights)
+                else:
+                    aggregates[context.date] = aggregate_mean(vectors)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
         return aggregates, log
 
     def predict_metrics(self, aggregate: BehaviorVector) -> dict[str, float]:

@@ -143,3 +143,54 @@ def test_parallelism_flag_gives_same_aggregates(workspace):
     assert run(config_path, "simulate", "--parallelism", "4") == 0
     parallel = (root / "out" / "aggregates.json").read_bytes()
     assert serial == parallel
+
+
+def _use_population_file(config_path, attributes, **dump_options):
+    """Point the run config at a population spec file with these attributes."""
+    spec_path = config_path.parent / "population.yaml"
+    spec = {"population_size": 20, "attributes": attributes}
+    spec_path.write_text(yaml.safe_dump(spec, sort_keys=False, **dump_options))
+    config = yaml.safe_load(config_path.read_text())
+    config["paths"]["population_spec"] = "population.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    return spec_path
+
+
+@pytest.mark.parametrize("broken", ["population", "scenarios"])
+def test_invalid_yaml_in_spec_or_scenarios_exits_one(workspace, capsys, broken):
+    root, config_path = workspace
+    bad = "attributes: [unclosed\n  - {a: 1\n"
+    if broken == "population":
+        spec_path = _use_population_file(config_path, {"income": {"Low": 1.0}})
+        spec_path.write_text(bad)
+        code = run(config_path, "simulate")
+        name = "population.yaml"
+    else:
+        assert run(config_path, "simulate") == 0
+        assert run(config_path, "calibrate") == 0
+        (root / "scenarios.yaml").write_text(bad)
+        code = run(config_path, "counterfactual", "--scenarios", str(root / "scenarios.yaml"))
+        name = "scenarios.yaml"
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and name in err and "invalid YAML" in err
+    assert "Traceback" not in err
+
+
+def test_config_hash_follows_population_attribute_order(workspace):
+    from socialtwin.config import load_run_config
+
+    _, config_path = workspace
+    attributes = {
+        "nationality": {"UAE National": 0.1, "Expatriate": 0.9},
+        "income": {"Low": 0.35, "Middle": 0.45, "High": 0.2},
+    }
+    _use_population_file(config_path, attributes)
+    first = load_run_config(config_path).config_hash
+    _use_population_file(config_path, attributes, default_flow_style=True)
+    assert load_run_config(config_path).config_hash == first  # same order, new layout
+    _use_population_file(config_path, dict(reversed(attributes.items())))
+    assert load_run_config(config_path).config_hash != first
+    reordered_values = dict(attributes, income={"High": 0.2, "Low": 0.35, "Middle": 0.45})
+    _use_population_file(config_path, reordered_values)
+    assert load_run_config(config_path).config_hash != first

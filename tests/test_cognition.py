@@ -1,9 +1,12 @@
 import datetime as dt
 import json
 import math
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialtwin.cognition import (
@@ -51,7 +54,8 @@ def test_render_pandemic_template_substitutes_context(pandemic_template):
     for value in PERSONA.attributes.values():
         assert value in prompt.text
     assert prompt.persona_id == "p0"
-    assert prompt.context_digest == CONTEXT.digest()
+    namesake = Persona(id="p9", attributes=dict(PERSONA.attributes))
+    assert render_prompt(namesake, CONTEXT, pandemic_template).text == prompt.text
 
 
 def test_render_without_placeholders_is_identity():
@@ -409,3 +413,143 @@ def test_oracle_engine_response_parses_back_exactly(schema, pandemic_template):
     )
     raw = engine.respond(render_prompt(PERSONA, CONTEXT, pandemic_template), PERSONA, CONTEXT)
     assert parse_response(raw, schema) == oracle_respond(params, PERSONA, CONTEXT)
+
+
+def _cache_bytes(tmp_path, n):
+    path = tmp_path / "full.jsonl"
+    with ResponseCache(path) as cache:
+        for i in range(n):
+            cache.put(f"k{i}", f"raw {i}", {"stay_home": i / n}, "model:x")
+    return path.read_bytes()
+
+
+def test_cache_two_puts_then_reopen_loads_both(tmp_path):
+    path = tmp_path / "sub" / "cache.jsonl"
+    with ResponseCache(path) as cache:
+        cache.put("k1", "raw one", {"stay_home": 0.25}, "model:x")
+        cache.put("k2", "raw two", {"stay_home": 0.75}, "model:x")
+        # each record reaches the file before put returns
+        assert ResponseCache(path).get("k2")["raw"] == "raw two"
+    reopened = ResponseCache(path)
+    assert len(reopened) == 2
+    assert reopened.get("k1")["probs"] == {"stay_home": 0.25}
+    assert reopened.skipped_lines == 0
+
+
+@pytest.fixture(scope="module")
+def cache_file(tmp_path_factory):
+    return _cache_bytes(tmp_path_factory.mktemp("cache"), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cache_every_byte_prefix_loads_its_complete_records(cache_file, tmp_path_factory, data):
+    cut = data.draw(st.integers(0, len(cache_file)))
+    path = tmp_path_factory.mktemp("prefix") / "cut.jsonl"
+    path.write_bytes(cache_file[:cut])
+    loaded = ResponseCache(path)
+    newlines = [i for i, b in enumerate(cache_file) if b == ord("\n")]
+    # a record loads once its JSON text is whole, with or without its newline
+    expected = {f"k{i}" for i, at in enumerate(newlines) if at <= cut}
+    assert set(loaded._entries) == expected
+    # only a prefix that ends inside a record's JSON text leaves a torn line
+    torn = cut > 0 and cut not in newlines and cut - 1 not in newlines
+    assert loaded.skipped_lines == int(torn)
+
+
+def test_cache_append_after_torn_tail_keeps_records_apart(tmp_path):
+    full = _cache_bytes(tmp_path, 2)
+    path = tmp_path / "torn.jsonl"
+    path.write_bytes(full[:-10])
+    with ResponseCache(path) as cache:
+        assert len(cache) == 1
+        cache.put("k9", "raw 9", {"stay_home": 0.5}, "model:x")
+    reopened = ResponseCache(path)
+    assert sorted(reopened._entries) == ["k0", "k9"]
+    assert reopened.skipped_lines == 1
+
+
+def test_cache_counters_exact_under_threads():
+    cache = ResponseCache(None)
+    cache.put("hit", "raw", {"stay_home": 0.5}, "model:x")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def lookups():
+            for i in range(2000):
+                cache.get("hit" if i % 2 else "miss")
+
+        threads = [threading.Thread(target=lookups) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (cache.hits, cache.misses) == (8000, 8000)
+
+
+# -------------------------------------------------- remote engine, loopback
+
+
+class _TextHandler(BaseHTTPRequestHandler):
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        with self.server.lock:
+            self.server.served += 1
+        body = b"<html>upstream busy</html>"
+        self.send_response(200)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture()
+def non_json_endpoint():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _TextHandler)
+    server.served = 0
+    server.lock = threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_remote_non_json_body_is_retried_engine_error(schema, pandemic_template, non_json_endpoint):
+    server, url = non_json_endpoint
+    config = EngineConfig(
+        kind="remote-http", endpoint=url, model_name="m", retry_limit=2,
+        response_text_path="choices.0.text", timeout=10.0,
+    )
+    engine = build_engine(config, schema)
+    prompt = render_prompt(PERSONA, CONTEXT, pandemic_template)
+    with pytest.raises(EngineError, match="engine failed after 3 attempts"):
+        query(engine, prompt, PERSONA, CONTEXT, schema, ResponseCache(None))
+    assert engine.call_count == server.served == 3
+
+
+def test_remote_non_json_body_exits_three(synth_dataset, tmp_path, non_json_endpoint, capsys):
+    from socialtwin.cli import main
+
+    from conftest import SPLIT_18MO, write_run_workspace
+
+    server, url = non_json_endpoint
+    engine = {
+        "kind": "remote-http", "endpoint": url, "model_name": "m", "retry_limit": 1,
+        "response_text_path": "choices.0.text", "timeout": 10.0,
+    }
+    config_path = write_run_workspace(tmp_path, synth_dataset, SPLIT_18MO, engine=engine)
+    assert main(["simulate", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine error:") and "Traceback" not in err
+    assert server.served == 2

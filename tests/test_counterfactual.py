@@ -236,3 +236,24 @@ def test_ablation_single_persona_population_size(ablation_inputs, synth_dataset)
     uniform = _variant_population("uniform-personas", ablation_inputs)
     assert len(uniform) == synth_dataset.population_spec.population_size
     assert len({tuple(sorted(p.attributes.items())) for p in uniform}) == 1
+
+
+def test_ablation_suite_simulates_each_population_once(ablation_inputs, monkeypatch):
+    from socialtwin.counterfactual import ABLATION_VARIANTS, run_ablation_suite
+
+    expected = {variant: run_ablation(variant, ablation_inputs) for variant in ABLATION_VARIANTS}
+    passes = []
+    original = DigitalTwin.simulate_contexts
+
+    def counting(self, contexts):
+        passes.append(len(self.population))
+        return original(self, contexts)
+
+    monkeypatch.setattr(DigitalTwin, "simulate_contexts", counting)
+    report = run_ablation_suite(ablation_inputs)
+    # sampled (full, no-calibration, no-clipping, single-slope), uniform, single
+    size = ablation_inputs.population_spec.population_size
+    assert passes == [size, size, 1]
+    for variant, (macro, per_category) in expected.items():
+        assert report.macro_rmse[variant] == macro
+        assert report.per_category[variant] == per_category

@@ -1,14 +1,21 @@
 import datetime as dt
 import json
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from socialtwin.aggregate import aggregate_mean, aggregate_weighted
 from socialtwin.cognition import (
     EngineConfig,
+    OracleParams,
     ResponseCache,
     SimContext,
     build_engine,
     oracle_respond,
+    query,
+    render_prompt,
 )
 from socialtwin.errors import ConfigError, EngineError
 from socialtwin.persona import Persona, sample_population
@@ -148,3 +155,138 @@ def test_replay_miss_propagates_as_engine_error(schema, pandemic_template):
     twin = make_twin(schema, pandemic_template, engine=engine)
     with pytest.raises(EngineError, match="replay cache miss"):
         twin.simulate_context(SimContext(dt.date(2020, 6, 1), 50.0))
+
+
+# ------------------------------------------------------------- grouped pass
+
+
+def _naive_simulate(twin, contexts):
+    """Reference: one render, query and aggregate per persona-cell."""
+    out = {}
+    for context in contexts:
+        vectors = [
+            query(twin.engine, render_prompt(p, context, twin.template), p, context,
+                  twin.schema, twin.cache)
+            for p in twin.population
+        ]
+        if twin.aggregation == "weighted":
+            out[context.date] = aggregate_weighted(vectors, [p.weight for p in twin.population])
+        else:
+            out[context.date] = aggregate_mean(vectors)
+    return out
+
+
+PROFILE_VALUES = {
+    "nationality": ["UAE National", "Expatriate"],
+    "employment": ["Services", "Construction", "Professional"],
+    "risk_perception": ["Low", "High"],
+    "income": ["Low", "High"],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())),
+            st.floats(0.1, 5.0),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    stringencies=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
+    aggregation=st.sampled_from(["mean", "weighted"]),
+)
+def test_grouped_pass_equals_per_persona_loop_bit_for_bit(
+    schema, pandemic_template, rows, stringencies, aggregation
+):
+    # few attribute values, so most populations repeat profiles
+    population = [
+        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)), weight=weight)
+        for i, (values, weight) in enumerate(rows)
+    ]
+    params = OracleParams(
+        intercepts=default_oracle_params().intercepts,
+        slopes=default_oracle_params().slopes,
+        attribute_offsets=default_oracle_params().attribute_offsets,
+        noise_scale=0.3,
+    )
+    contexts = [
+        SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=i), s)
+        for i, s in enumerate(stringencies)
+    ]
+
+    def fresh_twin():
+        engine = build_engine(EngineConfig(kind="synthetic-oracle", oracle_params=params), schema)
+        twin = make_twin(schema, pandemic_template, population=population, engine=engine)
+        twin.aggregation = aggregation
+        return twin
+
+    grouped, log = fresh_twin().simulate_contexts(contexts)
+    expected = _naive_simulate(fresh_twin(), contexts)
+    assert grouped == expected
+    assert all(n == len(population) for n in log.survivors_by_date.values())
+
+
+def test_engine_calls_equal_distinct_prompts_at_any_parallelism(schema, pandemic_template):
+    population = sample_population(default_population_spec(120), seed=5)
+    contexts = [
+        SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=i), 20.0 + 3 * i) for i in range(20)
+    ]
+    distinct = {
+        render_prompt(p, c, pandemic_template).text for p in population for c in contexts
+    }
+    assert len(distinct) < len(population) * len(contexts)  # profiles repeat
+    results = []
+    for parallelism in (1, 4):
+        twin = make_twin(schema, pandemic_template, parallelism=parallelism, population=population)
+        aggregates, _ = twin.simulate_contexts(contexts)
+        assert twin.engine.call_count == len(distinct)
+        assert twin.cache.misses == len(distinct)
+        results.append(aggregates)
+    assert results[0] == results[1]
+
+
+class PromptBrokenEngine(HalfBrokenEngine):
+    """Garbage for prompts that mention a broken employment value."""
+
+    lock = threading.Lock()
+
+    def respond(self, prompt, persona, context):
+        with self.lock:
+            self.call_count += 1
+        if any(value in prompt.text for value in self.broken_ids):
+            return "no json here"
+        return json.dumps({c.response_key: 0.25 for c in self.schema})
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_failed_profile_excludes_each_member_under_its_own_id(
+    schema, pandemic_template, parallelism
+):
+    employment = ["sector0", "sectorX", "sector0", "sectorX", "sector1"]
+    population = [
+        Persona(id=f"p{i}", attributes={"nationality": "Expatriate", "employment": e,
+                                        "risk_perception": "Medium", "income": "Middle"})
+        for i, e in enumerate(employment)
+    ]
+    engine = PromptBrokenEngine(schema, broken_ids={"sectorX"})
+    twin = make_twin(schema, pandemic_template, parallelism=parallelism,
+                     population=population, engine=engine)
+    contexts = [SimContext(dt.date(2020, 5, 1), 50.0), SimContext(dt.date(2020, 5, 2), 60.0)]
+    aggregates, log = twin.simulate_contexts(contexts)
+    assert [(f["date"], f["persona"]) for f in log.failures] == [
+        ("2020-05-01", "p1"), ("2020-05-01", "p3"), ("2020-05-02", "p1"), ("2020-05-02", "p3"),
+    ]
+    assert all(n == 3 for n in log.survivors_by_date.values())
+    assert aggregates[dt.date(2020, 5, 1)]["stay_home"] == 0.25
+    # three profiles per date; the broken one is asked 1 + retry_limit times
+    assert engine.call_count == 2 * (2 + 1 + engine.retry_limit)
+
+
+def test_replay_miss_propagates_from_worker_pool(schema, pandemic_template):
+    engine = build_engine(EngineConfig(kind="replay-cache", model_name="m"), schema)
+    twin = make_twin(schema, pandemic_template, parallelism=4, engine=engine)
+    contexts = [SimContext(dt.date(2020, 6, 1) + dt.timedelta(days=i), 50.0) for i in range(5)]
+    with pytest.raises(EngineError, match="replay cache miss"):
+        twin.simulate_contexts(contexts)
