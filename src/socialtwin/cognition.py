@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EngineError, ParseError
+from .errors import ConfigError, DataError, EngineError, ParseError
 from .persona import Persona
 from .schema import CategorySchema
 
@@ -436,11 +436,12 @@ class ResponseCache:
     """Append-safe store of raw responses and parsed vectors.
 
     On-disk format is line-delimited JSON, one record per line (the last
-    record read for a key wins). Loading skips and counts lines that are not
-    a record, such as the torn line a crash mid-append leaves. Each ``put``
-    writes and flushes one line through an append handle that ``close`` (or
-    leaving a ``with`` block) releases. A ``path`` of None keeps the cache
-    purely in memory.
+    record read for a key wins). An incomplete last line, which a crash
+    mid-append leaves, is skipped and counted; the first ``put`` cuts it off
+    before appending. Any other line that is not a record is a DataError.
+    Each ``put`` writes and flushes one line through an append handle that
+    ``close`` (or leaving a ``with`` block) releases. A ``path`` of None keeps
+    the cache purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -448,21 +449,26 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._entries: dict[str, dict] = {}
         self._fh = None
-        self._torn_tail = False  # the file does not end with a newline
+        self._end = 0  # byte offset just past the last loaded line
+        self._unterminated = False  # that line has no newline
         self.hits = 0
         self.misses = 0
         self.skipped_lines = 0
         if self.path is not None and self.path.exists():
-            # put writes ASCII; "replace" keeps a foreign byte from aborting the load
-            with self.path.open("r", encoding="utf-8", errors="replace") as fh:
-                for line in fh:
-                    self._torn_tail = not line.endswith("\n")
+            with self.path.open("rb") as fh:
+                for number, line in enumerate(fh, 1):
+                    # only the last line can lack its newline
+                    self._unterminated = not line.endswith(b"\n")
                     try:
-                        rec = json.loads(line)
-                        self._entries[rec["key"]] = rec
-                    except (ValueError, TypeError, KeyError):
                         if line.strip():
-                            self.skipped_lines += 1
+                            rec = json.loads(line)
+                            self._entries[rec["key"]] = rec
+                    except (ValueError, TypeError, KeyError):
+                        if not self._unterminated:
+                            raise DataError(f"{self.path}:{number}: not a cache record") from None
+                        self.skipped_lines = 1
+                        break
+                    self._end += len(line)
 
     @staticmethod
     def make_key(engine_digest: str, prompt_text: str, response_keys: tuple[str, ...]) -> str:
@@ -509,7 +515,9 @@ class ResponseCache:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = self.path.open("a", encoding="utf-8")
-                if self._torn_tail:  # start past the torn record, on a line of its own
+                if self.skipped_lines:
+                    self._fh.truncate(self._end)
+                elif self._unterminated:
                     self._fh.write("\n")
             self._fh.write(line)
             self._fh.flush()

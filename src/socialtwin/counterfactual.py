@@ -286,20 +286,24 @@ class AblationReport:
         return "\n".join(lines)
 
 
-# The variants that swap the population; the others share the sampled one.
-POPULATION_VARIANTS = ("uniform-personas", "single-persona")
+# The population builders of the variants that swap the population; every
+# other variant shares the sampled one.
+_POPULATION_BUILDERS = {
+    "uniform-personas": lambda spec, seed: uniform_population(
+        spec.modal_persona(), spec.population_size
+    ),
+    "single-persona": lambda spec, seed: sample_population(
+        DemographicSpec(attributes=spec.attributes, population_size=1), seed
+    ),
+}
+
+
+def _population_builder(variant: str):
+    return _POPULATION_BUILDERS.get(variant, sample_population)
 
 
 def _variant_population(variant: str, inputs: AblationInputs):
-    spec = inputs.population_spec
-    if variant == "uniform-personas":
-        return uniform_population(spec.modal_persona(), spec.population_size)
-    if variant == "single-persona":
-        return sample_population(
-            DemographicSpec(attributes=spec.attributes, population_size=1),
-            inputs.population_seed,
-        )
-    return sample_population(spec, inputs.population_seed)
+    return _population_builder(variant)(inputs.population_spec, inputs.population_seed)
 
 
 def _simulate_variant(
@@ -373,12 +377,12 @@ def run_ablation_suite(
     """Run each variant; the variants that keep the sampled population share
     one simulation of it."""
     report = AblationReport()
-    shared: dict[str, dict[dt.date, BehaviorVector]] = {}
+    shared: dict[object, dict[dt.date, BehaviorVector]] = {}
     for variant in variants:
-        population = variant if variant in POPULATION_VARIANTS else "sampled"
-        if population not in shared:
-            shared[population] = _simulate_variant(variant, inputs, cache)
-        macro, per_category = run_ablation(variant, inputs, aggregates=shared[population])
+        builder = _population_builder(variant)
+        if builder not in shared:
+            shared[builder] = _simulate_variant(variant, inputs, cache)
+        macro, per_category = run_ablation(variant, inputs, aggregates=shared[builder])
         report.macro_rmse[variant] = macro
         report.per_category[variant] = per_category
     return report

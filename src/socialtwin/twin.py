@@ -93,28 +93,28 @@ class DigitalTwin:
         except ParseError as exc:
             return exc
 
-    def _outcome(self, pending: dict, pool, persona: Persona, context: SimContext):
+    def _outcome(self, failed: dict, in_flight: dict, pool, persona: Persona, context: SimContext):
         """The vector, ParseError or Future for one (profile, context) pair.
 
-        ``pending`` maps the cache keys of this pass's failed prompts and
-        submitted misses to their outcome; answered prompts are found in the
-        cache. Each distinct prompt therefore reaches the engine once.
+        ``failed`` maps the cache keys of this pass's failed prompts to their
+        ParseError and ``in_flight`` the keys submitted for the current date
+        to their Future; answered prompts are found in the cache. Each
+        distinct prompt therefore reaches the engine once.
         """
         prompt = render_prompt(persona, context, self.template)
         key = self.cache.make_key(self.engine.digest, prompt.text, self.schema.response_keys)
-        outcome = pending.get(key)
+        outcome = failed.get(key) or in_flight.get(key)
         if outcome is not None:
             return outcome
         cached = self.cache.get(key)
         if cached is not None:
             return cached_vector(cached, self.schema)
-        if pool is None:
-            outcome = self._ask(key, prompt, persona, context)
-            if not isinstance(outcome, ParseError):
-                return outcome
+        if pool is not None:
+            outcome = in_flight[key] = pool.submit(self._ask, key, prompt, persona, context)
         else:
-            outcome = pool.submit(self._ask, key, prompt, persona, context)
-        pending[key] = outcome
+            outcome = self._ask(key, prompt, persona, context)
+            if isinstance(outcome, ParseError):
+                failed[key] = outcome
         return outcome
 
     def simulate_context(
@@ -140,17 +140,19 @@ class DigitalTwin:
         profile_of, representatives = _group_profiles(self.population)
         log = SimulationLog()
         aggregates: dict[dt.date, BehaviorVector] = {}
-        pending: dict[str, object] = {}
+        failed: dict[str, ParseError] = {}
         pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
         try:
-            plan = (
-                (context, [self._outcome(pending, pool, p, context) for p in representatives])
-                for context in contexts
-            )
-            if pool is not None:  # submit every miss of the pass before waiting on any
-                plan = list(plan)
-            for context, per_profile in plan:
+            for context in contexts:
+                in_flight: dict[str, Future] = {}
+                per_profile = [
+                    self._outcome(failed, in_flight, pool, p, context) for p in representatives
+                ]
                 resolved = [o.result() if isinstance(o, Future) else o for o in per_profile]
+                # answered prompts are in the cache now; only failures are kept
+                for key, future in in_flight.items():
+                    if isinstance(future.result(), ParseError):
+                        failed[key] = future.result()
                 vectors: list[BehaviorVector] = []
                 weights: list[float] = []
                 for persona, j in zip(self.population, profile_of):

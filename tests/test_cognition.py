@@ -23,7 +23,7 @@ from socialtwin.cognition import (
     query,
     render_prompt,
 )
-from socialtwin.errors import ConfigError, EngineError, ParseError
+from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
 from socialtwin.synthetic import default_oracle_params
 
@@ -457,16 +457,45 @@ def test_cache_every_byte_prefix_loads_its_complete_records(cache_file, tmp_path
     assert loaded.skipped_lines == int(torn)
 
 
-def test_cache_append_after_torn_tail_keeps_records_apart(tmp_path):
+def test_cache_append_after_torn_tail_cuts_the_torn_line(tmp_path):
     full = _cache_bytes(tmp_path, 2)
+    first = full[: full.index(b"\n") + 1]
     path = tmp_path / "torn.jsonl"
     path.write_bytes(full[:-10])
     with ResponseCache(path) as cache:
         assert len(cache) == 1
         cache.put("k9", "raw 9", {"stay_home": 0.5}, "model:x")
+    assert path.read_bytes().startswith(first)
+    assert path.read_bytes().count(b"\n") == 2
     reopened = ResponseCache(path)
     assert sorted(reopened._entries) == ["k0", "k9"]
-    assert reopened.skipped_lines == 1
+    assert reopened.skipped_lines == 0
+
+
+def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
+    full = _cache_bytes(tmp_path, 2)
+    path = tmp_path / "unterminated.jsonl"
+    path.write_bytes(full[:-1])
+    with ResponseCache(path) as cache:
+        assert len(cache) == 2
+        cache.put("k9", "raw 9", {"stay_home": 0.5}, "model:x")
+    reopened = ResponseCache(path)
+    assert sorted(reopened._entries) == ["k0", "k1", "k9"]
+    assert reopened.skipped_lines == 0
+
+
+@pytest.mark.parametrize("bad", [b"{not json\n", b"[1, 2]\n", b'{"raw": "no key"}\n'])
+def test_cache_bad_line_before_the_end_is_a_data_error(tmp_path, bad):
+    full = _cache_bytes(tmp_path, 2)
+    first = full[: full.index(b"\n") + 1]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(first + bad + full[len(first):])
+    with pytest.raises(DataError, match=r"bad\.jsonl:2: not a cache record"):
+        ResponseCache(path)
+    # a terminated last line is a whole line, so it must be a record too
+    path.write_bytes(full + bad)
+    with pytest.raises(DataError, match=r"bad\.jsonl:3: not a cache record"):
+        ResponseCache(path)
 
 
 def test_cache_counters_exact_under_threads():

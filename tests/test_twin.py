@@ -290,3 +290,22 @@ def test_replay_miss_propagates_from_worker_pool(schema, pandemic_template):
     contexts = [SimContext(dt.date(2020, 6, 1) + dt.timedelta(days=i), 50.0) for i in range(5)]
     with pytest.raises(EngineError, match="replay cache miss"):
         twin.simulate_contexts(contexts)
+
+
+@pytest.mark.parametrize("parallelism", [1, 3])
+def test_failed_prompt_is_not_asked_again_later_in_the_pass(
+    schema, pandemic_template, parallelism
+):
+    population = [
+        Persona(id=f"p{i}", attributes={"nationality": "Expatriate", "employment": e,
+                                        "risk_perception": "Medium", "income": "Middle"})
+        for i, e in enumerate(["sector0", "sectorX"])
+    ]
+    engine = PromptBrokenEngine(schema, broken_ids={"sectorX"})
+    twin = make_twin(schema, pandemic_template, parallelism=parallelism,
+                     population=population, engine=engine)
+    context = SimContext(dt.date(2020, 5, 1), 50.0)
+    _, log = twin.simulate_contexts([context, SimContext(dt.date(2020, 5, 2), 60.0), context])
+    assert [f["persona"] for f in log.failures] == ["p1", "p1", "p1"]
+    # two distinct prompts per profile; a failed prompt keeps its outcome for the pass
+    assert engine.call_count == 2 * (1 + 1 + engine.retry_limit)
