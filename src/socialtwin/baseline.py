@@ -48,7 +48,12 @@ def build_features(policy: Sequence[PolicyRecord], date: dt.date) -> FeatureVect
     if not policy:
         raise DataError("empty policy series")
     by_date = {r.date: r.stringency for r in policy}
-    start = min(r.date for r in policy)
+    return _lagged_features(by_date, min(r.date for r in policy), date)
+
+
+def _lagged_features(
+    by_date: Mapping[dt.date, float], start: dt.date, date: dt.date
+) -> FeatureVector:
     lags = []
     for offset in LAG_OFFSETS:
         lag_date = date - dt.timedelta(days=offset)
@@ -66,15 +71,22 @@ def build_features(policy: Sequence[PolicyRecord], date: dt.date) -> FeatureVect
 def build_feature_matrix(
     policy: Sequence[PolicyRecord], dates: Sequence[dt.date]
 ) -> tuple[np.ndarray, list[dt.date]]:
-    """Feature rows for every date with full lag coverage; others are skipped."""
+    """Feature rows for every date with full lag coverage; others are skipped.
+
+    The date index and the series start are built once per matrix, so the
+    cost grows linearly with the number of dates.
+    """
     rows = []
     used = []
-    for date in dates:
-        try:
-            rows.append(build_features(policy, date).as_array())
-        except DataError:
-            continue
-        used.append(date)
+    if policy:
+        by_date = {r.date: r.stringency for r in policy}
+        start = min(r.date for r in policy)
+        for date in dates:
+            try:
+                rows.append(_lagged_features(by_date, start, date).as_array())
+            except DataError:
+                continue
+            used.append(date)
     if not rows:
         return np.empty((0, len(FEATURE_NAMES))), []
     return np.vstack(rows), used

@@ -12,6 +12,13 @@ gamma fraction and the rest, new candidates are drawn from a Gaussian kernel
 density over the good trials and ranked by the good-to-rest density ratio.
 A closed-form least-squares fit of the unclipped map is always evaluated as
 trial 0, so the search can never end worse than the initializer.
+
+Independent searches (one per category under the default objective) run in
+lock step as one batch: each trial evaluates every search's point in one
+loss call, and each density step ranks, splits and scores all searches with
+array operations. Each search keeps its own random generator and draws from
+it in the order it would alone, and every reduction runs over one search's
+row, so a batched fit is bit-identical to running its searches one by one.
 """
 
 from __future__ import annotations
@@ -203,16 +210,15 @@ def pair_by_date(
 
 def _pairs_from_training(
     train: Sequence[tuple[BehaviorVector, ObservationRecord]]
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Category keys and their (categories, dates) probability and observation
+    matrices; row k holds category k's series in date order."""
     if len(train) < 2:
         raise DataError(f"calibration needs >= 2 training dates, got {len(train)}")
-    categories = train[0][0].categories
-    out = {}
-    for key in categories:
-        p = np.array([vec[key] for vec, _ in train], dtype=float)
-        y = np.array([obs.values[key] for _, obs in train], dtype=float)
-        out[key] = (p, y)
-    return out
+    keys = list(train[0][0].categories)
+    p = np.array([[vec[key] for vec, _ in train] for key in keys], dtype=float)
+    y = np.array([[obs.values[key] for _, obs in train] for key in keys], dtype=float)
+    return keys, p, y
 
 
 def _ols_line(p: np.ndarray, y: np.ndarray) -> tuple[float, float, bool]:
@@ -253,88 +259,120 @@ def least_squares_fit(
 # ---------------------------------------------------------------------------
 
 
-def _silverman_bandwidth(samples: np.ndarray, width: float) -> float:
-    n = len(samples)
-    spread = float(np.std(samples))
-    bw = 1.06 * spread * n ** (-0.2) if spread > 0 else 0.0
-    return max(bw, 1e-3 * width)
+def _silverman_bandwidth(samples: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Silverman's rule per row of samples (..., n), floored at 1e-3 * width."""
+    spread = np.std(samples, axis=-1)
+    bw = np.where(spread > 0, 1.06 * spread * samples.shape[-1] ** (-0.2), 0.0)
+    return np.maximum(bw, 1e-3 * width)
 
 
-def _kde_logpdf(x: np.ndarray, samples: np.ndarray, bandwidth: float) -> np.ndarray:
-    z = (x[:, None] - samples[None, :]) / bandwidth
-    log_kernels = -0.5 * z**2 - math.log(bandwidth * math.sqrt(2 * math.pi))
-    max_log = np.max(log_kernels, axis=1, keepdims=True)
-    return (
-        max_log[:, 0]
-        + np.log(np.mean(np.exp(log_kernels - max_log), axis=1))
-    )
+def _kde_logpdf(x: np.ndarray, samples: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
+    """Log-density at x (..., m) of the Gaussian KDE over samples (..., n), one
+    bandwidth per leading index; returns (..., m)."""
+    # math.log per row: np.log may round the normaliser differently
+    norm = np.array(
+        [math.log(bw * math.sqrt(2 * math.pi)) for bw in bandwidth.ravel().tolist()]
+    ).reshape(bandwidth.shape)
+    z = (x[..., :, None] - samples[..., None, :]) / bandwidth[..., None, None]
+    log_kernels = -0.5 * z**2 - norm[..., None, None]
+    max_log = np.max(log_kernels, axis=-1, keepdims=True)
+    return max_log[..., 0] + np.log(np.mean(np.exp(log_kernels - max_log), axis=-1))
 
 
 def _suggest_tpe(
-    rng: np.random.Generator,
-    history_x: np.ndarray,  # (n_trials, n_dims)
-    history_loss: np.ndarray,
-    bounds: Sequence[tuple[float, float]],
+    rngs: Sequence[np.random.Generator],
+    history_x: np.ndarray,  # (K, n_trials, D)
+    history_loss: np.ndarray,  # (K, n_trials)
+    lows: np.ndarray,  # (K, D)
+    highs: np.ndarray,  # (K, D)
 ) -> np.ndarray:
-    """One suggestion: sample candidates from the good-trial density per
-    dimension and keep the candidate with the highest good/rest log-ratio."""
-    n = len(history_loss)
-    order = np.argsort(history_loss, kind="stable")
-    n_good = max(1, math.ceil(TPE_GAMMA * n))
-    good_idx, rest_idx = order[:n_good], order[n_good:]
-    n_dims = history_x.shape[1]
-    candidates = np.empty((TPE_CANDIDATES, n_dims))
-    score = np.zeros(TPE_CANDIDATES)
+    """One suggestion per search: sample candidates from the good-trial
+    density in every dimension and keep, per search, the candidate with the
+    highest good/rest log-ratio. Returns (K, D).
+
+    Search k draws from ``rngs[k]`` alone, dimension by dimension (centre
+    indices, then noise), as a search run by itself does.
+    """
+    n_searches, n_trials = history_loss.shape
+    n_dims = lows.shape[1]
+    order = np.argsort(history_loss, axis=1, kind="stable")
+    n_good = max(1, math.ceil(TPE_GAMMA * n_trials))  # < n_trials after the startup trials
+
+    def split(idx: np.ndarray) -> np.ndarray:
+        # (K, D, m) and contiguous, so every reduction below runs along the
+        # last axis and rounds as the same reduction over one 1-D row does
+        picked = np.take_along_axis(history_x, idx[:, :, None], axis=1)
+        return np.ascontiguousarray(picked.transpose(0, 2, 1))
+
+    good, rest = split(order[:, :n_good]), split(order[:, n_good:])
+    width = highs - lows
+    bw_good = _silverman_bandwidth(good, width)
+    bw_rest = _silverman_bandwidth(rest, width)
+    centre_idx = np.empty((n_searches, n_dims, TPE_CANDIDATES), dtype=np.intp)
+    noise = np.empty((n_searches, n_dims, TPE_CANDIDATES))
+    for k, rng in enumerate(rngs):
+        for d in range(n_dims):
+            centre_idx[k, d] = rng.integers(0, n_good, TPE_CANDIDATES)
+            noise[k, d] = rng.normal(0.0, bw_good[k, d], TPE_CANDIDATES)
+    centres = np.take_along_axis(good, centre_idx, axis=2)
+    candidates = np.clip(centres + noise, lows[..., None], highs[..., None])
+    log_good = _kde_logpdf(candidates, good, bw_good)
+    log_rest = _kde_logpdf(candidates, rest, bw_rest)
+    # dimension by dimension, good then rest: a sum over the axis would round differently
+    score = np.zeros((n_searches, TPE_CANDIDATES))
     for d in range(n_dims):
-        low, high = bounds[d]
-        width = high - low
-        good = history_x[good_idx, d]
-        bw_good = _silverman_bandwidth(good, width)
-        centers = good[rng.integers(0, len(good), TPE_CANDIDATES)]
-        cand = np.clip(centers + rng.normal(0.0, bw_good, TPE_CANDIDATES), low, high)
-        candidates[:, d] = cand
-        score += _kde_logpdf(cand, good, bw_good)
-        if len(rest_idx) > 0:
-            rest = history_x[rest_idx, d]
-            score -= _kde_logpdf(cand, rest, _silverman_bandwidth(rest, width))
-    return candidates[int(np.argmax(score))]
+        score += log_good[:, d]
+        score -= log_rest[:, d]
+    best = np.argmax(score, axis=1)
+    return candidates[np.arange(n_searches), :, best]
 
 
 def _run_search(
-    loss_fn: Callable[[np.ndarray], float],
-    bounds: Sequence[tuple[float, float]],
+    loss_fn: Callable[[np.ndarray], np.ndarray],
+    bounds: np.ndarray,
     init: np.ndarray,
     trials: int,
     sampler: str,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, float, float]:
-    """Minimize loss_fn over a box, always evaluating ``init`` as trial 0.
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Minimize K independent searches over their boxes in lock step.
 
-    Returns (best_x, best_loss, initializer_loss).
+    ``bounds`` is (K, D, 2), ``init`` (K, D) and ``loss_fn`` maps a (K, D)
+    batch of points to (K,) losses. Every trial evaluates one point per
+    search in a single ``loss_fn`` call, and each TPE step ranks, splits and
+    scores all searches at once. ``init`` is always trial 0. Search k draws
+    only from ``rngs[k]``, in the order it would alone, so the result for
+    each search is bit-identical to running it by itself with K = 1.
+
+    Returns the best point of each search, (K, D).
     """
-    history_x = [np.asarray(init, dtype=float)]
-    history_loss = [loss_fn(history_x[0])]
-    init_loss = history_loss[0]
+    init = np.asarray(init, dtype=float)
     if sampler == "least-squares-init":
-        return history_x[0], init_loss, init_loss
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
+        return init
+    n_searches, n_dims = init.shape
+    lows, highs = bounds[..., 0], bounds[..., 1]
+    history_x = np.empty((n_searches, trials, n_dims))
+    history_loss = np.empty((n_searches, trials))
+    history_x[:, 0] = init
+    history_loss[:, 0] = loss_fn(init)
     for t in range(1, trials):
         if sampler == "random" or t <= TPE_STARTUP_TRIALS:
-            x = rng.uniform(lows, highs)
+            x = np.array([rng.uniform(lo, hi) for rng, lo, hi in zip(rngs, lows, highs)])
         else:
-            x = _suggest_tpe(rng, np.vstack(history_x), np.array(history_loss), bounds)
-        history_x.append(x)
-        history_loss.append(loss_fn(x))
-    best = int(np.argmin(history_loss))
-    return history_x[best], history_loss[best], init_loss
+            x = _suggest_tpe(rngs, history_x[:, :t], history_loss[:, :t], lows, highs)
+        history_x[:, t] = x
+        history_loss[:, t] = loss_fn(x)
+    best = np.argmin(history_loss, axis=1)
+    return history_x[np.arange(n_searches), best]
 
 
 def _clipped_rmse(
-    alpha: float, beta: float, p: np.ndarray, y: np.ndarray, clip: tuple[float, float]
-) -> float:
+    alpha: np.ndarray, beta: np.ndarray, p: np.ndarray, y: np.ndarray, clip: tuple[float, float]
+) -> np.ndarray:
+    """RMSE of clip(alpha * p + beta) against y along the last (date) axis;
+    alpha and beta broadcast against p."""
     pred = np.clip(alpha * p + beta, clip[0], clip[1])
-    return float(np.sqrt(np.mean((pred - y) ** 2)))
+    return np.sqrt(np.mean((pred - y) ** 2, axis=-1))
 
 
 def _widen(target: float, rng_: tuple[float, float]) -> tuple[tuple[float, float], bool]:
@@ -345,6 +383,43 @@ def _widen(target: float, rng_: tuple[float, float]) -> tuple[tuple[float, float
     return (min(low, target - pad), max(high, target + pad)), True
 
 
+def _fit_result(
+    keys: list[str],
+    best: np.ndarray,  # (categories, 2): alpha, beta per category
+    init: np.ndarray,  # (categories, 2)
+    p: np.ndarray,
+    y: np.ndarray,
+    config: FitConfig,
+    objective: str,
+    degenerate: Sequence[bool],
+    widened: Sequence[bool],
+) -> tuple[CalibrationParams, FitReport]:
+    clip = config.clip_bounds
+    best_loss = _clipped_rmse(best[:, :1], best[:, 1:], p, y, clip)
+    init_loss = _clipped_rmse(init[:, :1], init[:, 1:], p, y, clip)
+    report = FitReport(
+        sampler=config.sampler,
+        objective=objective,
+        seed=config.seed,
+        trials=config.trials,
+        alpha_range=config.alpha_range,
+        beta_range=config.beta_range,
+    )
+    per_category = {}
+    for i, key in enumerate(keys):
+        per_category[key] = CategoryCalibration(
+            alpha=float(best[i, 0]), beta=float(best[i, 1]), y_min=clip[0], y_max=clip[1]
+        )
+        report.per_category[key] = CategoryFitRecord(
+            best_loss=float(best_loss[i]),
+            initializer_loss=float(init_loss[i]),
+            trials_run=config.trials if config.sampler != "least-squares-init" else 1,
+            degenerate=degenerate[i],
+            range_widened=widened[i],
+        )
+    return CalibrationParams(per_category), report
+
+
 def fit_calibration(
     train: Sequence[tuple[BehaviorVector, ObservationRecord]],
     config: FitConfig,
@@ -352,91 +427,51 @@ def fit_calibration(
     """Fit (alpha_k, beta_k) per category by minimizing clipped-prediction RMSE.
 
     Under the default per-category-independent objective each category is
-    searched alone (the map is separable); the macro-average objective
-    searches all categories jointly on the mean of per-category RMSEs. The
-    least-squares line is trial 0 either way, so the best trial never loses
-    to the initializer. Search ranges that exclude the initializer are
-    widened to cover it and flagged in the report.
+    its own search (the map is separable), and the searches run in lock
+    step as one batch; the macro-average objective is one joint search over
+    all categories on the mean of per-category RMSEs. The least-squares line
+    is trial 0 either way, so the best trial never loses to the initializer.
+    Search ranges that exclude the initializer are widened to cover it and
+    flagged in the report.
     """
-    pairs = _pairs_from_training(train)
-    report = FitReport(
-        sampler=config.sampler,
-        objective=config.objective,
-        seed=config.seed,
-        trials=config.trials,
-        alpha_range=config.alpha_range,
-        beta_range=config.beta_range,
-    )
+    keys, p, y = _pairs_from_training(train)
     clip = config.clip_bounds
-    init_lines = {key: _ols_line(p, y) for key, (p, y) in pairs.items()}
+    lines = [_ols_line(p_k, y_k) for p_k, y_k in zip(p, y)]
+    init = np.array([[alpha, beta] for alpha, beta, _ in lines])
+    ranges = [
+        (_widen(alpha, config.alpha_range), _widen(beta, config.beta_range))
+        for alpha, beta, _ in lines
+    ]
+    bounds = np.array([[a_range, b_range] for (a_range, _), (b_range, _) in ranges])
+    widened = [a_widened or b_widened for (_, a_widened), (_, b_widened) in ranges]
 
     if config.objective == "per-category-independent":
-        per_category = {}
-        for k_index, (key, (p, y)) in enumerate(pairs.items()):
-            init_alpha, init_beta, _ = init_lines[key]
-            a_range, a_widened = _widen(init_alpha, config.alpha_range)
-            b_range, b_widened = _widen(init_beta, config.beta_range)
-            rng = np.random.default_rng([config.seed, k_index])
-            best, best_loss, init_loss = _run_search(
-                loss_fn=lambda x, p=p, y=y: _clipped_rmse(x[0], x[1], p, y, clip),
-                bounds=[a_range, b_range],
-                init=np.array([init_alpha, init_beta]),
-                trials=config.trials,
-                sampler=config.sampler,
-                rng=rng,
-            )
-            per_category[key] = CategoryCalibration(
-                alpha=float(best[0]), beta=float(best[1]), y_min=clip[0], y_max=clip[1]
-            )
-            report.per_category[key] = CategoryFitRecord(
-                best_loss=best_loss,
-                initializer_loss=init_loss,
-                trials_run=config.trials if config.sampler != "least-squares-init" else 1,
-                degenerate=float(np.var(p)) < 1e-12,
-                range_widened=a_widened or b_widened,
-            )
-        return CalibrationParams(per_category), report
-
-    # macro-average: one joint search over all (alpha_k, beta_k)
-    keys = list(pairs.keys())
-    bounds: list[tuple[float, float]] = []
-    init_vec: list[float] = []
-    widened = False
-    for key in keys:
-        init_alpha, init_beta, _ = init_lines[key]
-        a_range, aw = _widen(init_alpha, config.alpha_range)
-        b_range, bw = _widen(init_beta, config.beta_range)
-        widened = widened or aw or bw
-        bounds.extend([a_range, b_range])
-        init_vec.extend([init_alpha, init_beta])
-
-    def macro_loss(x: np.ndarray) -> float:
-        losses = [
-            _clipped_rmse(x[2 * i], x[2 * i + 1], *pairs[key], clip)
-            for i, key in enumerate(keys)
-        ]
-        return float(np.mean(losses))
-
-    rng = np.random.default_rng(config.seed)
-    best, best_loss, init_loss = _run_search(
-        macro_loss, bounds, np.array(init_vec), config.trials, config.sampler, rng
-    )
-    per_category = {}
-    for i, key in enumerate(keys):
-        p, y = pairs[key]
-        per_category[key] = CategoryCalibration(
-            alpha=float(best[2 * i]), beta=float(best[2 * i + 1]), y_min=clip[0], y_max=clip[1]
+        best = _run_search(
+            lambda x: _clipped_rmse(x[:, :1], x[:, 1:], p, y, clip),
+            bounds,
+            init,
+            config.trials,
+            config.sampler,
+            [np.random.default_rng([config.seed, k]) for k in range(len(keys))],
         )
-        report.per_category[key] = CategoryFitRecord(
-            best_loss=_clipped_rmse(best[2 * i], best[2 * i + 1], p, y, clip),
-            initializer_loss=_clipped_rmse(
-                init_vec[2 * i], init_vec[2 * i + 1], p, y, clip
+    else:
+        # one search whose point is (alpha_0, beta_0, alpha_1, beta_1, ...)
+        best = _run_search(
+            lambda x: np.mean(
+                _clipped_rmse(x[:, 0::2, None], x[:, 1::2, None], p, y, clip), axis=1
             ),
-            trials_run=config.trials if config.sampler != "least-squares-init" else 1,
-            degenerate=float(np.var(p)) < 1e-12,
-            range_widened=widened,
-        )
-    return CalibrationParams(per_category), report
+            bounds.reshape(1, -1, 2),
+            init.reshape(1, -1),
+            config.trials,
+            config.sampler,
+            [np.random.default_rng(config.seed)],
+        ).reshape(-1, 2)
+        widened = [any(widened)] * len(keys)
+    return _fit_result(
+        keys, best, init, p, y, config, config.objective,
+        degenerate=[degenerate for _, _, degenerate in lines],
+        widened=widened,
+    )
 
 
 def fit_single_slope(
@@ -448,44 +483,25 @@ def fit_single_slope(
     The shared pair minimizes the macro-average RMSE; the initializer is the
     least-squares line through the pooled (probability, observation) pairs.
     """
-    pairs = _pairs_from_training(train)
+    keys, p, y = _pairs_from_training(train)
     clip = config.clip_bounds
-    pooled_p = np.concatenate([p for p, _ in pairs.values()])
-    pooled_y = np.concatenate([y for _, y in pairs.values()])
-    alpha0, beta0, degenerate = _ols_line(pooled_p, pooled_y)
+    alpha0, beta0, degenerate = _ols_line(p.ravel(), y.ravel())
     a_range, aw = _widen(alpha0, config.alpha_range)
     b_range, bw = _widen(beta0, config.beta_range)
-
-    def shared_loss(x: np.ndarray) -> float:
-        losses = [_clipped_rmse(x[0], x[1], p, y, clip) for p, y in pairs.values()]
-        return float(np.mean(losses))
-
-    rng = np.random.default_rng(config.seed)
-    best, best_loss, init_loss = _run_search(
-        shared_loss, [a_range, b_range], np.array([alpha0, beta0]),
-        config.trials, config.sampler, rng,
+    init = np.array([[alpha0, beta0]])
+    best = _run_search(
+        lambda x: np.mean(_clipped_rmse(x[:, :1, None], x[:, 1:, None], p, y, clip), axis=1),
+        np.array([[a_range, b_range]]),
+        init,
+        config.trials,
+        config.sampler,
+        [np.random.default_rng(config.seed)],
     )
-    per_category = {
-        key: CategoryCalibration(float(best[0]), float(best[1]), clip[0], clip[1])
-        for key in pairs
-    }
-    report = FitReport(
-        sampler=config.sampler,
-        objective="shared-single-slope",
-        seed=config.seed,
-        trials=config.trials,
-        alpha_range=config.alpha_range,
-        beta_range=config.beta_range,
+    n = len(keys)
+    return _fit_result(
+        keys, np.repeat(best, n, axis=0), np.repeat(init, n, axis=0), p, y, config,
+        "shared-single-slope", degenerate=[degenerate] * n, widened=[aw or bw] * n,
     )
-    for key, (p, y) in pairs.items():
-        report.per_category[key] = CategoryFitRecord(
-            best_loss=_clipped_rmse(best[0], best[1], p, y, clip),
-            initializer_loss=_clipped_rmse(alpha0, beta0, p, y, clip),
-            trials_run=config.trials if config.sampler != "least-squares-init" else 1,
-            degenerate=degenerate,
-            range_widened=aw or bw,
-        )
-    return CalibrationParams(per_category), report
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +532,30 @@ def load_calibration(
     p = Path(path)
     if not p.exists():
         raise DataError(f"calibration artifact not found: {p}")
-    payload = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{p}: calibration artifact is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{p}: calibration artifact must be a JSON object")
     if payload.get("schema_version") != ARTIFACT_SCHEMA_VERSION:
         raise DataError(
             f"{p}: unsupported calibration artifact version {payload.get('schema_version')}"
         )
-    if expected_config_hash is not None and payload.get("config_hash") not in (
-        None,
-        expected_config_hash,
-    ):
-        raise ConfigError(
-            f"{p}: calibration artifact was fitted under config {payload.get('config_hash')[:12]}..., "
-            f"current config is {expected_config_hash[:12]}...; refusing to mix artifacts"
-        )
-    return CalibrationParams.from_dict(payload["categories"]), payload
+    if expected_config_hash is not None:
+        found = payload.get("config_hash")
+        if found is None:
+            raise ConfigError(
+                f"{p}: calibration artifact records no config hash, current config is "
+                f"{expected_config_hash[:12]}...; refusing to mix artifacts"
+            )
+        if found != expected_config_hash:
+            raise ConfigError(
+                f"{p}: calibration artifact was fitted under config {str(found)[:12]}..., "
+                f"current config is {expected_config_hash[:12]}...; refusing to mix artifacts"
+            )
+    try:
+        params = CalibrationParams.from_dict(payload["categories"])
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise DataError(f"{p}: calibration artifact is malformed: {exc!r}") from None
+    return params, payload

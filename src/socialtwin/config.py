@@ -44,7 +44,7 @@ def _load_yaml(path):
     YAML is a config error naming the file."""
     try:
         return yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date literal like 2021-02-30
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
 
 
@@ -171,7 +171,10 @@ def load_run_config(
         spec_path = _resolve_path(base, paths["population_spec"])
         if not spec_path.exists():
             raise ConfigError(f"population spec not found: {spec_path}")
-        population_spec = DemographicSpec.from_dict(_load_yaml(spec_path))
+        try:
+            population_spec = DemographicSpec.from_dict(_load_yaml(spec_path))
+        except ConfigError as exc:
+            raise ConfigError(f"{spec_path}: {exc}") from None
     else:
         population_spec = DemographicSpec.from_dict(
             raw.get("population") or profile["population"]

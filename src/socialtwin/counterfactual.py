@@ -222,20 +222,33 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
     raw = _load_yaml(p)
     if not isinstance(raw, list):
         raise ConfigError(f"{p}: scenario file must be a list of scenarios")
+
+    def field(entry: dict, key: str, parse):
+        try:
+            return parse(entry[key])
+        except KeyError:
+            raise ConfigError(f"{p}: scenario entry missing key {key!r}: {entry}") from None
+        except (TypeError, ValueError):
+            raise ConfigError(f"{p}: scenario entry has invalid {key} {entry[key]!r}") from None
+
     scenarios = []
     for entry in raw:
-        try:
-            scenarios.append(
-                Scenario(
-                    name=str(entry["name"]),
-                    date=entry["date"]
-                    if isinstance(entry["date"], dt.date)
-                    else dt.date.fromisoformat(str(entry["date"])),
-                    stringency_override=float(entry["stringency_override"]),
-                )
+        if not isinstance(entry, dict):
+            raise ConfigError(
+                f"{p}: scenario entry must be a mapping of name, date and "
+                f"stringency_override, got {entry!r}"
             )
-        except KeyError as exc:
-            raise ConfigError(f"{p}: scenario entry missing key {exc}: {entry}") from None
+        scenarios.append(
+            Scenario(
+                name=field(entry, "name", str),
+                date=field(
+                    entry,
+                    "date",
+                    lambda v: v if isinstance(v, dt.date) else dt.date.fromisoformat(str(v)),
+                ),
+                stringency_override=field(entry, "stringency_override", float),
+            )
+        )
     return scenarios
 
 

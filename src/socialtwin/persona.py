@@ -59,17 +59,33 @@ class DemographicSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "DemographicSpec":
         """Build from a config mapping: {population_size, attributes: {name: {value: prob}}}."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"population spec must be a mapping, got {type(data).__name__}")
         try:
-            size = int(data["population_size"])
-            raw_attrs = data["attributes"]
+            raw_size, raw_attrs = data["population_size"], data["attributes"]
         except KeyError as exc:
             raise ConfigError(f"population spec missing key {exc}") from None
+        try:
+            size = int(raw_size)
+        except (TypeError, ValueError):
+            raise ConfigError(f"population_size must be an integer, got {raw_size!r}") from None
+        if not isinstance(raw_attrs, dict):
+            raise ConfigError(
+                f"population spec attributes must map each attribute to its values, "
+                f"got {type(raw_attrs).__name__}"
+            )
         attrs = {}
         for name, values in raw_attrs.items():
-            if isinstance(values, dict):
-                pairs = [(str(v), float(p)) for v, p in values.items()]
-            else:  # list of {value, probability} entries
-                pairs = [(str(e["value"]), float(e["probability"])) for e in values]
+            try:
+                if isinstance(values, dict):
+                    pairs = [(str(v), float(p)) for v, p in values.items()]
+                else:  # list of {value, probability} entries
+                    pairs = [(str(e["value"]), float(e["probability"])) for e in values]
+            except (KeyError, TypeError, ValueError):
+                raise ConfigError(
+                    f"attribute {name!r}: values must be a mapping of value to probability "
+                    f"or a list of {{value, probability}} entries, got {values!r}"
+                ) from None
             attrs[name] = pairs
         return cls(attributes=attrs, population_size=size)
 

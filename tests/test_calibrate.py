@@ -1,14 +1,23 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialtwin.calibrate import (
+    TPE_CANDIDATES,
+    TPE_GAMMA,
+    TPE_STARTUP_TRIALS,
     CalibrationParams,
     CategoryCalibration,
+    CategoryFitRecord,
     FitConfig,
+    FitReport,
+    _ols_line,
+    _widen,
     apply_calibration,
     fit_calibration,
     fit_single_slope,
@@ -242,6 +251,241 @@ def test_monotone_composition_through_calibration(synth_dataset):
     by_prob = sorted(synth_dataset.aggregates[d][key] for d in dates)
     predictions = [cal.apply(p) for p in by_prob]
     assert predictions == sorted(predictions)
+
+
+# ------------------------------------------------- reference: one search each
+# The density-guided search as it ran one search at a time: a Python loop over
+# categories, a per-dimension loop in every suggestion and a vstack of the
+# history per trial. The batched search in socialtwin.calibrate must give the
+# same parameters and report, bit for bit.
+
+
+def _ref_pairs_from_training(train):
+    categories = train[0][0].categories
+    out = {}
+    for key in categories:
+        p = np.array([vec[key] for vec, _ in train], dtype=float)
+        y = np.array([obs.values[key] for _, obs in train], dtype=float)
+        out[key] = (p, y)
+    return out
+
+
+def _ref_silverman_bandwidth(samples, width):
+    n = len(samples)
+    spread = float(np.std(samples))
+    bw = 1.06 * spread * n ** (-0.2) if spread > 0 else 0.0
+    return max(bw, 1e-3 * width)
+
+
+def _ref_kde_logpdf(x, samples, bandwidth):
+    z = (x[:, None] - samples[None, :]) / bandwidth
+    log_kernels = -0.5 * z**2 - math.log(bandwidth * math.sqrt(2 * math.pi))
+    max_log = np.max(log_kernels, axis=1, keepdims=True)
+    return max_log[:, 0] + np.log(np.mean(np.exp(log_kernels - max_log), axis=1))
+
+
+def _ref_suggest_tpe(rng, history_x, history_loss, bounds):
+    n = len(history_loss)
+    order = np.argsort(history_loss, kind="stable")
+    n_good = max(1, math.ceil(TPE_GAMMA * n))
+    good_idx, rest_idx = order[:n_good], order[n_good:]
+    n_dims = history_x.shape[1]
+    candidates = np.empty((TPE_CANDIDATES, n_dims))
+    score = np.zeros(TPE_CANDIDATES)
+    for d in range(n_dims):
+        low, high = bounds[d]
+        width = high - low
+        good = history_x[good_idx, d]
+        bw_good = _ref_silverman_bandwidth(good, width)
+        centers = good[rng.integers(0, len(good), TPE_CANDIDATES)]
+        cand = np.clip(centers + rng.normal(0.0, bw_good, TPE_CANDIDATES), low, high)
+        candidates[:, d] = cand
+        score += _ref_kde_logpdf(cand, good, bw_good)
+        if len(rest_idx) > 0:
+            rest = history_x[rest_idx, d]
+            score -= _ref_kde_logpdf(cand, rest, _ref_silverman_bandwidth(rest, width))
+    return candidates[int(np.argmax(score))]
+
+
+def _ref_run_search(loss_fn, bounds, init, trials, sampler, rng):
+    history_x = [np.asarray(init, dtype=float)]
+    history_loss = [loss_fn(history_x[0])]
+    init_loss = history_loss[0]
+    if sampler == "least-squares-init":
+        return history_x[0], init_loss, init_loss
+    lows = np.array([b[0] for b in bounds])
+    highs = np.array([b[1] for b in bounds])
+    for t in range(1, trials):
+        if sampler == "random" or t <= TPE_STARTUP_TRIALS:
+            x = rng.uniform(lows, highs)
+        else:
+            x = _ref_suggest_tpe(rng, np.vstack(history_x), np.array(history_loss), bounds)
+        history_x.append(x)
+        history_loss.append(loss_fn(x))
+    best = int(np.argmin(history_loss))
+    return history_x[best], history_loss[best], init_loss
+
+
+def _ref_clipped_rmse(alpha, beta, p, y, clip):
+    pred = np.clip(alpha * p + beta, clip[0], clip[1])
+    return float(np.sqrt(np.mean((pred - y) ** 2)))
+
+
+def _ref_report(config, objective):
+    return FitReport(
+        sampler=config.sampler,
+        objective=objective,
+        seed=config.seed,
+        trials=config.trials,
+        alpha_range=config.alpha_range,
+        beta_range=config.beta_range,
+    )
+
+
+def ref_fit_calibration(train, config):
+    pairs = _ref_pairs_from_training(train)
+    report = _ref_report(config, config.objective)
+    clip = config.clip_bounds
+    trials_run = config.trials if config.sampler != "least-squares-init" else 1
+    init_lines = {key: _ols_line(p, y) for key, (p, y) in pairs.items()}
+    per_category = {}
+    if config.objective == "per-category-independent":
+        for k_index, (key, (p, y)) in enumerate(pairs.items()):
+            init_alpha, init_beta, _ = init_lines[key]
+            a_range, a_widened = _widen(init_alpha, config.alpha_range)
+            b_range, b_widened = _widen(init_beta, config.beta_range)
+            best, best_loss, init_loss = _ref_run_search(
+                lambda x, p=p, y=y: _ref_clipped_rmse(x[0], x[1], p, y, clip),
+                [a_range, b_range],
+                np.array([init_alpha, init_beta]),
+                config.trials,
+                config.sampler,
+                np.random.default_rng([config.seed, k_index]),
+            )
+            per_category[key] = CategoryCalibration(float(best[0]), float(best[1]), clip[0], clip[1])
+            report.per_category[key] = CategoryFitRecord(
+                best_loss=best_loss,
+                initializer_loss=init_loss,
+                trials_run=trials_run,
+                degenerate=float(np.var(p)) < 1e-12,
+                range_widened=a_widened or b_widened,
+            )
+        return CalibrationParams(per_category), report
+
+    keys = list(pairs.keys())
+    bounds, init_vec, widened = [], [], False
+    for key in keys:
+        init_alpha, init_beta, _ = init_lines[key]
+        a_range, aw = _widen(init_alpha, config.alpha_range)
+        b_range, bw = _widen(init_beta, config.beta_range)
+        widened = widened or aw or bw
+        bounds.extend([a_range, b_range])
+        init_vec.extend([init_alpha, init_beta])
+
+    def macro_loss(x):
+        losses = [
+            _ref_clipped_rmse(x[2 * i], x[2 * i + 1], *pairs[key], clip)
+            for i, key in enumerate(keys)
+        ]
+        return float(np.mean(losses))
+
+    best, _, _ = _ref_run_search(
+        macro_loss, bounds, np.array(init_vec), config.trials, config.sampler,
+        np.random.default_rng(config.seed),
+    )
+    for i, key in enumerate(keys):
+        p, y = pairs[key]
+        per_category[key] = CategoryCalibration(
+            float(best[2 * i]), float(best[2 * i + 1]), clip[0], clip[1]
+        )
+        report.per_category[key] = CategoryFitRecord(
+            best_loss=_ref_clipped_rmse(best[2 * i], best[2 * i + 1], p, y, clip),
+            initializer_loss=_ref_clipped_rmse(init_vec[2 * i], init_vec[2 * i + 1], p, y, clip),
+            trials_run=trials_run,
+            degenerate=float(np.var(p)) < 1e-12,
+            range_widened=widened,
+        )
+    return CalibrationParams(per_category), report
+
+
+def ref_fit_single_slope(train, config):
+    pairs = _ref_pairs_from_training(train)
+    clip = config.clip_bounds
+    pooled_p = np.concatenate([p for p, _ in pairs.values()])
+    pooled_y = np.concatenate([y for _, y in pairs.values()])
+    alpha0, beta0, degenerate = _ols_line(pooled_p, pooled_y)
+    a_range, aw = _widen(alpha0, config.alpha_range)
+    b_range, bw = _widen(beta0, config.beta_range)
+
+    def shared_loss(x):
+        return float(np.mean([_ref_clipped_rmse(x[0], x[1], p, y, clip) for p, y in pairs.values()]))
+
+    best, _, _ = _ref_run_search(
+        shared_loss, [a_range, b_range], np.array([alpha0, beta0]),
+        config.trials, config.sampler, np.random.default_rng(config.seed),
+    )
+    report = _ref_report(config, "shared-single-slope")
+    for key, (p, y) in pairs.items():
+        report.per_category[key] = CategoryFitRecord(
+            best_loss=_ref_clipped_rmse(best[0], best[1], p, y, clip),
+            initializer_loss=_ref_clipped_rmse(alpha0, beta0, p, y, clip),
+            trials_run=config.trials if config.sampler != "least-squares-init" else 1,
+            degenerate=degenerate,
+            range_widened=aw or bw,
+        )
+    params = {key: CategoryCalibration(float(best[0]), float(best[1]), clip[0], clip[1]) for key in pairs}
+    return CalibrationParams(params), report
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_categories=st.integers(1, 6),
+    n_dates=st.integers(2, 40),
+    data_seed=st.integers(0, 2**32 - 1),
+    constant_category=st.booleans(),
+    objective=st.sampled_from(["per-category-independent", "macro-average", "single-slope"]),
+    sampler=st.sampled_from(["tpe-style", "random", "least-squares-init"]),
+    trials=st.sampled_from([1, 2, 11, 12, 40]),
+    narrow_range=st.booleans(),
+    unclipped=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_batched_search_matches_per_search_reference(
+    n_categories, n_dates, data_seed, constant_category, objective, sampler, trials,
+    narrow_range, unclipped, seed,
+):
+    rng = np.random.default_rng(data_seed)
+    p = rng.uniform(0.05, 0.95, (n_categories, n_dates))
+    if constant_category:
+        p[0] = p[0, 0]
+    slopes = rng.uniform(-300.0, 300.0, (n_categories, 1))
+    y = slopes * p + rng.uniform(-80.0, 80.0, (n_categories, 1)) + rng.normal(0, 5.0, p.shape)
+    keys = [f"k{i}" for i in range(n_categories)]
+    base = dt.date(2020, 4, 1)
+    train = [
+        (
+            BehaviorVector({k: float(p[i, j]) for i, k in enumerate(keys)}),
+            ObservationRecord(base + dt.timedelta(days=j), {k: float(y[i, j]) for i, k in enumerate(keys)}),
+        )
+        for j in range(n_dates)
+    ]
+    config = FitConfig(
+        trials=trials,
+        seed=seed,
+        sampler=sampler,
+        objective="macro-average" if objective == "macro-average" else "per-category-independent",
+        alpha_range=(-10.0, 10.0) if narrow_range else (-400.0, 400.0),
+        beta_range=(-10.0, 10.0) if narrow_range else (-200.0, 200.0),
+        clip_bounds=(-math.inf, math.inf) if unclipped else (-100.0, 200.0),
+    )
+    if objective == "single-slope":
+        got, want = fit_single_slope(train, config), ref_fit_single_slope(train, config)
+    else:
+        got, want = fit_calibration(train, config), ref_fit_calibration(train, config)
+    assert got == want
+    # bit for bit, signed zeros included
+    assert json.dumps(got[0].to_dict()) == json.dumps(want[0].to_dict())
+    assert json.dumps(got[1].to_dict()) == json.dumps(want[1].to_dict())
 
 
 # ------------------------------------------------------------------ artifacts

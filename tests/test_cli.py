@@ -194,3 +194,69 @@ def test_config_hash_follows_population_attribute_order(workspace):
     reordered_values = dict(attributes, income={"High": 0.2, "Low": 0.35, "Middle": 0.45})
     _use_population_file(config_path, reordered_values)
     assert load_run_config(config_path).config_hash != first
+
+
+@pytest.mark.parametrize(
+    "broken, text, names",
+    [
+        ("population", "- population_size: 20\n", "population.yaml"),
+        ("population", "population_size: 20\nattributes: [income, nationality]\n", "attributes"),
+        ("population", "population_size: twenty\nattributes: {income: {Low: 1.0}}\n", "population_size"),
+        ("population", "population_size: 20\nattributes: {income: Low}\n", "income"),
+        ("scenarios", "- just a string\n", "scenarios.yaml"),
+        ("scenarios", "- {name: a, date: 2021-02-30, stringency_override: 50}\n", "scenarios.yaml"),
+        ("scenarios", "- {name: a, date: June 1, stringency_override: 50}\n", "invalid date"),
+        ("scenarios", "- {name: a, date: 2020-06-01, stringency_override: high}\n", "stringency_override"),
+    ],
+    ids=[
+        "spec-is-list", "attributes-is-list", "size-not-integer", "values-not-mapping",
+        "entry-is-string", "impossible-date", "unparseable-date", "stringency-not-number",
+    ],
+)
+def test_malformed_spec_or_scenarios_exits_one(workspace, capsys, broken, text, names):
+    root, config_path = workspace
+    if broken == "population":
+        _use_population_file(config_path, {"income": {"Low": 1.0}}).write_text(text)
+        code = run(config_path, "simulate")
+    else:
+        assert run(config_path, "simulate") == 0
+        assert run(config_path, "calibrate") == 0
+        (root / "scenarios.yaml").write_text(text)
+        code = run(config_path, "counterfactual", "--scenarios", str(root / "scenarios.yaml"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and names in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "damage, code, message",
+    [
+        ("null-hash", 1, "records no config hash"),
+        ("truncated", 2, "not valid JSON"),
+        ("no-categories", 2, "malformed"),
+        ("inverted-clip", 2, "malformed"),
+    ],
+    ids=["null-hash", "truncated", "no-categories", "inverted-clip"],
+)
+def test_evaluate_rejects_damaged_calibration_artifact(workspace, capsys, damage, code, message):
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    path = root / "out" / "calibration.json"
+    payload = json.loads(path.read_text())
+    if damage == "null-hash":
+        payload["config_hash"] = None
+    elif damage == "no-categories":
+        del payload["categories"]
+    elif damage == "inverted-clip":
+        for params in payload["categories"].values():
+            params["y_min"], params["y_max"] = params["y_max"], params["y_min"]
+    path.write_text(json.dumps(payload))
+    if damage == "truncated":
+        path.write_text(path.read_text()[:-40])
+    capsys.readouterr()
+    assert run(config_path, "evaluate") == code
+    err = capsys.readouterr().err
+    assert message in err and "calibration.json" in err
+    assert "Traceback" not in err

@@ -325,9 +325,11 @@ def test_query_replay_served_after_population(schema, pandemic_template, tmp_pat
     live = build_engine(
         EngineConfig(kind="synthetic-oracle", oracle_params=params), schema
     )
-    recorded = query(live, prompt, PERSONA, CONTEXT, schema, ResponseCache(cache_path))
+    with ResponseCache(cache_path) as cache:
+        recorded = query(live, prompt, PERSONA, CONTEXT, schema, cache)
     replay = build_engine(EngineConfig(kind="replay-cache", oracle_params=params), schema)
-    replayed = query(replay, prompt, PERSONA, CONTEXT, schema, ResponseCache(cache_path))
+    with ResponseCache(cache_path) as cache:
+        replayed = query(replay, prompt, PERSONA, CONTEXT, schema, cache)
     assert replayed == recorded
     assert replay.call_count == 0
 
@@ -391,10 +393,10 @@ def test_cache_key_changes_with_prompt_and_engine(schema):
 
 def test_cache_persists_across_instances(schema, tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k1", "raw", {"stay_home": 0.5}, "model:x")
-    reopened = ResponseCache(path)
-    assert reopened.get("k1")["probs"] == {"stay_home": 0.5}
+    with ResponseCache(path) as cache:
+        cache.put("k1", "raw", {"stay_home": 0.5}, "model:x")
+    with ResponseCache(path) as reopened:
+        assert reopened.get("k1")["probs"] == {"stay_home": 0.5}
 
 
 def test_engine_config_validation():
