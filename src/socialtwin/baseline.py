@@ -5,15 +5,23 @@ histogram-binned split search over lagged policy features (stringency at
 0/7/14/21/28 day offsets) plus calendar features. One independent ensemble
 is fitted per behavioral category. Rows lacking full lag history are
 excluded outright; no lag is ever imputed.
+
+Each tree is a ``Tree`` of five parallel node lists: ``feature``,
+``threshold``, ``left``, ``right`` and ``value``. Node 0 is the root, and
+children are referenced by their index in the same lists. A ``feature`` of
+-1 marks a leaf, whose output is its ``value``; an inner node sends a row to
+``left`` when ``row[feature] <= threshold`` and to ``right`` otherwise.
+``gbm_model.json`` stores these lists as they are (``schema_version`` 2).
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, field
+from itertools import chain
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,50 +36,11 @@ FEATURE_NAMES = tuple(f"stringency_lag_{d}" for d in LAG_OFFSETS) + (
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Model inputs for one date: five policy lags plus calendar features."""
-
-    lags: tuple[float, float, float, float, float]
-    day_of_week: int  # Monday = 0
-    month: int
-    days_since_start: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [*self.lags, self.day_of_week, self.month, self.days_since_start], dtype=float
-        )
-
-
-def build_features(policy: Sequence[PolicyRecord], date: dt.date) -> FeatureVector:
-    """Features for one date; raises DataError if any lag is unavailable."""
-    if not policy:
-        raise DataError("empty policy series")
-    by_date = {r.date: r.stringency for r in policy}
-    return _lagged_features(by_date, min(r.date for r in policy), date)
-
-
-def _lagged_features(
-    by_date: Mapping[dt.date, float], start: dt.date, date: dt.date
-) -> FeatureVector:
-    lags = []
-    for offset in LAG_OFFSETS:
-        lag_date = date - dt.timedelta(days=offset)
-        if lag_date not in by_date:
-            raise DataError(f"no stringency available {offset} days before {date}")
-        lags.append(by_date[lag_date])
-    return FeatureVector(
-        lags=tuple(lags),
-        day_of_week=date.weekday(),
-        month=date.month,
-        days_since_start=(date - start).days,
-    )
-
-
 def build_feature_matrix(
     policy: Sequence[PolicyRecord], dates: Sequence[dt.date]
 ) -> tuple[np.ndarray, list[dt.date]]:
-    """Feature rows for every date with full lag coverage; others are skipped.
+    """Feature rows, in ``FEATURE_NAMES`` order, for every date with full lag
+    coverage; a date with any lag missing is skipped, never imputed.
 
     The date index and the series start are built once per matrix, so the
     cost grows linearly with the number of dates.
@@ -81,15 +50,16 @@ def build_feature_matrix(
     if policy:
         by_date = {r.date: r.stringency for r in policy}
         start = min(r.date for r in policy)
+        offsets = [dt.timedelta(days=d) for d in LAG_OFFSETS]
         for date in dates:
-            try:
-                rows.append(_lagged_features(by_date, start, date).as_array())
-            except DataError:
+            lags = [by_date.get(date - offset) for offset in offsets]
+            if None in lags:
                 continue
+            rows.append([*lags, date.weekday(), date.month, (date - start).days])
             used.append(date)
     if not rows:
         return np.empty((0, len(FEATURE_NAMES))), []
-    return np.vstack(rows), used
+    return np.array(rows, dtype=float), used
 
 
 def persistence_forecast(
@@ -127,20 +97,25 @@ class GbmHyper:
             raise DataError(f"invalid GBM hyperparameters: {self}")
 
 
+class Tree(NamedTuple):
+    """One regression tree as parallel node lists (layout in the module docstring)."""
+
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    value: list[float]
+
+
 @dataclass
 class GbmModel:
-    """Per-category tree ensembles. prediction = base + learning_rate * sum(tree outputs)."""
+    """Per-category tree ensembles: base + hyper.learning_rate * sum(tree outputs)."""
 
-    trees_by_category: dict[str, list[dict]]
+    trees_by_category: dict[str, list[Tree]]
     base_by_category: dict[str, float]
-    learning_rate: float
     hyper: GbmHyper
     seed: int
     train_loss_by_category: dict[str, list[float]] = field(default_factory=dict)
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.trees_by_category.keys())
 
 
 def _bin_thresholds(x: np.ndarray, n_bins: int) -> np.ndarray:
@@ -155,71 +130,91 @@ def _bin_thresholds(x: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(qs)
 
 
+def _best_split(
+    node_bins: np.ndarray, residuals: np.ndarray, node_sum: float, width: int, min_leaf: int
+) -> tuple[int, int] | None:
+    """(feature, bin) of the largest gain above 1e-12, or None.
+
+    Feature j's bins are offset by ``j * width``, so one ``bincount`` of counts
+    and one of residual sums give every feature's histogram. Bin b of feature
+    j is the split ``x_j <= thresholds[j][b]``; padding bins and each feature's
+    last bin leave no row on the right, so they are never valid. The flat
+    ``argmax`` takes the first maximum: the lowest feature, then the lowest bin.
+    """
+    node_cnt, n_features = node_bins.shape
+    size, shape = n_features * width, (n_features, width)
+    flat = node_bins.ravel()
+    left_cnt = np.cumsum(np.bincount(flat, minlength=size).reshape(shape), axis=1)
+    sums = np.bincount(flat, weights=np.repeat(residuals, n_features), minlength=size)
+    left_sum = np.cumsum(sums.reshape(shape), axis=1)
+    right_cnt = node_cnt - left_cnt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gains = left_sum**2 / left_cnt + (node_sum - left_sum) ** 2 / right_cnt
+    gains = gains - node_sum**2 / node_cnt
+    gains[(left_cnt < min_leaf) | (right_cnt < min_leaf)] = -np.inf
+    best = int(np.argmax(gains))
+    return divmod(best, width) if gains.flat[best] > 1e-12 else None
+
+
 def _build_tree(
-    bins: np.ndarray,  # (n_samples, n_features) int bin indices
+    offset_bins: np.ndarray,  # (n_samples, n_features) bins, feature j offset by j * width
     thresholds: list[np.ndarray],
     residuals: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
+    width: int,
     hyper: GbmHyper,
-) -> dict:
-    node_sum = float(residuals[idx].sum())
-    node_cnt = len(idx)
-    if depth >= hyper.max_depth or node_cnt < 2 * hyper.min_leaf:
-        return {"value": node_sum / node_cnt}
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree depth first; also return each training row's leaf value."""
+    tree = Tree([], [], [], [], [])
+    fitted = np.empty(len(residuals))
 
-    best_gain = 1e-12
-    best: tuple[int, int] | None = None  # (feature, bin)
-    base_score = node_sum**2 / node_cnt
-    for j in range(bins.shape[1]):
-        n_bins_j = len(thresholds[j])
-        if n_bins_j == 0:
-            continue
-        counts = np.bincount(bins[idx, j], minlength=n_bins_j + 1)
-        sums = np.bincount(bins[idx, j], weights=residuals[idx], minlength=n_bins_j + 1)
-        left_cnt = np.cumsum(counts)[:-1]
-        left_sum = np.cumsum(sums)[:-1]
-        right_cnt = node_cnt - left_cnt
-        right_sum = node_sum - left_sum
-        valid = (left_cnt >= hyper.min_leaf) & (right_cnt >= hyper.min_leaf)
-        if not valid.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gains = np.where(
-                valid,
-                left_sum**2 / left_cnt + right_sum**2 / right_cnt - base_score,
-                -np.inf,
-            )
-        b = int(np.argmax(gains))
-        if gains[b] > best_gain:
-            best_gain = float(gains[b])
-            best = (j, b)
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = len(tree.feature)
+        node_res = residuals[idx]
+        node_sum = float(node_res.sum())
+        split = None
+        if depth < hyper.max_depth and len(idx) >= 2 * hyper.min_leaf:
+            split = _best_split(offset_bins[idx], node_res, node_sum, width, hyper.min_leaf)
+        for column, blank in zip(tree, (-1, 0.0, -1, -1, 0.0)):  # a leaf until split
+            column.append(blank)
+        if split is None:
+            tree.value[node] = node_sum / len(idx)
+            fitted[idx] = tree.value[node]
+            return node
+        j, b = split
+        go_left = offset_bins[idx, j] <= j * width + b
+        tree.feature[node] = j
+        tree.threshold[node] = float(thresholds[j][b])
+        tree.left[node] = grow(idx[go_left], depth + 1)
+        tree.right[node] = grow(idx[~go_left], depth + 1)
+        return node
 
-    if best is None:
-        return {"value": node_sum / node_cnt}
-    j, b = best
-    go_left = bins[idx, j] <= b
-    return {
-        "feature": j,
-        "threshold": float(thresholds[j][b]),
-        "left": _build_tree(bins, thresholds, residuals, idx[go_left], depth + 1, hyper),
-        "right": _build_tree(bins, thresholds, residuals, idx[~go_left], depth + 1, hyper),
-    }
+    grow(np.arange(len(residuals)), 0)
+    return tree, fitted
 
 
-def _tree_predict(tree: dict, row: np.ndarray) -> float:
-    node = tree
-    while "value" not in node:
-        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-    return float(node["value"])
-
-
-def _tree_predict_matrix(tree: dict, X: np.ndarray) -> np.ndarray:
-    return np.array([_tree_predict(tree, X[i]) for i in range(X.shape[0])])
+def _leaf_values(trees: Sequence[Tree], X: np.ndarray) -> np.ndarray:
+    """(n_trees, n_rows) output of every tree on every row, all trees walked at once."""
+    if not trees:
+        return np.empty((0, X.shape[0]))
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    start = np.repeat(roots, sizes)  # children become indices into the joined lists
+    joined = (np.array(list(chain.from_iterable(column))) for column in zip(*trees))
+    feature, threshold, left, right, value = joined
+    left = left + start
+    right = right + start
+    node = np.repeat(roots[:, None], X.shape[0], axis=1)
+    rows = np.arange(X.shape[0])
+    inner = feature[node] >= 0
+    while inner.any():
+        go_left = X[rows, feature[node]] <= threshold[node]
+        node = np.where(inner, np.where(go_left, left[node], right[node]), node)
+        inner = feature[node] >= 0
+    return value[node]
 
 
 def fit_gbm(
-    features: np.ndarray | Sequence[FeatureVector],
+    features: np.ndarray,
     targets: Mapping[str, Sequence[float]],
     hyper: GbmHyper = GbmHyper(),
     seed: int = 0,
@@ -227,44 +222,33 @@ def fit_gbm(
     """Stagewise least-squares boosting on residuals, one ensemble per category.
 
     Split search is histogram-binned: thresholds are fixed once from the
-    training matrix, then each node scans per-bin (count, residual sum)
-    prefix aggregates. Training is deterministic given (data, hyper, seed);
-    the per-tree training RMSE curve is kept on the model for inspection.
+    training matrix, and each node takes one offset ``bincount`` of counts and
+    one of residual sums over all features, then scans their prefix sums (see
+    ``_best_split``). Each tree is a flat ``Tree``; building it yields every
+    training row's leaf value, which updates the running prediction without a
+    second walk. The fit draws no random numbers: ``seed`` is recorded on the
+    model, not used. The per-tree training RMSE curve is kept for inspection.
     """
-    X = (
-        features
-        if isinstance(features, np.ndarray)
-        else np.vstack([f.as_array() for f in features])
-    )
+    X = features
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training set")
     thresholds = [_bin_thresholds(X[:, j], hyper.n_bins) for j in range(X.shape[1])]
-    bins = np.column_stack(
-        [
-            np.searchsorted(thresholds[j], X[:, j], side="left")
-            for j in range(X.shape[1])
-        ]
+    width = 1 + max(len(t) for t in thresholds)
+    offset_bins = np.column_stack(
+        [np.searchsorted(t, X[:, j], side="left") + j * width for j, t in enumerate(thresholds)]
     )
-    all_idx = np.arange(X.shape[0])
-
-    model = GbmModel(
-        trees_by_category={},
-        base_by_category={},
-        learning_rate=hyper.learning_rate,
-        hyper=hyper,
-        seed=seed,
-    )
+    model = GbmModel(trees_by_category={}, base_by_category={}, hyper=hyper, seed=seed)
     for key, y_raw in targets.items():
         y = np.asarray(y_raw, dtype=float)
         if len(y) != X.shape[0]:
             raise DataError(f"category {key!r}: {len(y)} targets for {X.shape[0]} feature rows")
         base = float(np.mean(y))
         current = np.full(len(y), base)
-        trees: list[dict] = []
+        trees: list[Tree] = []
         losses: list[float] = []
         for _ in range(hyper.n_trees):
-            tree = _build_tree(bins, thresholds, y - current, all_idx, 0, hyper)
-            current = current + hyper.learning_rate * _tree_predict_matrix(tree, X)
+            tree, fitted = _build_tree(offset_bins, thresholds, y - current, width, hyper)
+            current = current + hyper.learning_rate * fitted
             trees.append(tree)
             losses.append(float(np.sqrt(np.mean((y - current) ** 2))))
         model.trees_by_category[key] = trees
@@ -273,49 +257,54 @@ def fit_gbm(
     return model
 
 
-def predict_gbm(model: GbmModel, features: FeatureVector) -> dict[str, float]:
-    """base + learning_rate-scaled tree sum, per category."""
-    row = features.as_array()
-    return {
-        key: model.base_by_category[key]
-        + model.learning_rate * sum(_tree_predict(t, row) for t in model.trees_by_category[key])
-        for key in model.trees_by_category
-    }
-
-
 def predict_gbm_matrix(model: GbmModel, X: np.ndarray) -> dict[str, np.ndarray]:
+    """base + learning_rate-scaled tree outputs, added in tree order, per category."""
     out = {}
     for key, trees in model.trees_by_category.items():
-        total = np.full(X.shape[0], model.base_by_category[key])
-        for tree in trees:
-            total = total + model.learning_rate * _tree_predict_matrix(tree, X)
-        out[key] = total
+        steps = model.hyper.learning_rate * _leaf_values(trees, X)
+        base = np.full((1, X.shape[0]), model.base_by_category[key])
+        out[key] = np.cumsum(np.vstack([base, steps]), axis=0)[-1]
     return out
+
+
+GBM_SCHEMA_VERSION = 2
 
 
 def save_gbm(model: GbmModel, path: str | Path) -> None:
     payload = {
-        "hyper": {
-            "n_trees": model.hyper.n_trees,
-            "learning_rate": model.hyper.learning_rate,
-            "max_depth": model.hyper.max_depth,
-            "min_leaf": model.hyper.min_leaf,
-            "n_bins": model.hyper.n_bins,
-        },
+        "schema_version": GBM_SCHEMA_VERSION,
+        "hyper": asdict(model.hyper),
         "seed": model.seed,
-        "learning_rate": model.learning_rate,
         "base": model.base_by_category,
-        "trees": model.trees_by_category,
+        "trees": {k: [t._asdict() for t in trees] for k, trees in model.trees_by_category.items()},
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _tree_from_dict(raw: dict) -> Tree:
+    tree = Tree(**{name: list(raw[name]) for name in Tree._fields})
+    if len({len(column) for column in tree}) != 1 or not tree.feature:
+        raise DataError(f"tree node lists are empty or differ in length: {[len(c) for c in tree]}")
+    return tree
+
+
 def load_gbm(path: str | Path) -> GbmModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return GbmModel(
-        trees_by_category=payload["trees"],
-        base_by_category={k: float(v) for k, v in payload["base"].items()},
-        learning_rate=float(payload["learning_rate"]),
-        hyper=GbmHyper(**payload["hyper"]),
-        seed=int(payload["seed"]),
-    )
+    p = Path(path)
+    try:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # missing file, JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{p}: GBM artifact is not readable JSON: {exc}") from None
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != GBM_SCHEMA_VERSION:
+        raise DataError(f"{p}: unsupported GBM artifact version {version}")
+    try:
+        return GbmModel(
+            trees_by_category={
+                k: [_tree_from_dict(t) for t in trees] for k, trees in payload["trees"].items()
+            },
+            base_by_category={k: float(v) for k, v in payload["base"].items()},
+            hyper=GbmHyper(**payload["hyper"]),
+            seed=int(payload["seed"]),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
+        raise DataError(f"{p}: GBM artifact is malformed: {exc}") from None

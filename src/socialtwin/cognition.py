@@ -524,8 +524,16 @@ class ResponseCache:
 
 
 def cached_vector(rec: dict, categories: CategorySchema) -> BehaviorVector:
-    """The behavior vector stored in a cache record."""
-    return BehaviorVector({c.key: float(rec["probs"][c.key]) for c in categories})
+    """The behavior vector stored in a cache record.
+
+    Records store probabilities by category ``key``, but the cache key hashes
+    only the response keys. A record written before a category was renamed is
+    therefore re-parsed from its raw text, which holds the same response keys.
+    """
+    try:
+        return BehaviorVector({c.key: float(rec["probs"][c.key]) for c in categories})
+    except KeyError:
+        return parse_response(rec["raw"], categories)
 
 
 def ask_engine(

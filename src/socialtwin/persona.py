@@ -65,10 +65,8 @@ class DemographicSpec:
             raw_size, raw_attrs = data["population_size"], data["attributes"]
         except KeyError as exc:
             raise ConfigError(f"population spec missing key {exc}") from None
-        try:
-            size = int(raw_size)
-        except (TypeError, ValueError):
-            raise ConfigError(f"population_size must be an integer, got {raw_size!r}") from None
+        if isinstance(raw_size, bool) or not isinstance(raw_size, int):
+            raise ConfigError(f"population_size must be an integer, got {raw_size!r}")
         if not isinstance(raw_attrs, dict):
             raise ConfigError(
                 f"population spec attributes must map each attribute to its values, "
@@ -87,7 +85,7 @@ class DemographicSpec:
                     f"or a list of {{value, probability}} entries, got {values!r}"
                 ) from None
             attrs[name] = pairs
-        return cls(attributes=attrs, population_size=size)
+        return cls(attributes=attrs, population_size=raw_size)
 
     def modal_persona(self, persona_id: str = "p0") -> Persona:
         """The persona taking each attribute's highest-probability value.

@@ -1,7 +1,10 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from socialtwin import baseline as bl
 from socialtwin.errors import DataError
@@ -80,23 +83,23 @@ def test_persistence_random_walk_beats_iid_noise():
 
 def test_features_constant_series_all_lags_equal():
     policy = constant_policy(dt.date(2020, 3, 1), 60, stringency=90.0)
-    fv = bl.build_features(policy, dt.date(2020, 4, 15))
-    assert fv.lags == (90.0,) * 5
+    X, _ = bl.build_feature_matrix(policy, [dt.date(2020, 4, 15)])
+    lags = dict(zip(bl.FEATURE_NAMES, X[0]))
+    assert [lags[f"stringency_lag_{d}"] for d in bl.LAG_OFFSETS] == [90.0] * 5
 
 
 def test_features_calendar_fields():
     policy = constant_policy(dt.date(2020, 3, 1), 60)
-    fv = bl.build_features(policy, dt.date(2020, 4, 15))  # a Wednesday
-    assert fv.day_of_week == 2  # Monday = 0
-    assert fv.month == 4
-    assert fv.days_since_start == 45
+    X, _ = bl.build_feature_matrix(policy, [dt.date(2020, 4, 15)])  # a Wednesday
+    row = dict(zip(bl.FEATURE_NAMES, X[0]))
+    assert row["day_of_week"] == 2  # Monday = 0
+    assert row["month"] == 4
+    assert row["days_since_start"] == 45
 
 
 def test_features_missing_lag_excluded():
     policy = constant_policy(dt.date(2020, 4, 1), 60)
     date_20_days_in = dt.date(2020, 4, 21)
-    with pytest.raises(DataError, match="21 days before"):
-        bl.build_features(policy, date_20_days_in)
     X, used = bl.build_feature_matrix(policy, [date_20_days_in, dt.date(2020, 4, 29)])
     assert used == [dt.date(2020, 4, 29)]
     assert X.shape == (1, len(bl.FEATURE_NAMES))
@@ -134,35 +137,45 @@ def test_gbm_loss_non_increasing_per_ten_tree_checkpoint():
     assert all(later <= earlier + 1e-9 for earlier, later in zip(checkpoints, checkpoints[1:]))
 
 
+def single_split_tree():
+    """x_0 <= 50 goes to leaf 1 (-10), anything else to leaf 2 (-60)."""
+    return bl.Tree(
+        feature=[0, -1, -1],
+        threshold=[50.0, 0.0, 0.0],
+        left=[1, -1, -1],
+        right=[2, -1, -1],
+        value=[0.0, -10.0, -60.0],
+    )
+
+
+def predict_one(model, row):
+    return bl.predict_gbm_matrix(model, np.array([row], dtype=float))
+
+
 def test_gbm_single_row_returns_base_prediction():
     X = np.array([[90.0, 90.0, 90.0, 90.0, 90.0, 2.0, 4.0, 10.0]])
     model = bl.fit_gbm(X, {"c": [13.0]}, bl.GbmHyper(n_trees=10))
-    fv = bl.FeatureVector((1.0, 2.0, 3.0, 4.0, 5.0), 0, 1, 0)
-    assert bl.predict_gbm(model, fv)["c"] == pytest.approx(13.0)
+    assert predict_one(model, [1.0, 2.0, 3.0, 4.0, 5.0, 0, 1, 0])["c"][0] == pytest.approx(13.0)
 
 
 def test_gbm_zero_trees_predicts_base():
     X, _ = varied_features(days=60)
     y = 3.0 * X[:, 0] - 5.0
     model = bl.fit_gbm(X, {"c": y}, bl.GbmHyper(n_trees=0))
-    fv = bl.FeatureVector((50.0,) * 5, 3, 6, 100)
-    assert bl.predict_gbm(model, fv)["c"] == pytest.approx(float(np.mean(y)))
+    prediction = predict_one(model, [50.0] * 5 + [3, 6, 100])["c"][0]
+    assert prediction == pytest.approx(float(np.mean(y)))
 
 
 def test_gbm_hand_built_single_split_tree():
     model = bl.GbmModel(
-        trees_by_category={
-            "c": [{"feature": 0, "threshold": 50.0, "left": {"value": -10.0}, "right": {"value": -60.0}}]
-        },
+        trees_by_category={"c": [single_split_tree()]},
         base_by_category={"c": 0.0},
-        learning_rate=1.0,
         hyper=bl.GbmHyper(n_trees=1, learning_rate=1.0),
         seed=0,
     )
-    high = bl.FeatureVector((90.0, 0.0, 0.0, 0.0, 0.0), 0, 1, 0)
-    low = bl.FeatureVector((30.0, 0.0, 0.0, 0.0, 0.0), 0, 1, 0)
-    assert bl.predict_gbm(model, high)["c"] == -60.0
-    assert bl.predict_gbm(model, low)["c"] == -10.0
+    assert predict_one(model, [90.0, 0.0, 0.0, 0.0, 0.0, 0, 1, 0])["c"][0] == -60.0
+    assert predict_one(model, [30.0, 0.0, 0.0, 0.0, 0.0, 0, 1, 0])["c"][0] == -10.0
+    assert predict_one(model, [50.0, 0.0, 0.0, 0.0, 0.0, 0, 1, 0])["c"][0] == -10.0
 
 
 def test_gbm_deterministic_given_seed():
@@ -190,3 +203,162 @@ def test_gbm_serialization_roundtrip(tmp_path):
         bl.predict_gbm_matrix(model, X)["c"], bl.predict_gbm_matrix(loaded, X)["c"]
     )
     assert loaded.hyper == model.hyper
+    assert loaded.trees_by_category == model.trees_by_category
+
+    payload = json.loads(path.read_text())
+    assert payload["schema_version"] == 2
+    assert set(payload["trees"]["c"][0]) == {"feature", "threshold", "left", "right", "value"}
+
+    def refused(text, message):
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        with pytest.raises(DataError, match=message) as excinfo:
+            bl.load_gbm(broken)
+        assert str(broken) in str(excinfo.value)
+
+    nested_v1 = dict(payload, trees={"c": [{"value": 1.0}]})
+    del nested_v1["schema_version"]
+    refused(json.dumps(nested_v1), "unsupported GBM artifact version None")
+    refused(json.dumps(dict(payload, schema_version=3)), "unsupported GBM artifact version 3")
+    refused(path.read_text()[:100], "not readable JSON")
+    refused("[]", "unsupported GBM artifact version")
+    ragged = dict(single_split_tree()._asdict(), value=[0.0, -10.0])
+    refused(json.dumps(dict(payload, trees={"c": [ragged]})), "differ in length")
+
+
+# ------------------------------------------------ reference: recursive trees
+#
+# The dict-based recursive trees the flat node lists replaced. The flat
+# implementation must reproduce their losses and predictions bit for bit.
+
+
+def reference_build_tree(bins, thresholds, residuals, idx, depth, hyper):
+    node_sum = float(residuals[idx].sum())
+    node_cnt = len(idx)
+    if depth >= hyper.max_depth or node_cnt < 2 * hyper.min_leaf:
+        return {"value": node_sum / node_cnt}
+    best_gain = 1e-12
+    best = None  # (feature, bin)
+    base_score = node_sum**2 / node_cnt
+    for j in range(bins.shape[1]):
+        n_bins_j = len(thresholds[j])
+        if n_bins_j == 0:
+            continue
+        counts = np.bincount(bins[idx, j], minlength=n_bins_j + 1)
+        sums = np.bincount(bins[idx, j], weights=residuals[idx], minlength=n_bins_j + 1)
+        left_cnt = np.cumsum(counts)[:-1]
+        left_sum = np.cumsum(sums)[:-1]
+        right_cnt = node_cnt - left_cnt
+        right_sum = node_sum - left_sum
+        valid = (left_cnt >= hyper.min_leaf) & (right_cnt >= hyper.min_leaf)
+        if not valid.any():
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = np.where(
+                valid, left_sum**2 / left_cnt + right_sum**2 / right_cnt - base_score, -np.inf
+            )
+        b = int(np.argmax(gains))
+        if gains[b] > best_gain:
+            best_gain = float(gains[b])
+            best = (j, b)
+    if best is None:
+        return {"value": node_sum / node_cnt}
+    j, b = best
+    go_left = bins[idx, j] <= b
+    return {
+        "feature": j,
+        "threshold": float(thresholds[j][b]),
+        "left": reference_build_tree(bins, thresholds, residuals, idx[go_left], depth + 1, hyper),
+        "right": reference_build_tree(
+            bins, thresholds, residuals, idx[~go_left], depth + 1, hyper
+        ),
+    }
+
+
+def reference_tree_predict(tree, row):
+    node = tree
+    while "value" not in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return float(node["value"])
+
+
+def reference_fit_predict(X, y, hyper, X_new):
+    """(training RMSE per tree, predictions on X_new) of the recursive boosting."""
+    thresholds = [bl._bin_thresholds(X[:, j], hyper.n_bins) for j in range(X.shape[1])]
+    bins = np.column_stack(
+        [np.searchsorted(thresholds[j], X[:, j], side="left") for j in range(X.shape[1])]
+    )
+
+    def tree_outputs(tree, rows):
+        return np.array([reference_tree_predict(tree, rows[i]) for i in range(rows.shape[0])])
+
+    base = float(np.mean(y))
+    current = np.full(len(y), base)
+    predictions = np.full(X_new.shape[0], base)
+    losses = []
+    for _ in range(hyper.n_trees):
+        tree = reference_build_tree(bins, thresholds, y - current, np.arange(len(y)), 0, hyper)
+        current = current + hyper.learning_rate * tree_outputs(tree, X)
+        predictions = predictions + hyper.learning_rate * tree_outputs(tree, X_new)
+        losses.append(float(np.sqrt(np.mean((y - current) ** 2))))
+    return losses, predictions
+
+
+@st.composite
+def gbm_problems(draw):
+    """Small fits with tied and constant columns, 1 row, large min_leaf, and
+    bin counts on both sides of the number of distinct values."""
+    n_rows = draw(st.integers(1, 30))
+    n_features = draw(st.integers(1, 4))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n_rows, max_size=n_rows)), dtype=float)
+
+    columns = []
+    for _ in range(n_features):
+        kind = draw(st.sampled_from(["tied", "constant", "float"]))
+        if kind == "constant":
+            columns.append(np.full(n_rows, draw(st.floats(-100, 100))))
+        elif kind == "tied":
+            columns.append(column(st.integers(0, draw(st.integers(1, 6)))))
+        else:
+            columns.append(column(st.floats(-1e3, 1e3)))
+    X = np.column_stack(columns)
+    targets = {key: column(st.floats(-100, 100) | st.integers(-3, 3)) for key in ("a", "b")}
+    hyper = bl.GbmHyper(
+        n_trees=draw(st.integers(0, 6)),
+        learning_rate=draw(st.sampled_from([0.1, 0.35, 1.0])),
+        max_depth=draw(st.integers(1, 4)),
+        min_leaf=draw(st.integers(1, 20)),
+        n_bins=draw(st.integers(2, 40)),
+    )
+    row = st.lists(st.floats(-1e3, 1e3), min_size=n_features, max_size=n_features)
+    X_new = np.array(draw(st.lists(row, min_size=1, max_size=5)))
+    return X, targets, hyper, X_new
+
+
+def fixed_problem(columns, **hyper):
+    X = np.column_stack(columns).astype(float)
+    y = np.arange(len(X)) % 3 * 1.5
+    return X, {"a": y, "b": -(y**2)}, bl.GbmHyper(**hyper), X[:2] + 0.5
+
+
+TIED_CONSTANT_SPREAD = [np.arange(20) % 4, np.full(20, 2.0), np.arange(20) ** 1.5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gbm_problems())
+@example(fixed_problem([[1.0], [5.0]], n_trees=3, min_leaf=1))  # one row
+@example(fixed_problem(TIED_CONSTANT_SPREAD, n_trees=0))
+@example(fixed_problem(TIED_CONSTANT_SPREAD, n_trees=4, min_leaf=11))  # > half the rows
+@example(fixed_problem(TIED_CONSTANT_SPREAD, n_trees=4, min_leaf=2, n_bins=5))  # 4 < 5 < 20
+def test_gbm_flat_trees_equal_recursive_reference(problem):
+    X, targets, hyper, X_new = problem
+    model = bl.fit_gbm(X, targets, hyper)
+    on_train = bl.predict_gbm_matrix(model, X)
+    on_new = bl.predict_gbm_matrix(model, X_new)
+    for key, y in targets.items():
+        assert len(model.trees_by_category[key]) == hyper.n_trees
+        losses, expected = reference_fit_predict(X, y, hyper, np.vstack([X, X_new]))
+        assert model.train_loss_by_category[key] == losses
+        assert np.array_equal(np.concatenate([on_train[key], on_new[key]]), expected)

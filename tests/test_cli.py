@@ -202,6 +202,8 @@ def test_config_hash_follows_population_attribute_order(workspace):
         ("population", "- population_size: 20\n", "population.yaml"),
         ("population", "population_size: 20\nattributes: [income, nationality]\n", "attributes"),
         ("population", "population_size: twenty\nattributes: {income: {Low: 1.0}}\n", "population_size"),
+        ("population", "population_size: 20.7\nattributes: {income: {Low: 1.0}}\n", "population_size"),
+        ("population", "population_size: true\nattributes: {income: {Low: 1.0}}\n", "population_size"),
         ("population", "population_size: 20\nattributes: {income: Low}\n", "income"),
         ("scenarios", "- just a string\n", "scenarios.yaml"),
         ("scenarios", "- {name: a, date: 2021-02-30, stringency_override: 50}\n", "scenarios.yaml"),
@@ -209,7 +211,8 @@ def test_config_hash_follows_population_attribute_order(workspace):
         ("scenarios", "- {name: a, date: 2020-06-01, stringency_override: high}\n", "stringency_override"),
     ],
     ids=[
-        "spec-is-list", "attributes-is-list", "size-not-integer", "values-not-mapping",
+        "spec-is-list", "attributes-is-list", "size-not-integer", "size-fractional",
+        "size-boolean", "values-not-mapping",
         "entry-is-string", "impossible-date", "unparseable-date", "stringency-not-number",
     ],
 )

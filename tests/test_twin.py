@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import json
 import threading
@@ -19,6 +20,7 @@ from socialtwin.cognition import (
 )
 from socialtwin.errors import ConfigError, EngineError
 from socialtwin.persona import Persona, sample_population
+from socialtwin.schema import CategorySchema
 from socialtwin.synthetic import default_oracle_params, default_population_spec
 from socialtwin.twin import DigitalTwin, SimulationLog, contexts_from_policy
 from socialtwin.ingest import DateRange, PolicyRecord
@@ -32,7 +34,7 @@ def make_twin(schema, template, parallelism=1, population=None, engine=None, cac
     return DigitalTwin(
         population=population,
         engine=engine,
-        cache=cache or ResponseCache(None),
+        cache=ResponseCache(None) if cache is None else cache,
         template=template,
         schema=schema,
         parallelism=parallelism,
@@ -309,3 +311,29 @@ def test_failed_prompt_is_not_asked_again_later_in_the_pass(
     assert [f["persona"] for f in log.failures] == ["p1", "p1", "p1"]
     # two distinct prompts per profile; a failed prompt keeps its outcome for the pass
     assert engine.call_count == 2 * (1 + 1 + engine.retry_limit)
+
+
+def test_renamed_category_served_from_warm_cache(schema, pandemic_template):
+    """Cache records store probabilities by category key; a category renamed
+    under the same response key is still a hit, re-parsed from the raw text."""
+    contexts = [SimContext(dt.date(2020, 5, 1), 75.0), SimContext(dt.date(2020, 5, 2), 40.0)]
+    warm = make_twin(schema, pandemic_template)
+    before, _ = warm.simulate_contexts(contexts)
+    cache = warm.cache
+    calls = warm.engine.call_count
+
+    old_key = schema.categories[0].key
+    renamed = CategorySchema(
+        (dataclasses.replace(schema.categories[0], key="renamed"), *schema.categories[1:])
+    )
+    twin = make_twin(renamed, pandemic_template, cache=cache, engine=warm.engine)
+    after, log = twin.simulate_contexts(contexts)
+    persona = twin.population[0]
+    vector = query(twin.engine, render_prompt(persona, contexts[0], pandemic_template),
+                   persona, contexts[0], renamed, cache)
+    assert warm.engine.call_count == calls
+    assert not log.failures
+    for date, aggregate in before.items():
+        assert after[date]["renamed"] == aggregate[old_key]
+        assert all(after[date][k] == aggregate[k] for k in schema.keys if k != old_key)
+    assert vector.categories == renamed.keys
