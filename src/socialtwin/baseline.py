@@ -285,6 +285,13 @@ def _tree_from_dict(raw: dict) -> Tree:
     tree = Tree(**{name: list(raw[name]) for name in Tree._fields})
     if len({len(column) for column in tree}) != 1 or not tree.feature:
         raise DataError(f"tree node lists are empty or differ in length: {[len(c) for c in tree]}")
+    n = len(tree.feature)
+    for i, (feature, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
+        if type(feature) is not int or not -1 <= feature < len(FEATURE_NAMES):
+            raise DataError(f"node {i} has feature {feature!r}, not in [-1, {len(FEATURE_NAMES)})")
+        # children after their parent rule out cycles
+        if feature >= 0 and not all(type(c) is int and i < c < n for c in (left, right)):
+            raise DataError(f"inner node {i} has children {left!r}, {right!r}, not in ({i}, {n})")
     return tree
 
 

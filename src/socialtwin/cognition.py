@@ -13,6 +13,10 @@ Three interchangeable engines sit behind one interface:
 Every response, whatever its source, flows through the same JSON parsing and
 validation; parsed vectors are cached on disk keyed by (engine digest, prompt
 text, category list) so a populated cache replays a full run byte-for-byte.
+Cache records are JSON lines that start with their ``key`` field; opening a
+cache indexes them by key and decodes each on its first lookup, so a corrupt
+record of that layout fails when it is first used, not at open. Records of
+the older sorted layout (``created`` first) are still read, decoded at open.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import string
 import threading
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -432,48 +437,88 @@ def build_engine(config: EngineConfig, schema: CategorySchema):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _key_prefix(engine_digest: str) -> str:
+    return "[" + encode_basestring_ascii(engine_digest) + ", "
+
+
+@functools.lru_cache(maxsize=64)
+def _key_suffix(response_keys: tuple[str, ...]) -> str:
+    return ", " + json.dumps(list(response_keys)) + "]"
+
+
+_INDEXED_PREFIX = b'{"key": "'
+_KEY_START = len(_INDEXED_PREFIX)
+
+
 class ResponseCache:
     """Append-safe store of raw responses and parsed vectors.
 
     On-disk format is line-delimited JSON, one record per line (the last
-    record read for a key wins). An incomplete last line, which a crash
-    mid-append leaves, is skipped and counted; the first ``put`` cuts it off
-    before appending. Any other line that is not a record is a DataError.
-    Each ``put`` writes and flushes one line through an append handle that
-    ``close`` (or leaving a ``with`` block) releases. A ``path`` of None keeps
-    the cache purely in memory.
+    record read for a key wins). ``put`` writes ``key``, ``probs``, ``raw``,
+    ``engine`` and ``created`` in that order, so a record's line starts with
+    ``{"key": "<key>"``. Opening the file indexes such lines by key without
+    decoding them; ``get`` decodes a record on its first hit. Older records,
+    written with sorted fields (``created`` first), are still read: they and
+    any other line are decoded at open. A corrupt line that starts like a
+    new record is therefore found on its first ``get``, not at open, and is
+    then a DataError naming the file and line.
+
+    An incomplete last line, which a crash mid-append leaves, is skipped and
+    counted; the first ``put`` cuts it off before appending. Any other line
+    that is not a record is a DataError. Each ``put`` writes and flushes one
+    line through an append handle that ``close`` (or leaving a ``with``
+    block) releases. A ``path`` of None keeps the cache purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
+        # key -> decoded record, or (line number, line bytes) until first get
+        self._entries: dict[str, dict | tuple[int, bytes]] = {}
         self._fh = None
-        self._end = 0  # byte offset just past the last loaded line
-        self._unterminated = False  # that line has no newline
+        self._end = 0  # where the first put cuts off a torn last line
+        self._unterminated = False  # the last line has no newline
         self.hits = 0
         self.misses = 0
         self.skipped_lines = 0
         if self.path is not None and self.path.exists():
-            with self.path.open("rb") as fh:
-                for number, line in enumerate(fh, 1):
+            self._load()
+
+    def _load(self) -> None:
+        entries = self._entries
+        line = b""
+        with self.path.open("rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.startswith(_INDEXED_PREFIX) and line.endswith(b"\n"):
+                    close = line.find(b'"', _KEY_START)
+                    key = line[_KEY_START:close]
+                    if close > 0 and key.isascii() and b"\\" not in key:
+                        entries[key.decode("ascii")] = (number, line)
+                        continue
+                try:
+                    if line.strip():
+                        rec = json.loads(line)
+                        entries[rec["key"]] = rec
+                except (ValueError, TypeError, KeyError):
                     # only the last line can lack its newline
-                    self._unterminated = not line.endswith(b"\n")
-                    try:
-                        if line.strip():
-                            rec = json.loads(line)
-                            self._entries[rec["key"]] = rec
-                    except (ValueError, TypeError, KeyError):
-                        if not self._unterminated:
-                            raise DataError(f"{self.path}:{number}: not a cache record") from None
-                        self.skipped_lines = 1
-                        break
-                    self._end += len(line)
+                    if line.endswith(b"\n"):
+                        raise DataError(f"{self.path}:{number}: not a cache record") from None
+                    self.skipped_lines = 1
+                    self._end = fh.tell() - len(line)
+                    return
+        self._unterminated = bool(line) and not line.endswith(b"\n")
 
     @staticmethod
     def make_key(engine_digest: str, prompt_text: str, response_keys: tuple[str, ...]) -> str:
-        payload = json.dumps([engine_digest, prompt_text, list(response_keys)])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """sha256 of ``json.dumps([engine_digest, prompt_text, list(response_keys)])``,
+        built from cached affixes around the encoded prompt."""
+        payload = (
+            _key_prefix(engine_digest)
+            + encode_basestring_ascii(prompt_text)
+            + _key_suffix(response_keys)
+        )
+        return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -493,21 +538,32 @@ class ResponseCache:
     def get(self, key: str) -> dict | None:
         with self._lock:
             rec = self._entries.get(key)
+            if isinstance(rec, tuple):
+                rec = self._entries[key] = self._decode(key, *rec)
             if rec is None:
                 self.misses += 1
             else:
                 self.hits += 1
         return rec
 
+    def _decode(self, key: str, number: int, line: bytes) -> dict:
+        try:
+            rec = json.loads(line)  # the line starts with "{", so it decodes to an object
+        except ValueError:
+            rec = {}
+        if rec.get("key") != key:
+            raise DataError(f"{self.path}:{number}: not a cache record")
+        return rec
+
     def put(self, key: str, raw: str, probs: dict[str, float], engine_digest: str) -> None:
         rec = {
             "key": key,
-            "raw": raw,
             "probs": probs,
+            "raw": raw,
             "engine": engine_digest,
             "created": time.time(),
         }
-        line = json.dumps(rec, sort_keys=True) + "\n"
+        line = json.dumps(rec) + "\n"
         with self._lock:
             self._entries[key] = rec
             if self.path is None:

@@ -12,6 +12,7 @@ shipped pandemic one need no code changes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -47,11 +48,12 @@ class CategorySchema:
         if len(set(keys)) != len(keys):
             raise ConfigError(f"duplicate category keys in schema: {keys}")
 
-    @property
+    # built once per schema: the twin and ``query`` read them for every prompt
+    @functools.cached_property
     def keys(self) -> tuple[str, ...]:
         return tuple(c.key for c in self.categories)
 
-    @property
+    @functools.cached_property
     def response_keys(self) -> tuple[str, ...]:
         return tuple(c.response_key for c in self.categories)
 

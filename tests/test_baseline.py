@@ -224,6 +224,18 @@ def test_gbm_serialization_roundtrip(tmp_path):
     refused("[]", "unsupported GBM artifact version")
     ragged = dict(single_split_tree()._asdict(), value=[0.0, -10.0])
     refused(json.dumps(dict(payload, trees={"c": [ragged]})), "differ in length")
+    split = single_split_tree()._asdict()
+    for column, value, message in [
+        ("left", 99, "inner node 0 has children 99, 2"),
+        ("left", 0, "inner node 0 has children 0, 2"),
+        ("right", 1.5, "inner node 0 has children 1, 1.5"),
+        ("feature", len(bl.FEATURE_NAMES), "node 0 has feature 8"),
+        ("feature", -2, "node 0 has feature -2"),
+    ]:
+        broken_tree = dict(split, **{column: [value] + split[column][1:]})
+        refused(json.dumps(dict(payload, trees={"c": [broken_tree]})), message)
+    cycle = dict(split, feature=[0, -1, 0], left=[1, -1, 1], right=[2, -1, 2])
+    refused(json.dumps(dict(payload, trees={"c": [cycle]})), "inner node 2 has children 1, 2")
 
 
 # ------------------------------------------------ reference: recursive trees

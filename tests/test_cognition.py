@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import json
 import math
 import sys
@@ -6,7 +7,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socialtwin.cognition import (
@@ -391,6 +392,23 @@ def test_cache_key_changes_with_prompt_and_engine(schema):
     assert len(keys) == 4
 
 
+ANY_CHAR = st.characters(exclude_categories=())  # surrogates and control characters too
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    digest=st.text(ANY_CHAR, max_size=20),
+    text=st.text(ANY_CHAR),
+    response_keys=st.lists(st.text(ANY_CHAR, max_size=8), max_size=4),
+)
+@example(digest="oracle:ab", text='say "hi" \\ \n\t\x00\x7f', response_keys=["a_prob"])
+@example(digest='model:"é"', text="\U0001f600 \ud800 \udfff é", response_keys=[])
+def test_make_key_equals_json_dumps_payload_digest(digest, text, response_keys):
+    payload = json.dumps([digest, text, list(response_keys)])
+    expected = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    assert ResponseCache.make_key(digest, text, tuple(response_keys)) == expected
+
+
 def test_cache_persists_across_instances(schema, tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResponseCache(path) as cache:
@@ -438,6 +456,22 @@ def test_cache_two_puts_then_reopen_loads_both(tmp_path):
     assert reopened.skipped_lines == 0
 
 
+def test_cache_reopen_finds_keys_that_json_escapes(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    keys = ["plain", 'quote"d', "back\\slash", "caf\u00e9", ""]
+    with ResponseCache(path) as cache:
+        for key in keys:
+            cache.put(key, f"raw {key}", {"stay_home": 0.5}, "model:x")
+    # a record written by another JSON writer, with its key in raw UTF-8
+    unescaped = {"key": "naïve", "probs": {"stay_home": 0.5}, "raw": "raw naïve"}
+    with path.open("ab") as fh:
+        fh.write(json.dumps(unescaped, ensure_ascii=False).encode("utf-8") + b"\n")
+    keys.append("naïve")
+    reopened = ResponseCache(path)
+    assert len(reopened) == len(keys)
+    assert [reopened.get(key)["raw"] for key in keys] == [f"raw {key}" for key in keys]
+
+
 @pytest.fixture(scope="module")
 def cache_file(tmp_path_factory):
     return _cache_bytes(tmp_path_factory.mktemp("cache"), 4)
@@ -453,7 +487,8 @@ def test_cache_every_byte_prefix_loads_its_complete_records(cache_file, tmp_path
     newlines = [i for i, b in enumerate(cache_file) if b == ord("\n")]
     # a record loads once its JSON text is whole, with or without its newline
     expected = {f"k{i}" for i, at in enumerate(newlines) if at <= cut}
-    assert set(loaded._entries) == expected
+    assert len(loaded) == len(expected)
+    assert all(loaded.get(key) is not None for key in expected)
     # only a prefix that ends inside a record's JSON text leaves a torn line
     torn = cut > 0 and cut not in newlines and cut - 1 not in newlines
     assert loaded.skipped_lines == int(torn)
@@ -470,7 +505,8 @@ def test_cache_append_after_torn_tail_cuts_the_torn_line(tmp_path):
     assert path.read_bytes().startswith(first)
     assert path.read_bytes().count(b"\n") == 2
     reopened = ResponseCache(path)
-    assert sorted(reopened._entries) == ["k0", "k9"]
+    assert len(reopened) == 2
+    assert reopened.get("k0")["raw"] == "raw 0" and reopened.get("k9")["raw"] == "raw 9"
     assert reopened.skipped_lines == 0
 
 
@@ -482,7 +518,8 @@ def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
         assert len(cache) == 2
         cache.put("k9", "raw 9", {"stay_home": 0.5}, "model:x")
     reopened = ResponseCache(path)
-    assert sorted(reopened._entries) == ["k0", "k1", "k9"]
+    assert len(reopened) == 3
+    assert all(reopened.get(key) is not None for key in ("k0", "k1", "k9"))
     assert reopened.skipped_lines == 0
 
 
@@ -498,6 +535,90 @@ def test_cache_bad_line_before_the_end_is_a_data_error(tmp_path, bad):
     path.write_bytes(full + bad)
     with pytest.raises(DataError, match=r"bad\.jsonl:3: not a cache record"):
         ResponseCache(path)
+
+
+def _filled_cache(schema, template, path, n_contexts=4):
+    """Fill a file cache from the oracle; the (prompt, context, vector) triples."""
+    engine = oracle_engine(schema)
+    contexts = [
+        SimContext(date=dt.date(2020, 4, 1 + i), stringency=20.0 * i) for i in range(n_contexts)
+    ]
+    prompts = [render_prompt(PERSONA, c, template) for c in contexts]
+    with ResponseCache(path) as cache:
+        vectors = [query(engine, p, PERSONA, c, schema, cache) for p, c in zip(prompts, contexts)]
+    return list(zip(prompts, contexts, vectors))
+
+
+def _sorted_fields(line: bytes) -> bytes:
+    """A record as the older writer laid it out: every field sorted, ``created`` first."""
+    return json.dumps(json.loads(line), sort_keys=True).encode() + b"\n"
+
+
+def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _filled_cache(schema, pandemic_template, path, n_contexts=2)
+    for line in path.read_bytes().splitlines(keepends=True):
+        assert list(json.loads(line)) == ["key", "probs", "raw", "engine", "created"]
+        # same fields and separators as the sorted layout, so the same length
+        assert len(_sorted_fields(line)) == len(line)
+
+
+@pytest.mark.parametrize("layout", ["sorted", "mixed"])
+def test_cache_serves_sorted_records_without_engine_calls(
+    schema, pandemic_template, tmp_path, layout
+):
+    path = tmp_path / "cache.jsonl"
+    answered = _filled_cache(schema, pandemic_template, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    if layout == "sorted":
+        path.write_bytes(b"".join(_sorted_fields(line) for line in lines))
+    else:
+        path.write_bytes(
+            b"".join(_sorted_fields(line) if i % 2 else line for i, line in enumerate(lines))
+        )
+    assert path.read_bytes() != b"".join(lines)
+    engine = oracle_engine(schema)
+    with ResponseCache(path) as cache:
+        assert len(cache) == len(answered)
+        for prompt, context, vector in answered:
+            assert query(engine, prompt, PERSONA, context, schema, cache) == vector
+        assert (cache.hits, cache.misses) == (len(answered), 0)
+    assert engine.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [b'"probs": {not json\n', b'"key": "other", "probs": {}}\n'],
+    ids=["undecodable", "second-key"],
+)
+def test_cache_corrupt_indexed_line_fails_on_first_get(tmp_path, tail):
+    full = _cache_bytes(tmp_path, 3)
+    lines = full.splitlines(keepends=True)
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(lines[0] + b'{"key": "k1", ' + tail + lines[2])
+    with ResponseCache(path) as cache:  # indexed lines are decoded on first use
+        assert len(cache) == 3
+        assert cache.get("k0")["raw"] == "raw 0"
+        assert cache.get("k2")["raw"] == "raw 2"
+        with pytest.raises(DataError, match=r"bad\.jsonl:2: not a cache record"):
+            cache.get("k1")
+
+
+def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
+    from socialtwin.cli import main
+
+    from conftest import SPLIT_18MO, write_run_workspace
+
+    config_path = write_run_workspace(tmp_path, synth_dataset, SPLIT_18MO)
+    assert main(["simulate", "--config", str(config_path)]) == 0
+    path = next((tmp_path / "cache").glob("*.jsonl"))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][: lines[1].index(b'"probs"')] + b"garbage\n"
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:2: not a cache record" in err and "Traceback" not in err
 
 
 def test_cache_counters_exact_under_threads():

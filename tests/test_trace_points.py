@@ -3,11 +3,13 @@ functions by name; a rename that drops one of them must fail here, not only
 under ``--trace 1``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
 from socialtwin import baseline as bl
+from socialtwin import cognition
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
 
@@ -31,3 +33,33 @@ def test_tracer_installs_and_counts_gbm_trees():
     finally:
         tracer.uninstall()
     assert bl.fit_gbm is original_fit
+
+
+def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with cognition.ResponseCache(path) as cache:
+        for i in range(3):
+            cache.put(f"k{i}", f"raw {i}", {"stay_home": 0.5}, "model:x")
+    lines = path.read_bytes().splitlines(keepends=True)
+    # the last record in the older layout, with its fields sorted
+    lines[2] = json.dumps(json.loads(lines[2]), sort_keys=True).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+    patched = ("__init__", "make_key", "get", "put")
+    originals = {name: cognition.ResponseCache.__dict__[name] for name in patched}
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        assert cognition.ResponseCache.__dict__["get"] is not originals["get"]
+        with cognition.ResponseCache(path) as cache:
+            assert cache.get("k0")["raw"] == "raw 0"
+            assert cache.get("missing") is None
+            cache.make_key("model:x", "prompt", ("stay_home_prob",))
+        metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)
+        assert metrics["cognition.cache_records_loaded"]["value"] == 3
+        assert metrics["cognition.cache_hits"]["value"] == 1
+        assert metrics["cognition.cache_misses"]["value"] == 1
+        assert metrics["cognition.key_calls"]["value"] == 1
+    finally:
+        tracer.uninstall()
+    assert all(cognition.ResponseCache.__dict__[name] is originals[name] for name in patched)
