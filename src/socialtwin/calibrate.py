@@ -232,28 +232,6 @@ def _ols_line(p: np.ndarray, y: np.ndarray) -> tuple[float, float, bool]:
     return slope, intercept, False
 
 
-def least_squares_fit(
-    pairs: PairsByCategory,
-    clip_bounds: tuple[float, float] = DEFAULT_CLIP_BOUNDS,
-) -> CalibrationParams:
-    """Closed-form per-category OLS of the unclipped map.
-
-    Serves both as the sampler's trial-0 initializer and as an independent
-    check on fitted results. Clip bounds are set to the configured defaults,
-    not fitted.
-    """
-    per_category = {}
-    for key, cat_pairs in pairs.items():
-        arr = np.asarray(list(cat_pairs), dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
-            raise DataError(f"category {key!r}: need >= 2 (probability, observation) pairs")
-        alpha, beta, _ = _ols_line(arr[:, 0], arr[:, 1])
-        per_category[key] = CategoryCalibration(
-            alpha=alpha, beta=beta, y_min=clip_bounds[0], y_max=clip_bounds[1]
-        )
-    return CalibrationParams(per_category)
-
-
 # ---------------------------------------------------------------------------
 # Density-guided search
 # ---------------------------------------------------------------------------

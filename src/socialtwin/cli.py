@@ -72,6 +72,16 @@ def _write_manifest(config: RunConfig, command: str, extra: dict) -> Path:
     return path
 
 
+def _engine_counts(engine, cache: ResponseCache) -> dict:
+    """The engine and cache counters every simulating command records."""
+    return {
+        "engine_calls": engine.call_count,
+        "cache_hits": cache.hits,
+        "cache_misses": cache.misses,
+        "cache_lines_skipped": cache.skipped_lines,
+    }
+
+
 def write_aggregates(config: RunConfig, aggregates: dict) -> None:
     rows = [
         {"date": d.isoformat(), "probs": aggregates[d].to_dict()} for d in sorted(aggregates)
@@ -96,19 +106,27 @@ def read_aggregates(config: RunConfig) -> dict:
     path = config.output_dir / "aggregates.json"
     if not path.exists():
         raise DataError(f"aggregated series not found: {path}; run `simulate` first")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: aggregated series is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: aggregated series must be a JSON object")
     if payload.get("config_hash") != config.config_hash:
         raise ConfigError(
             f"{path} was produced under config {str(payload.get('config_hash'))[:12]}..., "
             f"current config is {config.config_hash[:12]}...; refusing to mix artifacts"
         )
-    aggregates = {}
-    keys = payload["categories"]
-    for row in payload["rows"]:
-        aggregates[dt.date.fromisoformat(row["date"])] = BehaviorVector(
-            {k: float(row["probs"][k]) for k in keys}
-        )
-    return aggregates
+    try:
+        keys = payload["categories"]
+        return {
+            dt.date.fromisoformat(row["date"]): BehaviorVector(
+                {k: float(row["probs"][k]) for k in keys}
+            )
+            for row in payload["rows"]
+        }
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: aggregated series is malformed: {exc!r}") from None
 
 
 def _build_twin(config: RunConfig, calibration=None) -> tuple[DigitalTwin, object]:
@@ -150,7 +168,8 @@ def cmd_simulate(config: RunConfig) -> None:
     if not contexts:
         raise DataError("no policy dates fall inside the configured split ranges")
     with twin.cache:
-        aggregates, sim_log = twin.simulate_contexts(contexts)
+        vectors, sim_log = twin.simulate_contexts(contexts)
+    aggregates = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
     config.output_dir.mkdir(parents=True, exist_ok=True)
     save_population(twin.population, config.output_dir / "population.jsonl")
     write_aggregates(config, aggregates)
@@ -159,10 +178,7 @@ def cmd_simulate(config: RunConfig) -> None:
         "simulate",
         {
             "engine_digest": engine.digest,
-            "engine_calls": engine.call_count,
-            "cache_hits": twin.cache.hits,
-            "cache_misses": twin.cache.misses,
-            "cache_lines_skipped": twin.cache.skipped_lines,
+            **_engine_counts(engine, twin.cache),
             "n_dates": len(aggregates),
             "policy_load_report": policy_report.to_dict(),
             "simulation_log": sim_log.to_dict(),
@@ -351,7 +367,7 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
         "counterfactual",
         {
             "engine_digest": engine.digest,
-            "engine_calls": engine.call_count,
+            **_engine_counts(engine, twin.cache),
             "scenarios": [s.name for s in scenarios],
             "baseline": report.baseline_name,
         },
@@ -367,21 +383,23 @@ def cmd_ablate(config: RunConfig) -> None:
         split=config.split,
         schema=config.schema,
         population_spec=config.population_spec,
-        engine_config=config.engine,
         template=config.template,
         fit_config=config.fit,
         population_seed=config.seeds["population"],
         aggregation=config.aggregation,
     )
+    engine = build_engine(config.engine, config.schema)
     with ResponseCache(config.cache_path) as cache:
-        report = run_ablation_suite(inputs, cache=cache)
+        report = run_ablation_suite(inputs, engine, cache)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["config_hash"] = config.config_hash
     payload["note"] = "no-calibration maps probabilities to percent units as 100 * p"
     _write_json(config.output_dir / "ablation.json", payload)
     _write_text(config.output_dir / "ablation.txt", report.to_text(), config)
-    _write_manifest(config, "ablate", {"variants": list(ABLATION_VARIANTS)})
+    _write_manifest(
+        config, "ablate", {**_engine_counts(engine, cache), "variants": list(ABLATION_VARIANTS)}
+    )
 
 
 # ---------------------------------------------------------------------------

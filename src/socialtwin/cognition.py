@@ -635,23 +635,3 @@ def ask_engine(
     if isinstance(last_error, ParseError):
         raise ParseError(message)
     raise EngineError(message)
-
-
-def query(
-    engine,
-    prompt: PromptText,
-    persona: Persona,
-    context: SimContext,
-    categories: CategorySchema,
-    cache: ResponseCache,
-) -> BehaviorVector:
-    """Resolve one (persona, context) cell through the cache and engine.
-
-    A cache hit returns the stored vector without touching the engine; a
-    miss goes to ``ask_engine``.
-    """
-    key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached_vector(cached, categories)
-    return ask_engine(engine, key, prompt, persona, context, categories, cache)

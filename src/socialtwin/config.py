@@ -91,7 +91,12 @@ def _split_from_dict(data: dict) -> TemporalSplit:
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration for one pipeline run."""
+    """Fully resolved configuration for one pipeline run.
+
+    ``aggregation`` is ``mean`` or ``weighted``. The CLI samples every persona
+    with weight 1.0, so the two write bit-identical aggregates; ``weighted``
+    differs only for populations built with unequal weights in code.
+    """
 
     profile_name: str
     schema: CategorySchema

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .calibrate import FitConfig, apply_calibration, fit_calibration, fit_single_slope, pair_by_date
-from .cognition import BehaviorVector, EngineConfig, ResponseCache, SimContext, build_engine
+from .cognition import BehaviorVector, ResponseCache, SimContext
 from .config import _load_yaml
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_predictions
@@ -50,32 +50,10 @@ class ScenarioResult:
     metrics: dict[str, float]
 
 
-def run_scenario(twin: DigitalTwin, scenario: Scenario) -> ScenarioResult:
-    """Run the normal pipeline with the stringency override substituted.
-
-    Engine queries are cached under the overridden context like any other,
-    so scenario runs are order-independent and replayable.
-    """
-    if twin.calibration is None:
-        raise ConfigError("counterfactual runs need a fitted calibration")
-    context = SimContext(date=scenario.date, stringency=scenario.stringency_override)
-    aggregate = twin.simulate_context(context)
-    if aggregate is None:
-        raise DataError(f"scenario {scenario.name!r}: every persona cell failed")
-    return ScenarioResult(
-        scenario=scenario, aggregate=aggregate, metrics=twin.predict_metrics(aggregate)
-    )
-
-
-def scenario_series(
-    results: Sequence[ScenarioResult], category: str, use: str = "aggregate"
-) -> list[tuple[float, float]]:
-    """(stringency, value) pairs for one category across scenario results."""
-    if use == "aggregate":
-        return [(r.scenario.stringency_override, r.aggregate[category]) for r in results]
-    if use == "metrics":
-        return [(r.scenario.stringency_override, r.metrics[category]) for r in results]
-    raise ConfigError(f"unknown value source {use!r}")
+def scenario_series(results: Sequence[ScenarioResult], category: str) -> list[tuple[float, float]]:
+    """(stringency, aggregated probability) pairs for one category across
+    scenario results."""
+    return [(r.scenario.stringency_override, r.aggregate[category]) for r in results]
 
 
 def check_monotonicity(points: Sequence[tuple[float, float]], expected_direction: int) -> bool:
@@ -169,13 +147,25 @@ def run_counterfactuals(
 ) -> CounterfactualReport:
     """Run a scenario sweep and assemble deltas and verdicts.
 
-    The baseline scenario is the one named ``baseline`` (case-insensitive
-    substring match) unless an explicit name is given; failing both, the
-    first scenario listed. Results are ordered by stringency.
+    Each scenario replays its date with the stringency override substituted;
+    all scenarios go through one simulation pass. Engine queries are cached
+    under the overridden context like any other, so scenario runs are
+    order-independent and replayable. The baseline scenario is the one named
+    ``baseline`` (case-insensitive substring match) unless an explicit name
+    is given; failing both, the first scenario listed. Results are ordered by
+    stringency.
     """
     if not scenarios:
         raise ConfigError("no scenarios given")
-    results = [run_scenario(twin, s) for s in scenarios]
+    if twin.calibration is None:
+        raise ConfigError("counterfactual runs need a fitted calibration")
+    contexts = [SimContext(date=s.date, stringency=s.stringency_override) for s in scenarios]
+    aggregates, _ = twin.simulate_contexts(contexts)
+    results = []
+    for scenario, aggregate in zip(scenarios, aggregates):
+        if aggregate is None:
+            raise DataError(f"scenario {scenario.name!r}: every persona cell failed")
+        results.append(ScenarioResult(scenario, aggregate, twin.predict_metrics(aggregate)))
     results.sort(key=lambda r: r.scenario.stringency_override)
 
     baseline_result = None
@@ -215,7 +205,10 @@ def run_counterfactuals(
 
 
 def load_scenarios(path: str | Path) -> list[Scenario]:
-    """Read a scenario sweep file: a YAML list of {name, date, stringency_override}."""
+    """Read a scenario sweep file: a YAML list of {name, date, stringency_override}.
+
+    Names must be distinct, because deltas are reported by scenario name.
+    """
     p = Path(path)
     if not p.exists():
         raise DataError(f"scenario file not found: {p}")
@@ -238,17 +231,18 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
                 f"{p}: scenario entry must be a mapping of name, date and "
                 f"stringency_override, got {entry!r}"
             )
-        scenarios.append(
-            Scenario(
-                name=field(entry, "name", str),
-                date=field(
-                    entry,
-                    "date",
-                    lambda v: v if isinstance(v, dt.date) else dt.date.fromisoformat(str(v)),
-                ),
-                stringency_override=field(entry, "stringency_override", float),
-            )
+        scenario = Scenario(
+            name=field(entry, "name", str),
+            date=field(
+                entry,
+                "date",
+                lambda v: v if isinstance(v, dt.date) else dt.date.fromisoformat(str(v)),
+            ),
+            stringency_override=field(entry, "stringency_override", float),
         )
+        if any(s.name == scenario.name for s in scenarios):
+            raise ConfigError(f"{p}: scenario name {scenario.name!r} is listed twice")
+        scenarios.append(scenario)
     return scenarios
 
 
@@ -268,14 +262,14 @@ ABLATION_VARIANTS = (
 
 @dataclass
 class AblationInputs:
-    """Everything one ablation variant needs to run the pipeline end to end."""
+    """The data and settings every ablation variant shares; the engine and
+    cache are given to ``run_ablation_suite``."""
 
     policy: list[PolicyRecord]
     observations: ObservationSeries
     split: TemporalSplit
     schema: CategorySchema
     population_spec: DemographicSpec
-    engine_config: EngineConfig
     template: str
     fit_config: FitConfig
     population_seed: int
@@ -315,46 +309,19 @@ def _population_builder(variant: str):
     return _POPULATION_BUILDERS.get(variant, sample_population)
 
 
-def _variant_population(variant: str, inputs: AblationInputs):
-    return _population_builder(variant)(inputs.population_spec, inputs.population_seed)
-
-
-def _simulate_variant(
-    variant: str, inputs: AblationInputs, cache: ResponseCache | None
-) -> dict[dt.date, BehaviorVector]:
-    """Aggregates of the variant's population over the train and eval dates."""
-    twin = DigitalTwin(
-        population=_variant_population(variant, inputs),
-        engine=build_engine(inputs.engine_config, inputs.schema),
-        cache=cache if cache is not None else ResponseCache(None),
-        template=inputs.template,
-        schema=inputs.schema,
-        aggregation=inputs.aggregation,
-    )
-    eval_range = inputs.split.range_for(inputs.eval_split)
-    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
-    aggregates, _ = twin.simulate_contexts(contexts)
-    return aggregates
-
-
 def run_ablation(
-    variant: str,
-    inputs: AblationInputs,
-    cache: ResponseCache | None = None,
-    aggregates: dict[dt.date, BehaviorVector] | None = None,
+    variant: str, inputs: AblationInputs, aggregates: dict[dt.date, BehaviorVector]
 ) -> tuple[float, dict[str, float]]:
-    """Run one pipeline variant; returns (macro RMSE, per-category RMSE).
+    """Score one pipeline variant on the ``aggregates`` of its population;
+    returns (macro RMSE, per-category RMSE).
 
     Variant semantics: no-calibration predicts 100 * aggregated probability
     with no fitted map; no-clipping fits the affine map with unbounded clip;
     single-slope shares one (alpha, beta) across categories; the persona
-    variants swap the population and keep the full calibration. The
-    variant's population is simulated unless its ``aggregates`` are given.
+    variants swap the population and keep the full calibration.
     """
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
-    if aggregates is None:
-        aggregates = _simulate_variant(variant, inputs, cache)
     eval_range = inputs.split.range_for(inputs.eval_split)
     train_aggregates = {
         d: v for d, v in aggregates.items() if inputs.split.train.contains(d)
@@ -384,18 +351,31 @@ def run_ablation(
 
 def run_ablation_suite(
     inputs: AblationInputs,
+    engine,
+    cache: ResponseCache,
     variants: Sequence[str] = ABLATION_VARIANTS,
-    cache: ResponseCache | None = None,
 ) -> AblationReport:
-    """Run each variant; the variants that keep the sampled population share
-    one simulation of it."""
+    """Run each variant over the train and eval dates through one engine and
+    cache; the variants that keep the sampled population share one
+    simulation of it."""
+    eval_range = inputs.split.range_for(inputs.eval_split)
+    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
     report = AblationReport()
     shared: dict[object, dict[dt.date, BehaviorVector]] = {}
     for variant in variants:
         builder = _population_builder(variant)
         if builder not in shared:
-            shared[builder] = _simulate_variant(variant, inputs, cache)
-        macro, per_category = run_ablation(variant, inputs, aggregates=shared[builder])
+            twin = DigitalTwin(
+                population=builder(inputs.population_spec, inputs.population_seed),
+                engine=engine,
+                cache=cache,
+                template=inputs.template,
+                schema=inputs.schema,
+                aggregation=inputs.aggregation,
+            )
+            vectors, _ = twin.simulate_contexts(contexts)
+            shared[builder] = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
+        macro, per_category = run_ablation(variant, inputs, shared[builder])
         report.macro_rmse[variant] = macro
         report.per_category[variant] = per_category
     return report

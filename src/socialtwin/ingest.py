@@ -12,7 +12,7 @@ import csv
 import datetime as dt
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
 
@@ -137,10 +137,6 @@ class LoadReport:
     rows_read: int = 0
     rows_kept: int = 0
     dropped: list[tuple[int, str]] = field(default_factory=list)  # (row index, reason)
-
-    @property
-    def n_dropped(self) -> int:
-        return len(self.dropped)
 
     def to_dict(self) -> dict:
         return {
@@ -268,58 +264,3 @@ def load_observations_csv(
     records.sort(key=lambda r: r.date)
     report.rows_kept = len(records)
     return ObservationSeries(categories, tuple(records)), report
-
-
-def write_observations_csv(
-    series: ObservationSeries,
-    path: str | Path,
-    category_columns: dict[str, str] | None = None,
-    date_column: str = "date",
-) -> None:
-    """Write a series back to CSV (inverse of load_observations_csv)."""
-    colmap = category_columns or {c: c for c in series.categories}
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([date_column, *(colmap[c] for c in series.categories)])
-        for rec in series.records:
-            writer.writerow(
-                [rec.date.isoformat(), *(repr(rec.values[c]) for c in series.categories)]
-            )
-
-
-Dated = TypeVar("Dated")
-
-
-def split_by_dates(
-    series: Sequence[Dated], split: TemporalSplit
-) -> tuple[list[Dated], list[Dated], list[Dated]]:
-    """Partition any dated sequence into (train, validation, test).
-
-    Records outside all three ranges are excluded. Order is preserved within
-    each partition; a record lands in at most one partition because the split
-    ranges are disjoint by construction.
-    """
-    train: list[Dated] = []
-    val: list[Dated] = []
-    test: list[Dated] = []
-    for rec in series:
-        date = rec.date
-        if split.train.contains(date):
-            train.append(rec)
-        elif split.validation.contains(date):
-            val.append(rec)
-        elif split.test.contains(date):
-            test.append(rec)
-    return train, val, test
-
-
-def split_observations(
-    series: ObservationSeries, split: TemporalSplit
-) -> tuple[ObservationSeries, ObservationSeries, ObservationSeries]:
-    """split_by_dates specialised to ObservationSeries (preserves the type)."""
-    train, val, test = split_by_dates(series.records, split)
-    return (
-        ObservationSeries(series.categories, tuple(train)),
-        ObservationSeries(series.categories, tuple(val)),
-        ObservationSeries(series.categories, tuple(test)),
-    )

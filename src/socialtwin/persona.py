@@ -144,31 +144,3 @@ def save_population(population: list[Persona], path: str | Path) -> None:
                 )
                 + "\n"
             )
-
-
-def load_population(path: str | Path) -> list[Persona]:
-    personas = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            personas.append(
-                Persona(
-                    id=rec["id"],
-                    attributes={k: str(v) for k, v in rec["attributes"].items()},
-                    weight=float(rec.get("weight", 1.0)),
-                )
-            )
-    return personas
-
-
-def attribute_frequencies(population: list[Persona], attribute: str) -> dict[str, float]:
-    """Empirical distribution of one attribute across the population."""
-    counts: dict[str, int] = {}
-    for p in population:
-        value = p.attributes[attribute]
-        counts[value] = counts.get(value, 0) + 1
-    total = len(population)
-    return {v: c / total for v, c in counts.items()}

@@ -4,11 +4,13 @@ with an optional fitted calibration on top.
 A simulation pass works once per distinct prompt: personas with the same
 ordered attributes form a profile, each (profile, context) pair is rendered,
 keyed and looked up once, and the misses go to the engine through one worker
-pool per pass. Aggregation expands each profile's vector back to its members
-in persona order, so results are bit-identical at any query parallelism. A
-prompt that cannot be parsed after retries excludes every member of its
-profile; each is logged under its own id, and the per-date survivor counts
-go into the run log so exclusions are auditable.
+pool per pass. A pass takes any list of contexts, such as a command's dates
+or a sweep's scenarios (which may share a date), and returns one result per
+context in the same order. Aggregation expands each profile's vector back to
+its members in persona order, so results are bit-identical at any query
+parallelism. A prompt that cannot be parsed after retries excludes every
+member of its profile; each is logged under its own id, and the per-date
+survivor counts go into the run log so exclusions are auditable.
 """
 
 from __future__ import annotations
@@ -70,7 +72,13 @@ class SimulationLog:
 
 @dataclass
 class DigitalTwin:
-    """Everything needed to turn a (date, stringency) context into metrics."""
+    """Everything needed to turn a (date, stringency) context into metrics.
+
+    ``aggregation: weighted`` weighs each persona by its ``weight``. Every
+    population the CLI builds (``sample_population``, ``uniform_population``)
+    has weight 1.0, and a weighted mean with unit weights is bit-identical to
+    the plain mean, so from the CLI the two settings give the same aggregates.
+    """
 
     population: list[Persona]
     engine: object
@@ -117,29 +125,26 @@ class DigitalTwin:
                 failed[key] = outcome
         return outcome
 
-    def simulate_context(
-        self, context: SimContext, log: SimulationLog | None = None
-    ) -> BehaviorVector | None:
-        """Aggregate over all personas for one context.
+    def simulate_context(self, context: SimContext) -> BehaviorVector | None:
+        """The aggregate for one context: a one-context ``simulate_contexts``.
 
-        Returns None when every cell failed (the date is then excluded
-        upstream). Parse failures are logged per persona; transport or replay
-        errors propagate.
+        The benchmark's tracer (``perfbench/trace_layers.py``) wraps it by name.
         """
-        aggregates, context_log = self.simulate_contexts([context])
-        if log is not None:
-            log.survivors_by_date.update(context_log.survivors_by_date)
-            log.failures.extend(context_log.failures)
-        return aggregates.get(context.date)
+        return self.simulate_contexts([context])[0][0]
 
     def simulate_contexts(
         self, contexts: Sequence[SimContext]
-    ) -> tuple[dict[dt.date, BehaviorVector], SimulationLog]:
-        """One aggregated vector per context date (dates without survivors
-        are omitted)."""
+    ) -> tuple[list[BehaviorVector | None], SimulationLog]:
+        """One aggregated vector per context, in context order, and the log.
+
+        A context whose every cell failed gets None (the caller excludes it).
+        Contexts may repeat or share a date: results are aligned with the
+        contexts, not keyed by date. Parse failures are logged per persona;
+        transport or replay errors propagate.
+        """
         profile_of, representatives = _group_profiles(self.population)
         log = SimulationLog()
-        aggregates: dict[dt.date, BehaviorVector] = {}
+        aggregates: list[BehaviorVector | None] = []
         failed: dict[str, ParseError] = {}
         pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
         try:
@@ -170,11 +175,11 @@ class DigitalTwin:
                     weights.append(persona.weight)
                 log.survivors_by_date[context.date] = len(vectors)
                 if not vectors:
-                    continue
-                if self.aggregation == "weighted":
-                    aggregates[context.date] = aggregate_weighted(vectors, weights)
+                    aggregates.append(None)
+                elif self.aggregation == "weighted":
+                    aggregates.append(aggregate_weighted(vectors, weights))
                 else:
-                    aggregates[context.date] = aggregate_mean(vectors)
+                    aggregates.append(aggregate_mean(vectors))
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)

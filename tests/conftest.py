@@ -6,9 +6,9 @@ import pytest
 import yaml
 
 from socialtwin.config import load_profile, packaged_template
-from socialtwin.ingest import DateRange, TemporalSplit, write_observations_csv
+from socialtwin.ingest import DateRange, TemporalSplit
 from socialtwin.schema import CategorySchema
-from socialtwin.synthetic import default_oracle_params, make_synthetic_dataset
+from synthetic import default_oracle_params, make_synthetic_dataset, write_observations_csv
 
 
 @pytest.fixture(scope="session")

@@ -9,22 +9,26 @@ known, recovery and ordering claims can be verified exactly.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .cognition import (
+from socialtwin.cognition import (
     BehaviorVector,
     EngineConfig,
     OracleParams,
     ResponseCache,
     build_engine,
 )
-from .ingest import ObservationRecord, ObservationSeries, PolicyRecord
-from .persona import DemographicSpec
-from .schema import CategorySchema
+from socialtwin.config import load_profile, packaged_template
+from socialtwin.ingest import ObservationRecord, ObservationSeries, PolicyRecord
+from socialtwin.persona import DemographicSpec, sample_population
+from socialtwin.schema import CategorySchema
+from socialtwin.twin import DigitalTwin, contexts_from_policy
 
 # Ground-truth affine maps chosen so predictions stay strictly inside the
 # default clip bounds [-100, 200] for probabilities in (0, 1).
@@ -47,14 +51,10 @@ TRUE_BETA = {
 
 
 def default_schema() -> CategorySchema:
-    from .config import load_profile
-
     return CategorySchema.from_dicts(load_profile("pandemic-uae")["categories"])
 
 
 def default_population_spec(population_size: int = 10) -> DemographicSpec:
-    from .config import load_profile
-
     spec = dict(load_profile("pandemic-uae")["population"])
     spec["population_size"] = population_size
     return DemographicSpec.from_dict(spec)
@@ -140,10 +140,6 @@ def make_synthetic_dataset(
     The policy series starts ``lead_days`` before the first observation so
     lagged features are available from the first target date onward.
     """
-    from .config import packaged_template
-    from .persona import sample_population
-    from .twin import DigitalTwin, contexts_from_policy
-
     schema = default_schema()
     spec = default_population_spec(population_size)
     oracle = default_oracle_params()
@@ -161,7 +157,9 @@ def make_synthetic_dataset(
         template=template,
         schema=schema,
     )
-    aggregates, _ = twin.simulate_contexts(contexts_from_policy(target_policy))
+    contexts = contexts_from_policy(target_policy)
+    vectors, _ = twin.simulate_contexts(contexts)
+    aggregates = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
 
     rng = np.random.default_rng(noise_seed)
     records = []
@@ -187,3 +185,20 @@ def make_synthetic_dataset(
         template=template,
         population_seed=population_seed,
     )
+
+
+def write_observations_csv(
+    series: ObservationSeries,
+    path: str | Path,
+    category_columns: dict[str, str] | None = None,
+    date_column: str = "date",
+) -> None:
+    """Write a series to CSV (inverse of ``load_observations_csv``)."""
+    colmap = category_columns or {c: c for c in series.categories}
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([date_column, *(colmap[c] for c in series.categories)])
+        for rec in series.records:
+            writer.writerow(
+                [rec.date.isoformat(), *(repr(rec.values[c]) for c in series.categories)]
+            )

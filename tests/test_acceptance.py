@@ -31,14 +31,14 @@ from socialtwin.counterfactual import (
     Scenario,
     check_boundedness,
     check_monotonicity,
-    run_ablation,
+    run_ablation_suite,
     run_counterfactuals,
 )
 from socialtwin.evaluation import compare, improvement_pct, macro_average, rmse
 from socialtwin.ingest import DateRange, ObservationRecord, ObservationSeries, TemporalSplit
 from socialtwin.persona import sample_population
 from socialtwin.schema import CategorySchema
-from socialtwin.synthetic import (
+from synthetic import (
     default_oracle_params,
     default_schema,
     make_synthetic_dataset,
@@ -137,17 +137,17 @@ def test_criterion_4_ablation_ordering(long_dataset, eighteen_month_split):
             split=eighteen_month_split,
             schema=long_dataset.schema,
             population_spec=long_dataset.population_spec,
-            engine_config=EngineConfig(
-                kind="synthetic-oracle", oracle_params=long_dataset.oracle_params
-            ),
             template=long_dataset.template,
             fit_config=FitConfig(trials=60, seed=13),
             population_seed=long_dataset.population_seed,
         )
-        cache = ResponseCache(None)
-        full, _ = run_ablation("full", inputs, cache=cache)
-        raw, _ = run_ablation("no-calibration", inputs, cache=cache)
-        single, _ = run_ablation("single-persona", inputs, cache=cache)
+        engine = build_engine(
+            EngineConfig(kind="synthetic-oracle", oracle_params=long_dataset.oracle_params),
+            long_dataset.schema,
+        )
+        variants = ("full", "no-calibration", "single-persona")
+        report = run_ablation_suite(inputs, engine, ResponseCache(None), variants)
+        full, raw, single = (report.macro_rmse[v] for v in variants)
         assert raw >= 2.0 * full
         assert single >= full
 

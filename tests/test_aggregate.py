@@ -8,7 +8,7 @@ from socialtwin.aggregate import aggregate_mean, aggregate_weighted
 from socialtwin.cognition import BehaviorVector, SimContext, oracle_respond
 from socialtwin.errors import DataError
 from socialtwin.persona import DemographicSpec, sample_population
-from socialtwin.synthetic import default_oracle_params
+from synthetic import default_oracle_params
 
 KEYS = ("a", "b", "c")
 

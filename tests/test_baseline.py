@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from socialtwin import baseline as bl
 from socialtwin.errors import DataError
 from socialtwin.ingest import ObservationRecord, ObservationSeries, PolicyRecord
-from socialtwin.synthetic import stringency_path
+from synthetic import stringency_path
 
 CATS = ("retail", "parks")
 

@@ -14,6 +14,7 @@ from socialtwin.calibrate import (
     CalibrationParams,
     CategoryCalibration,
     CategoryFitRecord,
+    DEFAULT_CLIP_BOUNDS,
     FitConfig,
     FitReport,
     _ols_line,
@@ -21,7 +22,6 @@ from socialtwin.calibrate import (
     apply_calibration,
     fit_calibration,
     fit_single_slope,
-    least_squares_fit,
     load_calibration,
     pair_by_date,
     save_calibration,
@@ -29,7 +29,7 @@ from socialtwin.calibrate import (
 from socialtwin.cognition import BehaviorVector
 from socialtwin.errors import ConfigError, DataError
 from socialtwin.ingest import ObservationRecord
-from socialtwin.synthetic import make_synthetic_dataset
+from synthetic import make_synthetic_dataset
 
 import datetime as dt
 
@@ -98,6 +98,21 @@ def test_clipping_idempotent(alpha, beta, p):
 
 
 # -------------------------------------------------------------- least squares
+
+
+def least_squares_fit(pairs, clip_bounds=DEFAULT_CLIP_BOUNDS):
+    """Reference: closed-form per-category OLS of the unclipped map, the
+    search's trial 0. Clip bounds are set to the defaults, not fitted."""
+    per_category = {}
+    for key, cat_pairs in pairs.items():
+        arr = np.asarray(list(cat_pairs), dtype=float)
+        if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] != 2:
+            raise DataError(f"category {key!r}: need >= 2 (probability, observation) pairs")
+        alpha, beta, _ = _ols_line(arr[:, 0], arr[:, 1])
+        per_category[key] = CategoryCalibration(
+            alpha=alpha, beta=beta, y_min=clip_bounds[0], y_max=clip_bounds[1]
+        )
+    return CalibrationParams(per_category)
 
 
 def test_least_squares_recovers_exact_line():

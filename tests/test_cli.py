@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from socialtwin.cli import main
-from socialtwin.synthetic import make_synthetic_dataset
+from synthetic import make_synthetic_dataset
 
 from conftest import SPLIT_18MO, write_run_workspace
 
@@ -209,11 +209,18 @@ def test_config_hash_follows_population_attribute_order(workspace):
         ("scenarios", "- {name: a, date: 2021-02-30, stringency_override: 50}\n", "scenarios.yaml"),
         ("scenarios", "- {name: a, date: June 1, stringency_override: 50}\n", "invalid date"),
         ("scenarios", "- {name: a, date: 2020-06-01, stringency_override: high}\n", "stringency_override"),
+        (
+            "scenarios",
+            "- {name: dup, date: 2020-04-15, stringency_override: 10}\n"
+            "- {name: dup, date: 2020-04-15, stringency_override: 100}\n",
+            "scenarios.yaml: scenario name 'dup' is listed twice",
+        ),
     ],
     ids=[
         "spec-is-list", "attributes-is-list", "size-not-integer", "size-fractional",
         "size-boolean", "values-not-mapping",
         "entry-is-string", "impossible-date", "unparseable-date", "stringency-not-number",
+        "duplicate-name",
     ],
 )
 def test_malformed_spec_or_scenarios_exits_one(workspace, capsys, broken, text, names):
@@ -263,3 +270,113 @@ def test_evaluate_rejects_damaged_calibration_artifact(workspace, capsys, damage
     err = capsys.readouterr().err
     assert message in err and "calibration.json" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        "truncated", "not-object", "no-categories", "no-rows", "bad-date",
+        "missing-probability", "non-numeric-probability", "probability-above-one",
+    ],
+)
+def test_damaged_aggregates_artifact_is_data_error(workspace, capsys, command, damage):
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    path = root / "out" / "aggregates.json"
+    text = path.read_text()
+    payload = json.loads(text)
+    row = payload["rows"][0]
+    if damage == "truncated":
+        text = text[:-40]
+    elif damage == "not-object":
+        text = json.dumps(payload["rows"])
+    else:
+        if damage == "no-categories":
+            del payload["categories"]
+        elif damage == "no-rows":
+            del payload["rows"]
+        elif damage == "bad-date":
+            row["date"] = "2020-13-01"
+        elif damage == "missing-probability":
+            del row["probs"]["stay_home"]
+        elif damage == "non-numeric-probability":
+            row["probs"]["stay_home"] = "high"
+        else:
+            row["probs"]["stay_home"] = 1.85
+        text = json.dumps(payload)
+    path.write_text(text)
+    capsys.readouterr()
+    assert run(config_path, command) == 2
+    err = capsys.readouterr().err
+    message = {"truncated": "not valid JSON", "not-object": "must be a JSON object"}
+    assert err.startswith("data error:") and "aggregates.json" in err
+    assert message.get(damage, "malformed") in err
+    assert "Traceback" not in err
+
+
+def _chain(root, config_path):
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    assert run(config_path, "counterfactual", "--scenarios", str(root / "scenarios.yaml")) == 0
+    assert run(config_path, "ablate") == 0
+    return {
+        command: json.loads((root / "out" / f"{command}_manifest.json").read_text())
+        for command in ("simulate", "counterfactual", "ablate")
+    }
+
+
+def test_counterfactual_is_one_pass_and_ablate_builds_one_engine(workspace, monkeypatch):
+    from socialtwin.cognition import SyntheticOracleEngine
+    from socialtwin.twin import DigitalTwin
+
+    root, config_path = workspace
+    calls = []
+    simulate_contexts = DigitalTwin.simulate_contexts
+    engine_init = SyntheticOracleEngine.__init__
+
+    def counting_pass(self, contexts):
+        calls.append(("pass", len(contexts)))
+        return simulate_contexts(self, contexts)
+
+    def counting_engine(self, *args):
+        calls.append(("engine",))
+        engine_init(self, *args)
+
+    monkeypatch.setattr(DigitalTwin, "simulate_contexts", counting_pass)
+    monkeypatch.setattr(SyntheticOracleEngine, "__init__", counting_engine)
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    calls.clear()
+    assert run(config_path, "counterfactual", "--scenarios", str(root / "scenarios.yaml")) == 0
+    assert calls == [("engine",), ("pass", 3)]
+    calls.clear()
+    assert run(config_path, "ablate") == 0
+    # the sampled, uniform and single-persona populations: three passes, one engine
+    assert [c[0] for c in calls] == ["engine", "pass", "pass", "pass"]
+
+
+def test_warm_chain_manifests_report_zero_engine_calls(workspace):
+    root, config_path = workspace
+    cold = _chain(root, config_path)
+    warm = _chain(root, config_path)
+    for command in ("simulate", "counterfactual", "ablate"):
+        assert cold[command]["engine_calls"] > 0, command
+        assert cold[command]["cache_misses"] == cold[command]["engine_calls"], command
+        assert warm[command]["engine_calls"] == 0, command
+        assert warm[command]["cache_misses"] == 0, command
+        assert warm[command]["cache_hits"] > 0, command
+        assert warm[command]["cache_lines_skipped"] == 0, command
+
+
+def test_weighted_aggregation_writes_the_mean_rows(workspace):
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    mean = json.loads((root / "out" / "aggregates.json").read_text())
+    config = yaml.safe_load(config_path.read_text())
+    config["aggregation"] = "weighted"
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 0
+    weighted = json.loads((root / "out" / "aggregates.json").read_text())
+    assert weighted["config_hash"] != mean["config_hash"]
+    assert weighted["rows"] == mean["rows"]

@@ -17,16 +17,17 @@ from socialtwin.cognition import (
     ResponseCache,
     SimContext,
     SyntheticOracleEngine,
+    ask_engine,
     build_engine,
+    cached_vector,
     logistic,
     oracle_respond,
     parse_response,
-    query,
     render_prompt,
 )
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
-from socialtwin.synthetic import default_oracle_params
+from synthetic import default_oracle_params
 
 PERSONA = Persona(
     id="p0",
@@ -283,6 +284,16 @@ class ScriptedEngine:
         if len(self.responses) > 1:
             return self.responses.pop(0)
         return self.responses[0]
+
+
+def query(engine, prompt, persona, context, categories, cache):
+    """Reference: resolve one (persona, context) cell through the cache and
+    engine, as the twin's grouped pass does once per distinct prompt."""
+    key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
+    cached = cache.get(key)
+    if cached is not None:
+        return cached_vector(cached, categories)
+    return ask_engine(engine, key, prompt, persona, context, categories, cache)
 
 
 def oracle_engine(schema, params=None):

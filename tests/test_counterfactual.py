@@ -1,25 +1,29 @@
+import dataclasses
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialtwin.calibrate import FitConfig, fit_calibration, pair_by_date
 from socialtwin.cognition import EngineConfig, ResponseCache, build_engine
 from socialtwin.counterfactual import (
+    ABLATION_VARIANTS,
     AblationInputs,
-    CounterfactualReport,
     Scenario,
+    _population_builder,
     check_boundedness,
     check_monotonicity,
     load_scenarios,
     run_ablation,
+    run_ablation_suite,
     run_counterfactuals,
-    run_scenario,
-    scenario_series,
 )
 from socialtwin.errors import ConfigError, DataError
 from socialtwin.ingest import DateRange, TemporalSplit
 from socialtwin.persona import sample_population
-from socialtwin.twin import DigitalTwin
+from socialtwin.twin import DigitalTwin, SimulationLog
+from synthetic import default_oracle_params
 
 SHOCK_DATE = dt.date(2020, 4, 15)
 
@@ -101,7 +105,7 @@ def test_scenario_override_bounds():
         Scenario("bad", SHOCK_DATE, 150.0)
 
 
-def test_run_scenario_requires_calibration(synth_dataset):
+def test_sweep_requires_calibration(synth_dataset):
     population = sample_population(synth_dataset.population_spec, 1)
     twin = DigitalTwin(
         population=population,
@@ -114,7 +118,23 @@ def test_run_scenario_requires_calibration(synth_dataset):
         schema=synth_dataset.schema,
     )
     with pytest.raises(ConfigError, match="fitted calibration"):
-        run_scenario(twin, sweep()[0])
+        run_counterfactuals(twin, sweep())
+
+
+class GarbageEngine:
+    replay_only = False
+    digest = "model:garbage"
+    retry_limit = 0
+    call_count = 0
+
+    def respond(self, prompt, persona, context):
+        return "no json here"
+
+
+def test_sweep_names_the_scenario_whose_every_cell_failed(fitted_twin):
+    twin = dataclasses.replace(fitted_twin, engine=GarbageEngine(), cache=ResponseCache(None))
+    with pytest.raises(DataError, match="scenario 'relaxed': every persona cell failed"):
+        run_counterfactuals(twin, sweep())
 
 
 def test_override_equal_to_actual_gives_zero_delta(fitted_twin, synth_dataset):
@@ -137,7 +157,7 @@ def test_sweep_monotonic_in_configured_directions(fitted_twin):
 
 def test_extreme_pair_has_maximal_stay_home_spread(fitted_twin):
     scenarios = [Scenario(f"s{s}", SHOCK_DATE, float(s)) for s in (0, 25, 50, 75, 100)]
-    results = [run_scenario(fitted_twin, s) for s in scenarios]
+    results = run_counterfactuals(fitted_twin, scenarios).results
     values = {r.scenario.stringency_override: r.aggregate["stay_home"] for r in results}
     full_spread = abs(values[100.0] - values[0.0])
     for a in values:
@@ -153,6 +173,36 @@ def test_scenario_order_independence(fitted_twin):
         assert fwd.scenario == bwd.scenario
         assert fwd.aggregate == bwd.aggregate
         assert fwd.metrics == bwd.metrics
+
+
+class PerScenarioTwin(DigitalTwin):
+    """Reference: one simulation pass per scenario, as the sweep ran before
+    all its scenarios shared one pass."""
+
+    def simulate_contexts(self, contexts):
+        return [DigitalTwin.simulate_contexts(self, [c])[0][0] for c in contexts], SimulationLog()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    # few dates and stringencies, so scenarios repeat contexts and share dates
+    cells=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from([0.0, 45.0, 90.0, 100.0])),
+        min_size=1,
+        max_size=6,
+    ),
+    parallelism=st.sampled_from([1, 4]),
+)
+def test_one_pass_sweep_equals_per_scenario_reference(fitted_twin, cells, parallelism):
+    scenarios = [
+        Scenario(f"s{i}", SHOCK_DATE + dt.timedelta(days=d), s) for i, (d, s) in enumerate(cells)
+    ]
+    one_pass = dataclasses.replace(fitted_twin, cache=ResponseCache(None), parallelism=parallelism)
+    reference = PerScenarioTwin(**dict(vars(one_pass), cache=ResponseCache(None)))
+    assert (
+        run_counterfactuals(one_pass, scenarios).to_dict()
+        == run_counterfactuals(reference, scenarios).to_dict()
+    )
 
 
 def test_delta_antisymmetry(fitted_twin):
@@ -202,58 +252,64 @@ def ablation_inputs(synth_dataset):
         split=split,
         schema=synth_dataset.schema,
         population_spec=synth_dataset.population_spec,
-        engine_config=EngineConfig(
-            kind="synthetic-oracle", oracle_params=synth_dataset.oracle_params
-        ),
         template=synth_dataset.template,
         fit_config=FitConfig(trials=25, seed=2),
         population_seed=synth_dataset.population_seed,
     )
 
 
+def oracle_engine(schema):
+    return build_engine(
+        EngineConfig(kind="synthetic-oracle", oracle_params=default_oracle_params()), schema
+    )
+
+
+def ablate(inputs, *variants):
+    """The variants through one fresh oracle engine and in-memory cache."""
+    return run_ablation_suite(inputs, oracle_engine(inputs.schema), ResponseCache(None), variants)
+
+
 def test_ablation_uncalibrated_much_worse_than_full(ablation_inputs):
-    full, _ = run_ablation("full", ablation_inputs)
-    raw, _ = run_ablation("no-calibration", ablation_inputs)
+    report = ablate(ablation_inputs, "full", "no-calibration")
+    full, raw = report.macro_rmse["full"], report.macro_rmse["no-calibration"]
     assert raw > 2 * full
     assert raw > 1.0  # percent-unit error, not a rounding artifact
 
 
 def test_ablation_variant_determinism(ablation_inputs):
-    a, per_a = run_ablation("single-slope", ablation_inputs)
-    b, per_b = run_ablation("single-slope", ablation_inputs)
-    assert a == b and per_a == per_b
+    a = ablate(ablation_inputs, "single-slope")
+    b = ablate(ablation_inputs, "single-slope")
+    assert a.macro_rmse == b.macro_rmse and a.per_category == b.per_category
 
 
 def test_ablation_unknown_variant(ablation_inputs):
     with pytest.raises(ConfigError, match="unknown ablation variant"):
-        run_ablation("no-personas", ablation_inputs)
+        run_ablation("no-personas", ablation_inputs, {})
 
 
 def test_ablation_single_persona_population_size(ablation_inputs, synth_dataset):
-    from socialtwin.counterfactual import _variant_population
-
-    assert len(_variant_population("single-persona", ablation_inputs)) == 1
-    uniform = _variant_population("uniform-personas", ablation_inputs)
+    spec, seed = ablation_inputs.population_spec, ablation_inputs.population_seed
+    assert len(_population_builder("single-persona")(spec, seed)) == 1
+    uniform = _population_builder("uniform-personas")(spec, seed)
     assert len(uniform) == synth_dataset.population_spec.population_size
     assert len({tuple(sorted(p.attributes.items())) for p in uniform}) == 1
 
 
 def test_ablation_suite_simulates_each_population_once(ablation_inputs, monkeypatch):
-    from socialtwin.counterfactual import ABLATION_VARIANTS, run_ablation_suite
-
-    expected = {variant: run_ablation(variant, ablation_inputs) for variant in ABLATION_VARIANTS}
+    expected = {variant: ablate(ablation_inputs, variant) for variant in ABLATION_VARIANTS}
     passes = []
     original = DigitalTwin.simulate_contexts
 
     def counting(self, contexts):
-        passes.append(len(self.population))
+        passes.append((len(self.population), self.engine))
         return original(self, contexts)
 
     monkeypatch.setattr(DigitalTwin, "simulate_contexts", counting)
-    report = run_ablation_suite(ablation_inputs)
+    engine = oracle_engine(ablation_inputs.schema)
+    report = run_ablation_suite(ablation_inputs, engine, ResponseCache(None))
     # sampled (full, no-calibration, no-clipping, single-slope), uniform, single
     size = ablation_inputs.population_spec.population_size
-    assert passes == [size, size, 1]
-    for variant, (macro, per_category) in expected.items():
-        assert report.macro_rmse[variant] == macro
-        assert report.per_category[variant] == per_category
+    assert passes == [(size, engine), (size, engine), (1, engine)]
+    for variant, alone in expected.items():
+        assert report.macro_rmse[variant] == alone.macro_rmse[variant]
+        assert report.per_category[variant] == alone.per_category[variant]

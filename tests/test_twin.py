@@ -15,15 +15,15 @@ from socialtwin.cognition import (
     SimContext,
     build_engine,
     oracle_respond,
-    query,
     render_prompt,
 )
 from socialtwin.errors import ConfigError, EngineError
 from socialtwin.persona import Persona, sample_population
 from socialtwin.schema import CategorySchema
-from socialtwin.synthetic import default_oracle_params, default_population_spec
-from socialtwin.twin import DigitalTwin, SimulationLog, contexts_from_policy
+from synthetic import default_oracle_params, default_population_spec
+from socialtwin.twin import DigitalTwin, contexts_from_policy
 from socialtwin.ingest import DateRange, PolicyRecord
+from test_cognition import query
 
 
 def make_twin(schema, template, parallelism=1, population=None, engine=None, cache=None):
@@ -60,9 +60,11 @@ def test_simulate_contexts_covers_policy_dates(schema, pandemic_template):
     policy = [
         PolicyRecord(dt.date(2020, 5, 1) + dt.timedelta(days=i), 50.0 + i) for i in range(5)
     ]
-    aggregates, log = twin.simulate_contexts(contexts_from_policy(policy))
-    assert sorted(aggregates) == [r.date for r in policy]
-    assert all(n == 6 for n in log.survivors_by_date.values())
+    contexts = contexts_from_policy(policy)
+    aggregates, log = twin.simulate_contexts(contexts)
+    assert [c.date for c in contexts] == [r.date for r in policy]
+    assert len(aggregates) == len(contexts) and None not in aggregates
+    assert log.survivors_by_date == {r.date: 6 for r in policy}
 
 
 def test_contexts_from_policy_respects_ranges():
@@ -102,8 +104,7 @@ def test_failed_cells_excluded_and_logged(schema, pandemic_template):
     ]
     engine = HalfBrokenEngine(schema, broken_ids={"p1", "p3"})
     twin = make_twin(schema, pandemic_template, population=population, engine=engine)
-    log = SimulationLog()
-    aggregate = twin.simulate_context(SimContext(dt.date(2020, 5, 1), 50.0), log)
+    [aggregate], log = twin.simulate_contexts([SimContext(dt.date(2020, 5, 1), 50.0)])
     assert aggregate is not None
     assert log.survivors_by_date[dt.date(2020, 5, 1)] == 2
     assert {f["persona"] for f in log.failures} == {"p1", "p3"}
@@ -118,8 +119,8 @@ def test_all_cells_failed_gives_none(schema, pandemic_template):
     ]
     engine = HalfBrokenEngine(schema, broken_ids={"p0"})
     twin = make_twin(schema, pandemic_template, population=population, engine=engine)
-    log = SimulationLog()
-    assert twin.simulate_context(SimContext(dt.date(2020, 5, 1), 50.0), log) is None
+    [aggregate], log = twin.simulate_contexts([SimContext(dt.date(2020, 5, 1), 50.0)])
+    assert aggregate is None
     assert log.survivors_by_date[dt.date(2020, 5, 1)] == 0
 
 
@@ -164,7 +165,7 @@ def test_replay_miss_propagates_as_engine_error(schema, pandemic_template):
 
 def _naive_simulate(twin, contexts):
     """Reference: one render, query and aggregate per persona-cell."""
-    out = {}
+    out = []
     for context in contexts:
         vectors = [
             query(twin.engine, render_prompt(p, context, twin.template), p, context,
@@ -172,9 +173,9 @@ def _naive_simulate(twin, contexts):
             for p in twin.population
         ]
         if twin.aggregation == "weighted":
-            out[context.date] = aggregate_weighted(vectors, [p.weight for p in twin.population])
+            out.append(aggregate_weighted(vectors, [p.weight for p in twin.population]))
         else:
-            out[context.date] = aggregate_mean(vectors)
+            out.append(aggregate_mean(vectors))
     return out
 
 
@@ -281,7 +282,7 @@ def test_failed_profile_excludes_each_member_under_its_own_id(
         ("2020-05-01", "p1"), ("2020-05-01", "p3"), ("2020-05-02", "p1"), ("2020-05-02", "p3"),
     ]
     assert all(n == 3 for n in log.survivors_by_date.values())
-    assert aggregates[dt.date(2020, 5, 1)]["stay_home"] == 0.25
+    assert aggregates[0]["stay_home"] == 0.25
     # three profiles per date; the broken one is asked 1 + retry_limit times
     assert engine.call_count == 2 * (2 + 1 + engine.retry_limit)
 
@@ -333,7 +334,57 @@ def test_renamed_category_served_from_warm_cache(schema, pandemic_template):
                    persona, contexts[0], renamed, cache)
     assert warm.engine.call_count == calls
     assert not log.failures
-    for date, aggregate in before.items():
-        assert after[date]["renamed"] == aggregate[old_key]
-        assert all(after[date][k] == aggregate[k] for k in schema.keys if k != old_key)
+    for aggregate, renamed_aggregate in zip(before, after):
+        assert renamed_aggregate["renamed"] == aggregate[old_key]
+        assert all(renamed_aggregate[k] == aggregate[k] for k in schema.keys if k != old_key)
     assert vector.categories == renamed.keys
+
+
+class PartlyBrokenOracle:
+    """The noisy oracle, except garbage for prompts naming a broken value."""
+
+    replay_only = False
+    retry_limit = 1
+
+    def __init__(self, schema, broken):
+        params = dataclasses.replace(default_oracle_params(), noise_scale=0.3)
+        self.oracle = build_engine(EngineConfig(kind="synthetic-oracle", oracle_params=params), schema)
+        self.digest = self.oracle.digest
+        self.broken = broken
+
+    def respond(self, prompt, persona, context):
+        if any(value in prompt.text for value in self.broken):
+            return "no json here"
+        return self.oracle.respond(prompt, persona, context)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    employments=st.lists(st.sampled_from(PROFILE_VALUES["employment"]), min_size=1, max_size=12),
+    broken=st.sets(st.sampled_from(PROFILE_VALUES["employment"]), max_size=2),
+    # few dates and stringencies, so contexts repeat and share dates
+    cells=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from([0.0, 37.5, 60.0, 100.0])),
+        min_size=1,
+        max_size=8,
+    ),
+    parallelism=st.sampled_from([1, 4]),
+)
+def test_one_pass_equals_one_pass_per_context_bit_for_bit(
+    schema, pandemic_template, employments, broken, cells, parallelism
+):
+    population = [
+        Persona(id=f"p{i}", attributes={"nationality": "Expatriate", "employment": e,
+                                        "risk_perception": "High", "income": "Low"})
+        for i, e in enumerate(employments)
+    ]
+    contexts = [SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=d), s) for d, s in cells]
+
+    def fresh_twin():
+        return make_twin(schema, pandemic_template, parallelism=parallelism,
+                         population=population, engine=PartlyBrokenOracle(schema, broken))
+
+    one_pass, _ = fresh_twin().simulate_contexts(contexts)
+    twin = fresh_twin()
+    assert one_pass == [twin.simulate_context(c) for c in contexts]
+    assert (None in one_pass) == (set(employments) <= broken)
