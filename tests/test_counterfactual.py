@@ -23,7 +23,7 @@ from socialtwin.errors import ConfigError, DataError
 from socialtwin.ingest import DateRange, TemporalSplit
 from socialtwin.persona import sample_population
 from socialtwin.twin import DigitalTwin, SimulationLog
-from synthetic import default_oracle_params
+from test_cognition import oracle_engine
 
 SHOCK_DATE = dt.date(2020, 4, 15)
 
@@ -255,12 +255,6 @@ def ablation_inputs(synth_dataset):
         template=synth_dataset.template,
         fit_config=FitConfig(trials=25, seed=2),
         population_seed=synth_dataset.population_seed,
-    )
-
-
-def oracle_engine(schema):
-    return build_engine(
-        EngineConfig(kind="synthetic-oracle", oracle_params=default_oracle_params()), schema
     )
 
 
