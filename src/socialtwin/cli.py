@@ -7,6 +7,13 @@ artifacts produced under a different hash. Commands only read observation
 data from the split their purpose declares (calibrate: train; evaluate: the
 split being scored, plus earlier history for the persistence baseline).
 
+Commands read the artifacts that earlier commands wrote to the output
+directory under the same config: simulate reads none and writes
+aggregates.json; calibrate reads aggregates.json and writes
+calibration.json; evaluate and ablate read aggregates.json and
+calibration.json; counterfactual reads calibration.json. Run simulate, then
+calibrate, before the other three.
+
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 engine error.
 """
 
@@ -315,12 +322,16 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
     }
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def cmd_evaluate(config: RunConfig) -> None:
     """Score the twin, boosted, and persistence methods on validation and test."""
     aggregates = read_aggregates(config)
     calib_path = config.output_dir / "calibration.json"
     calibration, _ = load_calibration(calib_path, expected_config_hash=config.config_hash)
-    calibration_digest = hashlib.sha256(calib_path.read_bytes()).hexdigest()
+    calibration_digest = _sha256(calib_path)
     policy, _, observations, _ = _load_inputs(config)
     gbm_model = _gbm_fit_on_train(config, policy, observations)
     bl.save_gbm(gbm_model, config.output_dir / "gbm_model.json")
@@ -370,12 +381,17 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
             **_engine_counts(engine, twin.cache),
             "scenarios": [s.name for s in scenarios],
             "baseline": report.baseline_name,
+            "simulation_log": report.simulation_log.to_dict(),
         },
     )
 
 
 def cmd_ablate(config: RunConfig) -> None:
-    """Run the full ablation matrix and report macro-RMSE per variant."""
+    """Score the ablation matrix on the chain's aggregates and calibration and
+    report macro-RMSE per variant; only the persona variants simulate."""
+    aggregates = read_aggregates(config)
+    calib_path = config.output_dir / "calibration.json"
+    calibration, _ = load_calibration(calib_path, expected_config_hash=config.config_hash)
     policy, _, observations, _ = _load_inputs(config)
     inputs = AblationInputs(
         policy=policy,
@@ -387,10 +403,11 @@ def cmd_ablate(config: RunConfig) -> None:
         fit_config=config.fit,
         population_seed=config.seeds["population"],
         aggregation=config.aggregation,
+        parallelism=config.parallelism,
     )
     engine = build_engine(config.engine, config.schema)
     with ResponseCache(config.cache_path) as cache:
-        report = run_ablation_suite(inputs, engine, cache)
+        report = run_ablation_suite(inputs, engine, cache, aggregates, calibration)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["config_hash"] = config.config_hash
@@ -398,7 +415,17 @@ def cmd_ablate(config: RunConfig) -> None:
     _write_json(config.output_dir / "ablation.json", payload)
     _write_text(config.output_dir / "ablation.txt", report.to_text(), config)
     _write_manifest(
-        config, "ablate", {**_engine_counts(engine, cache), "variants": list(ABLATION_VARIANTS)}
+        config,
+        "ablate",
+        {
+            **_engine_counts(engine, cache),
+            "variants": list(ABLATION_VARIANTS),
+            "aggregates_sha256": _sha256(config.output_dir / "aggregates.json"),
+            "calibration_artifact_sha256": _sha256(calib_path),
+            "simulation_log": {
+                variant: log.to_dict() for variant, log in report.simulation_logs.items()
+            },
+        },
     )
 
 
@@ -428,7 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("evaluate", parents=[common], help="score twin and baselines on val/test")
     p = sub.add_parser("counterfactual", parents=[common], help="run a scenario sweep")
     p.add_argument("--scenarios", required=True, help="scenario sweep YAML file")
-    sub.add_parser("ablate", parents=[common], help="run the ablation matrix")
+    sub.add_parser(
+        "ablate", parents=[common],
+        help="run the ablation matrix (run simulate and calibrate first)",
+    )
     return parser
 
 

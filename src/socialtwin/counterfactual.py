@@ -16,7 +16,14 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .calibrate import FitConfig, apply_calibration, fit_calibration, fit_single_slope, pair_by_date
+from .calibrate import (
+    CalibrationParams,
+    FitConfig,
+    apply_calibration,
+    fit_calibration,
+    fit_single_slope,
+    pair_by_date,
+)
 from .cognition import BehaviorVector, ResponseCache, SimContext
 from .config import _load_yaml
 from .errors import ConfigError, DataError
@@ -24,7 +31,7 @@ from .evaluation import evaluate_predictions
 from .ingest import ObservationSeries, PolicyRecord, TemporalSplit
 from .persona import DemographicSpec, sample_population, uniform_population
 from .schema import CategorySchema
-from .twin import DigitalTwin, contexts_from_policy
+from .twin import DigitalTwin, SimulationLog, contexts_from_policy
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,7 @@ class CounterfactualReport:
     aggregate_deltas: dict[str, dict[str, float]] = field(default_factory=dict)
     monotonic: dict[str, bool] = field(default_factory=dict)
     bounded: dict[str, bool] = field(default_factory=dict)
+    simulation_log: SimulationLog = field(default_factory=SimulationLog)
 
     def to_dict(self) -> dict:
         return {
@@ -153,14 +161,14 @@ def run_counterfactuals(
     order-independent and replayable. The baseline scenario is the one named
     ``baseline`` (case-insensitive substring match) unless an explicit name
     is given; failing both, the first scenario listed. Results are ordered by
-    stringency.
+    stringency. The pass's log goes into the report's ``simulation_log``.
     """
     if not scenarios:
         raise ConfigError("no scenarios given")
     if twin.calibration is None:
         raise ConfigError("counterfactual runs need a fitted calibration")
     contexts = [SimContext(date=s.date, stringency=s.stringency_override) for s in scenarios]
-    aggregates, _ = twin.simulate_contexts(contexts)
+    aggregates, log = twin.simulate_contexts(contexts)
     results = []
     for scenario, aggregate in zip(scenarios, aggregates):
         if aggregate is None:
@@ -185,7 +193,9 @@ def run_counterfactuals(
                 r for r in results if r.scenario.name == scenarios[0].name
             )
 
-    report = CounterfactualReport(results=results, baseline_name=baseline_result.scenario.name)
+    report = CounterfactualReport(
+        results=results, baseline_name=baseline_result.scenario.name, simulation_log=log
+    )
     for r in results:
         report.metric_deltas[r.scenario.name] = {
             k: r.metrics[k] - baseline_result.metrics[k] for k in r.metrics
@@ -262,8 +272,8 @@ ABLATION_VARIANTS = (
 
 @dataclass
 class AblationInputs:
-    """The data and settings every ablation variant shares; the engine and
-    cache are given to ``run_ablation_suite``."""
+    """The data and settings every ablation variant shares; the engine,
+    cache, aggregates and calibration are given to ``run_ablation_suite``."""
 
     policy: list[PolicyRecord]
     observations: ObservationSeries
@@ -275,12 +285,16 @@ class AblationInputs:
     population_seed: int
     aggregation: str = "mean"
     eval_split: str = "test"
+    parallelism: int = 1
 
 
 @dataclass
 class AblationReport:
+    """Scores per variant, and the log of each variant population's pass."""
+
     macro_rmse: dict[str, float] = field(default_factory=dict)
     per_category: dict[str, dict[str, float]] = field(default_factory=dict)
+    simulation_logs: dict[str, SimulationLog] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {"macro_rmse": self.macro_rmse, "per_category_rmse": self.per_category}
@@ -294,7 +308,7 @@ class AblationReport:
 
 
 # The population builders of the variants that swap the population; every
-# other variant shares the sampled one.
+# other variant scores the sampled population's aggregates it is given.
 _POPULATION_BUILDERS = {
     "uniform-personas": lambda spec, seed: uniform_population(
         spec.modal_persona(), spec.population_size
@@ -305,29 +319,26 @@ _POPULATION_BUILDERS = {
 }
 
 
-def _population_builder(variant: str):
-    return _POPULATION_BUILDERS.get(variant, sample_population)
-
-
 def run_ablation(
-    variant: str, inputs: AblationInputs, aggregates: dict[dt.date, BehaviorVector]
+    variant: str,
+    inputs: AblationInputs,
+    aggregates: dict[dt.date, BehaviorVector],
+    calibration: CalibrationParams,
 ) -> tuple[float, dict[str, float]]:
     """Score one pipeline variant on the ``aggregates`` of its population;
     returns (macro RMSE, per-category RMSE).
 
-    Variant semantics: no-calibration predicts 100 * aggregated probability
-    with no fitted map; no-clipping fits the affine map with unbounded clip;
-    single-slope shares one (alpha, beta) across categories; the persona
-    variants swap the population and keep the full calibration.
+    Variant semantics: full applies ``calibration``, the map fitted on the
+    sampled population's train dates; no-calibration predicts 100 * aggregated
+    probability with no fitted map; no-clipping fits the affine map with
+    unbounded clip; single-slope shares one (alpha, beta) across categories;
+    the persona variants swap the population and fit the full calibration on
+    its aggregates.
     """
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
     eval_range = inputs.split.range_for(inputs.eval_split)
-    train_aggregates = {
-        d: v for d, v in aggregates.items() if inputs.split.train.contains(d)
-    }
     eval_aggregates = {d: v for d, v in aggregates.items() if eval_range.contains(d)}
-    train_obs = inputs.observations.restrict(inputs.split.train)
     eval_obs = inputs.observations.restrict(eval_range)
 
     if variant == "no-calibration":
@@ -335,14 +346,22 @@ def run_ablation(
             d: {k: 100.0 * v[k] for k in v.categories} for d, v in eval_aggregates.items()
         }
     else:
-        train_pairs = pair_by_date(train_aggregates, train_obs)
-        if variant == "single-slope":
-            params, _ = fit_single_slope(train_pairs, inputs.fit_config)
-        elif variant == "no-clipping":
-            unclipped = replace(inputs.fit_config, clip_bounds=(-math.inf, math.inf))
-            params, _ = fit_calibration(train_pairs, unclipped)
+        if variant == "full":
+            params = calibration
         else:
-            params, _ = fit_calibration(train_pairs, inputs.fit_config)
+            train_aggregates = {
+                d: v for d, v in aggregates.items() if inputs.split.train.contains(d)
+            }
+            train_pairs = pair_by_date(
+                train_aggregates, inputs.observations.restrict(inputs.split.train)
+            )
+            if variant == "single-slope":
+                params, _ = fit_single_slope(train_pairs, inputs.fit_config)
+            elif variant == "no-clipping":
+                unclipped = replace(inputs.fit_config, clip_bounds=(-math.inf, math.inf))
+                params, _ = fit_calibration(train_pairs, unclipped)
+            else:
+                params, _ = fit_calibration(train_pairs, inputs.fit_config)
         predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
 
     report = evaluate_predictions(variant, inputs.eval_split, predictions, eval_obs)
@@ -353,18 +372,28 @@ def run_ablation_suite(
     inputs: AblationInputs,
     engine,
     cache: ResponseCache,
+    aggregates: dict[dt.date, BehaviorVector],
+    calibration: CalibrationParams,
     variants: Sequence[str] = ABLATION_VARIANTS,
 ) -> AblationReport:
-    """Run each variant over the train and eval dates through one engine and
-    cache; the variants that keep the sampled population share one
-    simulation of it."""
+    """Score each variant; the chain's artifacts stand in for the sampled
+    population.
+
+    ``aggregates`` is the sampled population's series (``aggregates.json``)
+    and ``calibration`` its fitted map (``calibration.json``): full,
+    no-calibration, no-clipping and single-slope score those aggregates, and
+    full applies that map without refitting it. Only the persona variants
+    simulate, one pass each over the train and eval dates through ``engine``
+    and ``cache``; each pass's log goes into the report's ``simulation_logs``
+    under its variant.
+    """
     eval_range = inputs.split.range_for(inputs.eval_split)
     contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
     report = AblationReport()
-    shared: dict[object, dict[dt.date, BehaviorVector]] = {}
     for variant in variants:
-        builder = _population_builder(variant)
-        if builder not in shared:
+        variant_aggregates = aggregates
+        builder = _POPULATION_BUILDERS.get(variant)
+        if builder is not None:
             twin = DigitalTwin(
                 population=builder(inputs.population_spec, inputs.population_seed),
                 engine=engine,
@@ -372,10 +401,11 @@ def run_ablation_suite(
                 template=inputs.template,
                 schema=inputs.schema,
                 aggregation=inputs.aggregation,
+                parallelism=inputs.parallelism,
             )
-            vectors, _ = twin.simulate_contexts(contexts)
-            shared[builder] = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
-        macro, per_category = run_ablation(variant, inputs, shared[builder])
+            vectors, report.simulation_logs[variant] = twin.simulate_contexts(contexts)
+            variant_aggregates = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
+        macro, per_category = run_ablation(variant, inputs, variant_aggregates, calibration)
         report.macro_rmse[variant] = macro
         report.per_category[variant] = per_category
     return report

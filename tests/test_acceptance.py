@@ -47,6 +47,7 @@ from synthetic import (
 from socialtwin.twin import DigitalTwin
 
 from conftest import SPLIT_18MO, write_run_workspace
+from test_counterfactual import sampled_artifacts
 from test_evaluation import REFERENCE_GBM, REFERENCE_TWIN, make_report
 
 ALPHA_REL_TOL = 0.01
@@ -145,8 +146,10 @@ def test_criterion_4_ablation_ordering(long_dataset, eighteen_month_split):
             EngineConfig(kind="synthetic-oracle", oracle_params=long_dataset.oracle_params),
             long_dataset.schema,
         )
+        cache = ResponseCache(None)
+        aggregates, calibration = sampled_artifacts(inputs, engine, cache)
         variants = ("full", "no-calibration", "single-persona")
-        report = run_ablation_suite(inputs, engine, ResponseCache(None), variants)
+        report = run_ablation_suite(inputs, engine, cache, aggregates, calibration, variants)
         full, raw, single = (report.macro_rmse[v] for v in variants)
         assert raw >= 2.0 * full
         assert single >= full

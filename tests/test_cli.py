@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -116,13 +117,52 @@ def test_usage_errors_exit_one(capsys):
 
 def test_ablate_writes_all_variants(workspace):
     root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
     assert run(config_path, "ablate") == 0
-    payload = json.loads((root / "out" / "ablation.json").read_text())
+    out = root / "out"
+    payload = json.loads((out / "ablation.json").read_text())
     assert set(payload["macro_rmse"]) == {
         "full", "no-calibration", "no-clipping", "single-slope",
         "uniform-personas", "single-persona",
     }
     assert payload["macro_rmse"]["no-calibration"] > payload["macro_rmse"]["full"]
+    manifest = json.loads((out / "ablate_manifest.json").read_text())
+    for key, name in (("aggregates_sha256", "aggregates.json"),
+                      ("calibration_artifact_sha256", "calibration.json")):
+        assert manifest[key] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    logs = manifest["simulation_log"]
+    assert set(logs) == {"uniform-personas", "single-persona"}
+    assert all(log["failures"] == [] and log["survivors_by_date"] for log in logs.values())
+
+
+def test_ablate_before_simulate_is_data_error(workspace, capsys):
+    _, config_path = workspace
+    assert run(config_path, "ablate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "run `simulate` first" in err
+
+
+def test_ablate_before_calibrate_is_data_error(workspace, capsys):
+    _, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    capsys.readouterr()
+    assert run(config_path, "ablate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "calibration.json" in err
+
+
+def test_ablate_refuses_artifacts_of_another_config(workspace, capsys):
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    config = yaml.safe_load(config_path.read_text())
+    config["seeds"]["population"] = 999
+    config_path.write_text(yaml.safe_dump(config))
+    capsys.readouterr()
+    assert run(config_path, "ablate") == 1
+    assert "refusing to mix" in capsys.readouterr().err
+    assert not (root / "out" / "ablation.json").exists()
 
 
 def test_calibrate_manifest_declares_train_only_reads(workspace):
@@ -272,7 +312,7 @@ def test_evaluate_rejects_damaged_calibration_artifact(workspace, capsys, damage
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "ablate"])
 @pytest.mark.parametrize(
     "damage",
     [
@@ -352,14 +392,15 @@ def test_counterfactual_is_one_pass_and_ablate_builds_one_engine(workspace, monk
     assert calls == [("engine",), ("pass", 3)]
     calls.clear()
     assert run(config_path, "ablate") == 0
-    # the sampled, uniform and single-persona populations: three passes, one engine
-    assert [c[0] for c in calls] == ["engine", "pass", "pass", "pass"]
+    # the uniform and single-persona populations: two passes, one engine
+    assert [c[0] for c in calls] == ["engine", "pass", "pass"]
 
 
 def test_warm_chain_manifests_report_zero_engine_calls(workspace):
     root, config_path = workspace
     cold = _chain(root, config_path)
     warm = _chain(root, config_path)
+    assert cold["counterfactual"]["simulation_log"]["failures"] == []
     for command in ("simulate", "counterfactual", "ablate"):
         assert cold[command]["engine_calls"] > 0, command
         assert cold[command]["cache_misses"] == cold[command]["engine_calls"], command

@@ -1,17 +1,26 @@
 import dataclasses
 import datetime as dt
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialtwin.calibrate import FitConfig, fit_calibration, pair_by_date
+from socialtwin import counterfactual
+from socialtwin.calibrate import (
+    FitConfig,
+    apply_calibration,
+    fit_calibration,
+    fit_single_slope,
+    pair_by_date,
+)
 from socialtwin.cognition import EngineConfig, ResponseCache, build_engine
 from socialtwin.counterfactual import (
+    _POPULATION_BUILDERS,
     ABLATION_VARIANTS,
     AblationInputs,
+    AblationReport,
     Scenario,
-    _population_builder,
     check_boundedness,
     check_monotonicity,
     load_scenarios,
@@ -20,9 +29,10 @@ from socialtwin.counterfactual import (
     run_counterfactuals,
 )
 from socialtwin.errors import ConfigError, DataError
+from socialtwin.evaluation import evaluate_predictions
 from socialtwin.ingest import DateRange, TemporalSplit
 from socialtwin.persona import sample_population
-from socialtwin.twin import DigitalTwin, SimulationLog
+from socialtwin.twin import DigitalTwin, SimulationLog, contexts_from_policy
 from test_cognition import oracle_engine
 
 SHOCK_DATE = dt.date(2020, 4, 15)
@@ -258,9 +268,82 @@ def ablation_inputs(synth_dataset):
     )
 
 
+# The suite as it ran before it scored the chain's artifacts: every variant
+# population is simulated here, the sampled one included, and full fits its
+# own calibration. The tests compare the suite against it.
+
+
+def reference_run_ablation(variant, inputs, aggregates):
+    eval_range = inputs.split.range_for(inputs.eval_split)
+    train_aggregates = {d: v for d, v in aggregates.items() if inputs.split.train.contains(d)}
+    eval_aggregates = {d: v for d, v in aggregates.items() if eval_range.contains(d)}
+    train_obs = inputs.observations.restrict(inputs.split.train)
+    eval_obs = inputs.observations.restrict(eval_range)
+    if variant == "no-calibration":
+        predictions = {
+            d: {k: 100.0 * v[k] for k in v.categories} for d, v in eval_aggregates.items()
+        }
+    else:
+        train_pairs = pair_by_date(train_aggregates, train_obs)
+        if variant == "single-slope":
+            params, _ = fit_single_slope(train_pairs, inputs.fit_config)
+        elif variant == "no-clipping":
+            unclipped = dataclasses.replace(inputs.fit_config, clip_bounds=(-math.inf, math.inf))
+            params, _ = fit_calibration(train_pairs, unclipped)
+        else:
+            params, _ = fit_calibration(train_pairs, inputs.fit_config)
+        predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
+    report = evaluate_predictions(variant, inputs.eval_split, predictions, eval_obs)
+    return report.macro_rmse, report.per_category_rmse
+
+
+def reference_aggregates(inputs, engine, cache, population):
+    """One population's aggregates over the train and eval dates."""
+    eval_range = inputs.split.range_for(inputs.eval_split)
+    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
+    twin = DigitalTwin(
+        population=population,
+        engine=engine,
+        cache=cache,
+        template=inputs.template,
+        schema=inputs.schema,
+        aggregation=inputs.aggregation,
+    )
+    vectors, _ = twin.simulate_contexts(contexts)
+    return {c.date: v for c, v in zip(contexts, vectors) if v is not None}
+
+
+def reference_ablation_suite(inputs, engine, cache, variants=ABLATION_VARIANTS):
+    report = AblationReport()
+    shared = {}
+    for variant in variants:
+        builder = _POPULATION_BUILDERS.get(variant, sample_population)
+        if builder not in shared:
+            population = builder(inputs.population_spec, inputs.population_seed)
+            shared[builder] = reference_aggregates(inputs, engine, cache, population)
+        macro, per_category = reference_run_ablation(variant, inputs, shared[builder])
+        report.macro_rmse[variant] = macro
+        report.per_category[variant] = per_category
+    return report
+
+
+def sampled_artifacts(inputs, engine, cache):
+    """What ``simulate`` and ``calibrate`` hand the suite: the sampled
+    population's aggregates and the full calibration fitted on their train
+    dates, both built as the reference builds them."""
+    population = sample_population(inputs.population_spec, inputs.population_seed)
+    aggregates = reference_aggregates(inputs, engine, cache, population)
+    train = {d: v for d, v in aggregates.items() if inputs.split.train.contains(d)}
+    pairs = pair_by_date(train, inputs.observations.restrict(inputs.split.train))
+    calibration, _ = fit_calibration(pairs, inputs.fit_config)
+    return aggregates, calibration
+
+
 def ablate(inputs, *variants):
     """The variants through one fresh oracle engine and in-memory cache."""
-    return run_ablation_suite(inputs, oracle_engine(inputs.schema), ResponseCache(None), variants)
+    engine, cache = oracle_engine(inputs.schema), ResponseCache(None)
+    aggregates, calibration = sampled_artifacts(inputs, engine, cache)
+    return run_ablation_suite(inputs, engine, cache, aggregates, calibration, variants)
 
 
 def test_ablation_uncalibrated_much_worse_than_full(ablation_inputs):
@@ -278,32 +361,150 @@ def test_ablation_variant_determinism(ablation_inputs):
 
 def test_ablation_unknown_variant(ablation_inputs):
     with pytest.raises(ConfigError, match="unknown ablation variant"):
-        run_ablation("no-personas", ablation_inputs, {})
+        run_ablation("no-personas", ablation_inputs, {}, None)
 
 
 def test_ablation_single_persona_population_size(ablation_inputs, synth_dataset):
     spec, seed = ablation_inputs.population_spec, ablation_inputs.population_seed
-    assert len(_population_builder("single-persona")(spec, seed)) == 1
-    uniform = _population_builder("uniform-personas")(spec, seed)
+    assert len(_POPULATION_BUILDERS["single-persona"](spec, seed)) == 1
+    uniform = _POPULATION_BUILDERS["uniform-personas"](spec, seed)
     assert len(uniform) == synth_dataset.population_spec.population_size
     assert len({tuple(sorted(p.attributes.items())) for p in uniform}) == 1
 
 
 def test_ablation_suite_simulates_each_population_once(ablation_inputs, monkeypatch):
     expected = {variant: ablate(ablation_inputs, variant) for variant in ABLATION_VARIANTS}
+    engine, cache = oracle_engine(ablation_inputs.schema), ResponseCache(None)
+    aggregates, calibration = sampled_artifacts(ablation_inputs, engine, cache)
     passes = []
+    fits = []
     original = DigitalTwin.simulate_contexts
+    original_fit = counterfactual.fit_calibration
 
     def counting(self, contexts):
         passes.append((len(self.population), self.engine))
         return original(self, contexts)
 
+    def counting_fit(*args):
+        fits.append(args)
+        return original_fit(*args)
+
     monkeypatch.setattr(DigitalTwin, "simulate_contexts", counting)
-    engine = oracle_engine(ablation_inputs.schema)
-    report = run_ablation_suite(ablation_inputs, engine, ResponseCache(None))
-    # sampled (full, no-calibration, no-clipping, single-slope), uniform, single
+    monkeypatch.setattr(counterfactual, "fit_calibration", counting_fit)
+    report = run_ablation_suite(ablation_inputs, engine, cache, aggregates, calibration)
+    # only the uniform and single-persona populations; full keeps its given map
     size = ablation_inputs.population_spec.population_size
-    assert passes == [(size, engine), (size, engine), (1, engine)]
+    assert passes == [(size, engine), (1, engine)]
+    assert len(fits) == 3  # no-clipping and the two persona variants
     for variant, alone in expected.items():
         assert report.macro_rmse[variant] == alone.macro_rmse[variant]
         assert report.per_category[variant] == alone.per_category[variant]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    variants=st.lists(st.sampled_from(ABLATION_VARIANTS), min_size=1, unique=True),
+    aggregation=st.sampled_from(["mean", "weighted"]),
+    eval_split=st.sampled_from(["validation", "test"]),
+    population_seed=st.integers(0, 2**16),
+    fit_seed=st.integers(0, 2**16),
+)
+def test_ablation_suite_equals_self_simulating_reference(
+    ablation_inputs, variants, aggregation, eval_split, population_seed, fit_seed
+):
+    inputs = dataclasses.replace(
+        ablation_inputs,
+        aggregation=aggregation,
+        eval_split=eval_split,
+        population_seed=population_seed,
+        fit_config=dataclasses.replace(ablation_inputs.fit_config, trials=10, seed=fit_seed),
+    )
+    engine, cache = oracle_engine(inputs.schema), ResponseCache(None)
+    aggregates, calibration = sampled_artifacts(inputs, engine, cache)
+    report = run_ablation_suite(inputs, engine, cache, aggregates, calibration, variants)
+    reference = reference_ablation_suite(
+        inputs, oracle_engine(inputs.schema), ResponseCache(None), variants
+    )
+    assert list(report.macro_rmse) == variants
+    assert report.to_dict() == reference.to_dict()
+
+
+def test_ablation_suite_is_bit_identical_at_any_parallelism(ablation_inputs, monkeypatch):
+    engine, cache = oracle_engine(ablation_inputs.schema), ResponseCache(None)
+    aggregates, calibration = sampled_artifacts(ablation_inputs, engine, cache)
+    workers = []
+    original = DigitalTwin.simulate_contexts
+
+    def recording(self, contexts):
+        workers.append(self.parallelism)
+        return original(self, contexts)
+
+    monkeypatch.setattr(DigitalTwin, "simulate_contexts", recording)
+    reports = [
+        run_ablation_suite(
+            dataclasses.replace(ablation_inputs, parallelism=parallelism),
+            oracle_engine(ablation_inputs.schema),
+            ResponseCache(None),
+            aggregates,
+            calibration,
+        )
+        for parallelism in (1, 3)
+    ]
+    assert workers == [1, 1, 3, 3]
+    assert reports[0] == reports[1]
+    assert set(reports[0].simulation_logs) == {"uniform-personas", "single-persona"}
+
+
+class ProfileBrokenEngine:
+    """The oracle's answers, except garbage for one attribute profile on the
+    given dates."""
+
+    replay_only = False
+    digest = "model:profile-broken"
+    retry_limit = 0
+    call_count = 0
+
+    def __init__(self, schema, attributes, dates):
+        self.oracle = oracle_engine(schema)
+        self.attributes = attributes
+        self.dates = dates
+
+    def respond(self, prompt, persona, context):
+        if persona.attributes == self.attributes and context.date in self.dates:
+            return "no json here"
+        return self.oracle.respond(prompt, persona, context)
+
+
+def test_sweep_logs_each_excluded_persona_under_its_own_id(fitted_twin):
+    attributes = fitted_twin.population[0].attributes
+    members = [p.id for p in fitted_twin.population if p.attributes == attributes]
+    engine = ProfileBrokenEngine(fitted_twin.schema, attributes, {SHOCK_DATE})
+    twin = dataclasses.replace(fitted_twin, engine=engine, cache=ResponseCache(None))
+    log = run_counterfactuals(twin, sweep()).simulation_log
+    # one date, three scenarios: the profile fails in each
+    assert [f["persona"] for f in log.failures] == members * 3
+    assert {f["date"] for f in log.failures} == {SHOCK_DATE.isoformat()}
+    assert log.survivors_by_date == {SHOCK_DATE: len(fitted_twin.population) - len(members)}
+
+
+def test_ablation_logs_each_excluded_persona_under_its_own_id(ablation_inputs):
+    spec, seed = ablation_inputs.population_spec, ablation_inputs.population_seed
+    broken_date = ablation_inputs.split.train.start
+    attributes = spec.modal_persona().attributes
+    engine = ProfileBrokenEngine(ablation_inputs.schema, attributes, {broken_date})
+    aggregates, calibration = sampled_artifacts(
+        ablation_inputs, oracle_engine(ablation_inputs.schema), ResponseCache(None)
+    )
+    report = run_ablation_suite(
+        ablation_inputs, engine, ResponseCache(None), aggregates, calibration
+    )
+    assert set(report.simulation_logs) == {"uniform-personas", "single-persona"}
+    for variant, log in report.simulation_logs.items():
+        population = _POPULATION_BUILDERS[variant](spec, seed)
+        excluded = [p.id for p in population if p.attributes == attributes]
+        assert [f["persona"] for f in log.failures] == excluded, variant
+        assert {f["date"] for f in log.failures} <= {broken_date.isoformat()}
+        assert log.survivors_by_date[broken_date] == len(population) - len(excluded)
+    # every uniform persona is the modal one, each logged under its own id
+    uniform = report.simulation_logs["uniform-personas"].failures
+    assert len({f["persona"] for f in uniform}) == spec.population_size
