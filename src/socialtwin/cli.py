@@ -25,6 +25,7 @@ import datetime as dt
 import hashlib
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import baseline as bl
@@ -174,7 +175,7 @@ def cmd_simulate(config: RunConfig) -> None:
     contexts = contexts_from_policy(policy, ranges)
     if not contexts:
         raise DataError("no policy dates fall inside the configured split ranges")
-    with twin.cache:
+    with twin.cache, closing(engine):
         vectors, sim_log = twin.simulate_contexts(contexts)
     aggregates = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -362,7 +363,7 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
     )
     scenarios = load_scenarios(scenario_path)
     twin, engine = _build_twin(config, calibration=calibration)
-    with twin.cache:
+    with twin.cache, closing(engine):
         report = run_counterfactuals(twin, scenarios)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
@@ -381,7 +382,10 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
             **_engine_counts(engine, twin.cache),
             "scenarios": [s.name for s in scenarios],
             "baseline": report.baseline_name,
-            "simulation_log": report.simulation_log.to_dict(),
+            "simulation_log": {
+                "survivors_by_scenario": report.survivors_by_scenario,
+                "failures": report.simulation_log.failures,
+            },
         },
     )
 
@@ -406,7 +410,7 @@ def cmd_ablate(config: RunConfig) -> None:
         parallelism=config.parallelism,
     )
     engine = build_engine(config.engine, config.schema)
-    with ResponseCache(config.cache_path) as cache:
+    with ResponseCache(config.cache_path) as cache, closing(engine):
         report = run_ablation_suite(inputs, engine, cache, aggregates, calibration)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()

@@ -17,24 +17,36 @@ Cache records are JSON lines that start with their ``key`` field; opening a
 cache indexes them by key and decodes each on its first lookup, so a corrupt
 record of that layout fails when it is first used, not at open. Records of
 the older sorted layout (``created`` first) are still read, decoded at open.
+
+The ``remote-http`` engine speaks HTTP through the standard library's
+``http.client``, loaded on its first request. It reuses a connection when the
+server allows it, reads the proxy and netrc settings once per engine, verifies
+TLS against the system trust store (``SSL_CERT_FILE`` applies,
+``REQUESTS_CA_BUNDLE`` does not), follows no redirect, and decodes the body
+with the ``Content-Type`` charset, else UTF-8.
 """
 
 from __future__ import annotations
 
+import base64
 import datetime as dt
 import functools
 import hashlib
 import json
 import math
+import os
 import string
 import threading
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
+from urllib.parse import unquote, urlsplit
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError, DataError, EngineError, ParseError
 from .persona import Persona
 from .schema import CategorySchema
@@ -295,6 +307,20 @@ def oracle_respond(params: OracleParams, persona: Persona, context: SimContext) 
 ENGINE_KINDS = ("remote-http", "synthetic-oracle", "replay-cache")
 
 
+def _check_endpoint(endpoint) -> None:
+    """An endpoint is an ``http`` or ``https`` URL with a host and a valid port."""
+    try:
+        url = urlsplit(endpoint)
+        url.port  # raises ValueError for a port that is not a number in 0-65535
+        valid = url.scheme in ("http", "https") and bool(url.hostname)
+    except (AttributeError, ValueError):  # AttributeError: not a string
+        valid = False
+    if not valid:
+        raise ConfigError(
+            f"engine endpoint {endpoint!r} must be an http:// or https:// URL with a host"
+        )
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Which engine to run and how; decoding params are provenance, recorded
@@ -315,12 +341,16 @@ class EngineConfig:
     def __post_init__(self):
         if self.kind not in ENGINE_KINDS:
             raise ConfigError(f"unknown engine kind {self.kind!r}; expected one of {ENGINE_KINDS}")
-        if self.kind == "remote-http" and (not self.endpoint or not self.model_name):
-            raise ConfigError("remote-http engine requires endpoint and model_name")
+        if self.kind == "remote-http":
+            if not self.endpoint or not self.model_name:
+                raise ConfigError("remote-http engine requires endpoint and model_name")
+            _check_endpoint(self.endpoint)
         if self.kind == "synthetic-oracle" and self.oracle_params is None:
             raise ConfigError("synthetic-oracle engine requires oracle_params")
         if self.retry_limit < 0:
             raise ConfigError(f"retry_limit must be >= 0, got {self.retry_limit}")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise ConfigError(f"timeout must be a positive number of seconds, got {self.timeout}")
 
     def engine_digest(self) -> str:
         """The identity folded into cache keys: model name or oracle digest."""
@@ -353,6 +383,9 @@ class SyntheticOracleEngine:
         vector = oracle_respond(self.params, persona, context)
         return json.dumps({c.response_key: vector[c.key] for c in self.schema})
 
+    def close(self) -> None:
+        """Nothing to release; every engine has ``close``."""
+
 
 def walk_response_path(node, path: str):
     """Follow a dot-separated path through nested JSON; integer segments
@@ -367,6 +400,92 @@ def walk_response_path(node, path: str):
     return node
 
 
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+
+
+def _netrc_auth(host: str) -> tuple[str, str] | None:
+    """(login, password) for ``host`` from ``$NETRC``, else ``~/.netrc`` or
+    ``~/_netrc``; an unreadable or malformed file gives none."""
+    import netrc
+
+    path = os.environ.get("NETRC")
+    for candidate in [path] if path is not None else ["~/.netrc", "~/_netrc"]:
+        candidate = os.path.expanduser(candidate)
+        if not os.path.exists(candidate):
+            continue
+        try:
+            entry = netrc.netrc(candidate).authenticators(host)
+        except (netrc.NetrcParseError, OSError):
+            return None
+        if entry is None:
+            return None
+        login, account, password = entry
+        return login or account, password
+    return None
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How every POST reaches the endpoint: the connection to open, the
+    request target and the headers."""
+
+    connect: Callable[[], object]
+    target: str
+    headers: dict[str, str]
+
+
+def _resolve_route(endpoint: str, timeout: float) -> _Route:
+    """Read the proxy and netrc settings for ``endpoint`` and fix its route."""
+    import http.client
+    import ssl
+    import urllib.request
+
+    url = urlsplit(endpoint)
+    netloc = url.netloc.rpartition("@")[2]
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    headers = {"Content-Type": "application/json", "User-Agent": f"socialtwin/{__version__}"}
+    auth = _netrc_auth(url.hostname)
+    if auth is None and url.password is not None:
+        auth = unquote(url.username), unquote(url.password)
+    if auth is not None:
+        headers["Authorization"] = _basic_auth(*auth)
+
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if proxy and urllib.request.proxy_bypass_environment(netloc, proxies):
+        proxy = None
+    host, port, proxy_headers = url.hostname, url.port, {}
+    if proxy:
+        proxy_url = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+        if proxy_url.scheme != "http" or not proxy_url.hostname:
+            raise EngineError(
+                f"proxy for {url.scheme} must be an http:// URL with a host, "
+                f"got scheme {proxy_url.scheme!r}"
+            )
+        host, port = proxy_url.hostname, proxy_url.port
+        if proxy_url.password is not None:
+            proxy_headers["Proxy-Authorization"] = _basic_auth(
+                unquote(proxy_url.username), unquote(proxy_url.password)
+            )
+
+    if url.scheme == "http":
+        if proxy:  # the proxy forwards an absolute-form target
+            target = f"http://{netloc}{target}"
+            headers.update(proxy_headers)
+        return _Route(lambda: http.client.HTTPConnection(host, port, timeout=timeout), target, headers)
+
+    context = ssl.create_default_context()
+
+    def connect():
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
+        if proxy:  # TLS to the endpoint inside a CONNECT tunnel
+            conn.set_tunnel(url.hostname, url.port, proxy_headers)
+        return conn
+
+    return _Route(connect, target, headers)
+
+
 class RemoteHttpEngine:
     """POSTs the prompt to a hosted model endpoint and returns the text body.
 
@@ -374,6 +493,28 @@ class RemoteHttpEngine:
     decoding params}; the response text is taken from ``response_text_path``
     (dot-separated, integer segments index lists) or the raw body when the
     path is unset. Transport errors are retried by the query layer.
+
+    The transport is ``http.client``. The engine keeps a free-list of idle
+    connections: a worker takes one (or opens one), POSTs, reads the whole
+    reply and puts the connection back, unless the reply says the server
+    will close it; ``close`` closes the idle ones. A POST that fails on a
+    reused connection before the reply's status line arrives (the server
+    dropped the idle connection) is sent once more on a new connection; no
+    other failure is resent.
+
+    On the first connection the engine reads, once, ``http_proxy``,
+    ``https_proxy``, ``all_proxy`` and ``no_proxy``, and the ``$NETRC`` or
+    ``~/.netrc`` entry for the endpoint's host. Plain HTTP goes through a
+    proxy with an absolute-form request target, HTTPS through a CONNECT
+    tunnel; only ``http://`` proxies are supported. The netrc credentials,
+    else userinfo in the endpoint URL, are sent as Basic auth. HTTPS
+    verifies the certificate against the system trust store, where
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` apply and ``REQUESTS_CA_BUNDLE``
+    does not. ``timeout`` bounds the connect and each read. Redirects are
+    not followed: any status of 300 or more is an EngineError, as are a
+    transport failure and a body that cannot be decoded (with the
+    ``Content-Type`` charset, else UTF-8) or, when ``response_text_path``
+    is set, is not JSON.
     """
 
     replay_only = False
@@ -383,12 +524,16 @@ class RemoteHttpEngine:
         self.digest = config.engine_digest()
         self.retry_limit = config.retry_limit
         self.call_count = 0
-        self._count_lock = threading.Lock()  # respond runs on worker threads
+        self._lock = threading.Lock()  # respond runs on worker threads
+        self._route: _Route | None = None  # resolved on the first connection
+        self._idle: list = []
+        url = urlsplit(config.endpoint)  # error messages leave out userinfo credentials
+        self._shown = url._replace(netloc=url.netloc.rpartition("@")[2]).geturl()
 
     def respond(self, prompt: PromptText, persona: Persona, context: SimContext) -> str:
-        import requests
+        import http.client
 
-        with self._count_lock:
+        with self._lock:
             self.call_count += 1
         cfg = self.config
         body = {
@@ -397,14 +542,59 @@ class RemoteHttpEngine:
         }
         body.update(cfg.decoding)
         try:
-            resp = requests.post(cfg.endpoint, json=body, timeout=cfg.timeout)
-            resp.raise_for_status()
+            text = self._post(json.dumps(body, allow_nan=False).encode("utf-8"))
             if cfg.response_text_path is None:
-                return resp.text
-            payload = resp.json()  # a non-JSON body raises a RequestException too
-        except requests.RequestException as exc:
-            raise EngineError(f"engine request to {cfg.endpoint} failed: {exc}") from exc
+                return text
+            payload = json.loads(text)
+        except (OSError, http.client.HTTPException, ValueError, LookupError) as exc:
+            # ValueError: a body that does not decode or is not JSON;
+            # LookupError: an unknown charset
+            raise EngineError(f"engine request to {self._shown} failed: {exc}") from exc
         return str(walk_response_path(payload, cfg.response_text_path))
+
+    def _post(self, body: bytes) -> str:
+        """POST ``body`` on an idle connection, or a new one; the decoded reply."""
+        with self._lock:
+            if self._route is None:
+                self._route = _resolve_route(self.config.endpoint, self.config.timeout)
+            route = self._route
+            conn = self._idle.pop() if self._idle else None
+        reused = conn is not None
+        try:
+            if not reused:
+                conn = route.connect()
+            try:
+                conn.request("POST", route.target, body, route.headers)
+                reply = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                conn = route.connect()
+                conn.request("POST", route.target, body, route.headers)
+                reply = conn.getresponse()
+            data = reply.read()
+        except BaseException:
+            if conn is not None:
+                conn.close()
+            raise
+        if reply.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        if reply.status >= 300:
+            raise EngineError(
+                f"engine request to {self._shown} failed: HTTP {reply.status} {reply.reason}"
+            )
+        return data.decode(reply.msg.get_content_charset("utf-8"))
+
+    def close(self) -> None:
+        """Close the idle connections; a later ``respond`` opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 class ReplayEngine:
@@ -422,6 +612,9 @@ class ReplayEngine:
             f"replay-cache engine queried for persona {prompt.persona_id}; "
             "populate the cache first or switch engine kind"
         )
+
+    def close(self) -> None:
+        """Nothing to release; every engine has ``close``."""
 
 
 def build_engine(config: EngineConfig, schema: CategorySchema):

@@ -201,6 +201,10 @@ def load_run_config(
                 f"--engine must be one of {sorted(ENGINE_FLAG_KINDS)}, got {engine_override!r}"
             )
         engine_raw["kind"] = ENGINE_FLAG_KINDS[engine_override]
+    try:
+        timeout = float(engine_raw.get("timeout", 30.0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"engine timeout must be a number, got {engine_raw['timeout']!r}") from None
     oracle_params = None
     if engine_raw.get("oracle"):
         oracle_params = OracleParams.from_dict(engine_raw["oracle"])
@@ -213,7 +217,7 @@ def load_run_config(
         decoding=dict(engine_raw.get("decoding") or {}),
         request_fields=dict(engine_raw.get("request_fields") or {"model": "model", "prompt": "prompt"}),
         response_text_path=engine_raw.get("response_text_path"),
-        timeout=float(engine_raw.get("timeout", 30.0)),
+        timeout=timeout,
     )
 
     fit_raw = raw.get("fit") or {}

@@ -9,8 +9,9 @@ or a sweep's scenarios (which may share a date), and returns one result per
 context in the same order. Aggregation expands each profile's vector back to
 its members in persona order, so results are bit-identical at any query
 parallelism. A prompt that cannot be parsed after retries excludes every
-member of its profile; each is logged under its own id, and the per-date
-survivor counts go into the run log so exclusions are auditable.
+member of its profile; each is logged under its own id and context, and
+the survivor count of every context goes into the run log so exclusions are
+auditable.
 """
 
 from __future__ import annotations
@@ -56,10 +57,20 @@ def _group_profiles(population: Sequence[Persona]) -> tuple[list[int], list[Pers
 
 @dataclass
 class SimulationLog:
-    """Survivor counts and excluded cells for one simulation pass."""
+    """Survivor counts and excluded cells for one simulation pass.
 
-    survivors_by_date: dict[dt.date, int] = field(default_factory=dict)
+    ``survivors`` holds one (date, survivor count) pair per context, in the
+    pass's context order; each failure entry names its date, stringency and
+    persona.
+    """
+
+    survivors: list[tuple[dt.date, int]] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
+
+    @property
+    def survivors_by_date(self) -> dict[dt.date, int]:
+        """Survivors per date, for passes whose contexts have distinct dates."""
+        return dict(self.survivors)
 
     def to_dict(self) -> dict:
         return {
@@ -166,6 +177,7 @@ class DigitalTwin:
                         log.failures.append(
                             {
                                 "date": context.date.isoformat(),
+                                "stringency": context.stringency,
                                 "persona": persona.id,
                                 "error": str(outcome),
                             }
@@ -173,7 +185,7 @@ class DigitalTwin:
                         continue
                     vectors.append(outcome)
                     weights.append(persona.weight)
-                log.survivors_by_date[context.date] = len(vectors)
+                log.survivors.append((context.date, len(vectors)))
                 if not vectors:
                     aggregates.append(None)
                 elif self.aggregation == "weighted":

@@ -1,5 +1,8 @@
 import csv
 import datetime as dt
+import threading
+from contextlib import contextmanager
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,27 @@ SPLIT_18MO = {
     "validation": {"start": "2021-04-01", "end": "2021-06-30"},
     "test": {"start": "2021-07-01", "end": "2021-09-27"},
 }
+
+
+@contextmanager
+def loopback_server(handler, tls=None):
+    """Serve ``handler`` on a free 127.0.0.1 port from a thread until the
+    block ends, over TLS when given a server ``ssl.SSLContext``. Handlers
+    update the server's ``served`` POSTs, accepted ``connections`` and
+    recorded ``requests`` under its ``lock``."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls is not None:
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+    server.lock = threading.Lock()
+    server.served = 0
+    server.connections = 0
+    server.requests = []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

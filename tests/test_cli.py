@@ -400,7 +400,10 @@ def test_warm_chain_manifests_report_zero_engine_calls(workspace):
     root, config_path = workspace
     cold = _chain(root, config_path)
     warm = _chain(root, config_path)
-    assert cold["counterfactual"]["simulation_log"]["failures"] == []
+    assert cold["counterfactual"]["simulation_log"] == {
+        "survivors_by_scenario": {"relaxed": 10, "baseline": 10, "extreme": 10},
+        "failures": [],
+    }
     for command in ("simulate", "counterfactual", "ablate"):
         assert cold[command]["engine_calls"] > 0, command
         assert cold[command]["cache_misses"] == cold[command]["engine_calls"], command

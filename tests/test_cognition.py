@@ -4,7 +4,8 @@ import json
 import math
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from contextlib import closing
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,8 @@ from socialtwin.cognition import (
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
 from synthetic import default_oracle_params
+
+from conftest import loopback_server
 
 PERSONA = Persona(
     id="p0",
@@ -674,18 +677,8 @@ class _TextHandler(BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def non_json_endpoint():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _TextHandler)
-    server.served = 0
-    server.lock = threading.Lock()
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
-    thread.start()
-    try:
+    with loopback_server(_TextHandler) as server:
         yield server, f"http://127.0.0.1:{server.server_address[1]}/"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
 
 
 def test_remote_non_json_body_is_retried_engine_error(schema, pandemic_template, non_json_endpoint):
@@ -694,10 +687,10 @@ def test_remote_non_json_body_is_retried_engine_error(schema, pandemic_template,
         kind="remote-http", endpoint=url, model_name="m", retry_limit=2,
         response_text_path="choices.0.text", timeout=10.0,
     )
-    engine = build_engine(config, schema)
     prompt = render_prompt(PERSONA, CONTEXT, pandemic_template)
-    with pytest.raises(EngineError, match="engine failed after 3 attempts"):
-        query(engine, prompt, PERSONA, CONTEXT, schema, ResponseCache(None))
+    with closing(build_engine(config, schema)) as engine:
+        with pytest.raises(EngineError, match="engine failed after 3 attempts"):
+            query(engine, prompt, PERSONA, CONTEXT, schema, ResponseCache(None))
     assert engine.call_count == server.served == 3
 
 
