@@ -25,7 +25,6 @@ import datetime as dt
 import hashlib
 import json
 import sys
-from contextlib import closing
 from pathlib import Path
 
 from . import baseline as bl
@@ -175,7 +174,7 @@ def cmd_simulate(config: RunConfig) -> None:
     contexts = contexts_from_policy(policy, ranges)
     if not contexts:
         raise DataError("no policy dates fall inside the configured split ranges")
-    with twin.cache, closing(engine):
+    with twin.cache:
         vectors, sim_log = twin.simulate_contexts(contexts)
     aggregates = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
     config.output_dir.mkdir(parents=True, exist_ok=True)
@@ -363,7 +362,7 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
     )
     scenarios = load_scenarios(scenario_path)
     twin, engine = _build_twin(config, calibration=calibration)
-    with twin.cache, closing(engine):
+    with twin.cache:
         report = run_counterfactuals(twin, scenarios)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
@@ -383,7 +382,9 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
             "scenarios": [s.name for s in scenarios],
             "baseline": report.baseline_name,
             "simulation_log": {
-                "survivors_by_scenario": report.survivors_by_scenario,
+                "survivors_by_scenario": {
+                    s.name: n for s, (_, n) in zip(scenarios, report.simulation_log.survivors)
+                },
                 "failures": report.simulation_log.failures,
             },
         },
@@ -410,7 +411,7 @@ def cmd_ablate(config: RunConfig) -> None:
         parallelism=config.parallelism,
     )
     engine = build_engine(config.engine, config.schema)
-    with ResponseCache(config.cache_path) as cache, closing(engine):
+    with ResponseCache(config.cache_path) as cache:
         report = run_ablation_suite(inputs, engine, cache, aggregates, calibration)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()

@@ -19,8 +19,8 @@ record of that layout fails when it is first used, not at open. Records of
 the older sorted layout (``created`` first) are still read, decoded at open.
 
 The ``remote-http`` engine speaks HTTP through the standard library's
-``http.client``, loaded on its first request. It reuses a connection when the
-server allows it, reads the proxy and netrc settings once per engine, verifies
+``http.client``, loaded on its first request. It opens one connection per
+request, reads the proxy and netrc settings once per engine, verifies
 TLS against the system trust store (``SSL_CERT_FILE`` applies,
 ``REQUESTS_CA_BUNDLE`` does not), follows no redirect, and decodes the body
 with the ``Content-Type`` charset, else UTF-8.
@@ -383,9 +383,6 @@ class SyntheticOracleEngine:
         vector = oracle_respond(self.params, persona, context)
         return json.dumps({c.response_key: vector[c.key] for c in self.schema})
 
-    def close(self) -> None:
-        """Nothing to release; every engine has ``close``."""
-
 
 def walk_response_path(node, path: str):
     """Follow a dot-separated path through nested JSON; integer segments
@@ -444,7 +441,11 @@ def _resolve_route(endpoint: str, timeout: float) -> _Route:
     url = urlsplit(endpoint)
     netloc = url.netloc.rpartition("@")[2]
     target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-    headers = {"Content-Type": "application/json", "User-Agent": f"socialtwin/{__version__}"}
+    headers = {
+        "Content-Type": "application/json",
+        "User-Agent": f"socialtwin/{__version__}",
+        "Connection": "close",
+    }
     auth = _netrc_auth(url.hostname)
     if auth is None and url.password is not None:
         auth = unquote(url.username), unquote(url.password)
@@ -494,13 +495,10 @@ class RemoteHttpEngine:
     (dot-separated, integer segments index lists) or the raw body when the
     path is unset. Transport errors are retried by the query layer.
 
-    The transport is ``http.client``. The engine keeps a free-list of idle
-    connections: a worker takes one (or opens one), POSTs, reads the whole
-    reply and puts the connection back, unless the reply says the server
-    will close it; ``close`` closes the idle ones. A POST that fails on a
-    reused connection before the reply's status line arrives (the server
-    dropped the idle connection) is sent once more on a new connection; no
-    other failure is resent.
+    The transport is ``http.client``. Each POST opens its own connection,
+    sends ``Connection: close``, reads the whole reply and closes the
+    connection, so no socket outlives a call and the transport never resends
+    a POST.
 
     On the first connection the engine reads, once, ``http_proxy``,
     ``https_proxy``, ``all_proxy`` and ``no_proxy``, and the ``$NETRC`` or
@@ -526,7 +524,6 @@ class RemoteHttpEngine:
         self.call_count = 0
         self._lock = threading.Lock()  # respond runs on worker threads
         self._route: _Route | None = None  # resolved on the first connection
-        self._idle: list = []
         url = urlsplit(config.endpoint)  # error messages leave out userinfo credentials
         self._shown = url._replace(netloc=url.netloc.rpartition("@")[2]).geturl()
 
@@ -553,48 +550,24 @@ class RemoteHttpEngine:
         return str(walk_response_path(payload, cfg.response_text_path))
 
     def _post(self, body: bytes) -> str:
-        """POST ``body`` on an idle connection, or a new one; the decoded reply."""
+        """POST ``body`` on a new connection, closed once the reply is read;
+        the decoded reply."""
         with self._lock:
             if self._route is None:
                 self._route = _resolve_route(self.config.endpoint, self.config.timeout)
             route = self._route
-            conn = self._idle.pop() if self._idle else None
-        reused = conn is not None
+        conn = route.connect()
         try:
-            if not reused:
-                conn = route.connect()
-            try:
-                conn.request("POST", route.target, body, route.headers)
-                reply = conn.getresponse()
-            except ConnectionError:
-                if not reused:
-                    raise
-                conn.close()
-                conn = route.connect()
-                conn.request("POST", route.target, body, route.headers)
-                reply = conn.getresponse()
+            conn.request("POST", route.target, body, route.headers)
+            reply = conn.getresponse()
             data = reply.read()
-        except BaseException:
-            if conn is not None:
-                conn.close()
-            raise
-        if reply.will_close:
+        finally:
             conn.close()
-        else:
-            with self._lock:
-                self._idle.append(conn)
         if reply.status >= 300:
             raise EngineError(
                 f"engine request to {self._shown} failed: HTTP {reply.status} {reply.reason}"
             )
         return data.decode(reply.msg.get_content_charset("utf-8"))
-
-    def close(self) -> None:
-        """Close the idle connections; a later ``respond`` opens new ones."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
 
 
 class ReplayEngine:
@@ -612,9 +585,6 @@ class ReplayEngine:
             f"replay-cache engine queried for persona {prompt.persona_id}; "
             "populate the cache first or switch engine kind"
         )
-
-    def close(self) -> None:
-        """Nothing to release; every engine has ``close``."""
 
 
 def build_engine(config: EngineConfig, schema: CategorySchema):

@@ -106,7 +106,6 @@ class CounterfactualReport:
     monotonic: dict[str, bool] = field(default_factory=dict)
     bounded: dict[str, bool] = field(default_factory=dict)
     simulation_log: SimulationLog = field(default_factory=SimulationLog)
-    survivors_by_scenario: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -162,9 +161,7 @@ def run_counterfactuals(
     order-independent and replayable. The baseline scenario is the one named
     ``baseline`` (case-insensitive substring match) unless an explicit name
     is given; failing both, the first scenario listed. Results are ordered by
-    stringency. The pass's log goes into the report's ``simulation_log``, and
-    its survivor counts, keyed by scenario name because scenarios may share a
-    date, into ``survivors_by_scenario``.
+    stringency. The pass's log goes into the report's ``simulation_log``.
     """
     if not scenarios:
         raise ConfigError("no scenarios given")
@@ -197,10 +194,7 @@ def run_counterfactuals(
             )
 
     report = CounterfactualReport(
-        results=results,
-        baseline_name=baseline_result.scenario.name,
-        simulation_log=log,
-        survivors_by_scenario={s.name: n for s, (_, n) in zip(scenarios, log.survivors)},
+        results=results, baseline_name=baseline_result.scenario.name, simulation_log=log
     )
     for r in results:
         report.metric_deltas[r.scenario.name] = {

@@ -4,7 +4,6 @@ import json
 import math
 import sys
 import threading
-from contextlib import closing
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -687,10 +686,10 @@ def test_remote_non_json_body_is_retried_engine_error(schema, pandemic_template,
         kind="remote-http", endpoint=url, model_name="m", retry_limit=2,
         response_text_path="choices.0.text", timeout=10.0,
     )
+    engine = build_engine(config, schema)
     prompt = render_prompt(PERSONA, CONTEXT, pandemic_template)
-    with closing(build_engine(config, schema)) as engine:
-        with pytest.raises(EngineError, match="engine failed after 3 attempts"):
-            query(engine, prompt, PERSONA, CONTEXT, schema, ResponseCache(None))
+    with pytest.raises(EngineError, match="engine failed after 3 attempts"):
+        query(engine, prompt, PERSONA, CONTEXT, schema, ResponseCache(None))
     assert engine.call_count == server.served == 3
 
 
