@@ -16,9 +16,19 @@ trial 0, so the search can never end worse than the initializer.
 Independent searches (one per category under the default objective) run in
 lock step as one batch: each trial evaluates every search's point in one
 loss call, and each density step ranks, splits and scores all searches with
-array operations. Each search keeps its own random generator and draws from
-it in the order it would alone, and every reduction runs over one search's
-row, so a batched fit is bit-identical to running its searches one by one.
+array operations, written for few numpy calls per trial. A batched fit is
+bit-identical to running its searches one by one with the plain numpy forms
+(``rng.uniform``, ``np.std``, ``np.mean``, ``np.clip``) that the tests keep
+as the reference, because of two invariants:
+
+* same draws per search: each search has its own generator and takes the
+  same values from it in the same order. ``rng.uniform(lo, hi)`` is
+  ``lo + (hi - lo) * rng.random()``, so the uniform trials are drawn up
+  front; a density step draws centre indices, then noise, per dimension.
+* every reduction runs along a contiguous last axis, one row per search and
+  dimension (or candidate), so numpy's pairwise summation groups a row's
+  terms as it does for that row alone. Element-wise steps may run in place
+  or over whole arrays: each element is rounded on its own.
 """
 
 from __future__ import annotations
@@ -237,11 +247,24 @@ def _ols_line(p: np.ndarray, y: np.ndarray) -> tuple[float, float, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _silverman_bandwidth(samples: np.ndarray, width: np.ndarray) -> np.ndarray:
-    """Silverman's rule per row of samples (..., n), floored at 1e-3 * width."""
-    spread = np.std(samples, axis=-1)
-    bw = np.where(spread > 0, 1.06 * spread * samples.shape[-1] ** (-0.2), 0.0)
-    return np.maximum(bw, 1e-3 * width)
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """``np.mean(a, axis=-1)``, bit for bit (the same sum, then / n), without
+    its per-call overhead."""
+    return np.add.reduce(a, axis=-1) / a.shape[-1]
+
+
+def _silverman_bandwidth(samples: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Silverman's rule per row of samples (..., n), floored at ``floor``.
+
+    The spread is ``np.std``'s arithmetic written out: the mean, then the
+    mean squared deviation. A zero spread gives a zero bandwidth before the
+    floor, as the rule says.
+    """
+    n = samples.shape[-1]
+    dev = samples - _mean_last(samples)[..., None]
+    dev *= dev
+    spread = np.sqrt(_mean_last(dev))
+    return np.maximum(1.06 * spread * n ** (-0.2), floor)
 
 
 def _kde_logpdf(x: np.ndarray, samples: np.ndarray, bandwidth: np.ndarray) -> np.ndarray:
@@ -251,15 +274,22 @@ def _kde_logpdf(x: np.ndarray, samples: np.ndarray, bandwidth: np.ndarray) -> np
     norm = np.array(
         [math.log(bw * math.sqrt(2 * math.pi)) for bw in bandwidth.ravel().tolist()]
     ).reshape(bandwidth.shape)
-    z = (x[..., :, None] - samples[..., None, :]) / bandwidth[..., None, None]
-    log_kernels = -0.5 * z**2 - norm[..., None, None]
-    max_log = np.max(log_kernels, axis=-1, keepdims=True)
-    return max_log[..., 0] + np.log(np.mean(np.exp(log_kernels - max_log), axis=-1))
+    # -0.5 * z**2 - norm and its shift by the row maximum, in place in one
+    # contiguous (..., m, n) array
+    log_kernels = x[..., :, None] - samples[..., None, :]
+    log_kernels /= bandwidth[..., None, None]
+    log_kernels *= log_kernels
+    log_kernels *= -0.5
+    log_kernels -= norm[..., None, None]
+    max_log = np.maximum.reduce(log_kernels, axis=-1)
+    log_kernels -= max_log[..., None]
+    np.exp(log_kernels, out=log_kernels)
+    return max_log + np.log(_mean_last(log_kernels))
 
 
 def _suggest_tpe(
     rngs: Sequence[np.random.Generator],
-    history_x: np.ndarray,  # (K, n_trials, D)
+    history_x: np.ndarray,  # (K, D, n_trials)
     history_loss: np.ndarray,  # (K, n_trials)
     lows: np.ndarray,  # (K, D)
     highs: np.ndarray,  # (K, D)
@@ -271,29 +301,29 @@ def _suggest_tpe(
     Search k draws from ``rngs[k]`` alone, dimension by dimension (centre
     indices, then noise), as a search run by itself does.
     """
-    n_searches, n_trials = history_loss.shape
-    n_dims = lows.shape[1]
+    n_searches, n_dims, n_trials = history_x.shape
     order = np.argsort(history_loss, axis=1, kind="stable")
     n_good = max(1, math.ceil(TPE_GAMMA * n_trials))  # < n_trials after the startup trials
-
-    def split(idx: np.ndarray) -> np.ndarray:
-        # (K, D, m) and contiguous, so every reduction below runs along the
-        # last axis and rounds as the same reduction over one 1-D row does
-        picked = np.take_along_axis(history_x, idx[:, :, None], axis=1)
-        return np.ascontiguousarray(picked.transpose(0, 2, 1))
-
-    good, rest = split(order[:, :n_good]), split(order[:, n_good:])
-    width = highs - lows
-    bw_good = _silverman_bandwidth(good, width)
-    bw_rest = _silverman_bandwidth(rest, width)
+    k_idx = np.arange(n_searches)[:, None, None]
+    d_idx = np.arange(n_dims)[:, None]
+    # the history in loss order, gathered once as a contiguous (K, D, t)
+    # array: the good trials are its first n_good columns, the rest the others
+    ranked = history_x[k_idx, d_idx, order[:, None, :]]
+    good, rest = ranked[..., :n_good], ranked[..., n_good:]
+    floor = 1e-3 * (highs - lows)
+    bw_good = _silverman_bandwidth(good, floor)
+    bw_rest = _silverman_bandwidth(rest, floor)
     centre_idx = np.empty((n_searches, n_dims, TPE_CANDIDATES), dtype=np.intp)
     noise = np.empty((n_searches, n_dims, TPE_CANDIDATES))
-    for k, rng in enumerate(rngs):
-        for d in range(n_dims):
+    for k, (rng, bws) in enumerate(zip(rngs, bw_good.tolist())):
+        for d, bw in enumerate(bws):
             centre_idx[k, d] = rng.integers(0, n_good, TPE_CANDIDATES)
-            noise[k, d] = rng.normal(0.0, bw_good[k, d], TPE_CANDIDATES)
-    centres = np.take_along_axis(good, centre_idx, axis=2)
-    candidates = np.clip(centres + noise, lows[..., None], highs[..., None])
+            noise[k, d] = rng.normal(0.0, bw, TPE_CANDIDATES)
+    candidates = ranked[k_idx, d_idx, centre_idx]
+    candidates += noise
+    # np.clip, signed zeros included: on a tie these keep their second argument
+    np.maximum(lows[..., None], candidates, out=candidates)
+    np.minimum(highs[..., None], candidates, out=candidates)
     log_good = _kde_logpdf(candidates, good, bw_good)
     log_rest = _kde_logpdf(candidates, rest, bw_rest)
     # dimension by dimension, good then rest: a sum over the axis would round differently
@@ -329,28 +359,38 @@ def _run_search(
         return init
     n_searches, n_dims = init.shape
     lows, highs = bounds[..., 0], bounds[..., 1]
-    history_x = np.empty((n_searches, trials, n_dims))
+    # The uniform trials come first in every stream, so they are drawn up
+    # front: rng.uniform(lows, highs) is lows + (highs - lows) * rng.random().
+    n_uniform = trials - 1 if sampler == "random" else min(trials - 1, TPE_STARTUP_TRIALS)
+    draws = np.array([rng.random((n_uniform, n_dims)) for rng in rngs])
+    uniform = lows[:, None] + (highs - lows)[:, None] * draws  # (K, n_uniform, D)
+    history_x = np.empty((n_searches, n_dims, trials))
     history_loss = np.empty((n_searches, trials))
-    history_x[:, 0] = init
+    history_x[..., 0] = init
     history_loss[:, 0] = loss_fn(init)
     for t in range(1, trials):
-        if sampler == "random" or t <= TPE_STARTUP_TRIALS:
-            x = np.array([rng.uniform(lo, hi) for rng, lo, hi in zip(rngs, lows, highs)])
+        if t <= n_uniform:
+            x = uniform[:, t - 1]
         else:
-            x = _suggest_tpe(rngs, history_x[:, :t], history_loss[:, :t], lows, highs)
-        history_x[:, t] = x
+            x = _suggest_tpe(rngs, history_x[..., :t], history_loss[:, :t], lows, highs)
+        history_x[..., t] = x
         history_loss[:, t] = loss_fn(x)
     best = np.argmin(history_loss, axis=1)
-    return history_x[np.arange(n_searches), best]
+    return history_x[np.arange(n_searches), :, best]
 
 
 def _clipped_rmse(
     alpha: np.ndarray, beta: np.ndarray, p: np.ndarray, y: np.ndarray, clip: tuple[float, float]
 ) -> np.ndarray:
     """RMSE of clip(alpha * p + beta) against y along the last (date) axis;
-    alpha and beta broadcast against p."""
-    pred = np.clip(alpha * p + beta, clip[0], clip[1])
-    return np.sqrt(np.mean((pred - y) ** 2, axis=-1))
+    alpha and beta have one shape and broadcast against p."""
+    pred = alpha * p
+    pred += beta
+    np.maximum(clip[0], pred, out=pred)
+    np.minimum(clip[1], pred, out=pred)
+    pred -= y
+    pred *= pred
+    return np.sqrt(_mean_last(pred))
 
 
 def _widen(target: float, rng_: tuple[float, float]) -> tuple[tuple[float, float], bool]:
@@ -435,9 +475,7 @@ def fit_calibration(
     else:
         # one search whose point is (alpha_0, beta_0, alpha_1, beta_1, ...)
         best = _run_search(
-            lambda x: np.mean(
-                _clipped_rmse(x[:, 0::2, None], x[:, 1::2, None], p, y, clip), axis=1
-            ),
+            lambda x: _mean_last(_clipped_rmse(x[:, 0::2, None], x[:, 1::2, None], p, y, clip)),
             bounds.reshape(1, -1, 2),
             init.reshape(1, -1),
             config.trials,
@@ -468,7 +506,7 @@ def fit_single_slope(
     b_range, bw = _widen(beta0, config.beta_range)
     init = np.array([[alpha0, beta0]])
     best = _run_search(
-        lambda x: np.mean(_clipped_rmse(x[:, :1, None], x[:, 1:, None], p, y, clip), axis=1),
+        lambda x: _mean_last(_clipped_rmse(x[:, :1, None], x[:, 1:, None], p, y, clip)),
         np.array([[a_range, b_range]]),
         init,
         config.trials,

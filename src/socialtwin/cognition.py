@@ -35,6 +35,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import string
 import threading
 import time
@@ -321,6 +322,16 @@ def _check_endpoint(endpoint) -> None:
         )
 
 
+# a URL's scheme and "//", then its userinfo: all of the authority up to its last "@"
+_USERINFO = re.compile(r"^((?:[A-Za-z][A-Za-z0-9+.-]*:)?//)[^/?#]*@")
+
+
+def without_userinfo(endpoint):
+    """``endpoint`` with any ``user:password@`` taken out of its URL; any
+    other value, a URL without userinfo included, comes back as given."""
+    return _USERINFO.sub(r"\1", endpoint, count=1) if isinstance(endpoint, str) else endpoint
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Which engine to run and how; decoding params are provenance, recorded
@@ -524,8 +535,7 @@ class RemoteHttpEngine:
         self.call_count = 0
         self._lock = threading.Lock()  # respond runs on worker threads
         self._route: _Route | None = None  # resolved on the first connection
-        url = urlsplit(config.endpoint)  # error messages leave out userinfo credentials
-        self._shown = url._replace(netloc=url.netloc.rpartition("@")[2]).geturl()
+        self._shown = without_userinfo(config.endpoint)  # for error messages
 
     def respond(self, prompt: PromptText, persona: Persona, context: SimContext) -> str:
         import http.client

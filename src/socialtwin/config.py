@@ -21,7 +21,7 @@ import yaml
 
 from .baseline import GbmHyper
 from .calibrate import FitConfig
-from .cognition import EngineConfig, OracleParams
+from .cognition import EngineConfig, OracleParams, without_userinfo
 from .errors import ConfigError
 from .ingest import DateRange, TemporalSplit
 from .persona import DemographicSpec
@@ -71,6 +71,36 @@ def _as_date(value, label: str) -> dt.date:
         return dt.date.fromisoformat(str(value))
     except ValueError:
         raise ConfigError(f"{label}: unparseable date {value!r}") from None
+
+
+def _number(value, kind: type, key: str):
+    """``kind(value)`` for the int or float setting at ``key``; a value that
+    does not convert, or a bool, is a config error naming the key."""
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
+
+
+def _pair(value, key: str) -> tuple:
+    """The [low, high] pair at ``key``, as given; anything else is a config
+    error naming the key."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{key} must be a [low, high] pair, got {value!r}")
+    return tuple(value)
+
+
+def _range(value, key: str) -> tuple:
+    """A search range: a pair of numbers, kept as given, since the config
+    hash records an int as an int."""
+    pair = _pair(value, key)
+    for i, v in enumerate(pair):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{key}[{i}] must be a number, got {v!r}")
+    return pair
 
 
 def _split_from_dict(data: dict) -> TemporalSplit:
@@ -150,7 +180,10 @@ def load_run_config(
     profile = load_profile(profile_name)
 
     schema = CategorySchema.from_dicts(raw.get("categories") or profile["categories"])
-    clip = tuple(raw.get("clip_bounds") or profile.get("clip_bounds") or (-100.0, 200.0))
+    clip = _pair(
+        raw.get("clip_bounds") or profile.get("clip_bounds") or (-100.0, 200.0), "clip_bounds"
+    )
+    clip = tuple(_number(v, float, f"clip_bounds[{i}]") for i, v in enumerate(clip))
 
     paths = raw.get("paths") or {}
     for required in ("policy_csv", "observations_csv", "output_dir"):
@@ -190,7 +223,7 @@ def load_run_config(
     split = _split_from_dict(raw["split"])
 
     seeds = {"population": 0, "fit": 0, "gbm": 0}
-    seeds.update({k: int(v) for k, v in (raw.get("seeds") or {}).items()})
+    seeds.update({k: _number(v, int, f"seeds.{k}") for k, v in (raw.get("seeds") or {}).items()})
     if seed_override is not None:
         seeds = {k: int(seed_override) for k in seeds}
 
@@ -201,10 +234,6 @@ def load_run_config(
                 f"--engine must be one of {sorted(ENGINE_FLAG_KINDS)}, got {engine_override!r}"
             )
         engine_raw["kind"] = ENGINE_FLAG_KINDS[engine_override]
-    try:
-        timeout = float(engine_raw.get("timeout", 30.0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"engine timeout must be a number, got {engine_raw['timeout']!r}") from None
     oracle_params = None
     if engine_raw.get("oracle"):
         oracle_params = OracleParams.from_dict(engine_raw["oracle"])
@@ -212,32 +241,32 @@ def load_run_config(
         kind=engine_raw.get("kind", "synthetic-oracle"),
         endpoint=engine_raw.get("endpoint"),
         model_name=engine_raw.get("model_name"),
-        retry_limit=int(engine_raw.get("retry_limit", 3)),
+        retry_limit=_number(engine_raw.get("retry_limit", 3), int, "engine.retry_limit"),
         oracle_params=oracle_params,
         decoding=dict(engine_raw.get("decoding") or {}),
         request_fields=dict(engine_raw.get("request_fields") or {"model": "model", "prompt": "prompt"}),
         response_text_path=engine_raw.get("response_text_path"),
-        timeout=timeout,
+        timeout=_number(engine_raw.get("timeout", 30.0), float, "engine.timeout"),
     )
 
     fit_raw = raw.get("fit") or {}
     fit = FitConfig(
-        trials=int(fit_raw.get("trials", 200)),
-        alpha_range=tuple(fit_raw.get("alpha_range", (-400.0, 400.0))),
-        beta_range=tuple(fit_raw.get("beta_range", (-200.0, 200.0))),
+        trials=_number(fit_raw.get("trials", 200), int, "fit.trials"),
+        alpha_range=_range(fit_raw.get("alpha_range", (-400.0, 400.0)), "fit.alpha_range"),
+        beta_range=_range(fit_raw.get("beta_range", (-200.0, 200.0)), "fit.beta_range"),
         seed=seeds["fit"],
         objective=fit_raw.get("objective", "per-category-independent"),
         sampler=fit_raw.get("sampler", "tpe-style"),
-        clip_bounds=(float(clip[0]), float(clip[1])),
+        clip_bounds=clip,
     )
 
     gbm_raw = raw.get("gbm") or {}
     gbm = GbmHyper(
-        n_trees=int(gbm_raw.get("n_trees", 300)),
-        learning_rate=float(gbm_raw.get("learning_rate", 0.1)),
-        max_depth=int(gbm_raw.get("max_depth", 4)),
-        min_leaf=int(gbm_raw.get("min_leaf", 5)),
-        n_bins=int(gbm_raw.get("n_bins", 64)),
+        n_trees=_number(gbm_raw.get("n_trees", 300), int, "gbm.n_trees"),
+        learning_rate=_number(gbm_raw.get("learning_rate", 0.1), float, "gbm.learning_rate"),
+        max_depth=_number(gbm_raw.get("max_depth", 4), int, "gbm.max_depth"),
+        min_leaf=_number(gbm_raw.get("min_leaf", 5), int, "gbm.min_leaf"),
+        n_bins=_number(gbm_raw.get("n_bins", 64), int, "gbm.n_bins"),
     )
 
     policy_columns = dict(
@@ -252,8 +281,10 @@ def load_run_config(
     )
 
     aggregation = raw.get("aggregation", "mean")
-    parallelism = int(
-        parallelism_override if parallelism_override is not None else raw.get("parallelism", 1)
+    parallelism = (
+        parallelism_override
+        if parallelism_override is not None
+        else _number(raw.get("parallelism", 1), int, "parallelism")
     )
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
@@ -261,7 +292,7 @@ def load_run_config(
     semantic = {
         "profile": profile_name,
         "categories": schema.to_dicts(),
-        "clip_bounds": list(map(float, clip)),
+        "clip_bounds": list(clip),
         "split": {
             name: {"start": r.start.isoformat(), "end": r.end.isoformat()}
             for name, r in (
@@ -272,7 +303,7 @@ def load_run_config(
         },
         "engine": {
             "kind": engine.kind,
-            "endpoint": engine.endpoint,
+            "endpoint": without_userinfo(engine.endpoint),  # no credentials in manifests
             "model_name": engine.model_name,
             "retry_limit": engine.retry_limit,
             "decoding": engine.decoding,

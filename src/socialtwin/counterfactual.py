@@ -334,6 +334,12 @@ def run_ablation(
     unbounded clip; single-slope shares one (alpha, beta) across categories;
     the persona variants swap the population and fit the full calibration on
     its aggregates.
+
+    no-clipping is the least-squares line of each category, with no search.
+    Unclipped, the fit minimizes plain RMSE, which that line minimizes over
+    any box holding it, and the search box is always widened to hold it; the
+    line is the search's trial 0 and ties keep the first trial, so a search
+    returns it too.
     """
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
@@ -358,7 +364,11 @@ def run_ablation(
             if variant == "single-slope":
                 params, _ = fit_single_slope(train_pairs, inputs.fit_config)
             elif variant == "no-clipping":
-                unclipped = replace(inputs.fit_config, clip_bounds=(-math.inf, math.inf))
+                unclipped = replace(
+                    inputs.fit_config,
+                    clip_bounds=(-math.inf, math.inf),
+                    sampler="least-squares-init",
+                )
                 params, _ = fit_calibration(train_pairs, unclipped)
             else:
                 params, _ = fit_calibration(train_pairs, inputs.fit_config)

@@ -1,10 +1,10 @@
-import math
-
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from socialtwin.calibrate import (
@@ -17,7 +17,9 @@ from socialtwin.calibrate import (
     DEFAULT_CLIP_BOUNDS,
     FitConfig,
     FitReport,
+    _kde_logpdf,
     _ols_line,
+    _silverman_bandwidth,
     _widen,
     apply_calibration,
     fit_calibration,
@@ -452,6 +454,46 @@ def ref_fit_single_slope(train, config):
     return CalibrationParams(params), report
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 128, 129, 149, 300])
+def test_density_helpers_match_per_row_reference(n):
+    """The bandwidth and KDE helpers against one numpy call per row, on
+    rows that are slices of a wider array as the good and rest sets are;
+    rows past 128 samples span two blocks of numpy's pairwise summation."""
+    rng = np.random.default_rng(n)
+    ranked = rng.normal(0.0, 50.0, (3, 2, n + 5))
+    samples = ranked[..., 5:]
+    x = rng.uniform(-100.0, 100.0, (3, 2, TPE_CANDIDATES))
+    width = rng.uniform(1.0, 800.0, (3, 2))
+    bandwidth = _silverman_bandwidth(samples, 1e-3 * width)
+    log_density = _kde_logpdf(x, samples, bandwidth)
+    for k in range(3):
+        for d in range(2):
+            want_bw = _ref_silverman_bandwidth(samples[k, d], width[k, d])
+            assert bandwidth[k, d] == want_bw
+            want = _ref_kde_logpdf(x[k, d], samples[k, d], want_bw)
+            assert log_density[k, d].tobytes() == want.tobytes()
+
+
+def random_training(n_categories, n_dates, data_seed, constant_category):
+    """Noisy lines through random (probability, observation) pairs; with
+    ``constant_category`` the first category's probability never moves."""
+    rng = np.random.default_rng(data_seed)
+    p = rng.uniform(0.05, 0.95, (n_categories, n_dates))
+    if constant_category:
+        p[0] = p[0, 0]
+    slopes = rng.uniform(-300.0, 300.0, (n_categories, 1))
+    y = slopes * p + rng.uniform(-80.0, 80.0, (n_categories, 1)) + rng.normal(0, 5.0, p.shape)
+    keys = [f"k{i}" for i in range(n_categories)]
+    base = dt.date(2020, 4, 1)
+    return [
+        (
+            BehaviorVector({k: float(p[i, j]) for i, k in enumerate(keys)}),
+            ObservationRecord(base + dt.timedelta(days=j), {k: float(y[i, j]) for i, k in enumerate(keys)}),
+        )
+        for j in range(n_dates)
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_categories=st.integers(1, 6),
@@ -465,25 +507,25 @@ def ref_fit_single_slope(train, config):
     unclipped=st.booleans(),
     seed=st.integers(0, 10_000),
 )
+# FitConfig's default trial count: late rest sets hold more than 128 samples,
+# numpy's pairwise-summation block, and so do the 150-date losses
+@example(
+    n_categories=3, n_dates=24, data_seed=5, constant_category=True, objective="per-category-independent",
+    sampler="tpe-style", trials=200, narrow_range=False, unclipped=False, seed=7,
+)
+@example(
+    n_categories=2, n_dates=150, data_seed=6, constant_category=False, objective="macro-average",
+    sampler="tpe-style", trials=200, narrow_range=True, unclipped=False, seed=8,
+)
+@example(
+    n_categories=3, n_dates=24, data_seed=7, constant_category=True, objective="single-slope",
+    sampler="tpe-style", trials=200, narrow_range=False, unclipped=False, seed=9,
+)
 def test_batched_search_matches_per_search_reference(
     n_categories, n_dates, data_seed, constant_category, objective, sampler, trials,
     narrow_range, unclipped, seed,
 ):
-    rng = np.random.default_rng(data_seed)
-    p = rng.uniform(0.05, 0.95, (n_categories, n_dates))
-    if constant_category:
-        p[0] = p[0, 0]
-    slopes = rng.uniform(-300.0, 300.0, (n_categories, 1))
-    y = slopes * p + rng.uniform(-80.0, 80.0, (n_categories, 1)) + rng.normal(0, 5.0, p.shape)
-    keys = [f"k{i}" for i in range(n_categories)]
-    base = dt.date(2020, 4, 1)
-    train = [
-        (
-            BehaviorVector({k: float(p[i, j]) for i, k in enumerate(keys)}),
-            ObservationRecord(base + dt.timedelta(days=j), {k: float(y[i, j]) for i, k in enumerate(keys)}),
-        )
-        for j in range(n_dates)
-    ]
+    train = random_training(n_categories, n_dates, data_seed, constant_category)
     config = FitConfig(
         trials=trials,
         seed=seed,
@@ -501,6 +543,40 @@ def test_batched_search_matches_per_search_reference(
     # bit for bit, signed zeros included
     assert json.dumps(got[0].to_dict()) == json.dumps(want[0].to_dict())
     assert json.dumps(got[1].to_dict()) == json.dumps(want[1].to_dict())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_categories=st.integers(1, 4),
+    n_dates=st.integers(2, 30),
+    data_seed=st.integers(0, 2**32 - 1),
+    constant_category=st.booleans(),
+    objective=st.sampled_from(["per-category-independent", "macro-average"]),
+    sampler=st.sampled_from(["tpe-style", "random"]),
+    trials=st.sampled_from([2, 12, 40]),
+    narrow_range=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_unclipped_search_returns_the_least_squares_line(
+    n_categories, n_dates, data_seed, constant_category, objective, sampler, trials,
+    narrow_range, seed,
+):
+    """Unclipped, the least-squares line (trial 0) minimizes the RMSE over any
+    box that holds it, so a search ties it at best and keeps it: the
+    ablation's no-clipping arm fits the line without a search."""
+    train = random_training(n_categories, n_dates, data_seed, constant_category)
+    config = FitConfig(
+        trials=trials,
+        seed=seed,
+        sampler=sampler,
+        objective=objective,
+        alpha_range=(-10.0, 10.0) if narrow_range else (-400.0, 400.0),
+        beta_range=(-10.0, 10.0) if narrow_range else (-200.0, 200.0),
+        clip_bounds=(-math.inf, math.inf),
+    )
+    searched, _ = fit_calibration(train, config)
+    line, _ = fit_calibration(train, dataclasses.replace(config, sampler="least-squares-init"))
+    assert json.dumps(searched.to_dict()) == json.dumps(line.to_dict())
 
 
 # ------------------------------------------------------------------ artifacts

@@ -280,6 +280,39 @@ def test_malformed_spec_or_scenarios_exits_one(workspace, capsys, broken, text, 
 
 
 @pytest.mark.parametrize(
+    "setting, value, key",
+    [
+        ("engine.retry_limit", "abc", "engine.retry_limit"),
+        ("engine.timeout", True, "engine.timeout"),
+        ("parallelism", "two", "parallelism"),
+        ("parallelism", True, "parallelism"),
+        ("fit.trials", "many", "fit.trials"),
+        ("fit.trials", float("inf"), "fit.trials"),
+        ("fit.alpha_range", ["a", 1.0], "fit.alpha_range[0]"),
+        ("fit.beta_range", 5, "fit.beta_range"),
+        ("seeds.population", "x", "seeds.population"),
+        ("seeds.fit", False, "seeds.fit"),
+        ("gbm.n_trees", [1], "gbm.n_trees"),
+        ("gbm.learning_rate", "fast", "gbm.learning_rate"),
+        ("clip_bounds", ["low", 200.0], "clip_bounds[0]"),
+        ("clip_bounds", [0.0], "clip_bounds"),
+    ],
+)
+def test_non_numeric_setting_exits_one(workspace, capsys, setting, value, key):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    *parents, name = setting.split(".")
+    node = config
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[name] = value
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must be") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "damage, code, message",
     [
         ("null-hash", 1, "records no config hash"),

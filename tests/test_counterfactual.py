@@ -269,8 +269,8 @@ def ablation_inputs(synth_dataset):
 
 
 # The suite as it ran before it scored the chain's artifacts: every variant
-# population is simulated here, the sampled one included, and full fits its
-# own calibration. The tests compare the suite against it.
+# population is simulated here, the sampled one included, full fits its own
+# calibration and no-clipping searches. The tests compare the suite against it.
 
 
 def reference_run_ablation(variant, inputs, aggregates):
@@ -427,6 +427,23 @@ def test_ablation_suite_equals_self_simulating_reference(
     )
     assert list(report.macro_rmse) == variants
     assert report.to_dict() == reference.to_dict()
+
+
+@pytest.mark.parametrize("objective", ["per-category-independent", "macro-average"])
+@pytest.mark.parametrize("sampler", ["tpe-style", "random"])
+def test_no_clipping_scores_as_the_searched_fit(ablation_inputs, sampler, objective):
+    """no-clipping fits the least-squares line without a search; 40 trials
+    take the reference's search past its uniform startup trials."""
+    fit_config = dataclasses.replace(
+        ablation_inputs.fit_config, trials=40, sampler=sampler, objective=objective
+    )
+    inputs = dataclasses.replace(ablation_inputs, fit_config=fit_config)
+    engine, cache = oracle_engine(inputs.schema), ResponseCache(None)
+    aggregates, calibration = sampled_artifacts(inputs, engine, cache)
+    report = run_ablation_suite(inputs, engine, cache, aggregates, calibration, ["no-clipping"])
+    macro, per_category = reference_run_ablation("no-clipping", inputs, aggregates)
+    assert report.macro_rmse == {"no-clipping": macro}
+    assert report.per_category == {"no-clipping": per_category}
 
 
 def test_ablation_suite_is_bit_identical_at_any_parallelism(ablation_inputs, monkeypatch):
