@@ -25,6 +25,7 @@ import datetime as dt
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from . import baseline as bl
@@ -136,10 +137,27 @@ def read_aggregates(config: RunConfig) -> dict:
         raise DataError(f"{path}: aggregated series is malformed: {exc!r}") from None
 
 
+def _open_cache(config: RunConfig) -> ResponseCache:
+    """The run's response cache, opened once the output and cache directories
+    are known to be writable, so that an unusable path is a data error before
+    the first engine call rather than after it."""
+    for label, directory in (
+        ("paths.output_dir", config.output_dir),
+        ("paths.cache_dir", config.cache_dir),
+    ):
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryFile(dir=directory):
+                pass
+        except OSError as exc:
+            raise DataError(f"{label} {directory} is not a writable directory: {exc}") from None
+    return ResponseCache(config.cache_path)
+
+
 def _build_twin(config: RunConfig, calibration=None) -> tuple[DigitalTwin, object]:
     population = sample_population(config.population_spec, config.seeds["population"])
     engine = build_engine(config.engine, config.schema)
-    cache = ResponseCache(config.cache_path)
+    cache = _open_cache(config)
     twin = DigitalTwin(
         population=population,
         engine=engine,
@@ -411,7 +429,7 @@ def cmd_ablate(config: RunConfig) -> None:
         parallelism=config.parallelism,
     )
     engine = build_engine(config.engine, config.schema)
-    with ResponseCache(config.cache_path) as cache:
+    with _open_cache(config) as cache:
         report = run_ablation_suite(inputs, engine, cache, aggregates, calibration)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()

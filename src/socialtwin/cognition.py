@@ -57,11 +57,10 @@ VALUE_SLACK = 0.001  # values within this margin outside [0, 1] are clamped
 
 @dataclass(frozen=True)
 class SimContext:
-    """The situational half of a prompt: date, policy stringency, extras."""
+    """The situational half of a prompt: date and policy stringency."""
 
     date: dt.date
     stringency: float
-    extra: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not 0.0 <= self.stringency <= 100.0:
@@ -116,8 +115,6 @@ def _template_parts(template: str) -> tuple[tuple[str, str | None], ...]:
 
 
 def _field_value(name: str, persona: Persona, context: SimContext) -> str:
-    if name in context.extra:
-        return context.extra[name]
     if name == "date":
         return context.date.isoformat()
     if name == "stringency":
@@ -134,11 +131,11 @@ def _field_value(name: str, persona: Persona, context: SimContext) -> str:
 def render_prompt(persona: Persona, context: SimContext, template: str) -> PromptText:
     """Substitute ``{placeholder}`` fields from persona attributes and context.
 
-    A placeholder resolves to, in order of precedence: a context extra,
-    ``date`` (ISO format), ``stringency`` (trailing-zero-free), a persona
-    attribute, or ``persona_block`` (bulleted attribute list, for generic
-    templates). Only the fields the template names are built. An unresolved
-    placeholder is an error naming the field, never a silent passthrough.
+    A placeholder resolves to, in order of precedence: ``date`` (ISO
+    format), ``stringency`` (trailing-zero-free), a persona attribute, or
+    ``persona_block`` (bulleted attribute list, for generic templates). Only
+    the fields the template names are built. An unresolved placeholder is an
+    error naming the field, never a silent passthrough.
     """
     out_parts: list[str] = []
     for literal, field_name in _template_parts(template):
@@ -752,17 +749,23 @@ class ResponseCache:
             self._fh.flush()
 
 
-def cached_vector(rec: dict, categories: CategorySchema) -> BehaviorVector:
-    """The behavior vector stored in a cache record.
+def cached_row(rec: dict, categories: CategorySchema) -> list[float]:
+    """The probabilities stored in a cache record, in category order.
 
     Records store probabilities by category ``key``, but the cache key hashes
     only the response keys. A record written before a category was renamed is
     therefore re-parsed from its raw text, which holds the same response keys.
+    A stored value outside [0, 1] is a config error, as in ``BehaviorVector``.
     """
     try:
-        return BehaviorVector({c.key: float(rec["probs"][c.key]) for c in categories})
+        probs = rec["probs"]
+        row = [float(probs[key]) for key in categories.keys]
     except KeyError:
-        return parse_response(rec["raw"], categories)
+        return list(parse_response(rec["raw"], categories).probs.values())
+    for key, value in zip(categories.keys, row):
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"probability for {key!r} out of [0, 1]: {value}")
+    return row
 
 
 def ask_engine(

@@ -103,6 +103,16 @@ def _range(value, key: str) -> tuple:
     return pair
 
 
+def _mapping(value, key: str) -> dict:
+    """The section at ``key``: a mapping, or empty when absent or null; any
+    other shape is a config error naming the key."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {type(value).__name__} {value!r}")
+    return value
+
+
 def _split_from_dict(data: dict) -> TemporalSplit:
     try:
         ranges = {
@@ -174,18 +184,21 @@ def load_run_config(
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
     base = config_path.parent
-    raw = _load_yaml(config_path) or {}
+    raw = _mapping(_load_yaml(config_path), "the run config")
 
     profile_name = raw.get("profile", "pandemic-uae")
     profile = load_profile(profile_name)
 
-    schema = CategorySchema.from_dicts(raw.get("categories") or profile["categories"])
+    categories = raw.get("categories") or profile["categories"]
+    if not isinstance(categories, list) or not all(isinstance(c, dict) for c in categories):
+        raise ConfigError(f"categories must be a list of mappings, got {categories!r}")
+    schema = CategorySchema.from_dicts(categories)
     clip = _pair(
         raw.get("clip_bounds") or profile.get("clip_bounds") or (-100.0, 200.0), "clip_bounds"
     )
     clip = tuple(_number(v, float, f"clip_bounds[{i}]") for i, v in enumerate(clip))
 
-    paths = raw.get("paths") or {}
+    paths = _mapping(raw.get("paths"), "paths")
     for required in ("policy_csv", "observations_csv", "output_dir"):
         if required not in paths:
             raise ConfigError(f"{config_path}: paths.{required} is required")
@@ -223,11 +236,13 @@ def load_run_config(
     split = _split_from_dict(raw["split"])
 
     seeds = {"population": 0, "fit": 0, "gbm": 0}
-    seeds.update({k: _number(v, int, f"seeds.{k}") for k, v in (raw.get("seeds") or {}).items()})
+    seeds.update(
+        {k: _number(v, int, f"seeds.{k}") for k, v in _mapping(raw.get("seeds"), "seeds").items()}
+    )
     if seed_override is not None:
         seeds = {k: int(seed_override) for k in seeds}
 
-    engine_raw = dict(raw.get("engine") or {"kind": "synthetic-oracle"})
+    engine_raw = dict(_mapping(raw.get("engine"), "engine"))
     if engine_override is not None:
         if engine_override not in ENGINE_FLAG_KINDS:
             raise ConfigError(
@@ -235,21 +250,28 @@ def load_run_config(
             )
         engine_raw["kind"] = ENGINE_FLAG_KINDS[engine_override]
     oracle_params = None
-    if engine_raw.get("oracle"):
-        oracle_params = OracleParams.from_dict(engine_raw["oracle"])
+    oracle = _mapping(engine_raw.get("oracle"), "engine.oracle")
+    if oracle:
+        try:
+            oracle_params = OracleParams.from_dict(oracle)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ConfigError(f"engine.oracle is malformed: {exc!r}") from None
     engine = EngineConfig(
         kind=engine_raw.get("kind", "synthetic-oracle"),
         endpoint=engine_raw.get("endpoint"),
         model_name=engine_raw.get("model_name"),
         retry_limit=_number(engine_raw.get("retry_limit", 3), int, "engine.retry_limit"),
         oracle_params=oracle_params,
-        decoding=dict(engine_raw.get("decoding") or {}),
-        request_fields=dict(engine_raw.get("request_fields") or {"model": "model", "prompt": "prompt"}),
+        decoding=dict(_mapping(engine_raw.get("decoding"), "engine.decoding")),
+        request_fields=dict(
+            _mapping(engine_raw.get("request_fields"), "engine.request_fields")
+            or {"model": "model", "prompt": "prompt"}
+        ),
         response_text_path=engine_raw.get("response_text_path"),
         timeout=_number(engine_raw.get("timeout", 30.0), float, "engine.timeout"),
     )
 
-    fit_raw = raw.get("fit") or {}
+    fit_raw = _mapping(raw.get("fit"), "fit")
     fit = FitConfig(
         trials=_number(fit_raw.get("trials", 200), int, "fit.trials"),
         alpha_range=_range(fit_raw.get("alpha_range", (-400.0, 400.0)), "fit.alpha_range"),
@@ -260,7 +282,7 @@ def load_run_config(
         clip_bounds=clip,
     )
 
-    gbm_raw = raw.get("gbm") or {}
+    gbm_raw = _mapping(raw.get("gbm"), "gbm")
     gbm = GbmHyper(
         n_trees=_number(gbm_raw.get("n_trees", 300), int, "gbm.n_trees"),
         learning_rate=_number(gbm_raw.get("learning_rate", 0.1), float, "gbm.learning_rate"),
@@ -270,9 +292,14 @@ def load_run_config(
     )
 
     policy_columns = dict(
-        raw.get("policy_columns") or profile.get("policy_columns") or {"date": "date", "stringency": "stringency"}
+        _mapping(raw.get("policy_columns"), "policy_columns")
+        or profile.get("policy_columns")
+        or {"date": "date", "stringency": "stringency"}
     )
-    observation_columns = dict(raw.get("observation_columns") or schema.observation_columns)
+    observation_columns = dict(
+        _mapping(raw.get("observation_columns"), "observation_columns")
+        or schema.observation_columns
+    )
     missing = [k for k in schema.keys if k not in observation_columns]
     if missing:
         raise ConfigError(f"observation_columns missing categories {missing}")

@@ -2,36 +2,45 @@
 with an optional fitted calibration on top.
 
 A simulation pass works once per distinct prompt: personas with the same
-ordered attributes form a profile, each (profile, context) pair is rendered,
-keyed and looked up once, and the misses go to the engine through one worker
-pool per pass. A pass takes any list of contexts, such as a command's dates
-or a sweep's scenarios (which may share a date), and returns one result per
-context in the same order. Aggregation expands each profile's vector back to
-its members in persona order, so results are bit-identical at any query
-parallelism. A prompt that cannot be parsed after retries excludes every
-member of its profile; each is logged under its own id and context, and
-the survivor count of every context goes into the run log so exclusions are
-auditable.
+ordered attributes form a profile, and each (profile, context) cell is
+rendered, keyed and looked up once. A pass takes any list of contexts, such
+as a command's dates or a sweep's scenarios (which may share a date), and
+returns one result per context in the same order.
+
+The pass flows: it sends each miss to one worker pool and moves on to the
+next context without waiting, so a slow reply holds up only the contexts
+that need it. Contexts are aggregated in order, each once its cells are
+resolved. At most twice ``parallelism`` misses are outstanding; at that
+point the pass waits for the oldest before sending more, which bounds what
+it holds. Each context is aggregated over its profiles, each weighing its
+member count (or its members' summed weight), exactly and rounded once
+(``aggregate``), so results are bit-identical at any query parallelism and
+in any persona order. A prompt that cannot be parsed after retries excludes
+every member of its profile; each is logged under its own id and context,
+and the survivor count of every context goes into the run log so exclusions
+are auditable. The first engine error, in context order, ends the pass:
+no request starts after a request has failed, and queued ones are dropped.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .aggregate import aggregate_mean, aggregate_weighted
+from .aggregate import aggregate_mean, aggregate_weighted, exact_parts
 from .calibrate import CalibrationParams, apply_calibration
 from .cognition import (
     BehaviorVector,
     ResponseCache,
     SimContext,
     ask_engine,
-    cached_vector,
+    cached_row,
     render_prompt,
 )
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, EngineError, ParseError
 from .persona import Persona
 from .schema import CategorySchema
 
@@ -106,35 +115,14 @@ class DigitalTwin:
         if not self.population:
             raise ConfigError("twin needs a nonempty population")
 
-    def _ask(self, key, prompt, persona, context):
+    def _ask(self, key, prompt, persona, context) -> list[float] | ParseError:
+        """A miss's row of probabilities, or its ParseError; transport and
+        replay errors raise."""
         try:
-            return ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
+            vector = ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
         except ParseError as exc:
             return exc
-
-    def _outcome(self, failed: dict, in_flight: dict, pool, persona: Persona, context: SimContext):
-        """The vector, ParseError or Future for one (profile, context) pair.
-
-        ``failed`` maps the cache keys of this pass's failed prompts to their
-        ParseError and ``in_flight`` the keys submitted for the current date
-        to their Future; answered prompts are found in the cache. Each
-        distinct prompt therefore reaches the engine once.
-        """
-        prompt = render_prompt(persona, context, self.template)
-        key = self.cache.make_key(self.engine.digest, prompt.text, self.schema.response_keys)
-        outcome = failed.get(key) or in_flight.get(key)
-        if outcome is not None:
-            return outcome
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached_vector(cached, self.schema)
-        if pool is not None:
-            outcome = in_flight[key] = pool.submit(self._ask, key, prompt, persona, context)
-        else:
-            outcome = self._ask(key, prompt, persona, context)
-            if isinstance(outcome, ParseError):
-                failed[key] = outcome
-        return outcome
+        return list(vector.probs.values())
 
     def simulate_context(self, context: SimContext) -> BehaviorVector | None:
         """The aggregate for one context: a one-context ``simulate_contexts``.
@@ -154,44 +142,115 @@ class DigitalTwin:
         transport or replay errors propagate.
         """
         profile_of, representatives = _group_profiles(self.population)
+        sizes = [0] * len(representatives)
+        for j in profile_of:
+            sizes[j] += 1
+        if self.aggregation == "weighted":
+            weights: list[list[float]] = [[] for _ in representatives]
+            for persona, j in zip(self.population, profile_of):
+                weights[j].append(persona.weight)
+            # each profile's summed weight as exact parts, one row per part
+            parts = [exact_parts(w) for w in weights]
+            part_profile = [j for j, ps in enumerate(parts) for _ in ps]
+            part_weight = [w for ps in parts for w in ps]
+        no_row = [0.0] * len(self.schema.keys)
         log = SimulationLog()
         aggregates: list[BehaviorVector | None] = []
         failed: dict[str, ParseError] = {}
+        # misses sent and not yet settled: by key, and in the order sent, each
+        # with the index of the context that sent it
+        pending: dict[str, tuple[Future, int]] = {}
+        sent: deque[tuple[str, Future, int]] = deque()
+        open_contexts: deque[tuple[int, SimContext, list]] = deque()
+        first_error: list[EngineError] = []
+
+        def ask_in_worker(key, prompt, persona, context):
+            if first_error:  # no request starts after one has failed
+                raise EngineError(f"not sent after an earlier request failed: {first_error[0]}")
+            try:
+                return self._ask(key, prompt, persona, context)
+            except EngineError as exc:
+                first_error.append(exc)
+                raise
+
+        def settle_oldest() -> None:
+            key, future, _ = sent.popleft()
+            del pending[key]
+            outcome = future.result()  # raises the miss's EngineError
+            if isinstance(outcome, ParseError):
+                failed[key] = outcome
+
+        def finish_ready() -> None:
+            """Aggregate, in order, the open contexts that sent no unsettled miss."""
+            while open_contexts and (not sent or sent[0][2] > open_contexts[0][0]):
+                _, context, outcomes = open_contexts.popleft()
+                outcomes = [o.result() if isinstance(o, Future) else o for o in outcomes]
+                dead = {j for j, o in enumerate(outcomes) if isinstance(o, ParseError)}
+                if dead:  # log every member of a failed profile, in persona order
+                    log.failures.extend(
+                        {
+                            "date": context.date.isoformat(),
+                            "stringency": context.stringency,
+                            "persona": persona.id,
+                            "error": str(outcomes[j]),
+                        }
+                        for persona, j in zip(self.population, profile_of)
+                        if j in dead
+                    )
+                survivors = len(self.population) - sum(sizes[j] for j in dead)
+                log.survivors.append((context.date, survivors))
+                if not survivors:
+                    aggregates.append(None)
+                    continue
+                # a failed profile keeps a row of zeros, with multiplicity 0
+                rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
+                if self.aggregation == "weighted":
+                    probs = aggregate_weighted(
+                        [rows[j] for j in part_profile],
+                        [0.0 if j in dead else w for j, w in zip(part_profile, part_weight)],
+                    )
+                else:
+                    probs = aggregate_mean(rows, [0 if j in dead else n for j, n in enumerate(sizes)])
+                aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
+
+        window = 2 * self.parallelism
         pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
         try:
-            for context in contexts:
-                in_flight: dict[str, Future] = {}
-                per_profile = [
-                    self._outcome(failed, in_flight, pool, p, context) for p in representatives
-                ]
-                resolved = [o.result() if isinstance(o, Future) else o for o in per_profile]
-                # answered prompts are in the cache now; only failures are kept
-                for key, future in in_flight.items():
-                    if isinstance(future.result(), ParseError):
-                        failed[key] = future.result()
-                vectors: list[BehaviorVector] = []
-                weights: list[float] = []
-                for persona, j in zip(self.population, profile_of):
-                    outcome = resolved[j]
-                    if isinstance(outcome, ParseError):
-                        log.failures.append(
-                            {
-                                "date": context.date.isoformat(),
-                                "stringency": context.stringency,
-                                "persona": persona.id,
-                                "error": str(outcome),
-                            }
-                        )
-                        continue
-                    vectors.append(outcome)
-                    weights.append(persona.weight)
-                log.survivors.append((context.date, len(vectors)))
-                if not vectors:
-                    aggregates.append(None)
-                elif self.aggregation == "weighted":
-                    aggregates.append(aggregate_weighted(vectors, weights))
-                else:
-                    aggregates.append(aggregate_mean(vectors))
+            for index, context in enumerate(contexts):
+                outcomes: list = []
+                for persona in representatives:
+                    prompt = render_prompt(persona, context, self.template)
+                    key = self.cache.make_key(self.engine.digest, prompt.text, self.schema.response_keys)
+                    entry = pending.get(key)
+                    if entry is not None and entry[1] < index:
+                        # sent for an earlier context: settle it first, so the
+                        # lookup below finds the answer or the failure
+                        while key in pending:
+                            settle_oldest()
+                        entry = None
+                    outcome = entry[0] if entry is not None else failed.get(key)
+                    if outcome is None:
+                        cached = self.cache.get(key)
+                        if cached is not None:
+                            outcome = cached_row(cached, self.schema)
+                        elif pool is None:
+                            outcome = self._ask(key, prompt, persona, context)
+                            if isinstance(outcome, ParseError):
+                                failed[key] = outcome
+                        else:
+                            while len(sent) >= window:
+                                settle_oldest()
+                            outcome = pool.submit(ask_in_worker, key, prompt, persona, context)
+                            pending[key] = (outcome, index)
+                            sent.append((key, outcome, index))
+                    outcomes.append(outcome)
+                open_contexts.append((index, context, outcomes))
+                while sent and sent[0][1].done():
+                    settle_oldest()
+                finish_ready()
+            while sent:
+                settle_oldest()
+            finish_ready()
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)

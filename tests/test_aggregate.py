@@ -1,33 +1,34 @@
 import datetime as dt
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialtwin.aggregate import aggregate_mean, aggregate_weighted
-from socialtwin.cognition import BehaviorVector, SimContext, oracle_respond
+from socialtwin.aggregate import aggregate_mean, aggregate_weighted, exact_parts
+from socialtwin.cognition import SimContext, oracle_respond
 from socialtwin.errors import DataError
 from socialtwin.persona import DemographicSpec, sample_population
 from synthetic import default_oracle_params
 
-KEYS = ("a", "b", "c")
 
-
-def vec(*values, keys=KEYS):
-    return BehaviorVector(dict(zip(keys, values)))
-
-
-def const_vec(value, keys=KEYS):
-    return vec(*([value] * len(keys)), keys=keys)
+def exact_mean(rows, multiplicities):
+    """Reference: sum_j m_j v_j / sum_j m_j in rationals, rounded once."""
+    total = sum(map(Fraction, multiplicities))
+    return [
+        float(sum(Fraction(row[c]) * Fraction(m) for row, m in zip(rows, multiplicities)) / total)
+        for c in range(len(rows[0]))
+    ]
 
 
 def test_mean_midpoint():
-    assert aggregate_mean([const_vec(0.4), const_vec(0.6)]) == const_vec(0.5)
+    assert aggregate_mean([[0.4] * 3, [0.6] * 3], [1, 1]) == [0.5] * 3
 
 
 def test_mean_single_vector_identity():
-    v = vec(0.1, 0.2, 0.3)
-    assert aggregate_mean([v]) == v
+    assert aggregate_mean([[0.1, 0.2, 0.3]], [7]) == [0.1, 0.2, 0.3]
 
 
 def test_mean_matches_naive_loop_over_oracle_vectors():
@@ -42,100 +43,139 @@ def test_mean_matches_naive_loop_over_oracle_vectors():
     population = sample_population(spec, seed=3)
     context = SimContext(dt.date(2020, 4, 15), 90.0)
     vectors = [oracle_respond(params, p, context) for p in population]
-    result = aggregate_mean(vectors)
-    for key in vectors[0].categories:
+    keys = vectors[0].categories
+    result = aggregate_mean([[v[k] for k in keys] for v in vectors], [1] * 10)
+    for i, key in enumerate(keys):
         total = 0.0
         for v in vectors:
             total += v[key]
-        assert result[key] == pytest.approx(total / 10, abs=1e-15)
+        assert result[i] == pytest.approx(total / 10, abs=1e-15)
 
 
 def test_mean_empty_and_mismatched_schema():
-    with pytest.raises(DataError, match="empty"):
-        aggregate_mean([])
-    with pytest.raises(DataError, match="disagree"):
-        aggregate_mean([const_vec(0.5), const_vec(0.5, keys=("x", "y", "z"))])
+    with pytest.raises(DataError, match="profiles x categories"):
+        aggregate_mean(np.empty((0, 3)), [])
+    with pytest.raises(DataError, match="2 counts for 3 rows"):
+        aggregate_mean([[0.5]] * 3, [1, 1])
 
 
 def test_weighted_equal_weights_reduces_to_mean():
-    vectors = [vec(0.1, 0.5, 0.9), vec(0.3, 0.3, 0.3), vec(0.8, 0.2, 0.4)]
-    assert aggregate_weighted(vectors, [2.0, 2.0, 2.0]) == aggregate_mean(vectors)
+    rows = [[0.1, 0.5, 0.9], [0.3, 0.3, 0.3], [0.8, 0.2, 0.4]]
+    assert aggregate_weighted(rows, [2.0, 2.0, 2.0]) == aggregate_mean(rows, [1, 1, 1])
 
 
 def test_weighted_degenerate_weight_selects_vector():
-    first, second = vec(0.1, 0.2, 0.3), vec(0.9, 0.8, 0.7)
+    first, second = [0.1, 0.2, 0.3], [0.9, 0.8, 0.7]
     assert aggregate_weighted([first, second], [1.0, 0.0]) == first
 
 
 def test_weighted_hand_computed():
-    vectors = [const_vec(0.0), const_vec(1.0)]
-    result = aggregate_weighted(vectors, [1.0, 3.0])
-    assert result["a"] == pytest.approx(0.75, abs=1e-15)
+    assert aggregate_weighted([[0.0] * 3, [1.0] * 3], [1.0, 3.0]) == [0.75] * 3
 
 
 def test_weighted_error_cases():
-    vectors = [const_vec(0.5), const_vec(0.6)]
+    rows = [[0.5] * 3, [0.6] * 3]
     with pytest.raises(DataError, match="all be zero"):
-        aggregate_weighted(vectors, [0.0, 0.0])
+        aggregate_weighted(rows, [0.0, 0.0])
     with pytest.raises(DataError, match="weights for"):
-        aggregate_weighted(vectors, [1.0])
+        aggregate_weighted(rows, [1.0])
     with pytest.raises(DataError, match="nonnegative"):
-        aggregate_weighted(vectors, [1.0, -0.5])
+        aggregate_weighted(rows, [1.0, -0.5])
+    with pytest.raises(DataError, match="finite"):
+        aggregate_weighted(rows, [1.0, math.inf])
+    with pytest.raises(DataError, match=r"\[0, 1\]"):
+        aggregate_weighted([[0.5] * 3, [math.nan] * 3], [1.0, 1.0])
 
 
-prob_lists = st.lists(
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=8
-).map(lambda row: row)
+# values and weights of every size, subnormals included; the exact path and
+# the rational fallback must agree with the reference
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+weight = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 
 
 @st.composite
-def vector_batches(draw, with_weights=False):
+def profile_batches(draw, with_weights=False):
     n_cats = draw(st.integers(min_value=1, max_value=5))
-    keys = tuple(f"k{i}" for i in range(n_cats))
-    n_vecs = draw(st.integers(min_value=1, max_value=8))
-    vectors = [
-        BehaviorVector(
-            {
-                k: draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-                for k in keys
-            }
-        )
-        for _ in range(n_vecs)
-    ]
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    rows = [[draw(unit) for _ in range(n_cats)] for _ in range(n_rows)]
     if not with_weights:
-        return vectors
+        return rows
     weights = draw(
-        st.lists(
-            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-            min_size=n_vecs,
-            max_size=n_vecs,
-        ).filter(lambda ws: sum(ws) > 0)
+        st.lists(weight, min_size=n_rows, max_size=n_rows).filter(lambda ws: sum(ws) > 0)
     )
-    return vectors, weights
+    return rows, weights
 
 
-@given(vector_batches())
-def test_mean_bounded_by_min_and_max(vectors):
-    result = aggregate_mean(vectors)
-    for key in vectors[0].categories:
-        column = [v[key] for v in vectors]
-        assert min(column) - 1e-12 <= result[key] <= max(column) + 1e-12
+@given(profile_batches())
+def test_mean_bounded_by_min_and_max(rows):
+    result = aggregate_mean(rows, [1] * len(rows))
+    for c, value in enumerate(result):
+        column = [row[c] for row in rows]
+        assert min(column) <= value <= max(column)
 
 
-@given(vector_batches(with_weights=True), st.randoms(use_true_random=False))
+@given(profile_batches(with_weights=True), st.randoms(use_true_random=False))
 def test_weighted_permutation_invariance(batch, rng):
-    vectors, weights = batch
-    result = aggregate_weighted(vectors, weights)
-    order = list(range(len(vectors)))
+    rows, weights = batch
+    result = aggregate_weighted(rows, weights)
+    order = list(range(len(rows)))
     rng.shuffle(order)
-    shuffled = aggregate_weighted([vectors[i] for i in order], [weights[i] for i in order])
-    for key in result.categories:
-        assert result[key] == pytest.approx(shuffled[key], abs=1e-12)
+    shuffled = aggregate_weighted([rows[i] for i in order], [weights[i] for i in order])
+    assert shuffled == result
 
 
-@given(vector_batches())
-def test_weighted_uniform_equals_mean_within_1e12(vectors):
-    weighted = aggregate_weighted(vectors, [1.0] * len(vectors))
-    mean = aggregate_mean(vectors)
-    for key in mean.categories:
-        assert abs(weighted[key] - mean[key]) <= 1e-12
+@given(profile_batches())
+def test_weighted_uniform_equals_mean_within_1e12(rows):
+    assert aggregate_weighted(rows, [1.0] * len(rows)) == aggregate_mean(rows, [1] * len(rows))
+
+
+# ------------------------------------------------------------ exact results
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.lists(unit, min_size=3, max_size=3), min_size=1, max_size=12),
+    data=st.data(),
+    weighted=st.booleans(),
+)
+def test_result_is_the_exact_member_mean_rounded_once(rows, data, weighted):
+    """Each profile stands for its members: the result equals the rational
+    mean over the expanded members (weights summed exactly per profile)."""
+    members = [
+        data.draw(st.lists(weight if weighted else st.just(1.0), min_size=1, max_size=6))
+        for _ in rows
+    ]
+    expanded_rows = [row for row, ws in zip(rows, members) for _ in ws]
+    expanded_weights = [w for ws in members for w in ws]
+    if sum(expanded_weights) == 0:
+        return
+    expected = exact_mean(expanded_rows, expanded_weights)
+    if weighted:
+        # the twin's layout: one row per exact part of a profile's weight
+        parts = [exact_parts(ws) for ws in members]
+        got = aggregate_weighted(
+            [row for row, ps in zip(rows, parts) for _ in ps], [p for ps in parts for p in ps]
+        )
+    else:
+        got = aggregate_mean(rows, [len(ws) for ws in members])
+    assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 40), min_size=1, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_results_hold_on_the_double_rounding_cases(counts, seed):
+    """Random 53-bit probabilities with uneven counts: the numerator is
+    inexact, so dividing its rounded sum would round twice."""
+    rows = np.random.default_rng(seed).random((len(counts), 4)).tolist()
+    assert aggregate_mean(rows, counts) == exact_mean(rows, counts)
+
+
+def test_exact_parts_sum_exactly():
+    parts = exact_parts([0.1, 0.2, 1e300, 5e-324])
+    assert all(p >= 0 for p in parts)
+    assert sum(map(Fraction, parts)) == sum(map(Fraction, [0.1, 0.2, 1e300, 5e-324]))
+    assert exact_parts([1.0, 2.0]) == [3.0]
+    assert exact_parts([0.0]) == [0.0]

@@ -457,3 +457,54 @@ def test_weighted_aggregation_writes_the_mean_rows(workspace):
     weighted = json.loads((root / "out" / "aggregates.json").read_text())
     assert weighted["config_hash"] != mean["config_hash"]
     assert weighted["rows"] == mean["rows"]
+
+
+@pytest.mark.parametrize(
+    "setting, value, key",
+    [
+        ("fit", 5, "fit"),
+        ("gbm", "deep", "gbm"),
+        ("seeds", [1, 2], "seeds"),
+        ("engine", "oops", "engine"),
+        ("paths", 7, "paths"),
+        ("engine.oracle", 5, "engine.oracle"),
+        ("categories", 5, "categories"),
+    ],
+)
+def test_config_section_of_the_wrong_shape_exits_one(workspace, capsys, setting, value, key):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    *parents, name = setting.split(".")
+    node = config
+    for parent in parents:
+        node = node[parent]
+    node[name] = value
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {key} must be")
+
+
+@pytest.mark.parametrize("setting", ["output_dir", "cache_dir"])
+def test_unusable_output_path_exits_two_before_any_engine_call(
+    workspace, capsys, monkeypatch, setting
+):
+    from socialtwin import cli
+
+    root, config_path = workspace
+    (root / "blocker").write_text("a regular file\n")
+    config = yaml.safe_load(config_path.read_text())
+    config["paths"][setting] = "blocker/sub"
+    config_path.write_text(yaml.safe_dump(config))
+    engines = []
+
+    def recording_build_engine(*args):
+        engines.append(cli_build_engine(*args))
+        return engines[-1]
+
+    cli_build_engine = cli.build_engine
+    monkeypatch.setattr(cli, "build_engine", recording_build_engine)
+    assert run(config_path, "simulate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: paths.{setting}") and "blocker" in err
+    assert [engine.call_count for engine in engines] == [0]

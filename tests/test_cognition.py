@@ -19,7 +19,7 @@ from socialtwin.cognition import (
     SyntheticOracleEngine,
     ask_engine,
     build_engine,
-    cached_vector,
+    cached_row,
     logistic,
     oracle_respond,
     parse_response,
@@ -75,13 +75,6 @@ def test_render_unknown_placeholder_names_it():
 def test_render_fractional_stringency_kept_verbatim():
     context = SimContext(date=dt.date(2020, 4, 15), stringency=62.5)
     assert render_prompt(PERSONA, context, "s={stringency}").text == "s=62.5"
-
-
-def test_render_extra_context_fields():
-    context = SimContext(
-        date=dt.date(2020, 4, 15), stringency=10.0, extra={"curfew": "22:00"}
-    )
-    assert render_prompt(PERSONA, context, "curfew {curfew}").text == "curfew 22:00"
 
 
 def test_render_persona_block_lists_attributes():
@@ -294,7 +287,7 @@ def query(engine, prompt, persona, context, categories, cache):
     key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
     cached = cache.get(key)
     if cached is not None:
-        return cached_vector(cached, categories)
+        return BehaviorVector(dict(zip(categories.keys, cached_row(cached, categories))))
     return ask_engine(engine, key, prompt, persona, context, categories, cache)
 
 

@@ -2,6 +2,7 @@
 timeouts, dropped and cut replies, connections, proxies, credentials and TLS."""
 
 import base64
+import datetime as dt
 import importlib.util
 import os
 import ssl
@@ -15,9 +16,11 @@ from pathlib import Path
 import pytest
 
 from socialtwin.cli import main
-from socialtwin.cognition import EngineConfig, PromptText, RemoteHttpEngine
+from socialtwin.cognition import EngineConfig, PromptText, RemoteHttpEngine, ResponseCache, SimContext
 from socialtwin.config import load_run_config
 from socialtwin.errors import EngineError
+from socialtwin.persona import Persona
+from socialtwin.twin import DigitalTwin
 from synthetic import make_synthetic_dataset
 
 from conftest import SPLIT_18MO, loopback_server, write_run_workspace
@@ -330,7 +333,9 @@ def test_endpoint_credentials_stay_out_of_manifests(tmp_path):
     assert load_run_config(config_path).config_hash == load_run_config(plain).config_hash
 
 
-HASH_OF_PLAIN_ENDPOINT = "6bf356fbc63c545c2e4d5eab47207763d85476ca4ed21114814cb7c89b8c6f29"
+# The workspace's observations come from tests/synthetic.py through
+# simulate_contexts, so they and this hash moved when aggregation became exact.
+HASH_OF_PLAIN_ENDPOINT = "42b78d675a8d6771b30c958e5f2792652cb5343c14dd413e85a7c9b69e0e9a61"
 
 
 def test_config_hash_of_an_endpoint_without_credentials_is_unchanged(tmp_path):
@@ -363,3 +368,47 @@ def test_https_verifies_the_certificate_against_ssl_cert_file(monkeypatch):
         monkeypatch.setenv("SSL_CERT_FILE", str(certdata / "pycacert.pem"))
         assert ask(remote_engine(endpoint)) == GOOD_JSON
     assert server.served == 1
+
+
+# ------------------------------------------------------------ the twin's pass
+
+
+class CountsConcurrent(Answering):
+    """Answers after 50 ms, recording the most requests it served at once."""
+
+    def reply(self):
+        with self.server.lock:
+            self.server.active += 1
+            self.server.peak = max(self.server.peak, self.server.active)
+        time.sleep(0.05)
+        with self.server.lock:
+            self.server.active -= 1
+        super().reply()
+
+
+def test_pass_keeps_parallelism_requests_in_flight_across_contexts(schema, pandemic_template):
+    """One profile over six contexts: each context has a single miss, so only a
+    pass that moves on without waiting at the end of a context sends two at
+    once."""
+    persona = Persona(id="p0", attributes={"nationality": "Expatriate", "employment": "Services",
+                                           "risk_perception": "High", "income": "Low"})
+    contexts = [SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=i), 50.0) for i in range(6)]
+    with loopback_server(CountsConcurrent) as server:
+        server.active = server.peak = 0
+        twin = DigitalTwin(
+            population=[persona], engine=remote_engine(url(server)), cache=ResponseCache(None),
+            template=pandemic_template, schema=schema, parallelism=2,
+        )
+        aggregates, log = twin.simulate_contexts(contexts)
+    assert (server.served, server.peak) == (6, 2)
+    assert None not in aggregates and not log.failures
+
+
+def test_failing_pass_sends_no_more_than_parallelism_prompts(synth_dataset, tmp_path, capsys):
+    with loopback_server(ServerError) as server:
+        engine = remote_settings(url(server), retry_limit=2)
+        config_path = write_run_workspace(tmp_path, synth_dataset, SPLIT_18MO, engine=engine)
+        assert main(["simulate", "--config", str(config_path), "--parallelism", "4"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine error:") and "HTTP 500" in err
+    assert 3 <= server.served <= 4 * (1 + 2)

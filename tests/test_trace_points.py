@@ -2,6 +2,7 @@
 functions by name; a rename that drops one of them must fail here, not only
 under ``--trace 1``."""
 
+import datetime as dt
 import importlib.util
 import json
 from pathlib import Path
@@ -63,3 +64,31 @@ def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
     finally:
         tracer.uninstall()
     assert all(cognition.ResponseCache.__dict__[name] is originals[name] for name in patched)
+
+
+def test_tracer_records_render_and_aggregate_spans_of_a_pass(schema, pandemic_template):
+    from socialtwin.cognition import EngineConfig, SimContext, build_engine
+    from socialtwin.persona import sample_population
+    from socialtwin.twin import DigitalTwin
+    from synthetic import default_oracle_params, default_population_spec
+
+    population = sample_population(default_population_spec(12), seed=2)
+    profiles = {tuple(p.attributes.items()) for p in population}
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        twin = DigitalTwin(
+            population=population,
+            engine=build_engine(
+                EngineConfig(kind="synthetic-oracle", oracle_params=default_oracle_params()), schema
+            ),
+            cache=cognition.ResponseCache(None),
+            template=pandemic_template,
+            schema=schema,
+        )
+        twin.simulate_contexts([SimContext(dt.date(2020, 5, 1), 60.0)])
+        metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)
+        assert metrics["cognition.render_calls"]["value"] == len(profiles)
+        assert metrics["aggregate.calls"]["value"] >= 1
+    finally:
+        tracer.uninstall()

@@ -2,13 +2,15 @@ import dataclasses
 import datetime as dt
 import json
 import threading
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialtwin.aggregate import aggregate_mean, aggregate_weighted
 from socialtwin.cognition import (
+    BehaviorVector,
     EngineConfig,
     OracleParams,
     ResponseCache,
@@ -163,20 +165,42 @@ def test_replay_miss_propagates_as_engine_error(schema, pandemic_template):
 # ------------------------------------------------------------- grouped pass
 
 
+def _member_vectors(twin, context):
+    """One render and query per persona-cell."""
+    return [
+        query(twin.engine, render_prompt(p, context, twin.template), p, context,
+              twin.schema, twin.cache)
+        for p in twin.population
+    ]
+
+
 def _naive_simulate(twin, contexts):
-    """Reference: one render, query and aggregate per persona-cell."""
+    """Reference: per persona-cell vectors, averaged in rationals over the
+    members and rounded once."""
     out = []
     for context in contexts:
-        vectors = [
-            query(twin.engine, render_prompt(p, context, twin.template), p, context,
-                  twin.schema, twin.cache)
-            for p in twin.population
+        vectors = _member_vectors(twin, context)
+        weights = [
+            Fraction(p.weight if twin.aggregation == "weighted" else 1) for p in twin.population
         ]
-        if twin.aggregation == "weighted":
-            out.append(aggregate_weighted(vectors, [p.weight for p in twin.population]))
-        else:
-            out.append(aggregate_mean(vectors))
+        out.append(BehaviorVector({
+            key: float(sum(Fraction(v[key]) * w for v, w in zip(vectors, weights)) / sum(weights))
+            for key in twin.schema.keys
+        }))
     return out
+
+
+def _sequential_mean(twin, context):
+    """The per-persona sum in persona order that aggregation used before it
+    became exact."""
+    vectors = _member_vectors(twin, context)
+    probs = {}
+    for key in twin.schema.keys:
+        total = 0.0
+        for v in vectors:
+            total += v[key]
+        probs[key] = min(1.0, total / len(vectors))
+    return probs
 
 
 PROFILE_VALUES = {
@@ -229,6 +253,73 @@ def test_grouped_pass_equals_per_persona_loop_bit_for_bit(
     expected = _naive_simulate(fresh_twin(), contexts)
     assert grouped == expected
     assert all(n == len(population) for n in log.survivors_by_date.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())), min_size=1, max_size=90
+    ),
+    stringency=st.floats(0.0, 100.0),
+)
+def test_exact_mean_within_stated_tolerance_of_the_sequential_sum(
+    schema, pandemic_template, rows, stringency
+):
+    """Exact aggregation moved results off the old persona-order sum by at
+    most its rounding error bound: with n members in [0, 1], the sequential
+    sum is within (n - 1) * 2**-53 of the exact sum relative to it, and the
+    division adds one rounding, so the means differ by at most (n + 1) * 2**-53
+    relative."""
+    population = [
+        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)))
+        for i, values in enumerate(rows)
+    ]
+    params = dataclasses.replace(default_oracle_params(), noise_scale=0.3)
+    engine = build_engine(EngineConfig(kind="synthetic-oracle", oracle_params=params), schema)
+    twin = make_twin(schema, pandemic_template, population=population, engine=engine)
+    context = SimContext(dt.date(2020, 5, 1), stringency)
+    exact = twin.simulate_context(context)
+    sequential = _sequential_mean(twin, context)
+    tolerance = (len(population) + 1) * 2.0**-53
+    for key in schema.keys:
+        assert abs(exact[key] - sequential[key]) <= tolerance * exact[key]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())),
+            st.floats(0.1, 5.0),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    order=st.randoms(use_true_random=False),
+    aggregation=st.sampled_from(["mean", "weighted"]),
+)
+def test_shuffled_and_renumbered_population_gives_bit_identical_aggregates(
+    schema, pandemic_template, rows, order, aggregation
+):
+    population = [
+        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)), weight=weight)
+        for i, (values, weight) in enumerate(rows)
+    ]
+    shuffled = list(population)
+    order.shuffle(shuffled)
+    renumbered = [
+        Persona(id=f"q{i:03d}", attributes=p.attributes, weight=p.weight)
+        for i, p in enumerate(shuffled)
+    ]
+    contexts = [SimContext(dt.date(2020, 5, 1), 35.0), SimContext(dt.date(2020, 5, 2), 80.0)]
+    params = dataclasses.replace(default_oracle_params(), noise_scale=0.3)
+    results = []
+    for members in (population, renumbered):
+        engine = build_engine(EngineConfig(kind="synthetic-oracle", oracle_params=params), schema)
+        twin = make_twin(schema, pandemic_template, population=members, engine=engine)
+        twin.aggregation = aggregation
+        results.append(twin.simulate_contexts(contexts)[0])
+    assert results[0] == results[1]
 
 
 def test_engine_calls_equal_distinct_prompts_at_any_parallelism(schema, pandemic_template):
@@ -388,3 +479,43 @@ def test_one_pass_equals_one_pass_per_context_bit_for_bit(
     twin = fresh_twin()
     assert one_pass == [twin.simulate_context(c) for c in contexts]
     assert (None in one_pass) == (set(employments) <= broken)
+
+
+class SlowOracle:
+    """The oracle, a few milliseconds late, so a pass has misses outstanding."""
+
+    replay_only = False
+    retry_limit = 0
+    lock = threading.Lock()
+
+    def __init__(self, schema):
+        self.oracle = build_engine(
+            EngineConfig(kind="synthetic-oracle", oracle_params=default_oracle_params()), schema
+        )
+        self.digest = self.oracle.digest
+        self.call_count = 0
+
+    def respond(self, prompt, persona, context):
+        with self.lock:
+            self.call_count += 1
+        time.sleep(0.005)
+        return self.oracle.respond(prompt, persona, context)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_cache_counts_one_lookup_per_cell(schema, pandemic_template, parallelism):
+    """A context repeated while its misses are still outstanding looks its
+    prompts up again, as it would after a wait at every context."""
+    population = sample_population(default_population_spec(12), seed=2)
+    profiles = len({tuple(p.attributes.items()) for p in population})
+    first, second, third = (
+        SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=i), 30.0 + i) for i in range(3)
+    )
+    contexts = [first, second, first, third, second]
+    engine = SlowOracle(schema)
+    twin = make_twin(schema, pandemic_template, parallelism=parallelism,
+                     population=population, engine=engine)
+    aggregates, _ = twin.simulate_contexts(contexts)
+    assert twin.cache.hits + twin.cache.misses == profiles * len(contexts)
+    assert twin.cache.misses == engine.call_count == profiles * 3
+    assert aggregates[0] == aggregates[2] and aggregates[1] == aggregates[4]
