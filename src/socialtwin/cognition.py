@@ -619,6 +619,26 @@ def _key_suffix(response_keys: tuple[str, ...]) -> str:
 
 _INDEXED_PREFIX = b'{"key": "'
 _KEY_START = len(_INDEXED_PREFIX)
+_NUMBERS = frozenset((int, float))  # JSON numbers; bools are not among them
+
+
+def _decoded(line: bytes) -> dict | None:
+    """The cache record on ``line``, or None unless it decodes to an object
+    with a string ``key``, a string ``raw`` and ``probs`` mapping to numbers."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(rec, dict):
+        return None
+    probs = rec.get("probs")
+    well_formed = (
+        isinstance(rec.get("key"), str)
+        and isinstance(rec.get("raw"), str)
+        and isinstance(probs, dict)
+        and _NUMBERS.issuperset(map(type, probs.values()))
+    )
+    return rec if well_formed else None
 
 
 class ResponseCache:
@@ -666,14 +686,13 @@ class ResponseCache:
                     if close > 0 and key.isascii() and b"\\" not in key:
                         entries[key.decode("ascii")] = (number, line)
                         continue
-                try:
-                    if line.strip():
-                        rec = json.loads(line)
-                        entries[rec["key"]] = rec
-                except (ValueError, TypeError, KeyError):
+                rec = _decoded(line)
+                if rec is not None:
+                    entries[rec["key"]] = rec
+                elif line.strip():
                     # only the last line can lack its newline
                     if line.endswith(b"\n"):
-                        raise DataError(f"{self.path}:{number}: not a cache record") from None
+                        raise DataError(f"{self.path}:{number}: not a cache record")
                     self.skipped_lines = 1
                     self._end = fh.tell() - len(line)
                     return
@@ -717,11 +736,8 @@ class ResponseCache:
         return rec
 
     def _decode(self, key: str, number: int, line: bytes) -> dict:
-        try:
-            rec = json.loads(line)  # the line starts with "{", so it decodes to an object
-        except ValueError:
-            rec = {}
-        if rec.get("key") != key:
+        rec = _decoded(line)
+        if rec is None or rec["key"] != key:
             raise DataError(f"{self.path}:{number}: not a cache record")
         return rec
 

@@ -256,6 +256,12 @@ def load_run_config(
             oracle_params = OracleParams.from_dict(oracle)
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ConfigError(f"engine.oracle is malformed: {exc!r}") from None
+    fields = _mapping(engine_raw.get("request_fields"), "engine.request_fields")
+    if not all(isinstance(x, str) for item in fields.items() for x in item):
+        raise ConfigError(f"engine.request_fields must be a str-to-str mapping, got {fields!r}")
+    text_path = engine_raw.get("response_text_path")
+    if not (text_path is None or isinstance(text_path, str)):
+        raise ConfigError(f"engine.response_text_path must be a string or null, got {text_path!r}")
     engine = EngineConfig(
         kind=engine_raw.get("kind", "synthetic-oracle"),
         endpoint=engine_raw.get("endpoint"),
@@ -263,11 +269,8 @@ def load_run_config(
         retry_limit=_number(engine_raw.get("retry_limit", 3), int, "engine.retry_limit"),
         oracle_params=oracle_params,
         decoding=dict(_mapping(engine_raw.get("decoding"), "engine.decoding")),
-        request_fields=dict(
-            _mapping(engine_raw.get("request_fields"), "engine.request_fields")
-            or {"model": "model", "prompt": "prompt"}
-        ),
-        response_text_path=engine_raw.get("response_text_path"),
+        request_fields=dict(fields or {"model": "model", "prompt": "prompt"}),
+        response_text_path=text_path,
         timeout=_number(engine_raw.get("timeout", 30.0), float, "engine.timeout"),
     )
 
@@ -308,6 +311,8 @@ def load_run_config(
     )
 
     aggregation = raw.get("aggregation", "mean")
+    if aggregation not in ("mean", "weighted"):
+        raise ConfigError(f"aggregation must be mean or weighted, got {aggregation!r}")
     parallelism = (
         parallelism_override
         if parallelism_override is not None

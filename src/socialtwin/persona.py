@@ -10,6 +10,7 @@ of identical clones, and the degenerate single-agent population.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,8 +30,10 @@ class Persona:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ConfigError(f"persona {self.id}: weight must be nonnegative, got {self.weight}")
+        if not 0 <= self.weight < math.inf:  # NaN fails both comparisons
+            raise ConfigError(
+                f"persona {self.id}: weight must be finite and nonnegative, got {self.weight}"
+            )
 
 
 @dataclass(frozen=True)

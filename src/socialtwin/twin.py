@@ -12,14 +12,16 @@ next context without waiting, so a slow reply holds up only the contexts
 that need it. Contexts are aggregated in order, each once its cells are
 resolved. At most twice ``parallelism`` misses are outstanding; at that
 point the pass waits for the oldest before sending more, which bounds what
-it holds. Each context is aggregated over its profiles, each weighing its
-member count (or its members' summed weight), exactly and rounded once
-(``aggregate``), so results are bit-identical at any query parallelism and
-in any persona order. A prompt that cannot be parsed after retries excludes
-every member of its profile; each is logged under its own id and context,
-and the survivor count of every context goes into the run log so exclusions
-are auditable. The first engine error, in context order, ends the pass:
-no request starts after a request has failed, and queued ones are dropped.
+it holds. Each context is aggregated over its profiles (``aggregate``):
+a profile weighs its member count or, for ``weighted``, its members' weights
+summed once per pass as an exact ``Fraction``, and each result is the exact
+mean rounded once. Results are therefore bit-identical at any query
+parallelism and in any persona order. A prompt that cannot be parsed after
+retries excludes every member of its profile; each is logged under its own
+id and context, and the survivor count of every context goes into the run
+log so exclusions are auditable. The first engine error, in context order,
+ends the pass: no request starts after a request has failed, and queued
+ones are dropped.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import datetime as dt
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
-from .aggregate import aggregate_mean, aggregate_weighted, exact_parts
+from .aggregate import aggregate_mean, aggregate_weighted
 from .calibrate import CalibrationParams, apply_calibration
 from .cognition import (
     BehaviorVector,
@@ -145,14 +148,11 @@ class DigitalTwin:
         sizes = [0] * len(representatives)
         for j in profile_of:
             sizes[j] += 1
+        multiplicities: list = sizes
         if self.aggregation == "weighted":
-            weights: list[list[float]] = [[] for _ in representatives]
+            multiplicities = [Fraction(0)] * len(representatives)  # summed exactly
             for persona, j in zip(self.population, profile_of):
-                weights[j].append(persona.weight)
-            # each profile's summed weight as exact parts, one row per part
-            parts = [exact_parts(w) for w in weights]
-            part_profile = [j for j, ps in enumerate(parts) for _ in ps]
-            part_weight = [w for ps in parts for w in ps]
+                multiplicities[j] += Fraction(persona.weight)
         no_row = [0.0] * len(self.schema.keys)
         log = SimulationLog()
         aggregates: list[BehaviorVector | None] = []
@@ -204,13 +204,9 @@ class DigitalTwin:
                     continue
                 # a failed profile keeps a row of zeros, with multiplicity 0
                 rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
-                if self.aggregation == "weighted":
-                    probs = aggregate_weighted(
-                        [rows[j] for j in part_profile],
-                        [0.0 if j in dead else w for j, w in zip(part_profile, part_weight)],
-                    )
-                else:
-                    probs = aggregate_mean(rows, [0 if j in dead else n for j, n in enumerate(sizes)])
+                counted = [0 if j in dead else m for j, m in enumerate(multiplicities)]
+                aggregate = aggregate_weighted if self.aggregation == "weighted" else aggregate_mean
+                probs = aggregate(rows, counted)
                 aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
 
         window = 2 * self.parallelism

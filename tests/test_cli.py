@@ -469,6 +469,9 @@ def test_weighted_aggregation_writes_the_mean_rows(workspace):
         ("paths", 7, "paths"),
         ("engine.oracle", 5, "engine.oracle"),
         ("categories", 5, "categories"),
+        ("engine.response_text_path", 5, "engine.response_text_path"),
+        ("engine.request_fields", {"model": [1]}, "engine.request_fields"),
+        ("aggregation", "bogus", "aggregation"),
     ],
 )
 def test_config_section_of_the_wrong_shape_exits_one(workspace, capsys, setting, value, key):

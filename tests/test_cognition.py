@@ -627,6 +627,34 @@ def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
     assert f"{path}:2: not a cache record" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("layout", ["indexed", "sorted"])
+@pytest.mark.parametrize("damage", ["string", "non-number"])
+def test_cache_record_with_malformed_probs_exits_two(
+    synth_dataset, tmp_path, capsys, damage, layout
+):
+    """Sorted records are checked when the cache opens, indexed ones on
+    their first hit."""
+    from socialtwin.cli import main
+
+    from conftest import SPLIT_18MO, write_run_workspace
+
+    config_path = write_run_workspace(tmp_path, synth_dataset, SPLIT_18MO)
+    assert main(["simulate", "--config", str(config_path)]) == 0
+    path = next((tmp_path / "cache").glob("*.jsonl"))
+    lines = path.read_bytes().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    if damage == "string":
+        rec["probs"] = json.dumps(rec["probs"])
+    else:
+        rec["probs"][next(iter(rec["probs"]))] = "high"
+    lines[1] = json.dumps(rec, sort_keys=layout == "sorted").encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{path}:2: not a cache record" in err
+
+
 def test_cache_counters_exact_under_threads():
     cache = ResponseCache(None)
     cache.put("hit", "raw", {"stay_home": 0.5}, "model:x")

@@ -140,6 +140,12 @@ def test_negative_weight_refused():
         Persona(id="p", attributes={}, weight=-0.1)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_non_finite_weight_refused(weight):
+    with pytest.raises(ConfigError, match="weight must be finite and nonnegative"):
+        Persona(id="p", attributes={}, weight=weight)
+
+
 def test_spec_from_dict_mapping_and_list_forms():
     via_mapping = DemographicSpec.from_dict(
         {"population_size": 3, "attributes": {"x": {"a": 0.5, "b": 0.5}}}
