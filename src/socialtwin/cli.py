@@ -30,6 +30,7 @@ from pathlib import Path
 
 from . import baseline as bl
 from .calibrate import (
+    apply_calibration,
     fit_calibration,
     load_calibration,
     pair_by_date,
@@ -164,7 +165,6 @@ def _build_twin(config: RunConfig, calibration=None) -> tuple[DigitalTwin, objec
         cache=cache,
         template=config.template,
         schema=config.schema,
-        aggregation=config.aggregation,
         calibration=calibration,
         parallelism=config.parallelism,
     )
@@ -185,7 +185,7 @@ def _load_inputs(config: RunConfig):
 
 
 def cmd_simulate(config: RunConfig) -> None:
-    """population -> cognitive engine -> aggregation over all split dates."""
+    """population -> cognitive engine -> population mean over all split dates."""
     policy, policy_report, _, _ = _load_inputs(config)
     twin, engine = _build_twin(config)
     ranges = [config.split.train, config.split.validation, config.split.test]
@@ -269,12 +269,11 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
         "improvement_formula": "(reference - ours) / reference * 100",
     }
 
-    twin_predictions = {}
-    for d, vec in aggregates.items():
-        if split_range.contains(d):
-            twin_predictions[d] = {
-                key: calibration.per_category[key].apply(vec[key]) for key in vec.categories
-            }
+    twin_predictions = {
+        d: apply_calibration(vec, calibration)
+        for d, vec in aggregates.items()
+        if split_range.contains(d)
+    }
     if not twin_predictions:
         raise DataError(f"no aggregates available inside the {split_name} split")
 
@@ -425,7 +424,6 @@ def cmd_ablate(config: RunConfig) -> None:
         template=config.template,
         fit_config=config.fit,
         population_seed=config.seeds["population"],
-        aggregation=config.aggregation,
         parallelism=config.parallelism,
     )
     engine = build_engine(config.engine, config.schema)

@@ -624,7 +624,8 @@ _NUMBERS = frozenset((int, float))  # JSON numbers; bools are not among them
 
 def _decoded(line: bytes) -> dict | None:
     """The cache record on ``line``, or None unless it decodes to an object
-    with a string ``key``, a string ``raw`` and ``probs`` mapping to numbers."""
+    with a string ``key``, a string ``raw`` and ``probs`` mapping to numbers
+    in [0, 1]."""
     try:
         rec = json.loads(line)
     except ValueError:
@@ -638,7 +639,12 @@ def _decoded(line: bytes) -> dict | None:
         and isinstance(probs, dict)
         and _NUMBERS.issuperset(map(type, probs.values()))
     )
-    return rec if well_formed else None
+    if not well_formed:
+        return None
+    for value in probs.values():
+        if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+            return None
+    return rec
 
 
 class ResponseCache:
@@ -771,17 +777,14 @@ def cached_row(rec: dict, categories: CategorySchema) -> list[float]:
     Records store probabilities by category ``key``, but the cache key hashes
     only the response keys. A record written before a category was renamed is
     therefore re-parsed from its raw text, which holds the same response keys.
-    A stored value outside [0, 1] is a config error, as in ``BehaviorVector``.
+    Stored values are in [0, 1]: ``ResponseCache`` checks each record it
+    reads from disk as it decodes it.
     """
     try:
         probs = rec["probs"]
-        row = [float(probs[key]) for key in categories.keys]
+        return [float(probs[key]) for key in categories.keys]
     except KeyError:
         return list(parse_response(rec["raw"], categories).probs.values())
-    for key, value in zip(categories.keys, row):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"probability for {key!r} out of [0, 1]: {value}")
-    return row
 
 
 def ask_engine(

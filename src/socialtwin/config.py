@@ -5,7 +5,8 @@ default population) supplies defaults; the run config overrides them and
 adds dataset paths, the temporal split, engine and fitting settings, and
 seeds. The resolved configuration is hashed together with the content of
 the input files; every artifact embeds that hash so artifacts from
-different configurations cannot be silently mixed.
+different configurations cannot be silently mixed. Keys the loader does not
+read are ignored and left out of the hash.
 """
 
 from __future__ import annotations
@@ -131,12 +132,7 @@ def _split_from_dict(data: dict) -> TemporalSplit:
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration for one pipeline run.
-
-    ``aggregation`` is ``mean`` or ``weighted``. The CLI samples every persona
-    with weight 1.0, so the two write bit-identical aggregates; ``weighted``
-    differs only for populations built with unequal weights in code.
-    """
+    """Fully resolved configuration for one pipeline run."""
 
     profile_name: str
     schema: CategorySchema
@@ -154,7 +150,6 @@ class RunConfig:
     policy_columns: dict[str, str]
     observation_columns: dict[str, str]  # category key -> CSV column
     observation_date_column: str
-    aggregation: str
     parallelism: int
     config_hash: str = ""
     semantic: dict = field(default_factory=dict)  # hashed view, for manifests
@@ -310,9 +305,6 @@ def load_run_config(
         "observation_date_column", profile.get("observation_date_column", "date")
     )
 
-    aggregation = raw.get("aggregation", "mean")
-    if aggregation not in ("mean", "weighted"):
-        raise ConfigError(f"aggregation must be mean or weighted, got {aggregation!r}")
     parallelism = (
         parallelism_override
         if parallelism_override is not None
@@ -358,7 +350,6 @@ def load_run_config(
             "n_bins": gbm.n_bins,
         },
         "seeds": seeds,
-        "aggregation": aggregation,
         "policy_columns": policy_columns,
         "observation_columns": observation_columns,
         "observation_date_column": observation_date_column,
@@ -398,7 +389,6 @@ def load_run_config(
         policy_columns=policy_columns,
         observation_columns=observation_columns,
         observation_date_column=observation_date_column,
-        aggregation=aggregation,
         parallelism=parallelism,
         config_hash=config_hash,
         semantic=semantic,

@@ -283,7 +283,6 @@ class AblationInputs:
     template: str
     fit_config: FitConfig
     population_seed: int
-    aggregation: str = "mean"
     eval_split: str = "test"
     parallelism: int = 1
 
@@ -410,7 +409,6 @@ def run_ablation_suite(
                 cache=cache,
                 template=inputs.template,
                 schema=inputs.schema,
-                aggregation=inputs.aggregation,
                 parallelism=inputs.parallelism,
             )
             vectors, report.simulation_logs[variant] = twin.simulate_contexts(contexts)

@@ -80,11 +80,6 @@ class ObservationSeries:
     def by_date(self) -> dict[dt.date, ObservationRecord]:
         return {r.date: r for r in self.records}
 
-    def column(self, category: str) -> list[float]:
-        if category not in self.categories:
-            raise DataError(f"unknown category {category!r}; have {self.categories}")
-        return [r.values[category] for r in self.records]
-
     def restrict(self, date_range: "DateRange") -> "ObservationSeries":
         return ObservationSeries(
             self.categories,

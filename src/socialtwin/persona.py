@@ -3,15 +3,15 @@
 Populations are sampled attribute-by-attribute from configured marginal
 distributions (no joint structure: only marginals are specified). Sampling
 is a pure function of (spec, seed), so identical inputs always reproduce the
-same population. Two ablation variants live here too: a uniform population
-of identical clones, and the degenerate single-agent population.
+same population. Every persona counts once in the population mean. Two
+ablation variants live here too: a uniform population of identical clones,
+and the degenerate single-agent population.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +23,10 @@ PROB_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Persona:
-    """One synthetic individual: an id, categorical attributes, and a weight."""
+    """One synthetic individual: an id and categorical attributes."""
 
     id: str
     attributes: dict[str, str]
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not 0 <= self.weight < math.inf:  # NaN fails both comparisons
-            raise ConfigError(
-                f"persona {self.id}: weight must be finite and nonnegative, got {self.weight}"
-            )
 
 
 @dataclass(frozen=True)
@@ -131,19 +124,12 @@ def uniform_population(template: Persona, n: int) -> list[Persona]:
     if n < 1:
         raise ConfigError(f"population size must be >= 1, got {n}")
     return [
-        Persona(id=_persona_id(i, n), attributes=dict(template.attributes), weight=template.weight)
-        for i in range(n)
+        Persona(id=_persona_id(i, n), attributes=dict(template.attributes)) for i in range(n)
     ]
 
 
 def save_population(population: list[Persona], path: str | Path) -> None:
-    """Write one JSON record per persona (id, attributes, weight)."""
+    """Write one JSON record per persona (id, attributes)."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for p in population:
-            fh.write(
-                json.dumps(
-                    {"id": p.id, "attributes": p.attributes, "weight": p.weight},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps({"id": p.id, "attributes": p.attributes}, sort_keys=True) + "\n")

@@ -61,10 +61,6 @@ class CategorySchema:
     def observation_columns(self) -> dict[str, str]:
         return {c.key: c.observation_column for c in self.categories}
 
-    @property
-    def directions(self) -> dict[str, int]:
-        return {c.key: c.direction for c in self.categories}
-
     def __len__(self) -> int:
         return len(self.categories)
 

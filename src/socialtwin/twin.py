@@ -1,5 +1,5 @@
-"""The composed pipeline: population -> cognitive engine -> aggregation,
-with an optional fitted calibration on top.
+"""The composed pipeline: population -> cognitive engine -> population
+mean, with an optional fitted calibration on top.
 
 A simulation pass works once per distinct prompt: personas with the same
 ordered attributes form a profile, and each (profile, context) cell is
@@ -13,9 +13,8 @@ that need it. Contexts are aggregated in order, each once its cells are
 resolved. At most twice ``parallelism`` misses are outstanding; at that
 point the pass waits for the oldest before sending more, which bounds what
 it holds. Each context is aggregated over its profiles (``aggregate``):
-a profile weighs its member count or, for ``weighted``, its members' weights
-summed once per pass as an exact ``Fraction``, and each result is the exact
-mean rounded once. Results are therefore bit-identical at any query
+a profile weighs its member count, and each result is the exact mean
+rounded once. Results are therefore bit-identical at any query
 parallelism and in any persona order. A prompt that cannot be parsed after
 retries excludes every member of its profile; each is logged under its own
 id and context, and the survivor count of every context goes into the run
@@ -30,10 +29,9 @@ import datetime as dt
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
-from .aggregate import aggregate_mean, aggregate_weighted
+from .aggregate import aggregate_mean
 from .calibrate import CalibrationParams, apply_calibration
 from .cognition import (
     BehaviorVector,
@@ -95,26 +93,17 @@ class SimulationLog:
 
 @dataclass
 class DigitalTwin:
-    """Everything needed to turn a (date, stringency) context into metrics.
-
-    ``aggregation: weighted`` weighs each persona by its ``weight``. Every
-    population the CLI builds (``sample_population``, ``uniform_population``)
-    has weight 1.0, and a weighted mean with unit weights is bit-identical to
-    the plain mean, so from the CLI the two settings give the same aggregates.
-    """
+    """Everything needed to turn a (date, stringency) context into metrics."""
 
     population: list[Persona]
     engine: object
     cache: ResponseCache
     template: str
     schema: CategorySchema
-    aggregation: str = "mean"  # or "weighted"
     calibration: CalibrationParams | None = None
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.aggregation not in ("mean", "weighted"):
-            raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         if not self.population:
             raise ConfigError("twin needs a nonempty population")
 
@@ -148,11 +137,6 @@ class DigitalTwin:
         sizes = [0] * len(representatives)
         for j in profile_of:
             sizes[j] += 1
-        multiplicities: list = sizes
-        if self.aggregation == "weighted":
-            multiplicities = [Fraction(0)] * len(representatives)  # summed exactly
-            for persona, j in zip(self.population, profile_of):
-                multiplicities[j] += Fraction(persona.weight)
         no_row = [0.0] * len(self.schema.keys)
         log = SimulationLog()
         aggregates: list[BehaviorVector | None] = []
@@ -202,11 +186,10 @@ class DigitalTwin:
                 if not survivors:
                     aggregates.append(None)
                     continue
-                # a failed profile keeps a row of zeros, with multiplicity 0
+                # a failed profile keeps a row of zeros, with count 0
                 rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
-                counted = [0 if j in dead else m for j, m in enumerate(multiplicities)]
-                aggregate = aggregate_weighted if self.aggregation == "weighted" else aggregate_mean
-                probs = aggregate(rows, counted)
+                counts = [0 if j in dead else n for j, n in enumerate(sizes)]
+                probs = aggregate_mean(rows, counts)
                 aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
 
         window = 2 * self.parallelism

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialtwin import baseline as bl
-from socialtwin.aggregate import aggregate_mean, aggregate_weighted
+from socialtwin.aggregate import aggregate_mean
 from socialtwin.calibrate import (
     CategoryCalibration,
     FitConfig,
@@ -282,9 +282,9 @@ def _prop_aggregation_bounds_and_permutation(rows, rng):
         assert min(column) <= value <= max(column)
     order = list(range(len(rows)))
     rng.shuffle(order)
-    weights = [1.0 + (i % 3) for i in range(len(rows))]
-    shuffled = aggregate_weighted([rows[i] for i in order], [weights[i] for i in order])
-    assert shuffled == aggregate_weighted(rows, weights)
+    counts = [1 + (i % 3) for i in range(len(rows))]
+    shuffled = aggregate_mean([rows[i] for i in order], [counts[i] for i in order])
+    assert shuffled == aggregate_mean(rows, counts)
 
 
 @GENEROUS

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialtwin.aggregate import aggregate_mean, aggregate_weighted
+from socialtwin.aggregate import aggregate_mean
 from socialtwin.cognition import SimContext, oracle_respond
 from socialtwin.errors import DataError
 from socialtwin.persona import DemographicSpec, sample_population
 from synthetic import default_oracle_params
 
 
-def exact_mean(rows, multiplicities):
-    """Reference: sum_j m_j v_j / sum_j m_j in rationals, rounded once."""
-    total = sum(map(Fraction, multiplicities))
+def exact_mean(rows, counts):
+    """Reference: sum_j n_j v_j / sum_j n_j in rationals, rounded once."""
+    total = sum(counts)
     return [
-        float(sum(Fraction(row[c]) * Fraction(m) for row, m in zip(rows, multiplicities)) / total)
+        float(sum(Fraction(row[c]) * n for row, n in zip(rows, counts)) / total)
         for c in range(len(rows[0]))
     ]
 
@@ -60,49 +60,51 @@ def test_mean_empty_and_mismatched_schema():
 
 
 def test_weighted_equal_weights_reduces_to_mean():
+    """Scaling every count by the same factor leaves the count-weighted mean."""
     rows = [[0.1, 0.5, 0.9], [0.3, 0.3, 0.3], [0.8, 0.2, 0.4]]
-    assert aggregate_weighted(rows, [2.0, 2.0, 2.0]) == aggregate_mean(rows, [1, 1, 1])
+    assert aggregate_mean(rows, [2, 2, 2]) == aggregate_mean(rows, [1, 1, 1])
 
 
 def test_weighted_degenerate_weight_selects_vector():
+    """A profile counted zero times (every member failed) drops out."""
     first, second = [0.1, 0.2, 0.3], [0.9, 0.8, 0.7]
-    assert aggregate_weighted([first, second], [1.0, 0.0]) == first
+    assert aggregate_mean([first, second], [1, 0]) == first
 
 
 def test_weighted_hand_computed():
-    assert aggregate_weighted([[0.0] * 3, [1.0] * 3], [1.0, 3.0]) == [0.75] * 3
+    assert aggregate_mean([[0.0] * 3, [1.0] * 3], [1, 3]) == [0.75] * 3
 
 
 def test_weighted_error_cases():
     rows = [[0.5] * 3, [0.6] * 3]
     with pytest.raises(DataError, match="all be zero"):
-        aggregate_weighted(rows, [0.0, 0.0])
-    with pytest.raises(DataError, match="weights for"):
-        aggregate_weighted(rows, [1.0])
+        aggregate_mean(rows, [0, 0])
+    with pytest.raises(DataError, match="1 counts for 2 rows"):
+        aggregate_mean(rows, [1])
     with pytest.raises(DataError, match="nonnegative"):
-        aggregate_weighted(rows, [1.0, -0.5])
-    with pytest.raises(DataError, match="finite"):
-        aggregate_weighted(rows, [1.0, math.inf])
+        aggregate_mean(rows, [1, -1])
+    with pytest.raises(DataError, match="integers"):
+        aggregate_mean(rows, [1.0, 0.5])
     with pytest.raises(DataError, match=r"\[0, 1\]"):
-        aggregate_weighted([[0.5] * 3, [math.nan] * 3], [1.0, 1.0])
+        aggregate_mean([[0.5] * 3, [math.nan] * 3], [1, 1])
 
 
-# values and weights of every finite size, subnormals included
+# values of every size in [0, 1], subnormals included
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-weight = st.floats(min_value=0.0, max_value=1e308, allow_nan=False)
+count = st.integers(min_value=0, max_value=10**6)
 
 
 @st.composite
-def profile_batches(draw, with_weights=False):
+def profile_batches(draw, with_counts=False):
     n_cats = draw(st.integers(min_value=1, max_value=5))
     n_rows = draw(st.integers(min_value=1, max_value=8))
     rows = [[draw(unit) for _ in range(n_cats)] for _ in range(n_rows)]
-    if not with_weights:
+    if not with_counts:
         return rows
-    weights = draw(
-        st.lists(weight, min_size=n_rows, max_size=n_rows).filter(lambda ws: sum(ws) > 0)
+    counts = draw(
+        st.lists(count, min_size=n_rows, max_size=n_rows).filter(lambda ns: sum(ns) > 0)
     )
-    return rows, weights
+    return rows, counts
 
 
 @given(profile_batches())
@@ -113,19 +115,14 @@ def test_mean_bounded_by_min_and_max(rows):
         assert min(column) <= value <= max(column)
 
 
-@given(profile_batches(with_weights=True), st.randoms(use_true_random=False))
+@given(profile_batches(with_counts=True), st.randoms(use_true_random=False))
 def test_weighted_permutation_invariance(batch, rng):
-    rows, weights = batch
-    result = aggregate_weighted(rows, weights)
+    rows, counts = batch
+    result = aggregate_mean(rows, counts)
     order = list(range(len(rows)))
     rng.shuffle(order)
-    shuffled = aggregate_weighted([rows[i] for i in order], [weights[i] for i in order])
+    shuffled = aggregate_mean([rows[i] for i in order], [counts[i] for i in order])
     assert shuffled == result
-
-
-@given(profile_batches())
-def test_weighted_uniform_equals_mean_within_1e12(rows):
-    assert aggregate_weighted(rows, [1.0] * len(rows)) == aggregate_mean(rows, [1] * len(rows))
 
 
 # ------------------------------------------------------------ exact results
@@ -135,26 +132,13 @@ def test_weighted_uniform_equals_mean_within_1e12(rows):
 @given(
     rows=st.lists(st.lists(unit, min_size=3, max_size=3), min_size=1, max_size=12),
     data=st.data(),
-    weighted=st.booleans(),
 )
-def test_result_is_the_exact_member_mean_rounded_once(rows, data, weighted):
+def test_result_is_the_exact_member_mean_rounded_once(rows, data):
     """Each profile stands for its members: the result equals the rational
-    mean over the expanded members, given each profile's summed weight as a
-    ``Fraction``."""
-    members = [
-        data.draw(st.lists(weight if weighted else st.just(1.0), min_size=1, max_size=6))
-        for _ in rows
-    ]
-    expanded_rows = [row for row, ws in zip(rows, members) for _ in ws]
-    expanded_weights = [w for ws in members for w in ws]
-    if sum(expanded_weights) == 0:
-        return
-    expected = exact_mean(expanded_rows, expanded_weights)
-    if weighted:
-        got = aggregate_weighted(rows, [sum(map(Fraction, ws), Fraction(0)) for ws in members])
-    else:
-        got = aggregate_mean(rows, [len(ws) for ws in members])
-    assert got == expected
+    mean over the expanded members."""
+    counts = data.draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    expanded_rows = [row for row, n in zip(rows, counts) for _ in range(n)]
+    assert aggregate_mean(rows, counts) == exact_mean(expanded_rows, [1] * len(expanded_rows))
 
 
 @settings(max_examples=200, deadline=None)

@@ -628,12 +628,12 @@ def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("layout", ["indexed", "sorted"])
-@pytest.mark.parametrize("damage", ["string", "non-number"])
+@pytest.mark.parametrize("damage", ["string", "non-number", "above-one", "nan"])
 def test_cache_record_with_malformed_probs_exits_two(
     synth_dataset, tmp_path, capsys, damage, layout
 ):
     """Sorted records are checked when the cache opens, indexed ones on
-    their first hit."""
+    their first hit. A probability outside [0, 1] is damage too."""
     from socialtwin.cli import main
 
     from conftest import SPLIT_18MO, write_run_workspace
@@ -646,7 +646,8 @@ def test_cache_record_with_malformed_probs_exits_two(
     if damage == "string":
         rec["probs"] = json.dumps(rec["probs"])
     else:
-        rec["probs"][next(iter(rec["probs"]))] = "high"
+        value = {"non-number": "high", "above-one": 1.5, "nan": math.nan}[damage]
+        rec["probs"][next(iter(rec["probs"]))] = value
     lines[1] = json.dumps(rec, sort_keys=layout == "sorted").encode() + b"\n"
     path.write_bytes(b"".join(lines))
     capsys.readouterr()

@@ -307,7 +307,6 @@ def reference_aggregates(inputs, engine, cache, population):
         cache=cache,
         template=inputs.template,
         schema=inputs.schema,
-        aggregation=inputs.aggregation,
     )
     vectors, _ = twin.simulate_contexts(contexts)
     return {c.date: v for c, v in zip(contexts, vectors) if v is not None}
@@ -404,17 +403,15 @@ def test_ablation_suite_simulates_each_population_once(ablation_inputs, monkeypa
 @settings(max_examples=10, deadline=None)
 @given(
     variants=st.lists(st.sampled_from(ABLATION_VARIANTS), min_size=1, unique=True),
-    aggregation=st.sampled_from(["mean", "weighted"]),
     eval_split=st.sampled_from(["validation", "test"]),
     population_seed=st.integers(0, 2**16),
     fit_seed=st.integers(0, 2**16),
 )
 def test_ablation_suite_equals_self_simulating_reference(
-    ablation_inputs, variants, aggregation, eval_split, population_seed, fit_seed
+    ablation_inputs, variants, eval_split, population_seed, fit_seed
 ):
     inputs = dataclasses.replace(
         ablation_inputs,
-        aggregation=aggregation,
         eval_split=eval_split,
         population_seed=population_seed,
         fit_config=dataclasses.replace(ablation_inputs.fit_config, trials=10, seed=fit_seed),

@@ -16,8 +16,7 @@ def load_population(path):
     """Read back a ``save_population`` file."""
     with open(path, encoding="utf-8") as fh:
         return [
-            Persona(id=rec["id"], attributes=rec["attributes"], weight=rec["weight"])
-            for rec in map(json.loads, fh)
+            Persona(id=rec["id"], attributes=rec["attributes"]) for rec in map(json.loads, fh)
         ]
 
 
@@ -43,7 +42,6 @@ def test_sample_population_exact_size_and_attributes():
     assert len(pop) == 10
     for p in pop:
         assert set(p.attributes) == {"nationality", "risk_perception"}
-        assert p.weight == 1.0
     assert len({p.id for p in pop}) == 10
 
 
@@ -91,12 +89,11 @@ def test_empty_value_list_refused():
 
 
 def test_uniform_population_copies_with_distinct_ids():
-    template = Persona(id="t", attributes={"nationality": "Expatriate"}, weight=2.0)
+    template = Persona(id="t", attributes={"nationality": "Expatriate"})
     pop = uniform_population(template, 3)
     assert len(pop) == 3
     assert len({p.id for p in pop}) == 3
     assert all(p.attributes == template.attributes for p in pop)
-    assert all(p.weight == 2.0 for p in pop)
     # template attribute map is copied, not shared
     pop[0].attributes["nationality"] = "changed"
     assert pop[1].attributes["nationality"] == "Expatriate"
@@ -125,25 +122,17 @@ def test_modal_persona_takes_highest_probability_values():
     assert p.attributes == {"nationality": "Expatriate", "risk_perception": "Medium"}
 
 
-def test_population_roundtrip_preserves_weights(tmp_path):
+def test_population_roundtrip_preserves_ids_and_attributes(tmp_path):
     pop = [
-        Persona(id="p0", attributes={"a": "x"}, weight=1.0),
-        Persona(id="p1", attributes={"a": "y"}, weight=3.5),
+        Persona(id="p0", attributes={"a": "x"}),
+        Persona(id="p1", attributes={"a": "y"}),
     ]
     path = tmp_path / "pop.jsonl"
     save_population(pop, path)
     assert load_population(path) == pop
-
-
-def test_negative_weight_refused():
-    with pytest.raises(ConfigError):
-        Persona(id="p", attributes={}, weight=-0.1)
-
-
-@pytest.mark.parametrize("weight", [math.nan, math.inf])
-def test_non_finite_weight_refused(weight):
-    with pytest.raises(ConfigError, match="weight must be finite and nonnegative"):
-        Persona(id="p", attributes={}, weight=weight)
+    assert [sorted(json.loads(line)) for line in path.read_text().splitlines()] == [
+        ["attributes", "id"]
+    ] * 2
 
 
 def test_spec_from_dict_mapping_and_list_forms():

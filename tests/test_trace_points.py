@@ -9,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
+from socialtwin import aggregate
 from socialtwin import baseline as bl
 from socialtwin import cognition
+from socialtwin import twin as twin_module
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "trace_layers.py"
 
@@ -74,6 +76,7 @@ def test_tracer_records_render_and_aggregate_spans_of_a_pass(schema, pandemic_te
 
     population = sample_population(default_population_spec(12), seed=2)
     profiles = {tuple(p.attributes.items()) for p in population}
+    original = aggregate.aggregate_mean
     tracer = load_tracer_module().Tracer()
     tracer.install()
     try:
@@ -86,9 +89,12 @@ def test_tracer_records_render_and_aggregate_spans_of_a_pass(schema, pandemic_te
             template=pandemic_template,
             schema=schema,
         )
-        twin.simulate_contexts([SimContext(dt.date(2020, 5, 1), 60.0)])
+        contexts = [SimContext(dt.date(2020, 5, d), 20.0 * d) for d in (1, 2, 3)]
+        twin.simulate_contexts(contexts)
         metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)
-        assert metrics["cognition.render_calls"]["value"] == len(profiles)
-        assert metrics["aggregate.calls"]["value"] >= 1
+        assert metrics["cognition.render_calls"]["value"] == len(contexts) * len(profiles)
+        # one span per context: the aggregate function is wrapped once, not twice
+        assert metrics["aggregate.calls"]["value"] == len(contexts)
     finally:
         tracer.uninstall()
+    assert aggregate.aggregate_mean is original and twin_module.aggregate_mean is original

@@ -133,21 +133,6 @@ def test_parallel_equals_serial(schema, pandemic_template):
     assert serial == parallel
 
 
-def test_weighted_aggregation_uses_persona_weights(schema, pandemic_template):
-    spec_pop = sample_population(default_population_spec(3), seed=4)
-    weighted_pop = [
-        Persona(id=p.id, attributes=p.attributes, weight=w)
-        for p, w in zip(spec_pop, (1.0, 0.0, 0.0))
-    ]
-    twin = make_twin(schema, pandemic_template, population=weighted_pop)
-    twin.aggregation = "weighted"
-    context = SimContext(dt.date(2020, 6, 1), 55.0)
-    aggregate = twin.simulate_context(context)
-    solo = oracle_respond(default_oracle_params(), weighted_pop[0], context)
-    for key in schema.keys:
-        assert aggregate[key] == pytest.approx(solo[key], abs=1e-12)
-
-
 def test_predict_metrics_requires_calibration(schema, pandemic_template):
     twin = make_twin(schema, pandemic_template)
     aggregate = twin.simulate_context(SimContext(dt.date(2020, 6, 1), 50.0))
@@ -180,11 +165,8 @@ def _naive_simulate(twin, contexts):
     out = []
     for context in contexts:
         vectors = _member_vectors(twin, context)
-        weights = [
-            Fraction(p.weight if twin.aggregation == "weighted" else 1) for p in twin.population
-        ]
         out.append(BehaviorVector({
-            key: float(sum(Fraction(v[key]) * w for v, w in zip(vectors, weights)) / sum(weights))
+            key: float(sum(Fraction(v[key]) for v in vectors) / len(vectors))
             for key in twin.schema.keys
         }))
     return out
@@ -214,23 +196,17 @@ PROFILE_VALUES = {
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(
-            st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())),
-            st.floats(0.1, 5.0),
-        ),
-        min_size=1,
-        max_size=25,
+        st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())), min_size=1, max_size=25
     ),
     stringencies=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
-    aggregation=st.sampled_from(["mean", "weighted"]),
 )
 def test_grouped_pass_equals_per_persona_loop_bit_for_bit(
-    schema, pandemic_template, rows, stringencies, aggregation
+    schema, pandemic_template, rows, stringencies
 ):
     # few attribute values, so most populations repeat profiles
     population = [
-        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)), weight=weight)
-        for i, (values, weight) in enumerate(rows)
+        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)))
+        for i, values in enumerate(rows)
     ]
     params = OracleParams(
         intercepts=default_oracle_params().intercepts,
@@ -245,9 +221,7 @@ def test_grouped_pass_equals_per_persona_loop_bit_for_bit(
 
     def fresh_twin():
         engine = build_engine(EngineConfig(kind="synthetic-oracle", oracle_params=params), schema)
-        twin = make_twin(schema, pandemic_template, population=population, engine=engine)
-        twin.aggregation = aggregation
-        return twin
+        return make_twin(schema, pandemic_template, population=population, engine=engine)
 
     grouped, log = fresh_twin().simulate_contexts(contexts)
     expected = _naive_simulate(fresh_twin(), contexts)
@@ -288,28 +262,22 @@ def test_exact_mean_within_stated_tolerance_of_the_sequential_sum(
 @settings(max_examples=30, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(
-            st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())),
-            st.floats(0.1, 5.0),
-        ),
-        min_size=1,
-        max_size=25,
+        st.tuples(*(st.sampled_from(v) for v in PROFILE_VALUES.values())), min_size=1, max_size=25
     ),
     order=st.randoms(use_true_random=False),
-    aggregation=st.sampled_from(["mean", "weighted"]),
 )
 def test_shuffled_and_renumbered_population_gives_bit_identical_aggregates(
-    schema, pandemic_template, rows, order, aggregation
+    schema, pandemic_template, rows, order
 ):
+    # few attribute values, so profiles repeat and carry uneven counts
     population = [
-        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)), weight=weight)
-        for i, (values, weight) in enumerate(rows)
+        Persona(id=f"p{i}", attributes=dict(zip(PROFILE_VALUES, values)))
+        for i, values in enumerate(rows)
     ]
     shuffled = list(population)
     order.shuffle(shuffled)
     renumbered = [
-        Persona(id=f"q{i:03d}", attributes=p.attributes, weight=p.weight)
-        for i, p in enumerate(shuffled)
+        Persona(id=f"q{i:03d}", attributes=p.attributes) for i, p in enumerate(shuffled)
     ]
     contexts = [SimContext(dt.date(2020, 5, 1), 35.0), SimContext(dt.date(2020, 5, 2), 80.0)]
     params = dataclasses.replace(default_oracle_params(), noise_scale=0.3)
@@ -317,7 +285,6 @@ def test_shuffled_and_renumbered_population_gives_bit_identical_aggregates(
     for members in (population, renumbered):
         engine = build_engine(EngineConfig(kind="synthetic-oracle", oracle_params=params), schema)
         twin = make_twin(schema, pandemic_template, population=members, engine=engine)
-        twin.aggregation = aggregation
         results.append(twin.simulate_contexts(contexts)[0])
     assert results[0] == results[1]
 
