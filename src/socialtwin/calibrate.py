@@ -2,24 +2,25 @@
 probabilities to observed metric units.
 
 The map is y_hat_k = clip(alpha_k * pbar_k + beta_k, y_min_k, y_max_k). The
-map shares no parameters across categories, so the default objective fits
-each category independently; a macro-average mode (all categories searched
-jointly on the mean RMSE) is kept for fidelity experiments, and a
-single-slope fit (one shared alpha, beta) backs the corresponding ablation.
+map shares no parameters across categories, so each category is fitted by
+its own search; a single-slope fit (one shared alpha, beta) and the
+closed-form unclipped fit back the corresponding ablations.
 
-Fitting uses a density-based sampler: past trials are split into the best
-gamma fraction and the rest, new candidates are drawn from a Gaussian kernel
-density over the good trials and ranked by the good-to-rest density ratio.
-A closed-form least-squares fit of the unclipped map is always evaluated as
-trial 0, so the search can never end worse than the initializer.
+Fitting has one method, a density-guided search: after a few uniform trials,
+past trials are split into the best gamma fraction and the rest, new
+candidates are drawn from a Gaussian kernel density over the good trials and
+ranked by the good-to-rest density ratio. A closed-form least-squares fit of
+the unclipped map is always evaluated as trial 0, so the search can never
+end worse than the initializer. Unclipped, that line is the optimum itself,
+so ``fit_unclipped`` returns it without a search.
 
-Independent searches (one per category under the default objective) run in
-lock step as one batch: each trial evaluates every search's point in one
-loss call, and each density step ranks, splits and scores all searches with
-array operations, written for few numpy calls per trial. A batched fit is
-bit-identical to running its searches one by one with the plain numpy forms
-(``rng.uniform``, ``np.std``, ``np.mean``, ``np.clip``) that the tests keep
-as the reference, because of two invariants:
+The per-category searches run in lock step as one batch: each trial
+evaluates every search's point in one loss call, and each density step
+ranks, splits and scores all searches with array operations, written for
+few numpy calls per trial. A batched fit is bit-identical to running its
+searches one by one with the plain numpy forms (``rng.uniform``,
+``np.std``, ``np.mean``, ``np.clip``) that the tests keep as the reference,
+because of two invariants:
 
 * same draws per search: each search has its own generator and takes the
   same values from it in the same order. ``rng.uniform(lo, hi)`` is
@@ -75,9 +76,6 @@ class CalibrationParams:
 
     per_category: dict[str, CategoryCalibration]
 
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.per_category.keys())
-
     def to_dict(self) -> dict:
         def enc(x: float):
             return {math.inf: "inf", -math.inf: "-inf"}.get(x, x)
@@ -112,14 +110,12 @@ class CalibrationParams:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Sampler configuration for calibration fitting."""
+    """Search settings for calibration fitting."""
 
     trials: int = 200
     alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE
     beta_range: tuple[float, float] = DEFAULT_BETA_RANGE
     seed: int = 0
-    objective: str = "per-category-independent"  # or "macro-average"
-    sampler: str = "tpe-style"  # or "random", "least-squares-init"
     clip_bounds: tuple[float, float] = DEFAULT_CLIP_BOUNDS
 
     def __post_init__(self):
@@ -128,17 +124,15 @@ class FitConfig:
         for name, (low, high) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
             if not low < high:
                 raise ConfigError(f"{name} search range must be nonempty, got [{low}, {high}]")
-        if self.objective not in ("per-category-independent", "macro-average"):
-            raise ConfigError(f"unknown objective {self.objective!r}")
-        if self.sampler not in ("tpe-style", "random", "least-squares-init"):
-            raise ConfigError(f"unknown sampler {self.sampler!r}")
+            # uniform draws over an infinite width are NaN, and so would be the fit
+            if not math.isfinite(high - low):
+                raise ConfigError(f"{name} search range must have a finite width, got [{low}, {high}]")
 
 
 @dataclass
 class CategoryFitRecord:
     best_loss: float
     initializer_loss: float
-    trials_run: int
     degenerate: bool = False
     range_widened: bool = False
 
@@ -147,7 +141,6 @@ class CategoryFitRecord:
 class FitReport:
     """Machine-readable record of one calibration fit."""
 
-    sampler: str
     objective: str
     seed: int
     trials: int
@@ -157,7 +150,6 @@ class FitReport:
 
     def to_dict(self) -> dict:
         return {
-            "sampler": self.sampler,
             "objective": self.objective,
             "seed": self.seed,
             "trials": self.trials,
@@ -167,7 +159,6 @@ class FitReport:
                 key: {
                     "best_loss": rec.best_loss,
                     "initializer_loss": rec.initializer_loss,
-                    "trials_run": rec.trials_run,
                     "degenerate": rec.degenerate,
                     "range_widened": rec.range_widened,
                 }
@@ -177,8 +168,7 @@ class FitReport:
 
     def to_text(self) -> str:
         lines = [
-            f"calibration fit: sampler={self.sampler} objective={self.objective} "
-            f"trials={self.trials} seed={self.seed}",
+            f"calibration fit: objective={self.objective} trials={self.trials} seed={self.seed}",
             f"search ranges: alpha={list(self.alpha_range)} beta={list(self.beta_range)}",
         ]
         for key, rec in self.per_category.items():
@@ -190,7 +180,7 @@ class FitReport:
             suffix = f"  [{'; '.join(notes)}]" if notes else ""
             lines.append(
                 f"  {key}: best RMSE {rec.best_loss:.6g} "
-                f"(initializer {rec.initializer_loss:.6g}, {rec.trials_run} trials){suffix}"
+                f"(initializer {rec.initializer_loss:.6g}, {self.trials} trials){suffix}"
             )
         return "\n".join(lines)
 
@@ -201,9 +191,6 @@ def apply_calibration(pbar: BehaviorVector, params: CalibrationParams) -> dict[s
     if missing:
         raise DataError(f"calibration params missing categories {missing}")
     return {key: params.per_category[key].apply(pbar[key]) for key in pbar.categories}
-
-
-PairsByCategory = Mapping[str, Sequence[tuple[float, float]]]
 
 
 def pair_by_date(
@@ -340,7 +327,6 @@ def _run_search(
     bounds: np.ndarray,
     init: np.ndarray,
     trials: int,
-    sampler: str,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Minimize K independent searches over their boxes in lock step.
@@ -355,13 +341,11 @@ def _run_search(
     Returns the best point of each search, (K, D).
     """
     init = np.asarray(init, dtype=float)
-    if sampler == "least-squares-init":
-        return init
     n_searches, n_dims = init.shape
     lows, highs = bounds[..., 0], bounds[..., 1]
     # The uniform trials come first in every stream, so they are drawn up
     # front: rng.uniform(lows, highs) is lows + (highs - lows) * rng.random().
-    n_uniform = trials - 1 if sampler == "random" else min(trials - 1, TPE_STARTUP_TRIALS)
+    n_uniform = min(trials - 1, TPE_STARTUP_TRIALS)
     draws = np.array([rng.random((n_uniform, n_dims)) for rng in rngs])
     uniform = lows[:, None] + (highs - lows)[:, None] * draws  # (K, n_uniform, D)
     history_x = np.empty((n_searches, n_dims, trials))
@@ -416,7 +400,6 @@ def _fit_result(
     best_loss = _clipped_rmse(best[:, :1], best[:, 1:], p, y, clip)
     init_loss = _clipped_rmse(init[:, :1], init[:, 1:], p, y, clip)
     report = FitReport(
-        sampler=config.sampler,
         objective=objective,
         seed=config.seed,
         trials=config.trials,
@@ -431,7 +414,6 @@ def _fit_result(
         report.per_category[key] = CategoryFitRecord(
             best_loss=float(best_loss[i]),
             initializer_loss=float(init_loss[i]),
-            trials_run=config.trials if config.sampler != "least-squares-init" else 1,
             degenerate=degenerate[i],
             range_widened=widened[i],
         )
@@ -444,13 +426,11 @@ def fit_calibration(
 ) -> tuple[CalibrationParams, FitReport]:
     """Fit (alpha_k, beta_k) per category by minimizing clipped-prediction RMSE.
 
-    Under the default per-category-independent objective each category is
-    its own search (the map is separable), and the searches run in lock
-    step as one batch; the macro-average objective is one joint search over
-    all categories on the mean of per-category RMSEs. The least-squares line
-    is trial 0 either way, so the best trial never loses to the initializer.
-    Search ranges that exclude the initializer are widened to cover it and
-    flagged in the report.
+    The map is separable, so each category is its own search, and the
+    searches run in lock step as one batch. The least-squares line is trial
+    0, so the best trial never loses to the initializer. Search ranges that
+    exclude the initializer are widened to cover it and flagged in the
+    report.
     """
     keys, p, y = _pairs_from_training(train)
     clip = config.clip_bounds
@@ -463,30 +443,37 @@ def fit_calibration(
     bounds = np.array([[a_range, b_range] for (a_range, _), (b_range, _) in ranges])
     widened = [a_widened or b_widened for (_, a_widened), (_, b_widened) in ranges]
 
-    if config.objective == "per-category-independent":
-        best = _run_search(
-            lambda x: _clipped_rmse(x[:, :1], x[:, 1:], p, y, clip),
-            bounds,
-            init,
-            config.trials,
-            config.sampler,
-            [np.random.default_rng([config.seed, k]) for k in range(len(keys))],
-        )
-    else:
-        # one search whose point is (alpha_0, beta_0, alpha_1, beta_1, ...)
-        best = _run_search(
-            lambda x: _mean_last(_clipped_rmse(x[:, 0::2, None], x[:, 1::2, None], p, y, clip)),
-            bounds.reshape(1, -1, 2),
-            init.reshape(1, -1),
-            config.trials,
-            config.sampler,
-            [np.random.default_rng(config.seed)],
-        ).reshape(-1, 2)
-        widened = [any(widened)] * len(keys)
+    best = _run_search(
+        lambda x: _clipped_rmse(x[:, :1], x[:, 1:], p, y, clip),
+        bounds,
+        init,
+        config.trials,
+        [np.random.default_rng([config.seed, k]) for k in range(len(keys))],
+    )
     return _fit_result(
-        keys, best, init, p, y, config, config.objective,
+        keys, best, init, p, y, config, "per-category-independent",
         degenerate=[degenerate for _, _, degenerate in lines],
         widened=widened,
+    )
+
+
+def fit_unclipped(
+    train: Sequence[tuple[BehaviorVector, ObservationRecord]],
+) -> CalibrationParams:
+    """The unclipped map of each category: its least-squares line, with
+    infinite clip bounds (ablation arm).
+
+    Unclipped, the fit minimizes plain RMSE, which the least-squares line
+    minimizes over any box that holds it; ``fit_calibration`` widens its box
+    to hold the line, tries the line first and keeps the first of tied
+    trials, so its search would return this line too.
+    """
+    keys, p, y = _pairs_from_training(train)
+    return CalibrationParams(
+        {
+            key: CategoryCalibration(alpha, beta, -math.inf, math.inf)
+            for key, (alpha, beta, _) in zip(keys, map(_ols_line, p, y))
+        }
     )
 
 
@@ -496,8 +483,9 @@ def fit_single_slope(
 ) -> tuple[CalibrationParams, FitReport]:
     """Fit one shared (alpha, beta) across all categories (ablation arm).
 
-    The shared pair minimizes the macro-average RMSE; the initializer is the
-    least-squares line through the pooled (probability, observation) pairs.
+    The shared pair minimizes the mean of the per-category RMSEs; the
+    initializer is the least-squares line through the pooled (probability,
+    observation) pairs.
     """
     keys, p, y = _pairs_from_training(train)
     clip = config.clip_bounds
@@ -510,7 +498,6 @@ def fit_single_slope(
         np.array([[a_range, b_range]]),
         init,
         config.trials,
-        config.sampler,
         [np.random.default_rng(config.seed)],
     )
     n = len(keys)

@@ -5,8 +5,10 @@ default population) supplies defaults; the run config overrides them and
 adds dataset paths, the temporal split, engine and fitting settings, and
 seeds. The resolved configuration is hashed together with the content of
 the input files; every artifact embeds that hash so artifacts from
-different configurations cannot be silently mixed. Keys the loader does not
-read are ignored and left out of the hash.
+different configurations cannot be silently mixed. A key the loader does
+not read is a config error, so that a misspelled setting cannot fall back to
+its default unnoticed; a removed option is accepted only with a value that
+still describes the program, and is left out of the hash.
 """
 
 from __future__ import annotations
@@ -38,6 +40,41 @@ ENGINE_FLAG_KINDS = {
 # libyaml's parser is several times faster than the pure-Python one and
 # builds the same objects through the same safe constructor.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+# The keys each section of a run config may hold ("" is the top level), and
+# the removed options: each is accepted only with the values under which the
+# program still does what it asked for.
+_SETTINGS = {
+    "": "profile categories clip_bounds paths population split seeds engine fit gbm "
+    "policy_columns observation_columns observation_date_column parallelism",
+    "paths": "policy_csv observations_csv output_dir cache_dir prompt_template population_spec",
+    "engine": "kind endpoint model_name retry_limit oracle decoding request_fields "
+    "response_text_path timeout",
+    "fit": "trials alpha_range beta_range",
+    "gbm": "n_trees learning_rate max_depth min_leaf n_bins",
+    "seeds": "population fit gbm",
+    "split": "train validation test",
+    **{f"split.{name}": "start end" for name in ("train", "validation", "test")},
+}
+_RETIRED = {
+    "aggregation": ("mean", "weighted"),
+    "fit.sampler": ("tpe-style",),
+    "fit.objective": ("per-category-independent",),
+}
+
+
+def _check_keys(section: dict, path: str) -> None:
+    """Refuse a key of the ``section`` at ``path`` that is no setting, and a
+    removed option with a value the program no longer follows."""
+    for key, value in section.items():
+        name = f"{path}.{key}" if path else str(key)
+        if name in _RETIRED and value not in _RETIRED[name]:
+            allowed = " or ".join(_RETIRED[name])
+            raise ConfigError(f"the {name} option was removed; it may only be {allowed}, got {value!r}")
+        if name not in _RETIRED and key not in _SETTINGS[path].split():
+            known = ", ".join(_SETTINGS[path].split())
+            raise ConfigError(f"unknown setting {name}; {path or 'the run config'} takes {known}")
 
 
 def _load_yaml(path):
@@ -106,24 +143,28 @@ def _range(value, key: str) -> tuple:
 
 def _mapping(value, key: str) -> dict:
     """The section at ``key``: a mapping, or empty when absent or null; any
-    other shape is a config error naming the key."""
+    other shape is a config error naming the key, and so is a key that a
+    section of fixed settings does not take."""
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a mapping, got {type(value).__name__} {value!r}")
+    if key in _SETTINGS:
+        _check_keys(value, key)
     return value
 
 
-def _split_from_dict(data: dict) -> TemporalSplit:
+def _split_from_dict(data) -> TemporalSplit:
+    data = _mapping(data, "split")
     try:
-        ranges = {
-            name: DateRange(
-                _as_date(data[name]["start"], f"split.{name}.start"),
-                _as_date(data[name]["end"], f"split.{name}.end"),
+        ranges = {}
+        for name in ("train", "validation", "test"):
+            bounds = _mapping(data[name], f"split.{name}")
+            ranges[name] = DateRange(
+                _as_date(bounds["start"], f"split.{name}.start"),
+                _as_date(bounds["end"], f"split.{name}.end"),
             )
-            for name in ("train", "validation", "test")
-        }
-    except (KeyError, TypeError):
+    except KeyError:
         raise ConfigError(
             "split config must define train/validation/test ranges with start and end"
         ) from None
@@ -180,6 +221,7 @@ def load_run_config(
         raise ConfigError(f"config file not found: {config_path}")
     base = config_path.parent
     raw = _mapping(_load_yaml(config_path), "the run config")
+    _check_keys(raw, "")
 
     profile_name = raw.get("profile", "pandemic-uae")
     profile = load_profile(profile_name)
@@ -226,9 +268,7 @@ def load_run_config(
             raw.get("population") or profile["population"]
         )
 
-    if "split" not in raw:
-        raise ConfigError(f"{config_path}: split is required (train/validation/test ranges)")
-    split = _split_from_dict(raw["split"])
+    split = _split_from_dict(raw.get("split"))
 
     seeds = {"population": 0, "fit": 0, "gbm": 0}
     seeds.update(
@@ -275,8 +315,6 @@ def load_run_config(
         alpha_range=_range(fit_raw.get("alpha_range", (-400.0, 400.0)), "fit.alpha_range"),
         beta_range=_range(fit_raw.get("beta_range", (-200.0, 200.0)), "fit.beta_range"),
         seed=seeds["fit"],
-        objective=fit_raw.get("objective", "per-category-independent"),
-        sampler=fit_raw.get("sampler", "tpe-style"),
         clip_bounds=clip,
     )
 
@@ -339,8 +377,6 @@ def load_run_config(
             "trials": fit.trials,
             "alpha_range": list(fit.alpha_range),
             "beta_range": list(fit.beta_range),
-            "objective": fit.objective,
-            "sampler": fit.sampler,
         },
         "gbm": {
             "n_trees": gbm.n_trees,

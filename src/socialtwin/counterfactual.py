@@ -11,8 +11,7 @@ extreme, operationalized as non-increasing consecutive secant slopes).
 from __future__ import annotations
 
 import datetime as dt
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .calibrate import (
     apply_calibration,
     fit_calibration,
     fit_single_slope,
+    fit_unclipped,
     pair_by_date,
 )
 from .cognition import BehaviorVector, ResponseCache, SimContext
@@ -150,17 +150,15 @@ class CounterfactualReport:
         return "\n".join(lines)
 
 
-def run_counterfactuals(
-    twin: DigitalTwin, scenarios: Sequence[Scenario], baseline: str | None = None
-) -> CounterfactualReport:
+def run_counterfactuals(twin: DigitalTwin, scenarios: Sequence[Scenario]) -> CounterfactualReport:
     """Run a scenario sweep and assemble deltas and verdicts.
 
     Each scenario replays its date with the stringency override substituted;
     all scenarios go through one simulation pass. Engine queries are cached
     under the overridden context like any other, so scenario runs are
-    order-independent and replayable. The baseline scenario is the one named
-    ``baseline`` (case-insensitive substring match) unless an explicit name
-    is given; failing both, the first scenario listed. Results are ordered by
+    order-independent and replayable. The baseline scenario is the first one,
+    in stringency order, whose name contains "baseline" (case-insensitive);
+    failing that, the first scenario listed. Results are ordered by
     stringency. The pass's log goes into the report's ``simulation_log``.
     """
     if not scenarios:
@@ -176,22 +174,10 @@ def run_counterfactuals(
         results.append(ScenarioResult(scenario, aggregate, twin.predict_metrics(aggregate)))
     results.sort(key=lambda r: r.scenario.stringency_override)
 
-    baseline_result = None
-    if baseline is not None:
-        for r in results:
-            if r.scenario.name == baseline:
-                baseline_result = r
-        if baseline_result is None:
-            raise ConfigError(f"baseline scenario {baseline!r} not in sweep")
-    else:
-        for r in results:
-            if "baseline" in r.scenario.name.lower():
-                baseline_result = r
-                break
-        if baseline_result is None:
-            baseline_result = next(
-                r for r in results if r.scenario.name == scenarios[0].name
-            )
+    baseline_result = next(
+        (r for r in results if "baseline" in r.scenario.name.lower()),
+        next(r for r in results if r.scenario.name == scenarios[0].name),
+    )
 
     report = CounterfactualReport(
         results=results, baseline_name=baseline_result.scenario.name, simulation_log=log
@@ -283,7 +269,6 @@ class AblationInputs:
     template: str
     fit_config: FitConfig
     population_seed: int
-    eval_split: str = "test"
     parallelism: int = 1
 
 
@@ -324,31 +309,25 @@ def run_ablation(
     aggregates: dict[dt.date, BehaviorVector],
     calibration: CalibrationParams,
 ) -> tuple[float, dict[str, float]]:
-    """Score one pipeline variant on the ``aggregates`` of its population;
-    returns (macro RMSE, per-category RMSE).
+    """Score one pipeline variant on the test dates of the ``aggregates`` of
+    its population; returns (macro RMSE, per-category RMSE).
 
     Variant semantics: full applies ``calibration``, the map fitted on the
     sampled population's train dates; no-calibration predicts 100 * aggregated
-    probability with no fitted map; no-clipping fits the affine map with
-    unbounded clip; single-slope shares one (alpha, beta) across categories;
-    the persona variants swap the population and fit the full calibration on
-    its aggregates.
-
-    no-clipping is the least-squares line of each category, with no search.
-    Unclipped, the fit minimizes plain RMSE, which that line minimizes over
-    any box holding it, and the search box is always widened to hold it; the
-    line is the search's trial 0 and ties keep the first trial, so a search
-    returns it too.
+    probability with no fitted map; no-clipping is the unclipped map, each
+    category's least-squares line (``fit_unclipped``); single-slope shares
+    one (alpha, beta) across categories; the persona variants swap the
+    population and fit the full calibration on its aggregates.
     """
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
-    eval_range = inputs.split.range_for(inputs.eval_split)
-    eval_aggregates = {d: v for d, v in aggregates.items() if eval_range.contains(d)}
-    eval_obs = inputs.observations.restrict(eval_range)
+    test = inputs.split.test
+    test_aggregates = {d: v for d, v in aggregates.items() if test.contains(d)}
+    test_obs = inputs.observations.restrict(test)
 
     if variant == "no-calibration":
         predictions = {
-            d: {k: 100.0 * v[k] for k in v.categories} for d, v in eval_aggregates.items()
+            d: {k: 100.0 * v[k] for k in v.categories} for d, v in test_aggregates.items()
         }
     else:
         if variant == "full":
@@ -363,17 +342,12 @@ def run_ablation(
             if variant == "single-slope":
                 params, _ = fit_single_slope(train_pairs, inputs.fit_config)
             elif variant == "no-clipping":
-                unclipped = replace(
-                    inputs.fit_config,
-                    clip_bounds=(-math.inf, math.inf),
-                    sampler="least-squares-init",
-                )
-                params, _ = fit_calibration(train_pairs, unclipped)
+                params = fit_unclipped(train_pairs)
             else:
                 params, _ = fit_calibration(train_pairs, inputs.fit_config)
-        predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
+        predictions = {d: apply_calibration(v, params) for d, v in test_aggregates.items()}
 
-    report = evaluate_predictions(variant, inputs.eval_split, predictions, eval_obs)
+    report = evaluate_predictions(variant, "test", predictions, test_obs)
     return report.macro_rmse, report.per_category_rmse
 
 
@@ -392,12 +366,11 @@ def run_ablation_suite(
     and ``calibration`` its fitted map (``calibration.json``): full,
     no-calibration, no-clipping and single-slope score those aggregates, and
     full applies that map without refitting it. Only the persona variants
-    simulate, one pass each over the train and eval dates through ``engine``
+    simulate, one pass each over the train and test dates through ``engine``
     and ``cache``; each pass's log goes into the report's ``simulation_logs``
     under its variant.
     """
-    eval_range = inputs.split.range_for(inputs.eval_split)
-    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
+    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, inputs.split.test])
     report = AblationReport()
     for variant in variants:
         variant_aggregates = aggregates

@@ -87,7 +87,7 @@ def write_run_workspace(
         },
         "split": split,
         "engine": engine,
-        "fit": {"trials": fit_trials, "sampler": "tpe-style"},
+        "fit": {"trials": fit_trials},
         "gbm": {"n_trees": gbm_trees},
         "seeds": seeds or {"population": dataset.population_seed, "fit": 3, "gbm": 5},
     }

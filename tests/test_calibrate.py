@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -24,6 +23,7 @@ from socialtwin.calibrate import (
     apply_calibration,
     fit_calibration,
     fit_single_slope,
+    fit_unclipped,
     load_calibration,
     pair_by_date,
     save_calibration,
@@ -179,30 +179,32 @@ def test_fit_with_noise_stays_near_noise_floor():
 
 
 def test_fit_single_trial_least_squares_init_passthrough():
+    """One trial is trial 0, the least-squares initializer."""
     p = np.linspace(0.1, 0.9, 40)
     y = 30.0 * p - 12.0
     train = make_training(p, y)
-    fitted, _ = fit_calibration(
-        train, FitConfig(trials=1, sampler="least-squares-init", seed=0)
-    )
+    fitted, _ = fit_calibration(train, FitConfig(trials=1, seed=0))
     direct = least_squares_fit({"k": list(zip(p, y))})
     assert fitted.per_category["k"].alpha == direct.per_category["k"].alpha
     assert fitted.per_category["k"].beta == direct.per_category["k"].beta
 
 
 def test_fit_initializer_dominance_all_samplers(synth_dataset):
+    """The fit never ends worse than its initializer, whichever way its
+    trials are sampled: the initializer alone (1 trial), uniform draws only
+    (11) or density-guided steps after them (25)."""
     pairs = pair_by_date(synth_dataset.aggregates, synth_dataset.observations)[:80]
-    for sampler in ("tpe-style", "random", "least-squares-init"):
-        _, report = fit_calibration(pairs, FitConfig(trials=25, sampler=sampler, seed=9))
+    for trials in (1, 1 + TPE_STARTUP_TRIALS, 25):
+        _, report = fit_calibration(pairs, FitConfig(trials=trials, seed=9))
         for key, rec in report.per_category.items():
-            assert rec.best_loss <= rec.initializer_loss + 1e-12, (sampler, key)
+            assert rec.best_loss <= rec.initializer_loss + 1e-12, (trials, key)
 
 
 def test_fit_separability_category_params_independent(synth_dataset):
     pairs = pair_by_date(synth_dataset.aggregates, synth_dataset.observations)[:60]
     full, _ = fit_calibration(pairs, FitConfig(trials=30, seed=4))
     # refit with the other categories' observations scrambled: target category
-    # params must not move under the per-category-independent objective
+    # params must not move, since each category is its own search
     key = "go_work"
     scrambled = []
     for vec, obs in pairs:
@@ -226,16 +228,6 @@ def test_fit_range_excluding_initializer_widens_with_flag():
     assert params.per_category["k"].alpha == pytest.approx(-150.0, rel=0.01)
 
 
-def test_fit_macro_average_objective_runs(synth_dataset):
-    pairs = pair_by_date(synth_dataset.aggregates, synth_dataset.observations)[:50]
-    params, report = fit_calibration(
-        pairs, FitConfig(trials=30, objective="macro-average", seed=5)
-    )
-    assert set(params.per_category) == set(synth_dataset.schema.keys)
-    for rec in report.per_category.values():
-        assert rec.best_loss <= rec.initializer_loss + 1e-12
-
-
 def test_fit_single_slope_shares_parameters(synth_dataset):
     pairs = pair_by_date(synth_dataset.aggregates, synth_dataset.observations)[:50]
     params, _ = fit_single_slope(pairs, FitConfig(trials=25, seed=6))
@@ -247,6 +239,8 @@ def test_fit_single_slope_shares_parameters(synth_dataset):
 def test_fit_requires_two_dates():
     with pytest.raises(DataError, match=">= 2"):
         fit_calibration(make_training([0.5], [1.0]), FitConfig(trials=5))
+    with pytest.raises(DataError, match=">= 2"):
+        fit_unclipped(make_training([0.5], [1.0]))
 
 
 def test_fit_deterministic_given_seed(synth_dataset):
@@ -324,16 +318,14 @@ def _ref_suggest_tpe(rng, history_x, history_loss, bounds):
     return candidates[int(np.argmax(score))]
 
 
-def _ref_run_search(loss_fn, bounds, init, trials, sampler, rng):
+def _ref_run_search(loss_fn, bounds, init, trials, rng):
     history_x = [np.asarray(init, dtype=float)]
     history_loss = [loss_fn(history_x[0])]
     init_loss = history_loss[0]
-    if sampler == "least-squares-init":
-        return history_x[0], init_loss, init_loss
     lows = np.array([b[0] for b in bounds])
     highs = np.array([b[1] for b in bounds])
     for t in range(1, trials):
-        if sampler == "random" or t <= TPE_STARTUP_TRIALS:
+        if t <= TPE_STARTUP_TRIALS:
             x = rng.uniform(lows, highs)
         else:
             x = _ref_suggest_tpe(rng, np.vstack(history_x), np.array(history_loss), bounds)
@@ -350,7 +342,6 @@ def _ref_clipped_rmse(alpha, beta, p, y, clip):
 
 def _ref_report(config, objective):
     return FitReport(
-        sampler=config.sampler,
         objective=objective,
         seed=config.seed,
         trials=config.trials,
@@ -361,66 +352,26 @@ def _ref_report(config, objective):
 
 def ref_fit_calibration(train, config):
     pairs = _ref_pairs_from_training(train)
-    report = _ref_report(config, config.objective)
+    report = _ref_report(config, "per-category-independent")
     clip = config.clip_bounds
-    trials_run = config.trials if config.sampler != "least-squares-init" else 1
-    init_lines = {key: _ols_line(p, y) for key, (p, y) in pairs.items()}
     per_category = {}
-    if config.objective == "per-category-independent":
-        for k_index, (key, (p, y)) in enumerate(pairs.items()):
-            init_alpha, init_beta, _ = init_lines[key]
-            a_range, a_widened = _widen(init_alpha, config.alpha_range)
-            b_range, b_widened = _widen(init_beta, config.beta_range)
-            best, best_loss, init_loss = _ref_run_search(
-                lambda x, p=p, y=y: _ref_clipped_rmse(x[0], x[1], p, y, clip),
-                [a_range, b_range],
-                np.array([init_alpha, init_beta]),
-                config.trials,
-                config.sampler,
-                np.random.default_rng([config.seed, k_index]),
-            )
-            per_category[key] = CategoryCalibration(float(best[0]), float(best[1]), clip[0], clip[1])
-            report.per_category[key] = CategoryFitRecord(
-                best_loss=best_loss,
-                initializer_loss=init_loss,
-                trials_run=trials_run,
-                degenerate=float(np.var(p)) < 1e-12,
-                range_widened=a_widened or b_widened,
-            )
-        return CalibrationParams(per_category), report
-
-    keys = list(pairs.keys())
-    bounds, init_vec, widened = [], [], False
-    for key in keys:
-        init_alpha, init_beta, _ = init_lines[key]
-        a_range, aw = _widen(init_alpha, config.alpha_range)
-        b_range, bw = _widen(init_beta, config.beta_range)
-        widened = widened or aw or bw
-        bounds.extend([a_range, b_range])
-        init_vec.extend([init_alpha, init_beta])
-
-    def macro_loss(x):
-        losses = [
-            _ref_clipped_rmse(x[2 * i], x[2 * i + 1], *pairs[key], clip)
-            for i, key in enumerate(keys)
-        ]
-        return float(np.mean(losses))
-
-    best, _, _ = _ref_run_search(
-        macro_loss, bounds, np.array(init_vec), config.trials, config.sampler,
-        np.random.default_rng(config.seed),
-    )
-    for i, key in enumerate(keys):
-        p, y = pairs[key]
-        per_category[key] = CategoryCalibration(
-            float(best[2 * i]), float(best[2 * i + 1]), clip[0], clip[1]
+    for k_index, (key, (p, y)) in enumerate(pairs.items()):
+        init_alpha, init_beta, _ = _ols_line(p, y)
+        a_range, a_widened = _widen(init_alpha, config.alpha_range)
+        b_range, b_widened = _widen(init_beta, config.beta_range)
+        best, best_loss, init_loss = _ref_run_search(
+            lambda x, p=p, y=y: _ref_clipped_rmse(x[0], x[1], p, y, clip),
+            [a_range, b_range],
+            np.array([init_alpha, init_beta]),
+            config.trials,
+            np.random.default_rng([config.seed, k_index]),
         )
+        per_category[key] = CategoryCalibration(float(best[0]), float(best[1]), clip[0], clip[1])
         report.per_category[key] = CategoryFitRecord(
-            best_loss=_ref_clipped_rmse(best[2 * i], best[2 * i + 1], p, y, clip),
-            initializer_loss=_ref_clipped_rmse(init_vec[2 * i], init_vec[2 * i + 1], p, y, clip),
-            trials_run=trials_run,
+            best_loss=best_loss,
+            initializer_loss=init_loss,
             degenerate=float(np.var(p)) < 1e-12,
-            range_widened=widened,
+            range_widened=a_widened or b_widened,
         )
     return CalibrationParams(per_category), report
 
@@ -439,14 +390,13 @@ def ref_fit_single_slope(train, config):
 
     best, _, _ = _ref_run_search(
         shared_loss, [a_range, b_range], np.array([alpha0, beta0]),
-        config.trials, config.sampler, np.random.default_rng(config.seed),
+        config.trials, np.random.default_rng(config.seed),
     )
     report = _ref_report(config, "shared-single-slope")
     for key, (p, y) in pairs.items():
         report.per_category[key] = CategoryFitRecord(
             best_loss=_ref_clipped_rmse(best[0], best[1], p, y, clip),
             initializer_loss=_ref_clipped_rmse(alpha0, beta0, p, y, clip),
-            trials_run=config.trials if config.sampler != "least-squares-init" else 1,
             degenerate=degenerate,
             range_widened=aw or bw,
         )
@@ -500,8 +450,7 @@ def random_training(n_categories, n_dates, data_seed, constant_category):
     n_dates=st.integers(2, 40),
     data_seed=st.integers(0, 2**32 - 1),
     constant_category=st.booleans(),
-    objective=st.sampled_from(["per-category-independent", "macro-average", "single-slope"]),
-    sampler=st.sampled_from(["tpe-style", "random", "least-squares-init"]),
+    objective=st.sampled_from(["per-category-independent", "single-slope"]),
     trials=st.sampled_from([1, 2, 11, 12, 40]),
     narrow_range=st.booleans(),
     unclipped=st.booleans(),
@@ -511,26 +460,24 @@ def random_training(n_categories, n_dates, data_seed, constant_category):
 # numpy's pairwise-summation block, and so do the 150-date losses
 @example(
     n_categories=3, n_dates=24, data_seed=5, constant_category=True, objective="per-category-independent",
-    sampler="tpe-style", trials=200, narrow_range=False, unclipped=False, seed=7,
+    trials=200, narrow_range=False, unclipped=False, seed=7,
 )
 @example(
-    n_categories=2, n_dates=150, data_seed=6, constant_category=False, objective="macro-average",
-    sampler="tpe-style", trials=200, narrow_range=True, unclipped=False, seed=8,
+    n_categories=2, n_dates=150, data_seed=6, constant_category=False, objective="per-category-independent",
+    trials=200, narrow_range=True, unclipped=False, seed=8,
 )
 @example(
     n_categories=3, n_dates=24, data_seed=7, constant_category=True, objective="single-slope",
-    sampler="tpe-style", trials=200, narrow_range=False, unclipped=False, seed=9,
+    trials=200, narrow_range=False, unclipped=False, seed=9,
 )
 def test_batched_search_matches_per_search_reference(
-    n_categories, n_dates, data_seed, constant_category, objective, sampler, trials,
+    n_categories, n_dates, data_seed, constant_category, objective, trials,
     narrow_range, unclipped, seed,
 ):
     train = random_training(n_categories, n_dates, data_seed, constant_category)
     config = FitConfig(
         trials=trials,
         seed=seed,
-        sampler=sampler,
-        objective="macro-average" if objective == "macro-average" else "per-category-independent",
         alpha_range=(-10.0, 10.0) if narrow_range else (-400.0, 400.0),
         beta_range=(-10.0, 10.0) if narrow_range else (-200.0, 200.0),
         clip_bounds=(-math.inf, math.inf) if unclipped else (-100.0, 200.0),
@@ -551,32 +498,27 @@ def test_batched_search_matches_per_search_reference(
     n_dates=st.integers(2, 30),
     data_seed=st.integers(0, 2**32 - 1),
     constant_category=st.booleans(),
-    objective=st.sampled_from(["per-category-independent", "macro-average"]),
-    sampler=st.sampled_from(["tpe-style", "random"]),
     trials=st.sampled_from([2, 12, 40]),
     narrow_range=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 def test_unclipped_search_returns_the_least_squares_line(
-    n_categories, n_dates, data_seed, constant_category, objective, sampler, trials,
-    narrow_range, seed,
+    n_categories, n_dates, data_seed, constant_category, trials, narrow_range, seed,
 ):
     """Unclipped, the least-squares line (trial 0) minimizes the RMSE over any
     box that holds it, so a search ties it at best and keeps it: the
-    ablation's no-clipping arm fits the line without a search."""
+    closed-form ``fit_unclipped`` of the ablation's no-clipping arm is the
+    searched fit, bit for bit."""
     train = random_training(n_categories, n_dates, data_seed, constant_category)
     config = FitConfig(
         trials=trials,
         seed=seed,
-        sampler=sampler,
-        objective=objective,
         alpha_range=(-10.0, 10.0) if narrow_range else (-400.0, 400.0),
         beta_range=(-10.0, 10.0) if narrow_range else (-200.0, 200.0),
         clip_bounds=(-math.inf, math.inf),
     )
     searched, _ = fit_calibration(train, config)
-    line, _ = fit_calibration(train, dataclasses.replace(config, sampler="least-squares-init"))
-    assert json.dumps(searched.to_dict()) == json.dumps(line.to_dict())
+    assert json.dumps(searched.to_dict()) == json.dumps(fit_unclipped(train).to_dict())
 
 
 # ------------------------------------------------------------------ artifacts

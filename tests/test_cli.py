@@ -1,10 +1,14 @@
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from socialtwin.cli import main
+from socialtwin.config import load_run_config
 from synthetic import make_synthetic_dataset
 
 from conftest import SPLIT_18MO, write_run_workspace
@@ -25,6 +29,15 @@ def workspace(dataset, tmp_path):
 
 def run(config_path, *args):
     return main([*args, "--config", str(config_path)])
+
+
+def _set(config: dict, setting: str, value) -> None:
+    """Set the dotted ``setting`` of a parsed run config, adding sections."""
+    *parents, name = setting.split(".")
+    node = config
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[name] = value
 
 
 def test_simulate_success_writes_series_and_manifest(workspace):
@@ -301,11 +314,7 @@ def test_malformed_spec_or_scenarios_exits_one(workspace, capsys, broken, text, 
 def test_non_numeric_setting_exits_one(workspace, capsys, setting, value, key):
     _, config_path = workspace
     config = yaml.safe_load(config_path.read_text())
-    *parents, name = setting.split(".")
-    node = config
-    for parent in parents:
-        node = node.setdefault(parent, {})
-    node[name] = value
+    _set(config, setting, value)
     config_path.write_text(yaml.safe_dump(config))
     assert run(config_path, "simulate") == 1
     err = capsys.readouterr().err
@@ -476,11 +485,7 @@ def test_weighted_aggregation_writes_the_mean_rows(workspace):
 def test_config_section_of_the_wrong_shape_exits_one(workspace, capsys, setting, value, key):
     _, config_path = workspace
     config = yaml.safe_load(config_path.read_text())
-    *parents, name = setting.split(".")
-    node = config
-    for parent in parents:
-        node = node[parent]
-    node[name] = value
+    _set(config, setting, value)
     config_path.write_text(yaml.safe_dump(config))
     assert run(config_path, "simulate") == 1
     lines = capsys.readouterr().err.splitlines()
@@ -510,3 +515,116 @@ def test_unusable_output_path_exits_two_before_any_engine_call(
     err = capsys.readouterr().err
     assert err.startswith(f"data error: paths.{setting}") and "blocker" in err
     assert [engine.call_count for engine in engines] == [0]
+
+
+def test_calibration_artifact_records_the_one_fit_method(workspace):
+    """The fit block of ``calibration.json`` records no sampler, and no trial
+    count per category: every category ran the fit's ``trials``."""
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    fit = json.loads((root / "out" / "calibration.json").read_text())["fit"]
+    assert sorted(fit) == [
+        "alpha_range", "beta_range", "objective", "per_category", "seed", "trials"
+    ]
+    assert fit["objective"] == "per-category-independent" and fit["trials"] == 25
+    for record in fit["per_category"].values():
+        assert sorted(record) == ["best_loss", "degenerate", "initializer_loss", "range_widened"]
+
+
+@pytest.mark.parametrize(
+    "name, search_range",
+    [
+        ("alpha", [float("-inf"), float("inf")]),
+        ("alpha", [-1e308, 1e308]),  # the width overflows
+        ("beta", [0.0, float("inf")]),
+    ],
+)
+def test_search_range_of_infinite_width_exits_one(workspace, capsys, name, search_range):
+    """An infinite width would draw NaN trials and write a NaN calibration."""
+    root, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    config["fit"][f"{name}_range"] = search_range
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} search range must have a finite width")
+    assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "parallelsim",
+        "fit.trails",
+        "paths.cache",
+        "engine.retries",
+        "gbm.depth",
+        "seeds.engine",
+        "split.holdout",
+        "split.train.stop",
+    ],
+)
+def test_unknown_setting_exits_one(workspace, capsys, setting):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    _set(config, setting, 2)
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: unknown setting {setting};")
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("fit.sampler", "random"),
+        ("fit.sampler", "least-squares-init"),
+        ("fit.objective", "macro-average"),
+        ("aggregation", "median"),
+    ],
+)
+def test_retired_option_with_another_value_exits_one(workspace, capsys, setting, value):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    _set(config, setting, value)
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: the {setting} option was removed")
+
+
+@pytest.mark.parametrize(
+    "setting, value",
+    [
+        ("fit.sampler", "tpe-style"),
+        ("fit.objective", "per-category-independent"),
+        ("aggregation", "mean"),
+    ],
+)
+def test_retired_option_with_its_current_value_keeps_the_hash(workspace, setting, value):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    plain = load_run_config(config_path).config_hash
+    _set(config, setting, value)
+    config_path.write_text(yaml.safe_dump(config))
+    assert load_run_config(config_path).config_hash == plain
+
+
+def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(
+    tmp_path, monkeypatch
+):
+    """The benchmark's generated run.yaml still writes ``fit.sampler:
+    tpe-style``; it hashes as the same config without that key."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    space = workloads.write_workspace(tmp_path, workloads.WORKLOADS["warm_shared"], 1)
+    config = yaml.safe_load(space.config.read_text())
+    assert config["fit"]["sampler"] == "tpe-style"
+    with_sampler = load_run_config(space.config).config_hash
+    del config["fit"]["sampler"]
+    space.config.write_text(yaml.safe_dump(config, sort_keys=False))
+    assert load_run_config(space.config).config_hash == with_sampler

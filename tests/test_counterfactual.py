@@ -153,7 +153,7 @@ def test_override_equal_to_actual_gives_zero_delta(fitted_twin, synth_dataset):
         Scenario("baseline", SHOCK_DATE, actual.stringency),
         Scenario("same", SHOCK_DATE, actual.stringency),
     ]
-    report = run_counterfactuals(fitted_twin, scenarios, baseline="baseline")
+    report = run_counterfactuals(fitted_twin, scenarios)
     assert all(v == 0.0 for v in report.metric_deltas["same"].values())
     assert all(v == 0.0 for v in report.aggregate_deltas["baseline"].values())
 
@@ -215,14 +215,31 @@ def test_one_pass_sweep_equals_per_scenario_reference(fitted_twin, cells, parall
     )
 
 
+def sweep_with_baseline(name):
+    """The relaxed, mid and extreme scenarios; ``name`` is marked the baseline."""
+    return [
+        Scenario(f"{n} baseline" if n == name else n, SHOCK_DATE, s)
+        for n, s in (("relaxed", 60.0), ("mid", 90.0), ("extreme", 100.0))
+    ]
+
+
 def test_delta_antisymmetry(fitted_twin):
-    scenarios = sweep()
-    vs_relaxed = run_counterfactuals(fitted_twin, scenarios, baseline="relaxed")
-    vs_extreme = run_counterfactuals(fitted_twin, scenarios, baseline="extreme")
+    vs_relaxed = run_counterfactuals(fitted_twin, sweep_with_baseline("relaxed"))
+    vs_extreme = run_counterfactuals(fitted_twin, sweep_with_baseline("extreme"))
+    assert vs_relaxed.baseline_name == "relaxed baseline"
+    assert vs_extreme.baseline_name == "extreme baseline"
     d_re = vs_relaxed.metric_deltas["extreme"]
     d_er = vs_extreme.metric_deltas["relaxed"]
     for key in d_re:
         assert d_re[key] == pytest.approx(-d_er[key], abs=1e-12)
+
+
+def test_sweep_without_a_baseline_name_uses_the_first_scenario_listed(fitted_twin):
+    scenarios = [s for s in sweep() if s.name != "baseline"][::-1]  # extreme, relaxed
+    report = run_counterfactuals(fitted_twin, scenarios)
+    assert report.baseline_name == "extreme"
+    assert [r.scenario.name for r in report.results] == ["relaxed", "extreme"]
+    assert all(v == 0.0 for v in report.metric_deltas["extreme"].values())
 
 
 def test_report_serializes_both_probability_and_metric_columns(fitted_twin, schema):
@@ -274,7 +291,7 @@ def ablation_inputs(synth_dataset):
 
 
 def reference_run_ablation(variant, inputs, aggregates):
-    eval_range = inputs.split.range_for(inputs.eval_split)
+    eval_range = inputs.split.test
     train_aggregates = {d: v for d, v in aggregates.items() if inputs.split.train.contains(d)}
     eval_aggregates = {d: v for d, v in aggregates.items() if eval_range.contains(d)}
     train_obs = inputs.observations.restrict(inputs.split.train)
@@ -293,14 +310,13 @@ def reference_run_ablation(variant, inputs, aggregates):
         else:
             params, _ = fit_calibration(train_pairs, inputs.fit_config)
         predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
-    report = evaluate_predictions(variant, inputs.eval_split, predictions, eval_obs)
+    report = evaluate_predictions(variant, "test", predictions, eval_obs)
     return report.macro_rmse, report.per_category_rmse
 
 
 def reference_aggregates(inputs, engine, cache, population):
-    """One population's aggregates over the train and eval dates."""
-    eval_range = inputs.split.range_for(inputs.eval_split)
-    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, eval_range])
+    """One population's aggregates over the train and test dates."""
+    contexts = contexts_from_policy(inputs.policy, [inputs.split.train, inputs.split.test])
     twin = DigitalTwin(
         population=population,
         engine=engine,
@@ -394,7 +410,7 @@ def test_ablation_suite_simulates_each_population_once(ablation_inputs, monkeypa
     # only the uniform and single-persona populations; full keeps its given map
     size = ablation_inputs.population_spec.population_size
     assert passes == [(size, engine), (1, engine)]
-    assert len(fits) == 3  # no-clipping and the two persona variants
+    assert len(fits) == 2  # the two persona variants; no-clipping is closed-form
     for variant, alone in expected.items():
         assert report.macro_rmse[variant] == alone.macro_rmse[variant]
         assert report.per_category[variant] == alone.per_category[variant]
@@ -403,16 +419,14 @@ def test_ablation_suite_simulates_each_population_once(ablation_inputs, monkeypa
 @settings(max_examples=10, deadline=None)
 @given(
     variants=st.lists(st.sampled_from(ABLATION_VARIANTS), min_size=1, unique=True),
-    eval_split=st.sampled_from(["validation", "test"]),
     population_seed=st.integers(0, 2**16),
     fit_seed=st.integers(0, 2**16),
 )
 def test_ablation_suite_equals_self_simulating_reference(
-    ablation_inputs, variants, eval_split, population_seed, fit_seed
+    ablation_inputs, variants, population_seed, fit_seed
 ):
     inputs = dataclasses.replace(
         ablation_inputs,
-        eval_split=eval_split,
         population_seed=population_seed,
         fit_config=dataclasses.replace(ablation_inputs.fit_config, trials=10, seed=fit_seed),
     )
@@ -426,14 +440,10 @@ def test_ablation_suite_equals_self_simulating_reference(
     assert report.to_dict() == reference.to_dict()
 
 
-@pytest.mark.parametrize("objective", ["per-category-independent", "macro-average"])
-@pytest.mark.parametrize("sampler", ["tpe-style", "random"])
-def test_no_clipping_scores_as_the_searched_fit(ablation_inputs, sampler, objective):
+def test_no_clipping_scores_as_the_searched_fit(ablation_inputs):
     """no-clipping fits the least-squares line without a search; 40 trials
     take the reference's search past its uniform startup trials."""
-    fit_config = dataclasses.replace(
-        ablation_inputs.fit_config, trials=40, sampler=sampler, objective=objective
-    )
+    fit_config = dataclasses.replace(ablation_inputs.fit_config, trials=40)
     inputs = dataclasses.replace(ablation_inputs, fit_config=fit_config)
     engine, cache = oracle_engine(inputs.schema), ResponseCache(None)
     aggregates, calibration = sampled_artifacts(inputs, engine, cache)

@@ -335,9 +335,10 @@ def test_endpoint_credentials_stay_out_of_manifests(tmp_path):
 
 # The workspace's observations come from tests/synthetic.py through
 # simulate_contexts, so they and this hash moved when aggregation became exact.
-# It moved once more when the hashed config lost its aggregation setting: it
-# is the sha256 of the earlier hashed config without that one entry.
-HASH_OF_PLAIN_ENDPOINT = "be7fa9fc6dbafe57551f68952737d275a66e756e54ad3b04aa6804972d25db7f"
+# It moved once more when the hashed config lost its aggregation setting, and
+# again when it lost fit.objective and fit.sampler: each time it is the sha256
+# of the earlier hashed config without those entries.
+HASH_OF_PLAIN_ENDPOINT = "a3074821838efe028a0925b505b07e3e1f916f7f751e38b35084cd202f3c21c6"
 
 
 def test_config_hash_of_an_endpoint_without_credentials_is_unchanged(tmp_path):
