@@ -2,13 +2,19 @@ import dataclasses
 import datetime as dt
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialtwin import counterfactual
 from socialtwin.calibrate import (
+    TPE_STARTUP_TRIALS,
+    CalibrationParams,
+    CategoryCalibration,
     FitConfig,
+    _ols_line,
+    _widen,
     apply_calibration,
     fit_calibration,
     fit_single_slope,
@@ -33,6 +39,7 @@ from socialtwin.evaluation import evaluate_predictions
 from socialtwin.ingest import DateRange, TemporalSplit
 from socialtwin.persona import sample_population
 from socialtwin.twin import DigitalTwin, SimulationLog, contexts_from_policy
+from test_calibrate import _ref_clipped_rmse, _ref_pairs_from_training, _ref_run_search
 from test_cognition import oracle_engine
 
 SHOCK_DATE = dt.date(2020, 4, 15)
@@ -290,7 +297,38 @@ def ablation_inputs(synth_dataset):
 # calibration and no-clipping searches. The tests compare the suite against it.
 
 
-def reference_run_ablation(variant, inputs, aggregates):
+def searched_unclipped_fit(train_pairs, config, objective):
+    """The unclipped fit as a search finds it: one search per category, as
+    ``fit_calibration`` runs, or ("macro-average") one joint search over every
+    category's (alpha, beta) on the mean of the per-category RMSEs, with the
+    least-squares lines as trial 0."""
+    unclipped = dataclasses.replace(config, clip_bounds=(-math.inf, math.inf))
+    if objective == "per-category-independent":
+        return fit_calibration(train_pairs, unclipped)[0]
+    pairs = _ref_pairs_from_training(train_pairs)
+    lines = [_ols_line(p, y)[:2] for p, y in pairs.values()]
+    bounds = [
+        _widen(value, search_range)[0]
+        for alpha, beta in lines
+        for value, search_range in ((alpha, config.alpha_range), (beta, config.beta_range))
+    ]
+
+    def macro_rmse(x):
+        return float(np.mean([
+            _ref_clipped_rmse(x[2 * i], x[2 * i + 1], p, y, unclipped.clip_bounds)
+            for i, (p, y) in enumerate(pairs.values())
+        ]))
+
+    best, _, _ = _ref_run_search(
+        macro_rmse, bounds, np.ravel(lines), config.trials, np.random.default_rng(config.seed)
+    )
+    return CalibrationParams({
+        key: CategoryCalibration(float(best[2 * i]), float(best[2 * i + 1]), -math.inf, math.inf)
+        for i, key in enumerate(pairs)
+    })
+
+
+def reference_run_ablation(variant, inputs, aggregates, objective="per-category-independent"):
     eval_range = inputs.split.test
     train_aggregates = {d: v for d, v in aggregates.items() if inputs.split.train.contains(d)}
     eval_aggregates = {d: v for d, v in aggregates.items() if eval_range.contains(d)}
@@ -305,8 +343,7 @@ def reference_run_ablation(variant, inputs, aggregates):
         if variant == "single-slope":
             params, _ = fit_single_slope(train_pairs, inputs.fit_config)
         elif variant == "no-clipping":
-            unclipped = dataclasses.replace(inputs.fit_config, clip_bounds=(-math.inf, math.inf))
-            params, _ = fit_calibration(train_pairs, unclipped)
+            params = searched_unclipped_fit(train_pairs, inputs.fit_config, objective)
         else:
             params, _ = fit_calibration(train_pairs, inputs.fit_config)
         predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
@@ -440,15 +477,21 @@ def test_ablation_suite_equals_self_simulating_reference(
     assert report.to_dict() == reference.to_dict()
 
 
-def test_no_clipping_scores_as_the_searched_fit(ablation_inputs):
-    """no-clipping fits the least-squares line without a search; 40 trials
-    take the reference's search past its uniform startup trials."""
-    fit_config = dataclasses.replace(ablation_inputs.fit_config, trials=40)
+@pytest.mark.parametrize("objective", ["per-category-independent", "macro-average"])
+@pytest.mark.parametrize("sampler", ["tpe-style", "random"])
+def test_no_clipping_scores_as_the_searched_fit(ablation_inputs, sampler, objective):
+    """no-clipping fits the least-squares line without a search. It scores as
+    the unclipped fit that the reference's search finds, whether that search
+    ends in its uniform ("random") startup trials or 40 trials take it on into
+    density-guided ("tpe-style") ones, and whether it fits each category
+    alone or all of them jointly on their macro-average RMSE."""
+    trials = {"random": 1 + TPE_STARTUP_TRIALS, "tpe-style": 40}[sampler]
+    fit_config = dataclasses.replace(ablation_inputs.fit_config, trials=trials)
     inputs = dataclasses.replace(ablation_inputs, fit_config=fit_config)
     engine, cache = oracle_engine(inputs.schema), ResponseCache(None)
     aggregates, calibration = sampled_artifacts(inputs, engine, cache)
     report = run_ablation_suite(inputs, engine, cache, aggregates, calibration, ["no-clipping"])
-    macro, per_category = reference_run_ablation("no-clipping", inputs, aggregates)
+    macro, per_category = reference_run_ablation("no-clipping", inputs, aggregates, objective)
     assert report.macro_rmse == {"no-clipping": macro}
     assert report.per_category == {"no-clipping": per_category}
 
