@@ -100,49 +100,129 @@ class BehaviorVector:
 
 
 @functools.lru_cache(maxsize=32)
-def _template_parts(template: str) -> tuple[tuple[str, str | None], ...]:
+def parse_template(template: str) -> tuple[tuple[str, str | None], ...]:
     """(literal, placeholder name or None) pairs of a template, parsed once
-    per template text."""
-    parts = []
-    for literal, field_name, format_spec, conversion in string.Formatter().parse(template):
+    per template text; a placeholder that does not parse, or is not a plain
+    name, is a ConfigError."""
+    try:
+        parsed = list(string.Formatter().parse(template))
+    except ValueError as exc:  # a lone brace
+        raise ConfigError(f"template does not parse: {exc}") from None
+    for literal, field_name, format_spec, conversion in parsed:
         if field_name is not None and (field_name == "" or format_spec or conversion):
             raise ConfigError(
                 f"template placeholder {{{field_name}{'!' + conversion if conversion else ''}"
                 f"{':' + format_spec if format_spec else ''}}} is not a plain name"
             )
-        parts.append((literal, field_name))
-    return tuple(parts)
+    return tuple((literal, field_name) for literal, field_name, _, _ in parsed)
 
 
-def _field_value(name: str, persona: Persona, context: SimContext) -> str:
-    if name == "date":
-        return context.date.isoformat()
-    if name == "stringency":
-        return format(context.stringency, "g")
-    if name in persona.attributes:
-        return persona.attributes[name]
-    if name == "persona_block":
-        return "\n".join(f"- {attr}: {value}" for attr, value in persona.attributes.items())
-    raise ConfigError(
-        f"template placeholder {{{name}}} has no matching persona attribute or context field"
-    )
+_SLOTS = ("date", "stringency")  # the context fields; a skeleton leaves them open
+
+
+def _escaped(text: str) -> str:
+    """``text`` as a JSON string body: ASCII, without its quotes. Escaping
+    goes one character at a time, so escaping pieces and joining them gives
+    the escape of the joined text."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+@dataclass(frozen=True)
+class PromptSkeleton:
+    """A template filled in for one persona, with the context left open.
+
+    ``slots`` names the ``date`` and ``stringency`` fields in template
+    order; ``constants`` holds the text around them, one more piece than
+    there are slots, with adjacent constant text merged. Every persona gets
+    the same slots from a template.
+    """
+
+    constants: tuple[str, ...]
+    slots: tuple[str, ...]
+
+    def values(self, context: SimContext) -> list[str]:
+        """The slot values of ``context``: the date in ISO format, the
+        stringency trailing-zero-free."""
+        fields = {"date": context.date.isoformat(), "stringency": format(context.stringency, "g")}
+        return [fields[slot] for slot in self.slots]
+
+    def fill(self, values: list[str]) -> str:
+        """The text with ``values[i]`` in ``slots[i]``."""
+        parts = [""] * (2 * len(self.constants) - 1)
+        parts[::2] = self.constants
+        parts[1::2] = values
+        return "".join(parts)
+
+    def keyed(self, engine_digest: str, response_keys: tuple[str, ...]) -> "KeySkeleton":
+        """The skeleton of this prompt's cache-key payload for an engine and
+        a list of response keys."""
+        constants = [_escaped(c) for c in self.constants]
+        constants[0] = _key_prefix(engine_digest) + constants[0]
+        constants[-1] += _key_suffix(response_keys)
+        return KeySkeleton(tuple(constants), self.slots)
+
+
+class KeySkeleton(PromptSkeleton):
+    """The cache-key payload of a prompt skeleton: the key affixes around
+    its JSON-escaped constants, with its slots left open for escaped
+    values. Filled and hashed, it gives the key ``ResponseCache.make_key``
+    gives the rendered prompt."""
+
+    def values(self, context: SimContext) -> list[str]:
+        """The slot values of ``context``, JSON-escaped."""
+        return [_escaped(v) for v in super().values(context)]
+
+    def key(self, values: list[str]) -> str:
+        """The cache key of the prompt with ``values``, as ``values(context)``
+        gives them, in its slots."""
+        return hashlib.sha256(self.fill(values).encode("ascii")).hexdigest()
+
+
+@functools.lru_cache(maxsize=4096)
+def _skeleton(template: str, attributes: tuple[tuple[str, str], ...]) -> PromptSkeleton:
+    persona = dict(attributes)
+    constants, slots = [""], []
+    for literal, name in parse_template(template):
+        constants[-1] += literal
+        if name is None:
+            continue
+        if name in _SLOTS:
+            slots.append(name)
+            constants.append("")
+        elif name in persona:
+            constants[-1] += persona[name]
+        elif name == "persona_block":
+            constants[-1] += "\n".join(f"- {attr}: {value}" for attr, value in attributes)
+        else:
+            raise ConfigError(
+                f"template placeholder {{{name}}} has no matching persona attribute or context field"
+            )
+    return PromptSkeleton(tuple(constants), tuple(slots))
+
+
+def prompt_skeleton(persona: Persona, template: str) -> PromptSkeleton:
+    """The ``template`` filled in for ``persona``, built once per template
+    and profile (the ordered attributes).
+
+    A placeholder resolves to, in order of precedence: ``date`` or
+    ``stringency`` (a slot), a persona attribute, or ``persona_block``
+    (bulleted attribute list, for generic templates). An unresolved
+    placeholder is a ConfigError naming the field, never a silent
+    passthrough.
+    """
+    return _skeleton(template, tuple(persona.attributes.items()))
 
 
 def render_prompt(persona: Persona, context: SimContext, template: str) -> PromptText:
     """Substitute ``{placeholder}`` fields from persona attributes and context.
 
-    A placeholder resolves to, in order of precedence: ``date`` (ISO
-    format), ``stringency`` (trailing-zero-free), a persona attribute, or
-    ``persona_block`` (bulleted attribute list, for generic templates). Only
-    the fields the template names are built. An unresolved placeholder is an
-    error naming the field, never a silent passthrough.
+    The text is the persona's skeleton (``prompt_skeleton``) filled with
+    the context's date (ISO format) and stringency (trailing-zero-free). A
+    simulation pass keys every cell from its skeleton and renders only the
+    cells it sends to the engine.
     """
-    out_parts: list[str] = []
-    for literal, field_name in _template_parts(template):
-        out_parts.append(literal)
-        if field_name is not None:
-            out_parts.append(_field_value(field_name, persona, context))
-    return PromptText(text="".join(out_parts), persona_id=persona.id)
+    skeleton = prompt_skeleton(persona, template)
+    return PromptText(text=skeleton.fill(skeleton.values(context)), persona_id=persona.id)
 
 
 def _first_json_object(raw: str) -> dict:
@@ -607,14 +687,17 @@ def build_engine(config: EngineConfig, schema: CategorySchema):
 # ---------------------------------------------------------------------------
 
 
+# A cache key is the sha256 of json.dumps([engine digest, prompt text,
+# response keys]); these are the parts of that text before and after the
+# prompt's escaped characters.
 @functools.lru_cache(maxsize=64)
 def _key_prefix(engine_digest: str) -> str:
-    return "[" + encode_basestring_ascii(engine_digest) + ", "
+    return "[" + encode_basestring_ascii(engine_digest) + ', "'
 
 
 @functools.lru_cache(maxsize=64)
 def _key_suffix(response_keys: tuple[str, ...]) -> str:
-    return ", " + json.dumps(list(response_keys)) + "]"
+    return '", ' + json.dumps(list(response_keys)) + "]"
 
 
 _INDEXED_PREFIX = b'{"key": "'
@@ -622,15 +705,29 @@ _KEY_START = len(_INDEXED_PREFIX)
 _NUMBERS = frozenset((int, float))  # JSON numbers; bools are not among them
 
 
+_SCAN = json.JSONDecoder().scan_once
+_WHITESPACE = " \t\n\r"  # what JSON allows around a value
+
+
 def _decoded(line: bytes) -> dict | None:
     """The cache record on ``line``, or None unless it decodes to an object
     with a string ``key``, a string ``raw`` and ``probs`` mapping to numbers
-    in [0, 1]."""
+    in [0, 1].
+
+    It reads the lines ``json.loads(line)`` reads, as that does: in the
+    encoding ``json.detect_encoding`` finds (a line that starts with ``{``
+    and then a byte other than NUL is UTF-8, checked first as it costs
+    less), with encoded surrogates passed through and whitespace allowed
+    around the value.
+    """
     try:
-        rec = json.loads(line)
-    except ValueError:
+        utf8 = line[:1] == b"{" and line[1:2] != b"\x00"
+        text = line.decode("utf-8" if utf8 else json.detect_encoding(line), "surrogatepass")
+        text = text.lstrip(_WHITESPACE)
+        rec, end = _SCAN(text, 0)
+    except (ValueError, StopIteration):  # StopIteration: no value at the start
         return None
-    if not isinstance(rec, dict):
+    if text[end:].strip(_WHITESPACE) or not isinstance(rec, dict):
         return None
     probs = rec.get("probs")
     well_formed = (
@@ -706,14 +803,11 @@ class ResponseCache:
 
     @staticmethod
     def make_key(engine_digest: str, prompt_text: str, response_keys: tuple[str, ...]) -> str:
-        """sha256 of ``json.dumps([engine_digest, prompt_text, list(response_keys)])``,
-        built from cached affixes around the encoded prompt."""
-        payload = (
-            _key_prefix(engine_digest)
-            + encode_basestring_ascii(prompt_text)
-            + _key_suffix(response_keys)
-        )
-        return hashlib.sha256(payload.encode("ascii")).hexdigest()
+        """sha256 of ``json.dumps([engine_digest, prompt_text, list(response_keys)])``:
+        the key of a skeleton that is all constant text. A simulation pass
+        keys its cells from their skeletons (``PromptSkeleton.keyed``)
+        instead, and never renders a cache hit's prompt."""
+        return PromptSkeleton((prompt_text,), ()).keyed(engine_digest, response_keys).key([])
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -24,8 +24,8 @@ import yaml
 
 from .baseline import GbmHyper
 from .calibrate import FitConfig
-from .cognition import EngineConfig, OracleParams, without_userinfo
-from .errors import ConfigError
+from .cognition import EngineConfig, OracleParams, parse_template, without_userinfo
+from .errors import ConfigError, DataError
 from .ingest import DateRange, TemporalSplit
 from .persona import DemographicSpec
 from .schema import CategorySchema
@@ -36,6 +36,9 @@ ENGINE_FLAG_KINDS = {
     "replay": "replay-cache",
 }
 
+
+# A pass runs one worker thread per unit of parallelism.
+MAX_PARALLELISM = 256
 
 # libyaml's parser is several times faster than the pure-Python one and
 # builds the same objects through the same safe constructor.
@@ -51,6 +54,7 @@ _SETTINGS = {
     "paths": "policy_csv observations_csv output_dir cache_dir prompt_template population_spec",
     "engine": "kind endpoint model_name retry_limit oracle decoding request_fields "
     "response_text_path timeout",
+    "engine.oracle": "intercepts slopes attribute_offsets noise_scale",
     "fit": "trials alpha_range beta_range",
     "gbm": "n_trees learning_rate max_depth min_leaf n_bins",
     "seeds": "population fit gbm",
@@ -251,7 +255,14 @@ def load_run_config(
         template_path = _resolve_path(base, paths["prompt_template"])
         if not template_path.exists():
             raise ConfigError(f"prompt template not found: {template_path}")
-        template = template_path.read_text(encoding="utf-8")
+        try:
+            template = template_path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # OSError: a directory, say
+            raise DataError(f"{template_path}: cannot read the prompt template: {exc}") from None
+        try:
+            parse_template(template)
+        except ConfigError as exc:
+            raise ConfigError(f"{template_path}: {exc}") from None
     else:
         template = packaged_template(profile["template"])
 
@@ -348,8 +359,8 @@ def load_run_config(
         if parallelism_override is not None
         else _number(raw.get("parallelism", 1), int, "parallelism")
     )
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    if not 1 <= parallelism <= MAX_PARALLELISM:
+        raise ConfigError(f"parallelism must be in [1, {MAX_PARALLELISM}], got {parallelism}")
 
     semantic = {
         "profile": profile_name,

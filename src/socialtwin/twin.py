@@ -3,9 +3,12 @@ mean, with an optional fitted calibration on top.
 
 A simulation pass works once per distinct prompt: personas with the same
 ordered attributes form a profile, and each (profile, context) cell is
-rendered, keyed and looked up once. A pass takes any list of contexts, such
-as a command's dates or a sweep's scenarios (which may share a date), and
-returns one result per context in the same order.
+keyed and looked up once. The pass builds each profile's prompt skeleton
+(the template filled in but for ``date`` and ``stringency``) once, so a
+cell's key is one join and one hash; only a miss renders its prompt. A
+pass takes any list of contexts, such as a command's dates or a sweep's
+scenarios (which may share a date), and returns one result per context in
+the same order.
 
 The pass flows: it sends each miss to one worker pool and moves on to the
 next context without waiting, so a slow reply holds up only the contexts
@@ -39,6 +42,7 @@ from .cognition import (
     SimContext,
     ask_engine,
     cached_row,
+    prompt_skeleton,
     render_prompt,
 )
 from .errors import ConfigError, EngineError, ParseError
@@ -134,6 +138,10 @@ class DigitalTwin:
         transport or replay errors propagate.
         """
         profile_of, representatives = _group_profiles(self.population)
+        keyed = [
+            prompt_skeleton(p, self.template).keyed(self.engine.digest, self.schema.response_keys)
+            for p in representatives
+        ]
         sizes = [0] * len(representatives)
         for j in profile_of:
             sizes[j] += 1
@@ -197,9 +205,9 @@ class DigitalTwin:
         try:
             for index, context in enumerate(contexts):
                 outcomes: list = []
-                for persona in representatives:
-                    prompt = render_prompt(persona, context, self.template)
-                    key = self.cache.make_key(self.engine.digest, prompt.text, self.schema.response_keys)
+                values = keyed[0].values(context)  # a template gives all the same slots
+                for persona, skeleton in zip(representatives, keyed):
+                    key = skeleton.key(values)
                     entry = pending.get(key)
                     if entry is not None and entry[1] < index:
                         # sent for an earlier context: settle it first, so the
@@ -212,16 +220,18 @@ class DigitalTwin:
                         cached = self.cache.get(key)
                         if cached is not None:
                             outcome = cached_row(cached, self.schema)
-                        elif pool is None:
-                            outcome = self._ask(key, prompt, persona, context)
-                            if isinstance(outcome, ParseError):
-                                failed[key] = outcome
-                        else:
-                            while len(sent) >= window:
-                                settle_oldest()
-                            outcome = pool.submit(ask_in_worker, key, prompt, persona, context)
-                            pending[key] = (outcome, index)
-                            sent.append((key, outcome, index))
+                        else:  # a miss, the only kind of cell that renders its prompt
+                            prompt = render_prompt(persona, context, self.template)
+                            if pool is None:
+                                outcome = self._ask(key, prompt, persona, context)
+                                if isinstance(outcome, ParseError):
+                                    failed[key] = outcome
+                            else:
+                                while len(sent) >= window:
+                                    settle_oldest()
+                                outcome = pool.submit(ask_in_worker, key, prompt, persona, context)
+                                pending[key] = (outcome, index)
+                                sent.append((key, outcome, index))
                     outcomes.append(outcome)
                 open_contexts.append((index, context, outcomes))
                 while sent and sent[0][1].done():

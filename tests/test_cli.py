@@ -9,6 +9,7 @@ import yaml
 
 from socialtwin.cli import main
 from socialtwin.config import load_run_config
+from socialtwin.errors import ConfigError
 from synthetic import make_synthetic_dataset
 
 from conftest import SPLIT_18MO, write_run_workspace
@@ -563,6 +564,7 @@ def test_search_range_of_infinite_width_exits_one(workspace, capsys, name, searc
         "seeds.engine",
         "split.holdout",
         "split.train.stop",
+        "engine.oracle.noise_scal",
     ],
 )
 def test_unknown_setting_exits_one(workspace, capsys, setting):
@@ -611,16 +613,22 @@ def test_retired_option_with_its_current_value_keeps_the_hash(workspace, setting
     assert load_run_config(config_path).config_hash == plain
 
 
-def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(
-    tmp_path, monkeypatch
-):
-    """The benchmark's generated run.yaml still writes ``fit.sampler:
-    tpe-style``; it hashes as the same config without that key."""
+def _bench_workloads(monkeypatch):
+    """The benchmark's workspace writer, ``perfbench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(
+    tmp_path, monkeypatch
+):
+    """The benchmark's generated run.yaml still writes ``fit.sampler:
+    tpe-style``; it hashes as the same config without that key."""
+    workloads = _bench_workloads(monkeypatch)
     space = workloads.write_workspace(tmp_path, workloads.WORKLOADS["warm_shared"], 1)
     config = yaml.safe_load(space.config.read_text())
     assert config["fit"]["sampler"] == "tpe-style"
@@ -628,3 +636,73 @@ def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(
     del config["fit"]["sampler"]
     space.config.write_text(yaml.safe_dump(config, sort_keys=False))
     assert load_run_config(space.config).config_hash == with_sampler
+
+
+def test_config_hash_of_configs_that_load_stays_pinned(workspace, tmp_path, monkeypatch):
+    """Checking more of a config refuses configs; it changes no hash of one
+    that loads."""
+    _, config_path = workspace
+    assert load_run_config(config_path).config_hash == (
+        "ee4f2f7efd00da9c9af144a92ce94379bf27d5e2ca658af0332592a2d1f6d992"
+    )
+    workloads = _bench_workloads(monkeypatch)
+    for name, pinned in [
+        ("cold_unique", "9a316b72186917abbdef58eb5038d143959df3cd0008e10fe6023b50766daf0b"),
+        ("warm_shared", "9811a50c5702f6c39d98391c0111c356aa6d0c8130dda1c0e8e65840f0c06128"),
+    ]:
+        space = workloads.write_workspace(tmp_path / name, workloads.WORKLOADS[name], 1)
+        assert load_run_config(space.config).config_hash == pinned
+
+
+def _use_template(config_path, content: bytes | None) -> Path:
+    """Point the run config at ``template.txt`` holding ``content``, or at a
+    directory of that name when ``content`` is None."""
+    template = config_path.parent / "template.txt"
+    if content is None:
+        template.mkdir()
+    else:
+        template.write_bytes(content)
+    config = yaml.safe_load(config_path.read_text())
+    config["paths"]["prompt_template"] = "template.txt"
+    config_path.write_text(yaml.safe_dump(config))
+    return template
+
+
+@pytest.mark.parametrize(
+    "content, code, kind",
+    [
+        (b"Date: {date}\n{ oops", 1, "config error"),
+        (b"Date: {date} } {stringency}", 1, "config error"),
+        (b"Date: {date:>12}", 1, "config error"),
+        (b"Date: {date}\nIncome: \xff{income}\n", 2, "data error"),
+        (None, 2, "data error"),
+    ],
+    ids=["lone-open-brace", "lone-close-brace", "format-spec", "not-utf-8", "directory"],
+)
+def test_unusable_template_exits_before_any_engine_call(workspace, capsys, content, code, kind):
+    root, config_path = workspace
+    template = _use_template(config_path, content)
+    assert run(config_path, "simulate") == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{kind}: {template}")
+    assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("flag", [False, True])
+def test_parallelism_above_its_bound_exits_one_at_load(workspace, capsys, flag):
+    """Checked at load, so no test starts that many worker threads."""
+    root, config_path = workspace
+    if flag:
+        code = run(config_path, "simulate", "--parallelism", "1000000000000")
+    else:
+        config = yaml.safe_load(config_path.read_text())
+        config["parallelism"] = 257
+        config_path.write_text(yaml.safe_dump(config))
+        code = run(config_path, "simulate")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: parallelism must be in [1, 256]")
+    assert not (root / "out").exists()
+    assert load_run_config(config_path, parallelism_override=256).parallelism == 256
+    with pytest.raises(ConfigError, match="parallelism"):
+        load_run_config(config_path, parallelism_override=257)

@@ -2,6 +2,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import string
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler
@@ -17,12 +18,15 @@ from socialtwin.cognition import (
     ResponseCache,
     SimContext,
     SyntheticOracleEngine,
+    _decoded,
     ask_engine,
     build_engine,
     cached_row,
     logistic,
     oracle_respond,
     parse_response,
+    parse_template,
+    prompt_skeleton,
     render_prompt,
 )
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
@@ -101,6 +105,85 @@ def test_render_fidelity_each_value_where_placeholder_stood(attrs):
     template = "|".join("{" + name + "}" for name in names)
     text = render_prompt(persona, CONTEXT, template).text
     assert text == "|".join(attrs[name] for name in names)
+
+
+def reference_render(persona, context, template):
+    """The text of ``render_prompt`` as it was before prompt skeletons: each
+    placeholder resolved in turn, in the order date, stringency, a persona
+    attribute, persona_block."""
+    out = []
+    for literal, name, _, _ in string.Formatter().parse(template):
+        out.append(literal)
+        if name == "date":
+            out.append(context.date.isoformat())
+        elif name == "stringency":
+            out.append(format(context.stringency, "g"))
+        elif name in persona.attributes:
+            out.append(persona.attributes[name])
+        elif name == "persona_block":
+            out.append("\n".join(f"- {a}: {v}" for a, v in persona.attributes.items()))
+        elif name is not None:
+            raise KeyError(name)
+    return "".join(out)
+
+
+SKELETON_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)  # lone surrogates too
+FIELDS = ["date", "stringency", "persona_block", "a", "b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    attrs=st.dictionaries(st.sampled_from(FIELDS), SKELETON_TEXT, min_size=1),
+    pieces=st.lists(st.one_of(SKELETON_TEXT, st.sampled_from(FIELDS).map(lambda n: ("field", n)))),
+    day=st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31)),
+    stringency=st.floats(0.0, 100.0),
+    digest=SKELETON_TEXT,
+    response_keys=st.lists(SKELETON_TEXT, max_size=3),
+)
+@example(
+    attrs={"date": "attr date", "stringency": "é\ud83d", "a": '{"q"}\n\\'},
+    pieces=[("field", "date"), ("field", "date"), "\ude00", ("field", "stringency"),
+            ("field", "stringency"), ("field", "persona_block"), ("field", "a"), "\U0001f600"],
+    day=dt.date(2020, 4, 15), stringency=62.5, digest="oracle:x", response_keys=["a_prob"],
+)
+def test_skeleton_text_and_key_equal_the_rendered_prompt(
+    attrs, pieces, day, stringency, digest, response_keys
+):
+    persona = Persona(id="p", attributes=attrs)
+    context = SimContext(day, stringency)
+    template = "".join(
+        "{" + p[1] + "}" if isinstance(p, tuple) else p.replace("{", "{{").replace("}", "}}")
+        for p in pieces
+    )
+    names = [p[1] for p in pieces if isinstance(p, tuple)]
+    if set(names) - set(attrs) - {"date", "stringency", "persona_block"}:
+        with pytest.raises(ConfigError, match="has no matching persona attribute"):
+            prompt_skeleton(persona, template)
+        return
+    expected = reference_render(persona, context, template)
+    assert render_prompt(persona, context, template).text == expected
+
+    skeleton = prompt_skeleton(persona, template)
+    assert len(skeleton.constants) == len(skeleton.slots) + 1
+    assert list(skeleton.slots) == [n for n in names if n in ("date", "stringency")]
+    keyed = skeleton.keyed(digest, tuple(response_keys))
+    key = keyed.key(keyed.values(context))
+    assert key == ResponseCache.make_key(digest, expected, tuple(response_keys))
+
+
+def test_prompt_skeleton_is_built_once_per_template_and_profile(pandemic_template):
+    namesake = Persona(id="p9", attributes=dict(PERSONA.attributes))
+    skeleton = prompt_skeleton(PERSONA, pandemic_template)
+    assert prompt_skeleton(namesake, pandemic_template) is skeleton
+    assert skeleton.slots == ("date", "stringency")
+
+
+@pytest.mark.parametrize("template", ["{ oops", "a } b", "{date!r}", "{stringency:.1f}", "{}"])
+def test_template_placeholder_that_does_not_parse_is_a_config_error(template):
+    with pytest.raises(ConfigError, match="template"):
+        parse_template(template)
+    with pytest.raises(ConfigError):
+        render_prompt(PERSONA, CONTEXT, template)
 
 
 # -------------------------------------------------------------------- parsing
@@ -608,6 +691,70 @@ def test_cache_corrupt_indexed_line_fails_on_first_get(tmp_path, tail):
         assert cache.get("k2")["raw"] == "raw 2"
         with pytest.raises(DataError, match=r"bad\.jsonl:2: not a cache record"):
             cache.get("k1")
+
+
+def _decoded_reference(line: bytes):
+    """``_decoded`` as it was, decoding with ``json.loads(line)``: what that
+    reads is validated by ``_decoded`` from its plain JSON text."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    return _decoded(json.dumps(rec).encode()) if isinstance(rec, dict) else None
+
+
+RECORD_LINE = (
+    b'{"key": "k0", "probs": {"stay_home": 0.25, "go_work": 1}, "raw": "r\\u00e9", '
+    b'"engine": "model:x", "created": 1.5}\n'
+)
+DAMAGED_LINES = {
+    "as written": RECORD_LINE,
+    "utf-8 bom": b"\xef\xbb\xbf" + RECORD_LINE,
+    "two boms": b"\xef\xbb\xbf\xef\xbb\xbf" + RECORD_LINE,
+    "utf-16-be": RECORD_LINE.decode().encode("utf-16-be"),
+    "utf-16-le": RECORD_LINE.decode().encode("utf-16-le"),
+    "utf-32 with bom": RECORD_LINE.decode().encode("utf-32"),
+    "escaped lone surrogate": RECORD_LINE.replace(b"r\\u00e9", b"\\ud800"),
+    "encoded lone surrogate": RECORD_LINE.replace(b"r\\u00e9", b"\xed\xa0\x80"),
+    "raw utf-8": RECORD_LINE.replace(b"r\\u00e9", "r\u00e9\U0001f600".encode()),
+    "invalid utf-8": RECORD_LINE.replace(b"r\\u00e9", b"\xff"),
+    "cut multibyte": RECORD_LINE.replace(b"r\\u00e9", b"\xc3"),
+    "leading whitespace": b" \t\r\n" + RECORD_LINE,
+    "leading form feed": b"\x0c" + RECORD_LINE,
+    "leading nbsp": b"\xc2\xa0" + RECORD_LINE,
+    "trailing whitespace": RECORD_LINE[:-1] + b" \t\r \n",
+    "trailing nbsp": RECORD_LINE[:-1] + b"\xc2\xa0\n",
+    "trailing garbage": RECORD_LINE[:-1] + b" x\n",
+    "second object": RECORD_LINE[:-1] + b"{}\n",
+    "no newline": RECORD_LINE[:-1],
+    "torn": RECORD_LINE[:40],
+    "nan probability": RECORD_LINE.replace(b"0.25", b"NaN"),
+    "infinite created": RECORD_LINE.replace(b"1.5", b"-Infinity"),
+    "bool probability": RECORD_LINE.replace(b"1}", b"true}"),
+    "array": b"[" + RECORD_LINE[:-1] + b"]\n",
+    "empty": b"",
+    "blank": b"  \n",
+    "nul second byte": b"{\x00" + RECORD_LINE[1:],
+    "object": b"{}\n",
+}
+
+
+@pytest.mark.parametrize("line", DAMAGED_LINES.values(), ids=DAMAGED_LINES)
+def test_cache_record_decode_accepts_the_lines_json_loads_accepts(line):
+    decoded, reference = _decoded(line), _decoded_reference(line)
+    assert (decoded is None) == (reference is None)
+    assert json.dumps(decoded) == json.dumps(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    at=st.integers(0, len(RECORD_LINE)),
+    cut=st.integers(0, 4),
+    insert=st.binary(max_size=4) | st.sampled_from([b" ", b"\xef\xbb\xbf", b"\x00", b"\\", b'"']),
+)
+def test_cache_record_decode_agrees_with_json_loads_on_any_edit(at, cut, insert):
+    line = RECORD_LINE[:at] + insert + RECORD_LINE[at + cut:]
+    assert json.dumps(_decoded(line)) == json.dumps(_decoded_reference(line))
 
 
 def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):

@@ -98,3 +98,37 @@ def test_tracer_records_render_and_aggregate_spans_of_a_pass(schema, pandemic_te
     finally:
         tracer.uninstall()
     assert aggregate.aggregate_mean is original and twin_module.aggregate_mean is original
+
+
+def test_pass_over_a_filled_cache_renders_no_prompt(schema, pandemic_template):
+    """A cache hit is keyed from its profile's prompt skeleton: a second pass
+    over the same cells renders no prompt and calls no engine."""
+    from socialtwin.cognition import EngineConfig, SimContext, build_engine
+    from socialtwin.persona import sample_population
+    from socialtwin.twin import DigitalTwin
+    from synthetic import default_oracle_params, default_population_spec
+
+    twin = DigitalTwin(
+        population=sample_population(default_population_spec(12), seed=2),
+        engine=build_engine(
+            EngineConfig(kind="synthetic-oracle", oracle_params=default_oracle_params()), schema
+        ),
+        cache=cognition.ResponseCache(None),
+        template=pandemic_template,
+        schema=schema,
+    )
+    contexts = [SimContext(dt.date(2020, 5, d), 20.0 * d) for d in (1, 2, 3)]
+    first, _ = twin.simulate_contexts(contexts)
+    calls = twin.engine.call_count
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        second, _ = twin.simulate_contexts(contexts)
+        metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)
+    finally:
+        tracer.uninstall()
+    assert second == first
+    assert twin.engine.call_count == calls
+    assert metrics["cognition.render_calls"]["value"] == 0
+    assert metrics["cognition.engine_calls"]["value"] == 0
+    assert metrics["cognition.cache_hits"]["value"] == calls
