@@ -142,7 +142,8 @@ class PromptSkeleton:
 
     def values(self, context: SimContext) -> list[str]:
         """The slot values of ``context``: the date in ISO format, the
-        stringency trailing-zero-free."""
+        stringency trailing-zero-free. Both are ASCII with nothing that JSON
+        escapes, so they fill a keyed skeleton as they are."""
         fields = {"date": context.date.isoformat(), "stringency": format(context.stringency, "g")}
         return [fields[slot] for slot in self.slots]
 
@@ -153,29 +154,20 @@ class PromptSkeleton:
         parts[1::2] = values
         return "".join(parts)
 
-    def keyed(self, engine_digest: str, response_keys: tuple[str, ...]) -> "KeySkeleton":
+    def keyed(self, engine_digest: str, response_keys: tuple[str, ...]) -> PromptSkeleton:
         """The skeleton of this prompt's cache-key payload for an engine and
-        a list of response keys."""
+        a list of response keys: the key affixes around the JSON-escaped
+        constants, with the same slots. ``skeleton_key`` hashes it filled."""
         constants = [_escaped(c) for c in self.constants]
         constants[0] = _key_prefix(engine_digest) + constants[0]
         constants[-1] += _key_suffix(response_keys)
-        return KeySkeleton(tuple(constants), self.slots)
+        return PromptSkeleton(tuple(constants), self.slots)
 
 
-class KeySkeleton(PromptSkeleton):
-    """The cache-key payload of a prompt skeleton: the key affixes around
-    its JSON-escaped constants, with its slots left open for escaped
-    values. Filled and hashed, it gives the key ``ResponseCache.make_key``
-    gives the rendered prompt."""
-
-    def values(self, context: SimContext) -> list[str]:
-        """The slot values of ``context``, JSON-escaped."""
-        return [_escaped(v) for v in super().values(context)]
-
-    def key(self, values: list[str]) -> str:
-        """The cache key of the prompt with ``values``, as ``values(context)``
-        gives them, in its slots."""
-        return hashlib.sha256(self.fill(values).encode("ascii")).hexdigest()
+def skeleton_key(keyed: PromptSkeleton, values: list[str]) -> str:
+    """The cache key of a keyed skeleton (``PromptSkeleton.keyed``) with
+    ``values`` in its slots: ``ResponseCache.make_key`` of the prompt."""
+    return hashlib.sha256(keyed.fill(values).encode("ascii")).hexdigest()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -715,14 +707,11 @@ def _decoded(line: bytes) -> dict | None:
     in [0, 1].
 
     It reads the lines ``json.loads(line)`` reads, as that does: in the
-    encoding ``json.detect_encoding`` finds (a line that starts with ``{``
-    and then a byte other than NUL is UTF-8, checked first as it costs
-    less), with encoded surrogates passed through and whitespace allowed
-    around the value.
+    encoding ``json.detect_encoding`` finds, with encoded surrogates passed
+    through and whitespace allowed around the value.
     """
     try:
-        utf8 = line[:1] == b"{" and line[1:2] != b"\x00"
-        text = line.decode("utf-8" if utf8 else json.detect_encoding(line), "surrogatepass")
+        text = line.decode(json.detect_encoding(line), "surrogatepass")
         text = text.lstrip(_WHITESPACE)
         rec, end = _SCAN(text, 0)
     except (ValueError, StopIteration):  # StopIteration: no value at the start
@@ -807,7 +796,7 @@ class ResponseCache:
         the key of a skeleton that is all constant text. A simulation pass
         keys its cells from their skeletons (``PromptSkeleton.keyed``)
         instead, and never renders a cache hit's prompt."""
-        return PromptSkeleton((prompt_text,), ()).keyed(engine_digest, response_keys).key([])
+        return skeleton_key(PromptSkeleton((prompt_text,), ()).keyed(engine_digest, response_keys), [])
 
     def __len__(self) -> int:
         return len(self._entries)

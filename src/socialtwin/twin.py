@@ -44,6 +44,7 @@ from .cognition import (
     cached_row,
     prompt_skeleton,
     render_prompt,
+    skeleton_key,
 )
 from .errors import ConfigError, EngineError, ParseError
 from .persona import Persona
@@ -207,7 +208,7 @@ class DigitalTwin:
                 outcomes: list = []
                 values = keyed[0].values(context)  # a template gives all the same slots
                 for persona, skeleton in zip(representatives, keyed):
-                    key = skeleton.key(values)
+                    key = skeleton_key(skeleton, values)
                     entry = pending.get(key)
                     if entry is not None and entry[1] < index:
                         # sent for an earlier context: settle it first, so the

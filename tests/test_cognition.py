@@ -28,6 +28,7 @@ from socialtwin.cognition import (
     parse_template,
     prompt_skeleton,
     render_prompt,
+    skeleton_key,
 )
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
@@ -167,7 +168,7 @@ def test_skeleton_text_and_key_equal_the_rendered_prompt(
     assert len(skeleton.constants) == len(skeleton.slots) + 1
     assert list(skeleton.slots) == [n for n in names if n in ("date", "stringency")]
     keyed = skeleton.keyed(digest, tuple(response_keys))
-    key = keyed.key(keyed.values(context))
+    key = skeleton_key(keyed, skeleton.values(context))
     assert key == ResponseCache.make_key(digest, expected, tuple(response_keys))
 
 
