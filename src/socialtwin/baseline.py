@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 from itertools import chain
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -90,12 +90,6 @@ class GbmHyper:
     min_leaf: int = 5
     n_bins: int = 64
 
-    def __post_init__(self):
-        if not 0 < self.learning_rate <= 1:
-            raise DataError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.n_trees < 0 or self.max_depth < 1 or self.min_leaf < 1 or self.n_bins < 2:
-            raise DataError(f"invalid GBM hyperparameters: {self}")
-
 
 class Tree(NamedTuple):
     """One regression tree as parallel node lists (layout in the module docstring)."""
@@ -115,7 +109,6 @@ class GbmModel:
     base_by_category: dict[str, float]
     hyper: GbmHyper
     seed: int
-    train_loss_by_category: dict[str, list[float]] = field(default_factory=dict)
 
 
 def _bin_thresholds(x: np.ndarray, n_bins: int) -> np.ndarray:
@@ -227,7 +220,7 @@ def fit_gbm(
     ``_best_split``). Each tree is a flat ``Tree``; building it yields every
     training row's leaf value, which updates the running prediction without a
     second walk. The fit draws no random numbers: ``seed`` is recorded on the
-    model, not used. The per-tree training RMSE curve is kept for inspection.
+    model, not used.
     """
     X = features
     if X.ndim != 2 or X.shape[0] == 0:
@@ -245,15 +238,12 @@ def fit_gbm(
         base = float(np.mean(y))
         current = np.full(len(y), base)
         trees: list[Tree] = []
-        losses: list[float] = []
         for _ in range(hyper.n_trees):
             tree, fitted = _build_tree(offset_bins, thresholds, y - current, width, hyper)
             current = current + hyper.learning_rate * fitted
             trees.append(tree)
-            losses.append(float(np.sqrt(np.mean((y - current) ** 2))))
         model.trees_by_category[key] = trees
         model.base_by_category[key] = base
-        model.train_loss_by_category[key] = losses
     return model
 
 
@@ -279,39 +269,3 @@ def save_gbm(model: GbmModel, path: str | Path) -> None:
         "trees": {k: [t._asdict() for t in trees] for k, trees in model.trees_by_category.items()},
     }
     Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _tree_from_dict(raw: dict) -> Tree:
-    tree = Tree(**{name: list(raw[name]) for name in Tree._fields})
-    if len({len(column) for column in tree}) != 1 or not tree.feature:
-        raise DataError(f"tree node lists are empty or differ in length: {[len(c) for c in tree]}")
-    n = len(tree.feature)
-    for i, (feature, left, right) in enumerate(zip(tree.feature, tree.left, tree.right)):
-        if type(feature) is not int or not -1 <= feature < len(FEATURE_NAMES):
-            raise DataError(f"node {i} has feature {feature!r}, not in [-1, {len(FEATURE_NAMES)})")
-        # children after their parent rule out cycles
-        if feature >= 0 and not all(type(c) is int and i < c < n for c in (left, right)):
-            raise DataError(f"inner node {i} has children {left!r}, {right!r}, not in ({i}, {n})")
-    return tree
-
-
-def load_gbm(path: str | Path) -> GbmModel:
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # missing file, JSONDecodeError, UnicodeDecodeError
-        raise DataError(f"{p}: GBM artifact is not readable JSON: {exc}") from None
-    version = payload.get("schema_version") if isinstance(payload, dict) else None
-    if version != GBM_SCHEMA_VERSION:
-        raise DataError(f"{p}: unsupported GBM artifact version {version}")
-    try:
-        return GbmModel(
-            trees_by_category={
-                k: [_tree_from_dict(t) for t in trees] for k, trees in payload["trees"].items()
-            },
-            base_by_category={k: float(v) for k, v in payload["base"].items()},
-            hyper=GbmHyper(**payload["hyper"]),
-            seed=int(payload["seed"]),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
-        raise DataError(f"{p}: GBM artifact is malformed: {exc}") from None

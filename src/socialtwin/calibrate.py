@@ -46,10 +46,6 @@ from .cognition import BehaviorVector
 from .errors import ConfigError, DataError
 from .ingest import ObservationRecord
 
-DEFAULT_ALPHA_RANGE = (-400.0, 400.0)
-DEFAULT_BETA_RANGE = (-200.0, 200.0)
-DEFAULT_CLIP_BOUNDS = (-100.0, 200.0)
-
 TPE_GAMMA = 0.25
 TPE_STARTUP_TRIALS = 10
 TPE_CANDIDATES = 24
@@ -113,14 +109,15 @@ class FitConfig:
     """Search settings for calibration fitting."""
 
     trials: int = 200
-    alpha_range: tuple[float, float] = DEFAULT_ALPHA_RANGE
-    beta_range: tuple[float, float] = DEFAULT_BETA_RANGE
+    alpha_range: tuple[float, float] = (-400.0, 400.0)
+    beta_range: tuple[float, float] = (-200.0, 200.0)
     seed: int = 0
-    clip_bounds: tuple[float, float] = DEFAULT_CLIP_BOUNDS
+    clip_bounds: tuple[float, float] = (-100.0, 200.0)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        low, high = self.clip_bounds
+        if not low < high:
+            raise ConfigError(f"clip_bounds must be ordered low < high, got [{low}, {high}]")
         for name, (low, high) in (("alpha", self.alpha_range), ("beta", self.beta_range)):
             if not low < high:
                 raise ConfigError(f"{name} search range must be nonempty, got [{low}, {high}]")
@@ -141,7 +138,6 @@ class CategoryFitRecord:
 class FitReport:
     """Machine-readable record of one calibration fit."""
 
-    objective: str
     seed: int
     trials: int
     alpha_range: tuple[float, float]
@@ -150,7 +146,6 @@ class FitReport:
 
     def to_dict(self) -> dict:
         return {
-            "objective": self.objective,
             "seed": self.seed,
             "trials": self.trials,
             "alpha_range": list(self.alpha_range),
@@ -168,7 +163,7 @@ class FitReport:
 
     def to_text(self) -> str:
         lines = [
-            f"calibration fit: objective={self.objective} trials={self.trials} seed={self.seed}",
+            f"calibration fit: trials={self.trials} seed={self.seed}",
             f"search ranges: alpha={list(self.alpha_range)} beta={list(self.beta_range)}",
         ]
         for key, rec in self.per_category.items():
@@ -392,7 +387,6 @@ def _fit_result(
     p: np.ndarray,
     y: np.ndarray,
     config: FitConfig,
-    objective: str,
     degenerate: Sequence[bool],
     widened: Sequence[bool],
 ) -> tuple[CalibrationParams, FitReport]:
@@ -400,7 +394,6 @@ def _fit_result(
     best_loss = _clipped_rmse(best[:, :1], best[:, 1:], p, y, clip)
     init_loss = _clipped_rmse(init[:, :1], init[:, 1:], p, y, clip)
     report = FitReport(
-        objective=objective,
         seed=config.seed,
         trials=config.trials,
         alpha_range=config.alpha_range,
@@ -451,7 +444,7 @@ def fit_calibration(
         [np.random.default_rng([config.seed, k]) for k in range(len(keys))],
     )
     return _fit_result(
-        keys, best, init, p, y, config, "per-category-independent",
+        keys, best, init, p, y, config,
         degenerate=[degenerate for _, _, degenerate in lines],
         widened=widened,
     )
@@ -503,7 +496,7 @@ def fit_single_slope(
     n = len(keys)
     return _fit_result(
         keys, np.repeat(best, n, axis=0), np.repeat(init, n, axis=0), p, y, config,
-        "shared-single-slope", degenerate=[degenerate] * n, widened=[aw or bw] * n,
+        degenerate=[degenerate] * n, widened=[aw or bw] * n,
     )
 
 

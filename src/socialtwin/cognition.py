@@ -293,8 +293,6 @@ class OracleParams:
                 f"oracle intercepts and slopes must cover the same categories: "
                 f"{sorted(self.intercepts)} vs {sorted(self.slopes)}"
             )
-        if self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be nonnegative, got {self.noise_scale}")
 
     def validate_directions(self, schema: CategorySchema) -> None:
         """Check slope signs against the schema's configured directions."""
@@ -318,18 +316,6 @@ class OracleParams:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OracleParams":
-        return cls(
-            intercepts={k: float(v) for k, v in data["intercepts"].items()},
-            slopes={k: float(v) for k, v in data["slopes"].items()},
-            attribute_offsets={
-                attr: {v: float(o) for v, o in offsets.items()}
-                for attr, offsets in data.get("attribute_offsets", {}).items()
-            },
-            noise_scale=float(data.get("noise_scale", 0.0)),
-        )
 
 
 def _offset_sum(params: OracleParams, persona: Persona) -> float:
@@ -427,10 +413,6 @@ class EngineConfig:
             _check_endpoint(self.endpoint)
         if self.kind == "synthetic-oracle" and self.oracle_params is None:
             raise ConfigError("synthetic-oracle engine requires oracle_params")
-        if self.retry_limit < 0:
-            raise ConfigError(f"retry_limit must be >= 0, got {self.retry_limit}")
-        if not (self.timeout > 0 and math.isfinite(self.timeout)):
-            raise ConfigError(f"timeout must be a positive number of seconds, got {self.timeout}")
 
     def engine_digest(self) -> str:
         """The identity folded into cache keys: model name or oracle digest."""

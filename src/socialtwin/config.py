@@ -5,10 +5,13 @@ default population) supplies defaults; the run config overrides them and
 adds dataset paths, the temporal split, engine and fitting settings, and
 seeds. The resolved configuration is hashed together with the content of
 the input files; every artifact embeds that hash so artifacts from
-different configurations cannot be silently mixed. A key the loader does
-not read is a config error, so that a misspelled setting cannot fall back to
-its default unnoticed; a removed option is accepted only with a value that
-still describes the program, and is left out of the hash.
+different configurations cannot be silently mixed.
+
+``SETTINGS`` states each key once: its kind and bound, its default and its
+view in the hash. Reading, the unknown-key check and the hash derive from
+it. A key it does not list is a config error, so that a misspelling cannot
+fall back to a default unnoticed; a removed option is accepted only with a
+value that still describes the program, and is left out of the hash.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -29,6 +34,7 @@ from .errors import ConfigError, DataError
 from .ingest import DateRange, TemporalSplit
 from .persona import DemographicSpec
 from .schema import CategorySchema
+from .twin import DigitalTwin
 
 ENGINE_FLAG_KINDS = {
     "remote": "remote-http",
@@ -36,58 +42,264 @@ ENGINE_FLAG_KINDS = {
     "replay": "replay-cache",
 }
 
-
-# A pass runs one worker thread per unit of parallelism.
-MAX_PARALLELISM = 256
-
 # libyaml's parser is several times faster than the pure-Python one and
 # builds the same objects through the same safe constructor.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
+_ABSENT = object()  # not given; as a default: left to the object the section builds
+_REQUIRED = object()  # as a default: the key must be given
 
-# The keys each section of a run config may hold ("" is the top level), and
-# the removed options: each is accepted only with the values under which the
-# program still does what it asked for.
-_SETTINGS = {
-    "": "profile categories clip_bounds paths population split seeds engine fit gbm "
-    "policy_columns observation_columns observation_date_column parallelism",
-    "paths": "policy_csv observations_csv output_dir cache_dir prompt_template population_spec",
-    "engine": "kind endpoint model_name retry_limit oracle decoding request_fields "
-    "response_text_path timeout",
-    "engine.oracle": "intercepts slopes attribute_offsets noise_scale",
-    "fit": "trials alpha_range beta_range",
-    "gbm": "n_trees learning_rate max_depth min_leaf n_bins",
-    "seeds": "population fit gbm",
-    "split": "train validation test",
-    **{f"split.{name}": "start end" for name in ("train", "validation", "test")},
+
+def _kind(noun: str, test: Callable = lambda v: True, convert: Callable = lambda v: v):
+    """A reader of a given value: ``convert(value)``, if that succeeds and
+    passes ``test``; else, and for a bool, a config error naming the key. A
+    reader returns _ABSENT for a value that takes the default."""
+
+    def read(value, key):
+        try:
+            converted = convert(value)
+            if not isinstance(value, bool) and (converted is _ABSENT or test(converted)):
+                return converted
+        except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+            pass
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+
+    return read
+
+
+def _as_int(value) -> int:
+    """An int, an integral float or a numeral string, as an int."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TypeError
+    return int(value)
+
+
+def _at_least(low: int):
+    return _kind(f"an integer at least {low}", lambda v: v >= low, _as_int)
+
+
+def _finite(value) -> bool:
+    """A finite int or float, not a bool; an int past float's range raises
+    OverflowError, which a reader turns into its config error."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_number = _kind("a number", convert=float)
+# kept as written (an int stays an int), since the hash records it so
+_number_as_written = _kind("a number", lambda v: isinstance(v, (int, float)) and not math.isnan(v))
+
+
+def _map(noun: str, valid: Callable, empty_is_default=True):
+    """A mapping whose items pass ``valid``; null or empty takes the default,
+    unless the mapping is hashed as written."""
+    return _kind(
+        noun,
+        lambda v: isinstance(v, dict) and all(valid(k, x) for k, x in v.items()),
+        lambda v: _ABSENT if empty_is_default and (v is None or v == {}) else v,
+    )
+
+
+def _pair(element):
+    """A [low, high] pair of ``element`` values, as a tuple."""
+
+    def read(value, key):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{key} must be a [low, high] pair, got {value!r}")
+        return tuple(element(v, f"{key}[{i}]") for i, v in enumerate(value))
+
+    return read
+
+
+def _retired(*allowed):
+    """A removed option, accepted only with the values under which the
+    program still does what it asked for; it reads as not given."""
+
+    def read(value, key):
+        if value not in allowed:
+            raise ConfigError(
+                f"the {key} option was removed; it may only be {' or '.join(allowed)}, got {value!r}"
+            )
+        return _ABSENT
+
+    read.retired = True
+    return read
+
+
+def _entries(value, key):
+    if not (isinstance(value, list) and value and all(isinstance(e, dict) for e in value)):
+        raise ConfigError(f"{key} must be a non-empty list of mappings, got {value!r}")
+    return [_read_section(e, f"{key}[*]", f"{key}[{i}]") for i, e in enumerate(value)]
+
+
+_str = _kind("a string", lambda v: isinstance(v, str))
+_str_or_null = _kind("a string or null", lambda v: v is None or isinstance(v, str))
+_path = _kind("a non-empty path", lambda v: isinstance(v, str) and v != "")
+_path_or_null = _kind("a non-empty path or null", lambda v: v is None or isinstance(v, str) and v != "")
+# a date, or its ISO string; a YAML timestamp, which carries a time of day, is not a date
+_date = _kind("an ISO date", convert=lambda v: v if type(v) is dt.date else dt.date.fromisoformat(str(v)))
+_any_map = _map("a mapping", lambda k, v: True)
+_str_map = _map("a mapping of strings to strings", lambda k, v: all(isinstance(x, str) for x in (k, v)))
+_number_map = _map("a mapping of category keys to finite numbers", lambda k, v: _finite(v), False)
+_offset_map = _map(
+    "a mapping of attributes to mappings of values to finite numbers",
+    lambda k, v: isinstance(v, dict) and all(_finite(o) for o in v.values()),
+    False,
+)
+
+
+class Setting(NamedTuple):
+    """One key of the run config. ``read`` checks a given value (its kind and
+    bound); ``default`` stands in for a missing one, and a callable default
+    takes the values read so far in its section; ``hashed`` gives the value's
+    view in ``semantic`` and the config hash, None leaves it out."""
+
+    read: Callable
+    default: object = _REQUIRED
+    hashed: Callable | None = lambda v: v
+
+
+_SEED = Setting(_at_least(0), 0)  # numpy seeds its generators from non-negative ints
+_ORACLE = "engine.oracle"
+
+# A key path: "a.b" is key b of section a, "a[*].b" key b of each entry of the
+# list a. A default taken from a dataclass is that field's own default. The
+# profile's values come before the defaults of the top-level keys.
+SETTINGS: dict[str, Setting] = {
+    "profile": Setting(_str, "pandemic-uae"),
+    "categories": Setting(_entries),
+    "categories[*].key": Setting(_str),
+    "categories[*].response_key": Setting(_str, lambda c: f"{c['key']}_prob"),
+    "categories[*].observation_column": Setting(_str, lambda c: c["key"]),
+    "categories[*].label": Setting(_str, lambda c: c["key"]),
+    "categories[*].direction": Setting(_kind("-1 or 1", lambda v: v in (-1, 1), _as_int), -1),
+    "clip_bounds": Setting(_pair(_number), FitConfig.clip_bounds),
+    "paths.policy_csv": Setting(_path, hashed=None),
+    "paths.observations_csv": Setting(_path, hashed=None),
+    "paths.output_dir": Setting(_path, hashed=None),
+    "paths.cache_dir": Setting(_path, "cache", None),
+    "paths.prompt_template": Setting(_path_or_null, None, None),
+    "paths.population_spec": Setting(_path_or_null, None, None),
+    "population": Setting(_any_map, hashed=None),  # hashed as the spec it resolves to
+    **{
+        f"split.{part}.{end}": Setting(_date, hashed=dt.date.isoformat)
+        for part in ("train", "validation", "test")
+        for end in ("start", "end")
+    },
+    **{f"seeds.{name}": _SEED for name in ("population", "fit", "gbm")},
+    "engine.kind": Setting(_str, "synthetic-oracle"),
+    "engine.endpoint": Setting(_str_or_null, None, without_userinfo),  # no credentials in manifests
+    "engine.model_name": Setting(_str_or_null, None),
+    "engine.retry_limit": Setting(_at_least(0), EngineConfig.retry_limit),
+    "engine.decoding": Setting(_any_map, {}),
+    "engine.request_fields": Setting(
+        _str_map, EngineConfig.__dataclass_fields__["request_fields"].default_factory()
+    ),
+    "engine.response_text_path": Setting(_str_or_null, None),
+    "engine.timeout": Setting(
+        _kind("positive and finite", lambda v: 0 < v < math.inf, float), EngineConfig.timeout, None
+    ),
+    # hashed as written, None when absent; OracleParams supplies the defaults
+    _ORACLE: Setting(lambda v, key: _ABSENT if v is None else _read_section(v, _ORACLE, key), None),
+    f"{_ORACLE}.intercepts": Setting(_number_map, hashed=None),
+    f"{_ORACLE}.slopes": Setting(_number_map, hashed=None),
+    f"{_ORACLE}.attribute_offsets": Setting(_offset_map, _ABSENT, None),
+    f"{_ORACLE}.noise_scale": Setting(
+        _kind("finite and at least 0", lambda v: _finite(v) and v >= 0), _ABSENT, None
+    ),
+    "fit.trials": Setting(_at_least(1), FitConfig.trials),
+    "fit.alpha_range": Setting(_pair(_number_as_written), FitConfig.alpha_range),
+    "fit.beta_range": Setting(_pair(_number_as_written), FitConfig.beta_range),
+    "fit.sampler": Setting(_retired("tpe-style"), _ABSENT, None),
+    "fit.objective": Setting(_retired("per-category-independent"), _ABSENT, None),
+    "aggregation": Setting(_retired("mean", "weighted"), _ABSENT, None),
+    "gbm.n_trees": Setting(_at_least(0), GbmHyper.n_trees),
+    "gbm.learning_rate": Setting(_kind("in (0, 1]", lambda v: 0 < v <= 1, float), GbmHyper.learning_rate),
+    "gbm.max_depth": Setting(_at_least(1), GbmHyper.max_depth),
+    "gbm.min_leaf": Setting(_at_least(1), GbmHyper.min_leaf),
+    "gbm.n_bins": Setting(_at_least(2), GbmHyper.n_bins),
+    "policy_columns": Setting(_str_map, {}),  # {}: the loader's own column names
+    "observation_columns": Setting(
+        _str_map, lambda top: {c["key"]: c["observation_column"] for c in top["categories"]}
+    ),
+    "observation_date_column": Setting(_str, "date"),
+    # a pass runs one worker thread per unit of parallelism
+    "parallelism": Setting(
+        _kind("in [1, 256]", lambda v: 1 <= v <= 256, _as_int), DigitalTwin.parallelism, None
+    ),
 }
-_RETIRED = {
-    "aggregation": ("mean", "weighted"),
-    "fit.sampler": ("tpe-style",),
-    "fit.objective": ("per-category-independent",),
-}
+
+# section path -> {key: its key path}; a section without a row reads as a mapping
+_SECTIONS: dict[str, dict[str, str]] = {}
+for _parts in (key.split(".") for key in SETTINGS):
+    for _i, _name in enumerate(_parts):
+        if not _name.endswith("[*]"):  # a list's entries belong to the list's row
+            _SECTIONS.setdefault(".".join(_parts[:_i]), {})[_name] = ".".join(_parts[: _i + 1])
+_RETIRED_KEYS = {key for key, s in SETTINGS.items() if getattr(s.read, "retired", False)}
 
 
-def _check_keys(section: dict, path: str) -> None:
-    """Refuse a key of the ``section`` at ``path`` that is no setting, and a
-    removed option with a value the program no longer follows."""
-    for key, value in section.items():
-        name = f"{path}.{key}" if path else str(key)
-        if name in _RETIRED and value not in _RETIRED[name]:
-            allowed = " or ".join(_RETIRED[name])
-            raise ConfigError(f"the {name} option was removed; it may only be {allowed}, got {value!r}")
-        if name not in _RETIRED and key not in _SETTINGS[path].split():
-            known = ", ".join(_SETTINGS[path].split())
-            raise ConfigError(f"unknown setting {name}; {path or 'the run config'} takes {known}")
+def _read_section(given, path: str, name: str, fallback: dict | None = None) -> dict:
+    """Read the section at table ``path`` (called ``name`` in messages): each
+    key's given value, else ``fallback``'s (the profile's), else its default."""
+    given = {} if given is None else given
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name} must be a mapping, got {type(given).__name__} {given!r}")
+    keys = _SECTIONS[path]
+    for key in given:
+        if key not in keys:
+            known = ", ".join(k for k, p in keys.items() if p not in _RETIRED_KEYS)
+            where = f"{name}.{key}" if name else str(key)
+            raise ConfigError(f"unknown setting {where}; {name or 'the run config'} takes {known}")
+    read = {}
+    for key, child in keys.items():
+        where = f"{name}.{key}" if name else key
+        setting = SETTINGS.get(child)
+        if setting is None:
+            read[key] = _read_section(given.get(key), child, where)
+            continue
+        value = setting.read(given[key], where) if key in given else _ABSENT
+        if value is _ABSENT and fallback and key in fallback:
+            value = setting.read(fallback[key], where)
+        if value is _ABSENT:
+            value = setting.default(read) if callable(setting.default) else setting.default
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is required")
+        if value is not _ABSENT:
+            read[key] = value
+    return read
+
+
+def _hashed(read: dict, path: str = "") -> dict:
+    """The hashed view of a read section: each hashed key, by its table row."""
+    view = {}
+    for key, child in _SECTIONS[path].items():
+        setting = SETTINGS.get(child)
+        if setting is None:
+            section = _hashed(read[key], child)
+            if section:  # a section without hashed keys, such as paths, is left out
+                view[key] = section
+        elif setting.hashed is not None:
+            view[key] = setting.hashed(read[key])
+    return view
+
+
+def _read(path, text=True):
+    """An input file's text (or bytes); an unreadable file is a data error naming it."""
+    try:
+        data = path.read_bytes()
+        return data.decode("utf-8") if text else data
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _load_yaml(path):
     """Parse one YAML file (a ``Path`` or packaged resource) safely; invalid
-    YAML is a config error naming the file."""
+    YAML is a config error naming the file, on one line."""
     try:
-        return yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        return yaml.load(_read(path), Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date literal like 2021-02-30
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from None
+        raise ConfigError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
 
 
 def load_profile(name: str) -> dict:
@@ -104,75 +316,6 @@ def packaged_template(filename: str) -> str:
     if not ref.is_file():
         raise ConfigError(f"no packaged template {filename!r}")
     return ref.read_text(encoding="utf-8")
-
-
-def _as_date(value, label: str) -> dt.date:
-    if isinstance(value, dt.date):
-        return value
-    try:
-        return dt.date.fromisoformat(str(value))
-    except ValueError:
-        raise ConfigError(f"{label}: unparseable date {value!r}") from None
-
-
-def _number(value, kind: type, key: str):
-    """``kind(value)`` for the int or float setting at ``key``; a value that
-    does not convert, or a bool, is a config error naming the key."""
-    noun = "an integer" if kind is int else "a number"
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
-
-
-def _pair(value, key: str) -> tuple:
-    """The [low, high] pair at ``key``, as given; anything else is a config
-    error naming the key."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2):
-        raise ConfigError(f"{key} must be a [low, high] pair, got {value!r}")
-    return tuple(value)
-
-
-def _range(value, key: str) -> tuple:
-    """A search range: a pair of numbers, kept as given, since the config
-    hash records an int as an int."""
-    pair = _pair(value, key)
-    for i, v in enumerate(pair):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key}[{i}] must be a number, got {v!r}")
-    return pair
-
-
-def _mapping(value, key: str) -> dict:
-    """The section at ``key``: a mapping, or empty when absent or null; any
-    other shape is a config error naming the key, and so is a key that a
-    section of fixed settings does not take."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a mapping, got {type(value).__name__} {value!r}")
-    if key in _SETTINGS:
-        _check_keys(value, key)
-    return value
-
-
-def _split_from_dict(data) -> TemporalSplit:
-    data = _mapping(data, "split")
-    try:
-        ranges = {}
-        for name in ("train", "validation", "test"):
-            bounds = _mapping(data[name], f"split.{name}")
-            ranges[name] = DateRange(
-                _as_date(bounds["start"], f"split.{name}.start"),
-                _as_date(bounds["end"], f"split.{name}.end"),
-            )
-    except KeyError:
-        raise ConfigError(
-            "split config must define train/validation/test ranges with start and end"
-        ) from None
-    return TemporalSplit(**ranges)
 
 
 @dataclass
@@ -204,13 +347,13 @@ class RunConfig:
         return self.cache_dir / "responses.jsonl"
 
 
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# the RunConfig fields that hold a read setting as it is
+_AS_READ = ("seeds", "policy_columns", "observation_columns", "observation_date_column", "parallelism")
 
 
-def _resolve_path(base: Path, value) -> Path:
-    p = Path(str(value))
-    return p if p.is_absolute() else (base / p)
+def _floats(value):
+    """A number, or a mapping of them at any depth, as floats."""
+    return {k: _floats(v) for k, v in value.items()} if isinstance(value, dict) else float(value)
 
 
 def load_run_config(
@@ -223,220 +366,76 @@ def load_run_config(
     config_path = Path(path)
     if not config_path.exists():
         raise ConfigError(f"config file not found: {config_path}")
-    base = config_path.parent
-    raw = _mapping(_load_yaml(config_path), "the run config")
-    _check_keys(raw, "")
+    raw = _load_yaml(config_path)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"the run config must be a mapping, got {type(raw).__name__} {raw!r}")
+    profile_setting = SETTINGS["profile"]
+    profile = load_profile(profile_setting.read(raw.get("profile", profile_setting.default), "profile"))
+    if parallelism_override is not None:
+        raw = {**raw, "parallelism": parallelism_override}
+    read = _read_section(raw, "", "", fallback=profile)
+    if engine_override is not None:  # an unknown kind is EngineConfig's config error
+        read["engine"]["kind"] = ENGINE_FLAG_KINDS.get(engine_override, engine_override)
+    if seed_override is not None:
+        seed = _SEED.read(seed_override, "--seed-override")
+        read["seeds"] = {k: seed for k in read["seeds"]}
 
-    profile_name = raw.get("profile", "pandemic-uae")
-    profile = load_profile(profile_name)
-
-    categories = raw.get("categories") or profile["categories"]
-    if not isinstance(categories, list) or not all(isinstance(c, dict) for c in categories):
-        raise ConfigError(f"categories must be a list of mappings, got {categories!r}")
-    schema = CategorySchema.from_dicts(categories)
-    clip = _pair(
-        raw.get("clip_bounds") or profile.get("clip_bounds") or (-100.0, 200.0), "clip_bounds"
-    )
-    clip = tuple(_number(v, float, f"clip_bounds[{i}]") for i, v in enumerate(clip))
-
-    paths = _mapping(raw.get("paths"), "paths")
-    for required in ("policy_csv", "observations_csv", "output_dir"):
-        if required not in paths:
-            raise ConfigError(f"{config_path}: paths.{required} is required")
-    policy_csv = _resolve_path(base, paths["policy_csv"])
-    observations_csv = _resolve_path(base, paths["observations_csv"])
-    output_dir = _resolve_path(base, paths["output_dir"])
-    cache_dir = _resolve_path(base, paths.get("cache_dir", "cache"))
-    for label, p in (("policy_csv", policy_csv), ("observations_csv", observations_csv)):
-        if not p.exists():
-            raise ConfigError(f"{config_path}: paths.{label} does not exist: {p}")
-
-    if paths.get("prompt_template"):
-        template_path = _resolve_path(base, paths["prompt_template"])
-        if not template_path.exists():
-            raise ConfigError(f"prompt template not found: {template_path}")
-        try:
-            template = template_path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:  # OSError: a directory, say
-            raise DataError(f"{template_path}: cannot read the prompt template: {exc}") from None
+    paths = {key: value and config_path.parent / value for key, value in read["paths"].items()}
+    for key in ("policy_csv", "observations_csv"):
+        if not paths[key].exists():
+            raise ConfigError(f"{config_path}: paths.{key} does not exist: {paths[key]}")
+    template_path = paths["prompt_template"]
+    if template_path is None:
+        template = packaged_template(profile["template"])
+    elif not template_path.exists():
+        raise ConfigError(f"prompt template not found: {template_path}")
+    else:
+        template = _read(template_path)
         try:
             parse_template(template)
         except ConfigError as exc:
             raise ConfigError(f"{template_path}: {exc}") from None
-    else:
-        template = packaged_template(profile["template"])
 
-    if paths.get("population_spec"):
-        spec_path = _resolve_path(base, paths["population_spec"])
+    population, spec_path = read["population"], paths["population_spec"]
+    if spec_path is not None:
         if not spec_path.exists():
             raise ConfigError(f"population spec not found: {spec_path}")
-        try:
-            population_spec = DemographicSpec.from_dict(_load_yaml(spec_path))
-        except ConfigError as exc:
-            raise ConfigError(f"{spec_path}: {exc}") from None
-    else:
-        population_spec = DemographicSpec.from_dict(
-            raw.get("population") or profile["population"]
-        )
+        population = _load_yaml(spec_path)
+    try:
+        population_spec = DemographicSpec.from_dict(population)
+    except ConfigError as exc:
+        raise ConfigError(f"{spec_path or 'population'}: {exc}") from None
 
-    split = _split_from_dict(raw.get("split"))
-
-    seeds = {"population": 0, "fit": 0, "gbm": 0}
-    seeds.update(
-        {k: _number(v, int, f"seeds.{k}") for k, v in _mapping(raw.get("seeds"), "seeds").items()}
-    )
-    if seed_override is not None:
-        seeds = {k: int(seed_override) for k in seeds}
-
-    engine_raw = dict(_mapping(raw.get("engine"), "engine"))
-    if engine_override is not None:
-        if engine_override not in ENGINE_FLAG_KINDS:
-            raise ConfigError(
-                f"--engine must be one of {sorted(ENGINE_FLAG_KINDS)}, got {engine_override!r}"
-            )
-        engine_raw["kind"] = ENGINE_FLAG_KINDS[engine_override]
-    oracle_params = None
-    oracle = _mapping(engine_raw.get("oracle"), "engine.oracle")
-    if oracle:
-        try:
-            oracle_params = OracleParams.from_dict(oracle)
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise ConfigError(f"engine.oracle is malformed: {exc!r}") from None
-    fields = _mapping(engine_raw.get("request_fields"), "engine.request_fields")
-    if not all(isinstance(x, str) for item in fields.items() for x in item):
-        raise ConfigError(f"engine.request_fields must be a str-to-str mapping, got {fields!r}")
-    text_path = engine_raw.get("response_text_path")
-    if not (text_path is None or isinstance(text_path, str)):
-        raise ConfigError(f"engine.response_text_path must be a string or null, got {text_path!r}")
-    engine = EngineConfig(
-        kind=engine_raw.get("kind", "synthetic-oracle"),
-        endpoint=engine_raw.get("endpoint"),
-        model_name=engine_raw.get("model_name"),
-        retry_limit=_number(engine_raw.get("retry_limit", 3), int, "engine.retry_limit"),
-        oracle_params=oracle_params,
-        decoding=dict(_mapping(engine_raw.get("decoding"), "engine.decoding")),
-        request_fields=dict(fields or {"model": "model", "prompt": "prompt"}),
-        response_text_path=text_path,
-        timeout=_number(engine_raw.get("timeout", 30.0), float, "engine.timeout"),
-    )
-
-    fit_raw = _mapping(raw.get("fit"), "fit")
-    fit = FitConfig(
-        trials=_number(fit_raw.get("trials", 200), int, "fit.trials"),
-        alpha_range=_range(fit_raw.get("alpha_range", (-400.0, 400.0)), "fit.alpha_range"),
-        beta_range=_range(fit_raw.get("beta_range", (-200.0, 200.0)), "fit.beta_range"),
-        seed=seeds["fit"],
-        clip_bounds=clip,
-    )
-
-    gbm_raw = _mapping(raw.get("gbm"), "gbm")
-    gbm = GbmHyper(
-        n_trees=_number(gbm_raw.get("n_trees", 300), int, "gbm.n_trees"),
-        learning_rate=_number(gbm_raw.get("learning_rate", 0.1), float, "gbm.learning_rate"),
-        max_depth=_number(gbm_raw.get("max_depth", 4), int, "gbm.max_depth"),
-        min_leaf=_number(gbm_raw.get("min_leaf", 5), int, "gbm.min_leaf"),
-        n_bins=_number(gbm_raw.get("n_bins", 64), int, "gbm.n_bins"),
-    )
-
-    policy_columns = dict(
-        _mapping(raw.get("policy_columns"), "policy_columns")
-        or profile.get("policy_columns")
-        or {"date": "date", "stringency": "stringency"}
-    )
-    observation_columns = dict(
-        _mapping(raw.get("observation_columns"), "observation_columns")
-        or schema.observation_columns
-    )
-    missing = [k for k in schema.keys if k not in observation_columns]
+    schema = CategorySchema.from_dicts(read["categories"])
+    missing = [k for k in schema.keys if k not in read["observation_columns"]]
     if missing:
         raise ConfigError(f"observation_columns missing categories {missing}")
-    observation_date_column = raw.get(
-        "observation_date_column", profile.get("observation_date_column", "date")
-    )
+    engine = dict(read["engine"])
+    oracle = engine.pop("oracle")
+    oracle_params = None if oracle is None else OracleParams(**_floats(oracle))
+    engine = EngineConfig(**engine, oracle_params=oracle_params)
 
-    parallelism = (
-        parallelism_override
-        if parallelism_override is not None
-        else _number(raw.get("parallelism", 1), int, "parallelism")
-    )
-    if not 1 <= parallelism <= MAX_PARALLELISM:
-        raise ConfigError(f"parallelism must be in [1, {MAX_PARALLELISM}], got {parallelism}")
-
-    semantic = {
-        "profile": profile_name,
-        "categories": schema.to_dicts(),
-        "clip_bounds": list(clip),
-        "split": {
-            name: {"start": r.start.isoformat(), "end": r.end.isoformat()}
-            for name, r in (
-                ("train", split.train),
-                ("validation", split.validation),
-                ("test", split.test),
-            )
-        },
-        "engine": {
-            "kind": engine.kind,
-            "endpoint": without_userinfo(engine.endpoint),  # no credentials in manifests
-            "model_name": engine.model_name,
-            "retry_limit": engine.retry_limit,
-            "decoding": engine.decoding,
-            "request_fields": engine.request_fields,
-            "response_text_path": engine.response_text_path,
-            "oracle": engine_raw.get("oracle"),
-        },
-        "fit": {
-            "trials": fit.trials,
-            "alpha_range": list(fit.alpha_range),
-            "beta_range": list(fit.beta_range),
-        },
-        "gbm": {
-            "n_trees": gbm.n_trees,
-            "learning_rate": gbm.learning_rate,
-            "max_depth": gbm.max_depth,
-            "min_leaf": gbm.min_leaf,
-            "n_bins": gbm.n_bins,
-        },
-        "seeds": seeds,
-        "policy_columns": policy_columns,
-        "observation_columns": observation_columns,
-        "observation_date_column": observation_date_column,
-        # Ordered lists, not mappings: sampling depends on the order of the
-        # attributes and of their values, and sort_keys would hide it.
-        "population": {
-            "population_size": population_spec.population_size,
-            "attributes": [
-                [name, [[v, p] for v, p in pairs]]
-                for name, pairs in population_spec.attributes.items()
-            ],
-        },
-        "input_digests": {
-            "policy_csv": _file_digest(policy_csv),
-            "observations_csv": _file_digest(observations_csv),
-            "template": hashlib.sha256(template.encode("utf-8")).hexdigest(),
-        },
+    semantic = _hashed(read)
+    semantic["population"] = {  # lists: sampling follows the order of attributes and values
+        "population_size": population_spec.population_size,
+        "attributes": [[a, [list(vp) for vp in vps]] for a, vps in population_spec.attributes.items()],
     }
-    config_hash = hashlib.sha256(
-        json.dumps(semantic, sort_keys=True).encode("utf-8")
-    ).hexdigest()
-
+    semantic["input_digests"] = {
+        "policy_csv": hashlib.sha256(_read(paths["policy_csv"], text=False)).hexdigest(),
+        "observations_csv": hashlib.sha256(_read(paths["observations_csv"], text=False)).hexdigest(),
+        "template": hashlib.sha256(template.encode("utf-8")).hexdigest(),
+    }
     return RunConfig(
-        profile_name=profile_name,
+        profile_name=read["profile"],
         schema=schema,
         template=template,
-        policy_csv=policy_csv,
-        observations_csv=observations_csv,
-        cache_dir=cache_dir,
-        output_dir=output_dir,
-        split=split,
+        split=TemporalSplit(**{n: DateRange(r["start"], r["end"]) for n, r in read["split"].items()}),
         engine=engine,
-        fit=fit,
-        gbm=gbm,
+        fit=FitConfig(**read["fit"], seed=read["seeds"]["fit"], clip_bounds=read["clip_bounds"]),
+        gbm=GbmHyper(**read["gbm"]),
         population_spec=population_spec,
-        seeds=seeds,
-        policy_columns=policy_columns,
-        observation_columns=observation_columns,
-        observation_date_column=observation_date_column,
-        parallelism=parallelism,
-        config_hash=config_hash,
+        config_hash=hashlib.sha256(json.dumps(semantic, sort_keys=True).encode("utf-8")).hexdigest(),
         semantic=semantic,
+        **{key: paths[key] for key in ("policy_csv", "observations_csv", "cache_dir", "output_dir")},
+        **{key: read[key] for key in _AS_READ},
     )

@@ -269,7 +269,7 @@ class AblationInputs:
     template: str
     fit_config: FitConfig
     population_seed: int
-    parallelism: int = 1
+    parallelism: int = DigitalTwin.parallelism
 
 
 @dataclass

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -158,11 +160,26 @@ def _parse_float(raw: str, path: str, row: int, column: str) -> float:
         ) from None
 
 
-def _open_reader(path: str | Path):
+@contextmanager
+def _csv_rows(path: str | Path):
+    """A ``csv.DictReader`` over the file; one that is missing, cannot be read
+    (a directory, say) or is not UTF-8 is a data error naming it."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"file not found: {p}")
-    return p.open("r", encoding="utf-8", newline="")
+    try:
+        with p.open("r", encoding="utf-8", newline="") as fh:
+            yield csv.DictReader(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{p}: not UTF-8 text: {exc}") from None
+    except (OSError, csv.Error) as exc:
+        raise DataError(f"{p}: cannot read the CSV file: {exc}") from None
+
+
+def _refuse_duplicate_dates(records: Sequence, path, what: str) -> None:
+    dupes = sorted(d for d, n in Counter(r.date for r in records).items() if n > 1)
+    if dupes:
+        raise DataError(f"{path}: duplicate {what} dates {[d.isoformat() for d in dupes]}")
 
 
 def _require_columns(header: Sequence[str], required: Iterable[str], path: str) -> None:
@@ -186,8 +203,7 @@ def load_policy_csv(
     cols.update(column_map or {})
     report = LoadReport(path=str(path))
     records: list[PolicyRecord] = []
-    with _open_reader(path) as fh:
-        reader = csv.DictReader(fh)
+    with _csv_rows(path) as reader:
         if reader.fieldnames is None:
             return [], report
         required = [cols["date"], cols["stringency"]]
@@ -210,10 +226,7 @@ def load_policy_csv(
                 if raw_gov:
                     gov = _parse_float(raw_gov, str(path), i, gov_col)
             records.append(PolicyRecord(date=date, stringency=stringency, government_response=gov))
-    dates = [r.date for r in records]
-    if len(set(dates)) != len(dates):
-        dupes = sorted({d for d in dates if dates.count(d) > 1})
-        raise DataError(f"{path}: duplicate policy dates {dupes}")
+    _refuse_duplicate_dates(records, path, "policy")
     records.sort(key=lambda r: r.date)
     report.rows_kept = len(records)
     return records, report
@@ -234,8 +247,7 @@ def load_observations_csv(
     report = LoadReport(path=str(path))
     categories = tuple(category_columns.keys())
     records: list[ObservationRecord] = []
-    with _open_reader(path) as fh:
-        reader = csv.DictReader(fh)
+    with _csv_rows(path) as reader:
         if reader.fieldnames is None:
             return ObservationSeries(categories, ()), report
         _require_columns(reader.fieldnames, [date_column, *category_columns.values()], str(path))
@@ -252,10 +264,7 @@ def load_observations_csv(
                 for key, raw in raw_values.items()
             }
             records.append(ObservationRecord(date=date, values=values))
-    dates = [r.date for r in records]
-    dupes = sorted({d for d in dates if dates.count(d) > 1})
-    if dupes:
-        raise DataError(f"{path}: duplicate observation dates {[d.isoformat() for d in dupes]}")
+    _refuse_duplicate_dates(records, path, "observation")
     records.sort(key=lambda r: r.date)
     report.rows_kept = len(records)
     return ObservationSeries(categories, tuple(records)), report

@@ -28,12 +28,6 @@ class Category:
     label: str
     direction: int  # expected sign of d(prob)/d(stringency): +1 or -1
 
-    def __post_init__(self):
-        if self.direction not in (-1, 1):
-            raise ConfigError(
-                f"category {self.key!r}: direction must be +1 or -1, got {self.direction}"
-            )
-
 
 @dataclass(frozen=True)
 class CategorySchema:
@@ -75,27 +69,9 @@ class CategorySchema:
 
     @classmethod
     def from_dicts(cls, entries: list[dict]) -> "CategorySchema":
-        """Build a schema from config-file entries.
-
-        Each entry needs at least ``key``; ``response_key`` defaults to
-        ``<key>_prob``, ``observation_column`` and ``label`` to the key,
-        ``direction`` to -1.
-        """
-        cats = []
-        for entry in entries:
-            if "key" not in entry:
-                raise ConfigError(f"category entry missing 'key': {entry}")
-            key = entry["key"]
-            cats.append(
-                Category(
-                    key=key,
-                    response_key=entry.get("response_key", f"{key}_prob"),
-                    observation_column=entry.get("observation_column", key),
-                    label=entry.get("label", key),
-                    direction=int(entry.get("direction", -1)),
-                )
-            )
-        return cls(tuple(cats))
+        """Build a schema from entries that give every field of a category
+        (the run config's settings table fills in the defaults)."""
+        return cls(tuple(Category(**entry) for entry in entries))
 
     def to_dicts(self) -> list[dict]:
         return [

@@ -38,6 +38,7 @@ from socialtwin.evaluation import compare, improvement_pct, macro_average, rmse
 from socialtwin.ingest import DateRange, ObservationRecord, ObservationSeries, TemporalSplit
 from socialtwin.persona import sample_population
 from socialtwin.schema import CategorySchema
+from gbm_reference import train_losses
 from synthetic import (
     default_oracle_params,
     default_schema,
@@ -212,9 +213,8 @@ def test_criterion_6_baseline_correctness():
         assert X.shape[0] == 365
         y = 2.0 * X[:, 0]
         model = bl.fit_gbm(X, {"k": y}, bl.GbmHyper(n_trees=200, max_depth=2), seed=0)
-        losses = model.train_loss_by_category["k"]
-        assert losses[-1] <= 0.05 * float(np.std(y))
-        checkpoints = losses[9::10]
+        checkpoints = train_losses(model, X, {"k": y}, "k", range(10, 201, 10))
+        assert checkpoints[-1] <= 0.05 * float(np.std(y))
         assert all(b <= a + 1e-9 for a, b in zip(checkpoints, checkpoints[1:]))
 
 

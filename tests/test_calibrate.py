@@ -13,7 +13,6 @@ from socialtwin.calibrate import (
     CalibrationParams,
     CategoryCalibration,
     CategoryFitRecord,
-    DEFAULT_CLIP_BOUNDS,
     FitConfig,
     FitReport,
     _kde_logpdf,
@@ -102,7 +101,7 @@ def test_clipping_idempotent(alpha, beta, p):
 # -------------------------------------------------------------- least squares
 
 
-def least_squares_fit(pairs, clip_bounds=DEFAULT_CLIP_BOUNDS):
+def least_squares_fit(pairs, clip_bounds=FitConfig().clip_bounds):
     """Reference: closed-form per-category OLS of the unclipped map, the
     search's trial 0. Clip bounds are set to the defaults, not fitted."""
     per_category = {}
@@ -340,9 +339,8 @@ def _ref_clipped_rmse(alpha, beta, p, y, clip):
     return float(np.sqrt(np.mean((pred - y) ** 2)))
 
 
-def _ref_report(config, objective):
+def _ref_report(config):
     return FitReport(
-        objective=objective,
         seed=config.seed,
         trials=config.trials,
         alpha_range=config.alpha_range,
@@ -352,7 +350,7 @@ def _ref_report(config, objective):
 
 def ref_fit_calibration(train, config):
     pairs = _ref_pairs_from_training(train)
-    report = _ref_report(config, "per-category-independent")
+    report = _ref_report(config)
     clip = config.clip_bounds
     per_category = {}
     for k_index, (key, (p, y)) in enumerate(pairs.items()):
@@ -392,7 +390,7 @@ def ref_fit_single_slope(train, config):
         shared_loss, [a_range, b_range], np.array([alpha0, beta0]),
         config.trials, np.random.default_rng(config.seed),
     )
-    report = _ref_report(config, "shared-single-slope")
+    report = _ref_report(config)
     for key, (p, y) in pairs.items():
         report.per_category[key] = CategoryFitRecord(
             best_loss=_ref_clipped_rmse(best[0], best[1], p, y, clip),

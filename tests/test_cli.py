@@ -227,8 +227,8 @@ def test_invalid_yaml_in_spec_or_scenarios_exits_one(workspace, capsys, broken):
         name = "scenarios.yaml"
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("config error:") and name in err and "invalid YAML" in err
-    assert "Traceback" not in err
+    assert err.startswith("config error:") and err.count(name) == 1 and "invalid YAML" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_config_hash_follows_population_attribute_order(workspace):
@@ -519,16 +519,16 @@ def test_unusable_output_path_exits_two_before_any_engine_call(
 
 
 def test_calibration_artifact_records_the_one_fit_method(workspace):
-    """The fit block of ``calibration.json`` records no sampler, and no trial
-    count per category: every category ran the fit's ``trials``."""
+    """The fit block of ``calibration.json`` records no sampler or objective,
+    and no trial count per category: every category ran the fit's ``trials``."""
     root, config_path = workspace
     assert run(config_path, "simulate") == 0
     assert run(config_path, "calibrate") == 0
     fit = json.loads((root / "out" / "calibration.json").read_text())["fit"]
-    assert sorted(fit) == [
-        "alpha_range", "beta_range", "objective", "per_category", "seed", "trials"
-    ]
-    assert fit["objective"] == "per-category-independent" and fit["trials"] == 25
+    assert sorted(fit) == ["alpha_range", "beta_range", "per_category", "seed", "trials"]
+    assert fit["trials"] == 25
+    report = (root / "out" / "fit_report.txt").read_text()
+    assert "calibration fit: trials=25 seed=3\n" in report
     for record in fit["per_category"].values():
         assert sorted(record) == ["best_loss", "degenerate", "initializer_loss", "range_widened"]
 
@@ -613,6 +613,21 @@ def test_retired_option_with_its_current_value_keeps_the_hash(workspace, setting
     assert load_run_config(config_path).config_hash == plain
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["population", "policy_columns", "observation_columns", "engine.decoding", "engine.request_fields"],
+)
+@pytest.mark.parametrize("value", [None, {}])
+def test_empty_mapping_setting_keeps_the_hash_of_one_left_out(workspace, setting, value):
+    """An empty or null mapping takes the default, as it always has."""
+    _, config_path = workspace
+    plain = load_run_config(config_path).config_hash
+    config = yaml.safe_load(config_path.read_text())
+    _set(config, setting, value)
+    config_path.write_text(yaml.safe_dump(config))
+    assert load_run_config(config_path).config_hash == plain
+
+
 def _bench_workloads(monkeypatch):
     """The benchmark's workspace writer, ``perfbench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -638,12 +653,75 @@ def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(
     assert load_run_config(space.config).config_hash == with_sampler
 
 
+# Sets every optional key, the retired ones included, with integer-valued
+# search ranges and oracle numbers (hashed as written) and an integral float
+# for an integer setting.
+EVERY_KEY_CONFIG = """
+profile: pandemic-uae
+aggregation: mean
+categories:
+  - {key: go_work, response_key: go_work_prob, observation_column: workplaces,
+     label: Workplaces, direction: -1}
+  - {key: essentials, observation_column: grocery_and_pharmacy}
+  - {key: stay_home, response_key: home_prob, observation_column: residential,
+     label: Residential, direction: 1}
+clip_bounds: [-50, 150.5]
+paths:
+  policy_csv: policy.csv
+  observations_csv: observations.csv
+  output_dir: out
+  cache_dir: responses
+  prompt_template: template.txt
+population:
+  population_size: 12
+  attributes:
+    income: {Low: 0.5, High: 0.5}
+    risk_perception: {Low: 0.25, Medium: 0.5, High: 0.25}
+split:
+  train: {start: 2020-04-01, end: 2021-03-31}
+  validation: {start: '2021-04-01', end: '2021-06-30'}
+  test: {start: 2021-07-01, end: 2021-09-27}
+seeds: {population: 4, fit: 7, gbm: 9}
+engine:
+  kind: remote-http
+  endpoint: http://user:pw@127.0.0.1:9/v1
+  model_name: every-key-model
+  retry_limit: 2
+  decoding: {temperature: 0.2, max_tokens: 64}
+  request_fields: {model: model_id, prompt: input}
+  response_text_path: output.text
+  timeout: 12
+  oracle:
+    intercepts: {go_work: 1, essentials: 0.5, stay_home: -1}
+    slopes: {go_work: -2, essentials: -0.25, stay_home: 3}
+    attribute_offsets: {income: {Low: 0.1, High: -0.1}}
+    noise_scale: 0
+fit:
+  trials: 30
+  alpha_range: [-300, 300]
+  beta_range: [-100, 100.5]
+  sampler: tpe-style
+  objective: per-category-independent
+gbm: {n_trees: 50, learning_rate: 0.2, max_depth: 3.0, min_leaf: 4, n_bins: 32}
+policy_columns: {date: date, stringency: stringency}
+observation_columns: {go_work: workplaces, essentials: grocery_and_pharmacy,
+                      stay_home: residential}
+observation_date_column: date
+parallelism: 2
+"""
+
+
 def test_config_hash_of_configs_that_load_stays_pinned(workspace, tmp_path, monkeypatch):
     """Checking more of a config refuses configs; it changes no hash of one
     that loads."""
-    _, config_path = workspace
+    root, config_path = workspace
     assert load_run_config(config_path).config_hash == (
         "ee4f2f7efd00da9c9af144a92ce94379bf27d5e2ca658af0332592a2d1f6d992"
+    )
+    (root / "template.txt").write_text("Date: {date}\nStringency: {stringency}\n{income}\n")
+    (root / "every_key.yaml").write_text(EVERY_KEY_CONFIG)
+    assert load_run_config(root / "every_key.yaml").config_hash == (
+        "053033c438ca4377cbd649c555dc2666383b3782a3077abcc1b23222502e5614"
     )
     workloads = _bench_workloads(monkeypatch)
     for name, pinned in [

@@ -117,6 +117,26 @@ def test_load_observations_duplicate_date_named(tmp_path):
         load_observations_csv(path, {c: c for c in CATS})
 
 
+@pytest.mark.parametrize("damage", ["directory", "latin-1-header", "latin-1-row"])
+@pytest.mark.parametrize("load", ["policy", "observations"])
+def test_unreadable_csv_is_a_data_error_naming_it(tmp_path, load, damage):
+    """Raised where the loader reads the bytes, not as an OS or decode error."""
+    path = tmp_path / "input.csv"
+    if damage == "directory":
+        path.mkdir()
+    else:
+        header, row = "date,stringency," + ",".join(CATS), "2020-04-15,90,1,2,3,4,5,6"
+        text = header.replace("date", "d\xe4te") if damage == "latin-1-header" else header
+        body = row if damage == "latin-1-header" else row.replace("90", "9\xe4")
+        path.write_bytes(f"{text}\n{body}\n".encode("latin-1"))
+    with pytest.raises(DataError, match="input.csv") as excinfo:
+        if load == "policy":
+            load_policy_csv(path)
+        else:
+            load_observations_csv(path, {c: c for c in CATS})
+    assert ("cannot read" if damage == "directory" else "not UTF-8") in str(excinfo.value)
+
+
 def test_load_observations_missing_column(tmp_path):
     path = obs_csv(tmp_path, [], header=["date", "a", "b", "c", "d", "e"])
     with pytest.raises(DataError, match="missing required columns"):
