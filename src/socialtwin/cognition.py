@@ -872,7 +872,7 @@ def ask_engine(
             f"replay cache miss for persona {prompt.persona_id} on {context.date} "
             f"(stringency {context.stringency:g})"
         )
-    retry_limit = getattr(engine, "retry_limit", 3)
+    retry_limit = engine.retry_limit
     last_error: Exception | None = None
     for _ in range(1 + retry_limit):
         try:

@@ -227,6 +227,9 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
                 f"{p}: scenario entry must be a mapping of name, date and "
                 f"stringency_override, got {entry!r}"
             )
+        for key in entry:
+            if key not in ("name", "date", "stringency_override"):
+                raise ConfigError(f"{p}: scenario entry has unknown key {key!r}: {entry}")
         scenario = Scenario(
             name=field(entry, "name", str),
             date=field(

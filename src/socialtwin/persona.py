@@ -57,6 +57,9 @@ class DemographicSpec:
         """Build from a config mapping: {population_size, attributes: {name: {value: prob}}}."""
         if not isinstance(data, dict):
             raise ConfigError(f"population spec must be a mapping, got {type(data).__name__}")
+        for key in data:
+            if key not in ("population_size", "attributes"):
+                raise ConfigError(f"population spec has unknown key {key!r}")
         try:
             raw_size, raw_attrs = data["population_size"], data["attributes"]
         except KeyError as exc:

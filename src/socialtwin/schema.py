@@ -51,10 +51,6 @@ class CategorySchema:
     def response_keys(self) -> tuple[str, ...]:
         return tuple(c.response_key for c in self.categories)
 
-    @property
-    def observation_columns(self) -> dict[str, str]:
-        return {c.key: c.observation_column for c in self.categories}
-
     def __len__(self) -> int:
         return len(self.categories)
 
@@ -72,15 +68,3 @@ class CategorySchema:
         """Build a schema from entries that give every field of a category
         (the run config's settings table fills in the defaults)."""
         return cls(tuple(Category(**entry) for entry in entries))
-
-    def to_dicts(self) -> list[dict]:
-        return [
-            {
-                "key": c.key,
-                "response_key": c.response_key,
-                "observation_column": c.observation_column,
-                "label": c.label,
-                "direction": c.direction,
-            }
-            for c in self.categories
-        ]

@@ -2,28 +2,26 @@
 mean, with an optional fitted calibration on top.
 
 A simulation pass works once per distinct prompt: personas with the same
-ordered attributes form a profile, and each (profile, context) cell is
-keyed and looked up once. The pass builds each profile's prompt skeleton
-(the template filled in but for ``date`` and ``stringency``) once, so a
-cell's key is one join and one hash; only a miss renders its prompt. A
-pass takes any list of contexts, such as a command's dates or a sweep's
-scenarios (which may share a date), and returns one result per context in
-the same order.
+ordered attributes form a profile, and each distinct (profile, context)
+cell is keyed and looked up once. The pass builds each profile's prompt
+skeleton (the template filled in but for ``date`` and ``stringency``)
+once, so a cell's key is one join and one hash; only a miss renders its
+prompt. A pass takes any list of contexts, such as a command's dates or a
+sweep's scenarios (which may share a date), and returns one result per
+context in the same order.
 
-The pass flows: it sends each miss to one worker pool and moves on to the
-next context without waiting, so a slow reply holds up only the contexts
-that need it. Contexts are aggregated in order, each once its cells are
-resolved. At most twice ``parallelism`` misses are outstanding; at that
-point the pass waits for the oldest before sending more, which bounds what
-it holds. Each context is aggregated over its profiles (``aggregate``):
-a profile weighs its member count, and each result is the exact mean
-rounded once. Results are therefore bit-identical at any query
-parallelism and in any persona order. A prompt that cannot be parsed after
-retries excludes every member of its profile; each is logged under its own
-id and context, and the survivor count of every context goes into the run
-log so exclusions are auditable. The first engine error, in context order,
-ends the pass: no request starts after a request has failed, and queued
-ones are dropped.
+The pass sends, then aggregates. It first walks the contexts and looks
+each distinct prompt up once; the misses go to one worker pool in order of
+first occurrence, at most twice ``parallelism`` outstanding (the pass waits
+for the oldest before sending more). After the last reply it aggregates
+each context over its profiles (``aggregate``): a profile weighs its member
+count, and each result is the exact mean rounded once. Results are
+therefore bit-identical at any query parallelism and in any persona order.
+A prompt that cannot be parsed after retries excludes every member of its
+profile; each is logged under its own id and context, and the survivor
+count of every context goes into the run log so exclusions are auditable.
+The first engine error, in context order, ends the pass: no request starts
+after a request has failed, and queued ones are dropped.
 """
 
 from __future__ import annotations
@@ -112,15 +110,6 @@ class DigitalTwin:
         if not self.population:
             raise ConfigError("twin needs a nonempty population")
 
-    def _ask(self, key, prompt, persona, context) -> list[float] | ParseError:
-        """A miss's row of probabilities, or its ParseError; transport and
-        replay errors raise."""
-        try:
-            vector = ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
-        except ParseError as exc:
-            return exc
-        return list(vector.probs.values())
-
     def simulate_context(self, context: SimContext) -> BehaviorVector | None:
         """The aggregate for one context: a one-context ``simulate_contexts``.
 
@@ -133,117 +122,102 @@ class DigitalTwin:
     ) -> tuple[list[BehaviorVector | None], SimulationLog]:
         """One aggregated vector per context, in context order, and the log.
 
-        A context whose every cell failed gets None (the caller excludes it).
+        The pass resolves each distinct prompt once, sending its misses in
+        order of first occurrence with at most twice ``parallelism``
+        outstanding, and aggregates every context after the last reply. A
+        context whose every cell failed gets None (the caller excludes it).
         Contexts may repeat or share a date: results are aligned with the
         contexts, not keyed by date. Parse failures are logged per persona;
-        transport or replay errors propagate.
+        the first transport or replay error in context order propagates.
         """
         profile_of, representatives = _group_profiles(self.population)
         keyed = [
             prompt_skeleton(p, self.template).keyed(self.engine.digest, self.schema.response_keys)
             for p in representatives
         ]
+        # each distinct prompt's row, ParseError, or the Future of its request
+        outcome: dict[str, list[float] | ParseError | Future] = {}
+        cells: list[list] = []  # each context's outcomes, by profile
+        sent: deque[Future] = deque()
+        first_error: list[EngineError] = []
+
+        def ask(key, prompt, persona, context) -> list[float] | ParseError:
+            """A miss's row of probabilities, or its ParseError; transport and
+            replay errors raise, and no request starts after one has."""
+            if first_error:
+                raise EngineError(f"not sent after an earlier request failed: {first_error[0]}")
+            try:
+                vector = ask_engine(
+                    self.engine, key, prompt, persona, context, self.schema, self.cache
+                )
+            except ParseError as exc:
+                return exc
+            except EngineError as exc:
+                first_error.append(exc)
+                raise
+            return list(vector.probs.values())
+
+        window = 2 * self.parallelism
+        pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
+        try:
+            for context in contexts:
+                values = keyed[0].values(context)  # a template gives all the same slots
+                outcomes = []
+                for persona, skeleton in zip(representatives, keyed):
+                    key = skeleton_key(skeleton, values)
+                    resolved = outcome.get(key)
+                    if resolved is None:
+                        cached = self.cache.get(key)
+                        if cached is not None:
+                            resolved = cached_row(cached, self.schema)
+                        else:  # a miss, the only kind of cell that renders its prompt
+                            prompt = render_prompt(persona, context, self.template)
+                            if pool is None:
+                                resolved = ask(key, prompt, persona, context)
+                            else:
+                                if len(sent) == window:
+                                    sent.popleft().result()  # raises its EngineError
+                                resolved = pool.submit(ask, key, prompt, persona, context)
+                                sent.append(resolved)
+                        outcome[key] = resolved
+                    outcomes.append(resolved)
+                cells.append(outcomes)
+            for future in sent:  # in send order: the first error in context order raises
+                future.result()
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
         sizes = [0] * len(representatives)
         for j in profile_of:
             sizes[j] += 1
         no_row = [0.0] * len(self.schema.keys)
         log = SimulationLog()
         aggregates: list[BehaviorVector | None] = []
-        failed: dict[str, ParseError] = {}
-        # misses sent and not yet settled: by key, and in the order sent, each
-        # with the index of the context that sent it
-        pending: dict[str, tuple[Future, int]] = {}
-        sent: deque[tuple[str, Future, int]] = deque()
-        open_contexts: deque[tuple[int, SimContext, list]] = deque()
-        first_error: list[EngineError] = []
-
-        def ask_in_worker(key, prompt, persona, context):
-            if first_error:  # no request starts after one has failed
-                raise EngineError(f"not sent after an earlier request failed: {first_error[0]}")
-            try:
-                return self._ask(key, prompt, persona, context)
-            except EngineError as exc:
-                first_error.append(exc)
-                raise
-
-        def settle_oldest() -> None:
-            key, future, _ = sent.popleft()
-            del pending[key]
-            outcome = future.result()  # raises the miss's EngineError
-            if isinstance(outcome, ParseError):
-                failed[key] = outcome
-
-        def finish_ready() -> None:
-            """Aggregate, in order, the open contexts that sent no unsettled miss."""
-            while open_contexts and (not sent or sent[0][2] > open_contexts[0][0]):
-                _, context, outcomes = open_contexts.popleft()
-                outcomes = [o.result() if isinstance(o, Future) else o for o in outcomes]
-                dead = {j for j, o in enumerate(outcomes) if isinstance(o, ParseError)}
-                if dead:  # log every member of a failed profile, in persona order
-                    log.failures.extend(
-                        {
-                            "date": context.date.isoformat(),
-                            "stringency": context.stringency,
-                            "persona": persona.id,
-                            "error": str(outcomes[j]),
-                        }
-                        for persona, j in zip(self.population, profile_of)
-                        if j in dead
-                    )
-                survivors = len(self.population) - sum(sizes[j] for j in dead)
-                log.survivors.append((context.date, survivors))
-                if not survivors:
-                    aggregates.append(None)
-                    continue
-                # a failed profile keeps a row of zeros, with count 0
-                rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
-                counts = [0 if j in dead else n for j, n in enumerate(sizes)]
-                probs = aggregate_mean(rows, counts)
-                aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
-
-        window = 2 * self.parallelism
-        pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
-        try:
-            for index, context in enumerate(contexts):
-                outcomes: list = []
-                values = keyed[0].values(context)  # a template gives all the same slots
-                for persona, skeleton in zip(representatives, keyed):
-                    key = skeleton_key(skeleton, values)
-                    entry = pending.get(key)
-                    if entry is not None and entry[1] < index:
-                        # sent for an earlier context: settle it first, so the
-                        # lookup below finds the answer or the failure
-                        while key in pending:
-                            settle_oldest()
-                        entry = None
-                    outcome = entry[0] if entry is not None else failed.get(key)
-                    if outcome is None:
-                        cached = self.cache.get(key)
-                        if cached is not None:
-                            outcome = cached_row(cached, self.schema)
-                        else:  # a miss, the only kind of cell that renders its prompt
-                            prompt = render_prompt(persona, context, self.template)
-                            if pool is None:
-                                outcome = self._ask(key, prompt, persona, context)
-                                if isinstance(outcome, ParseError):
-                                    failed[key] = outcome
-                            else:
-                                while len(sent) >= window:
-                                    settle_oldest()
-                                outcome = pool.submit(ask_in_worker, key, prompt, persona, context)
-                                pending[key] = (outcome, index)
-                                sent.append((key, outcome, index))
-                    outcomes.append(outcome)
-                open_contexts.append((index, context, outcomes))
-                while sent and sent[0][1].done():
-                    settle_oldest()
-                finish_ready()
-            while sent:
-                settle_oldest()
-            finish_ready()
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
+        for context, outcomes in zip(contexts, cells):
+            outcomes = [o.result() if isinstance(o, Future) else o for o in outcomes]
+            dead = {j for j, o in enumerate(outcomes) if isinstance(o, ParseError)}
+            if dead:  # log every member of a failed profile, in persona order
+                log.failures.extend(
+                    {
+                        "date": context.date.isoformat(),
+                        "stringency": context.stringency,
+                        "persona": persona.id,
+                        "error": str(outcomes[j]),
+                    }
+                    for persona, j in zip(self.population, profile_of)
+                    if j in dead
+                )
+            survivors = len(self.population) - sum(sizes[j] for j in dead)
+            log.survivors.append((context.date, survivors))
+            if not survivors:
+                aggregates.append(None)
+                continue
+            # a failed profile keeps a row of zeros, with count 0
+            rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
+            counts = [0 if j in dead else n for j, n in enumerate(sizes)]
+            probs = aggregate_mean(rows, counts)
+            aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
         return aggregates, log
 
     def predict_metrics(self, aggregate: BehaviorVector) -> dict[str, float]:

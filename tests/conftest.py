@@ -14,6 +14,20 @@ from socialtwin.schema import CategorySchema
 from synthetic import default_oracle_params, make_synthetic_dataset, write_observations_csv
 
 
+@pytest.fixture(autouse=True)
+def no_pool_worker_left_alive():
+    """Fail a test that leaves a thread-pool worker running: a simulation
+    pass shuts its pool down whether it ends in results or in an error."""
+    before = set(threading.enumerate())
+    yield
+    left = [
+        t.name for t in threading.enumerate()
+        if t not in before and t.name.startswith("ThreadPoolExecutor-")
+    ]
+    if left:
+        pytest.fail(f"thread-pool workers left alive: {left}")
+
+
 @pytest.fixture(scope="session")
 def schema() -> CategorySchema:
     return CategorySchema.from_dicts(load_profile("pandemic-uae")["categories"])
@@ -63,9 +77,8 @@ def write_run_workspace(
         writer.writerow(["date", "stringency"])
         for rec in dataset.policy:
             writer.writerow([rec.date.isoformat(), repr(rec.stringency)])
-    write_observations_csv(
-        dataset.observations, root / "observations.csv", dataset.schema.observation_columns
-    )
+    columns = {c.key: c.observation_column for c in dataset.schema}
+    write_observations_csv(dataset.observations, root / "observations.csv", columns)
     if engine is None:
         engine = {
             "kind": "synthetic-oracle",

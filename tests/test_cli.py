@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from socialtwin.cli import main
-from socialtwin.config import load_run_config
+from socialtwin.config import load_profile, load_run_config
 from socialtwin.errors import ConfigError
 from synthetic import make_synthetic_dataset
 
@@ -259,10 +259,20 @@ def test_config_hash_follows_population_attribute_order(workspace):
         ("population", "population_size: 20.7\nattributes: {income: {Low: 1.0}}\n", "population_size"),
         ("population", "population_size: true\nattributes: {income: {Low: 1.0}}\n", "population_size"),
         ("population", "population_size: 20\nattributes: {income: Low}\n", "income"),
+        (
+            "population",
+            "population_size: 3\nattributes: {income: {Low: 1.0}}\nseed: 5\n",
+            "population.yaml: population spec has unknown key 'seed'",
+        ),
         ("scenarios", "- just a string\n", "scenarios.yaml"),
         ("scenarios", "- {name: a, date: 2021-02-30, stringency_override: 50}\n", "scenarios.yaml"),
         ("scenarios", "- {name: a, date: June 1, stringency_override: 50}\n", "invalid date"),
         ("scenarios", "- {name: a, date: 2020-06-01, stringency_override: high}\n", "stringency_override"),
+        (
+            "scenarios",
+            "- {name: a, date: 2020-04-15, stringency_override: 50, stringncy: 90}\n",
+            "scenarios.yaml: scenario entry has unknown key 'stringncy': {'name': 'a'",
+        ),
         (
             "scenarios",
             "- {name: dup, date: 2020-04-15, stringency_override: 10}\n"
@@ -272,8 +282,9 @@ def test_config_hash_follows_population_attribute_order(workspace):
     ],
     ids=[
         "spec-is-list", "attributes-is-list", "size-not-integer", "size-fractional",
-        "size-boolean", "values-not-mapping",
+        "size-boolean", "values-not-mapping", "spec-unknown-key",
         "entry-is-string", "impossible-date", "unparseable-date", "stringency-not-number",
+        "entry-unknown-key",
         "duplicate-name",
     ],
 )
@@ -730,6 +741,42 @@ def test_config_hash_of_configs_that_load_stays_pinned(workspace, tmp_path, monk
     ]:
         space = workloads.write_workspace(tmp_path / name, workloads.WORKLOADS[name], 1)
         assert load_run_config(space.config).config_hash == pinned
+
+
+def test_inline_population_spec_with_an_unknown_key_exits_one(workspace, capsys):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    config["population"] = {"population_size": 3, "attributes": {"a": {"x": 1.0}}, "seed": 5}
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: population: ") and "unknown key 'seed'" in err
+
+
+def test_population_specs_in_use_keep_their_hash(workspace, tmp_path, monkeypatch):
+    """The benchmark's and the test workspaces' population specs give only
+    ``population_size`` and ``attributes``, so refusing other keys refuses
+    none of them and changes no hash."""
+    _, config_path = workspace
+    workloads = _bench_workloads(monkeypatch)
+    pinned = {
+        "cold_unique": "9a316b72186917abbdef58eb5038d143959df3cd0008e10fe6023b50766daf0b",
+        "warm_shared": "9811a50c5702f6c39d98391c0111c356aa6d0c8130dda1c0e8e65840f0c06128",
+        "remote_shared": "b18b26da7cef2bf38ff96949b63fd743cc81971ccba528c70cb075059127b171",
+    }
+    assert set(pinned) == set(workloads.WORKLOADS)
+    for name, workload in workloads.WORKLOADS.items():
+        space = workloads.write_workspace(
+            tmp_path / name, workload, 1, endpoint="http://127.0.0.1:9/v1"
+        )
+        spec = yaml.safe_load((space.root / "population.yaml").read_text())
+        assert set(spec) == {"population_size", "attributes"}
+        assert load_run_config(space.config).config_hash == pinned[name]
+    # the test workspaces' hashes are pinned in the test below
+    assert "population" not in yaml.safe_load(config_path.read_text())
+    for spec in (load_profile("pandemic-uae")["population"],
+                 yaml.safe_load(EVERY_KEY_CONFIG)["population"]):
+        assert set(spec) == {"population_size", "attributes"}
 
 
 def _use_template(config_path, content: bytes | None) -> Path:

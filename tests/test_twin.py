@@ -23,6 +23,7 @@ from socialtwin.errors import ConfigError, EngineError
 from socialtwin.persona import Persona, sample_population
 from socialtwin.schema import CategorySchema
 from synthetic import default_oracle_params, default_population_spec
+from socialtwin import twin as twin_module
 from socialtwin.twin import DigitalTwin, contexts_from_policy
 from socialtwin.ingest import DateRange, PolicyRecord
 from test_cognition import query
@@ -470,9 +471,9 @@ class SlowOracle:
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
-def test_cache_counts_one_lookup_per_cell(schema, pandemic_template, parallelism):
-    """A context repeated while its misses are still outstanding looks its
-    prompts up again, as it would after a wait at every context."""
+def test_cache_counts_one_lookup_per_distinct_prompt(schema, pandemic_template, parallelism):
+    """A context repeated in one pass, even while its misses are still
+    outstanding, reuses their outcomes without looking them up again."""
     population = sample_population(default_population_spec(12), seed=2)
     profiles = len({tuple(p.attributes.items()) for p in population})
     first, second, third = (
@@ -483,6 +484,99 @@ def test_cache_counts_one_lookup_per_cell(schema, pandemic_template, parallelism
     twin = make_twin(schema, pandemic_template, parallelism=parallelism,
                      population=population, engine=engine)
     aggregates, _ = twin.simulate_contexts(contexts)
-    assert twin.cache.hits + twin.cache.misses == profiles * len(contexts)
-    assert twin.cache.misses == engine.call_count == profiles * 3
+    hits, misses = twin.cache.hits, twin.cache.misses
+    assert hits + misses == misses == engine.call_count == profiles * 3
     assert aggregates[0] == aggregates[2] and aggregates[1] == aggregates[4]
+
+
+class GatedOracle:
+    """The oracle, answering only once ``release`` is set."""
+
+    replay_only = False
+    retry_limit = 0
+    lock = threading.Lock()
+
+    def __init__(self, schema):
+        self.oracle = build_engine(
+            EngineConfig(kind="synthetic-oracle", oracle_params=default_oracle_params()), schema
+        )
+        self.digest = self.oracle.digest
+        self.release = threading.Event()
+        self.started = 0
+
+    def respond(self, prompt, persona, context):
+        with self.lock:
+            self.started += 1
+        assert self.release.wait(timeout=30)
+        return self.oracle.respond(prompt, persona, context)
+
+
+def test_pass_renders_at_most_its_window_before_the_first_reply(
+    schema, pandemic_template, monkeypatch
+):
+    parallelism = 2
+    rendered = []
+
+    def counting_render(persona, context, template):
+        rendered.append(persona.id)
+        return render_prompt(persona, context, template)
+
+    monkeypatch.setattr(twin_module, "render_prompt", counting_render)
+    population = sample_population(default_population_spec(12), seed=2)
+    contexts = [SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=i), 40.0) for i in range(3)]
+    engine = GatedOracle(schema)
+    twin = make_twin(schema, pandemic_template, parallelism=parallelism,
+                     population=population, engine=engine)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(twin.simulate_contexts(contexts)))
+    thread.start()
+    try:
+        deadline = time.monotonic() + 10
+        while engine.started < parallelism and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)  # room for the pass to run ahead, were it unbounded
+        before_reply = len(rendered)
+    finally:
+        engine.release.set()
+        thread.join(timeout=30)
+    assert engine.started >= parallelism
+    assert 0 < before_reply <= 2 * parallelism + 1
+    assert not thread.is_alive()
+    [(aggregates, log)] = results
+    assert None not in aggregates and not log.failures
+    assert len(rendered) == engine.started > 2 * parallelism + 1
+
+
+class FailsLateFirst:
+    """Context 0's request fails 50 ms after it starts; context 1's fails as
+    soon as context 0's has started, so it fails first."""
+
+    replay_only = False
+    digest = "model:fails-late-first"
+    retry_limit = 0
+
+    def __init__(self, first_date):
+        self.first_date = first_date
+        self.first_started = threading.Event()
+
+    def respond(self, prompt, persona, context):
+        if context.date == self.first_date:
+            self.first_started.set()
+            time.sleep(0.05)
+            raise EngineError("first context's request failed")
+        assert self.first_started.wait(timeout=30)
+        raise EngineError("second context's request failed")
+
+
+def test_first_engine_error_in_context_order_is_raised(schema, pandemic_template):
+    population = [
+        Persona(id="p0", attributes={"nationality": "Expatriate", "employment": "Services",
+                                     "risk_perception": "Low", "income": "Low"})
+    ]
+    contexts = [SimContext(dt.date(2020, 5, 1), 40.0), SimContext(dt.date(2020, 5, 2), 60.0)]
+    twin = make_twin(schema, pandemic_template, parallelism=2, population=population,
+                     engine=FailsLateFirst(contexts[0].date))
+    with pytest.raises(EngineError) as raised:
+        twin.simulate_contexts(contexts)
+    assert "2020-05-01" in str(raised.value)
+    assert "first context's request failed" in str(raised.value)
