@@ -6,11 +6,22 @@ histogram-binned split search over lagged policy features (stringency at
 is fitted per behavioral category. Rows lacking full lag history are
 excluded outright; no lag is ever imputed.
 
+Each boosting round grows the trees of all categories together, one depth
+level at a time, as histogram GBMs do (XGBoost's ``hist`` method, LightGBM):
+every open node of every category takes one slot of a single pair of
+``bincount`` passes per level. The trees are the ones depth-first growth
+gives, bit for bit. A node keeps its rows in ascending order, so each
+histogram bin adds its residuals in the same order, and a node's residual
+sum is one pairwise sum (``ndarray.sum``) over its own rows: a running sum
+over the level (``np.add.reduceat``) adds in another order and differs in
+the last bits. A node's score and leaf value are computed in Python floats.
+
 Each tree is a ``Tree`` of five parallel node lists: ``feature``,
-``threshold``, ``left``, ``right`` and ``value``. Node 0 is the root, and
-children are referenced by their index in the same lists. A ``feature`` of
--1 marks a leaf, whose output is its ``value``; an inner node sends a row to
-``left`` when ``row[feature] <= threshold`` and to ``right`` otherwise.
+``threshold``, ``left``, ``right`` and ``value``. Nodes are numbered in
+preorder, left subtree first, so node 0 is the root; children are referenced
+by their index in the same lists. A ``feature`` of -1 marks a leaf, whose
+output is its ``value``; an inner node sends a row to ``left`` when
+``row[feature] <= threshold`` and to ``right`` otherwise.
 ``gbm_model.json`` stores these lists as they are (``schema_version`` 2).
 """
 
@@ -18,7 +29,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from itertools import chain
+from itertools import accumulate, chain
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -123,66 +134,144 @@ def _bin_thresholds(x: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(qs)
 
 
-def _best_split(
-    node_bins: np.ndarray, residuals: np.ndarray, node_sum: float, width: int, min_leaf: int
-) -> tuple[int, int] | None:
-    """(feature, bin) of the largest gain above 1e-12, or None.
+_pairwise_sum = np.add.reduce  # what ``ndarray.sum`` runs, without its Python wrapper
 
-    Feature j's bins are offset by ``j * width``, so one ``bincount`` of counts
-    and one of residual sums give every feature's histogram. Bin b of feature
-    j is the split ``x_j <= thresholds[j][b]``; padding bins and each feature's
-    last bin leave no row on the right, so they are never valid. The flat
-    ``argmax`` takes the first maximum: the lowest feature, then the lowest bin.
+
+def _best_splits(
+    bins: np.ndarray,
+    res: np.ndarray,
+    node_cnt: np.ndarray,
+    node_sum: np.ndarray,
+    node_score: np.ndarray,
+    width: int,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's best split as a flat index ``feature * width + bin``, and its gain.
+
+    ``bins`` and ``res`` hold the rows of one node after another; the gain of
+    a split is its children's ``sum**2 / count`` less the node's, its
+    ``node_score``. Node s's bins are offset by ``s * n_features * width``, so
+    one ``bincount`` of counts and one of residual sums give every node's
+    histogram of every feature. Bin b of feature j is the split
+    ``x_j <= thresholds[j][b]``; padding bins and each feature's last bin
+    leave no row on the right, so they are never valid. Each node's
+    ``argmax`` takes its first maximum: the lowest feature, then the lowest bin.
     """
-    node_cnt, n_features = node_bins.shape
-    size, shape = n_features * width, (n_features, width)
-    flat = node_bins.ravel()
-    left_cnt = np.cumsum(np.bincount(flat, minlength=size).reshape(shape), axis=1)
-    sums = np.bincount(flat, weights=np.repeat(residuals, n_features), minlength=size)
-    left_sum = np.cumsum(sums.reshape(shape), axis=1)
-    right_cnt = node_cnt - left_cnt
+    n_nodes, n_features = len(node_cnt), bins.shape[1]
+    stride = n_features * width
+    shape = (n_nodes, n_features, width)
+    flat = (bins + np.repeat(np.arange(0, n_nodes * stride, stride), node_cnt)[:, None]).ravel()
+    left_cnt = np.cumsum(np.bincount(flat, minlength=n_nodes * stride).reshape(shape), axis=2)
+    sums = np.bincount(flat, weights=np.repeat(res, n_features), minlength=n_nodes * stride)
+    left_sum = np.cumsum(sums.reshape(shape), axis=2)
+    right_cnt = node_cnt[:, None, None] - left_cnt
     with np.errstate(divide="ignore", invalid="ignore"):
-        gains = left_sum**2 / left_cnt + (node_sum - left_sum) ** 2 / right_cnt
-    gains = gains - node_sum**2 / node_cnt
+        gains = left_sum**2 / left_cnt + (node_sum[:, None, None] - left_sum) ** 2 / right_cnt
+    gains = gains - node_score[:, None, None]
     gains[(left_cnt < min_leaf) | (right_cnt < min_leaf)] = -np.inf
-    best = int(np.argmax(gains))
-    return divmod(best, width) if gains.flat[best] > 1e-12 else None
+    gains = gains.reshape(n_nodes, stride)
+    best = gains.argmax(axis=1)
+    return best, gains[np.arange(n_nodes), best]
 
 
-def _build_tree(
-    offset_bins: np.ndarray,  # (n_samples, n_features) bins, feature j offset by j * width
-    thresholds: list[np.ndarray],
-    residuals: np.ndarray,
+def _grow_round(
+    bins: np.ndarray,  # (n_categories * n_samples, n_features): each category's offset bins
+    split_thresholds: np.ndarray,  # thresholds[j][b] at j * width + b
+    residuals: np.ndarray,  # (n_categories, n_samples)
     width: int,
     hyper: GbmHyper,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one tree depth first; also return each training row's leaf value."""
-    tree = Tree([], [], [], [], [])
-    fitted = np.empty(len(residuals))
+    levels: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+) -> np.ndarray:
+    """Grow one tree per category, all of them level by level.
 
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = len(tree.feature)
-        node_res = residuals[idx]
-        node_sum = float(node_res.sum())
-        split = None
-        if depth < hyper.max_depth and len(idx) >= 2 * hyper.min_leaf:
-            split = _best_split(offset_bins[idx], node_res, node_sum, width, hyper.min_leaf)
-        for column, blank in zip(tree, (-1, 0.0, -1, -1, 0.0)):  # a leaf until split
-            column.append(blank)
-        if split is None:
-            tree.value[node] = node_sum / len(idx)
-            fitted[idx] = tree.value[node]
-            return node
-        j, b = split
-        go_left = offset_bins[idx, j] <= j * width + b
-        tree.feature[node] = j
-        tree.threshold[node] = float(thresholds[j][b])
-        tree.left[node] = grow(idx[go_left], depth + 1)
-        tree.right[node] = grow(idx[~go_left], depth + 1)
-        return node
+    Appends each level's nodes, as ``(feature, threshold, value)`` arrays, to
+    ``levels[depth]``: the root of every category, then the children of each
+    inner node of the level above, in order, left child first. Returns every
+    category's leaf value on every training row, shaped like ``residuals``.
+    """
+    n_cats, n_rows = residuals.shape
+    residuals = residuals.ravel()
+    fitted = np.empty_like(residuals)
+    entries = np.arange(len(residuals))  # category * n_rows + row, node after node, ascending
+    sizes = [n_rows] * n_cats
+    for depth in range(hyper.max_depth + 1):
+        if depth == len(levels):
+            levels.append([])
+        res = residuals[entries]
+        bounds = [0, *accumulate(sizes)]
+        sums = [float(_pairwise_sum(res[a:b])) for a, b in zip(bounds, bounds[1:])]
+        values = np.array([s / c for s, c in zip(sums, sizes)])
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        counts = np.array(sizes)
+        split = (counts >= 2 * hyper.min_leaf) & (depth < hyper.max_depth)
+        best = np.zeros(len(sizes), dtype=np.int64)
+        if split.any():
+            open_nodes = np.flatnonzero(split)
+            mine = split[node]
+            best[open_nodes], gain = _best_splits(
+                bins[entries[mine]],
+                res[mine],
+                counts[open_nodes],
+                np.array(sums)[open_nodes],
+                np.array([sums[i] ** 2 / sizes[i] for i in open_nodes]),
+                width,
+                hyper.min_leaf,
+            )
+            split[open_nodes] = gain > 1e-12
+        leaf = ~split[node]
+        fitted[entries[leaf]] = values[node[leaf]]
+        levels[depth].append(
+            (
+                np.where(split, best // width, -1),
+                np.where(split, split_thresholds[best], 0.0),
+                np.where(split, 0.0, values),
+            )
+        )
+        if not split.any():
+            break
+        node, entries = node[~leaf], entries[~leaf]
+        chosen = best[node]
+        child = 2 * (np.cumsum(split) - 1)[node] + (bins[entries, chosen // width] > chosen)
+        entries = entries[np.argsort(child, kind="stable")]  # each child's rows stay ascending
+        sizes = np.bincount(child, minlength=2 * int(split.sum())).tolist()
+    return fitted.reshape(n_cats, n_rows)
 
-    grow(np.arange(len(residuals)), 0)
-    return tree, fitted
+
+def _preorder_trees(levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> list[Tree]:
+    """The trees whose nodes ``levels`` lists level by level (as ``_grow_round``
+    appends them, one array per column), each numbered in preorder, left
+    subtree first: a left child sits one after its parent, a right child one
+    plus the left subtree's size after it.
+    """
+    if not levels:
+        return []
+    inner = [feature >= 0 for feature, _, _ in levels]
+    size = [np.ones(len(feature), dtype=np.int64) for feature, _, _ in levels]
+    for d in range(len(levels) - 2, -1, -1):
+        size[d][inner[d]] += size[d + 1][0::2] + size[d + 1][1::2]
+    start = np.concatenate(([0], np.cumsum(size[0])))
+    tree = [np.arange(len(size[0]))]
+    position = [np.zeros(len(size[0]), dtype=np.int64)]  # within the node's tree
+    children = []
+    for d in range(len(levels) - 1):
+        below = np.empty(len(size[d + 1]), dtype=np.int64)
+        below[0::2] = position[d][inner[d]] + 1
+        below[1::2] = below[0::2] + size[d + 1][0::2]
+        left, right = np.full(len(size[d]), -1), np.full(len(size[d]), -1)
+        left[inner[d]], right[inner[d]] = below[0::2], below[1::2]
+        children.append((left, right))
+        position.append(below)
+        tree.append(np.repeat(tree[d][inner[d]], 2))
+    children.append((np.full(len(size[-1]), -1),) * 2)
+    at = np.concatenate([start[t] + p for t, p in zip(tree, position)])
+    columns = []
+    for column in zip(*((f, t, l, r, v) for (f, t, v), (l, r) in zip(levels, children))):
+        joined = np.concatenate(column)
+        placed = np.empty_like(joined)
+        placed[at] = joined
+        columns.append(placed.tolist())
+    bounds = start.tolist()
+    return [Tree(*(c[a:b] for c in columns)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _leaf_values(trees: Sequence[Tree], X: np.ndarray) -> np.ndarray:
@@ -215,45 +304,62 @@ def fit_gbm(
     """Stagewise least-squares boosting on residuals, one ensemble per category.
 
     Split search is histogram-binned: thresholds are fixed once from the
-    training matrix, and each node takes one offset ``bincount`` of counts and
-    one of residual sums over all features, then scans their prefix sums (see
-    ``_best_split``). Each tree is a flat ``Tree``; building it yields every
-    training row's leaf value, which updates the running prediction without a
-    second walk. The fit draws no random numbers: ``seed`` is recorded on the
-    model, not used.
+    training matrix. Each boosting round grows every category's tree at once,
+    one depth level at a time: one offset ``bincount`` of counts and one of
+    residual sums give the histograms of all open nodes of all categories,
+    and one pass over their prefix sums picks each node's split (see
+    ``_best_splits``). Growing a tree yields every training row's leaf value,
+    which updates the running prediction without a second walk. The fit draws
+    no random numbers: ``seed`` is recorded on the model, not used.
     """
     X = features
     if X.ndim != 2 or X.shape[0] == 0:
         raise DataError("empty training set")
+    Y = np.empty((len(targets), X.shape[0]))
+    for k, (key, y_raw) in enumerate(targets.items()):
+        y = np.asarray(y_raw, dtype=float)
+        if len(y) != X.shape[0]:
+            raise DataError(f"category {key!r}: {len(y)} targets for {X.shape[0]} feature rows")
+        Y[k] = y
     thresholds = [_bin_thresholds(X[:, j], hyper.n_bins) for j in range(X.shape[1])]
     width = 1 + max(len(t) for t in thresholds)
     offset_bins = np.column_stack(
         [np.searchsorted(t, X[:, j], side="left") + j * width for j, t in enumerate(thresholds)]
     )
-    model = GbmModel(trees_by_category={}, base_by_category={}, hyper=hyper, seed=seed)
-    for key, y_raw in targets.items():
-        y = np.asarray(y_raw, dtype=float)
-        if len(y) != X.shape[0]:
-            raise DataError(f"category {key!r}: {len(y)} targets for {X.shape[0]} feature rows")
-        base = float(np.mean(y))
-        current = np.full(len(y), base)
-        trees: list[Tree] = []
-        for _ in range(hyper.n_trees):
-            tree, fitted = _build_tree(offset_bins, thresholds, y - current, width, hyper)
-            current = current + hyper.learning_rate * fitted
-            trees.append(tree)
-        model.trees_by_category[key] = trees
-        model.base_by_category[key] = base
-    return model
+    split_thresholds = np.zeros((X.shape[1], width))
+    for j, t in enumerate(thresholds):
+        split_thresholds[j, : len(t)] = t
+    split_thresholds = split_thresholds.ravel()
+    bases = [float(np.mean(y)) for y in Y]
+    current = np.repeat(np.array(bases)[:, None], X.shape[0], axis=1)
+    bins = np.tile(offset_bins, (len(Y), 1))
+    levels: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
+    for _ in range(hyper.n_trees):
+        fitted = _grow_round(bins, split_thresholds, Y - current, width, hyper, levels)
+        current = current + hyper.learning_rate * fitted
+    trees = _preorder_trees([tuple(map(np.concatenate, zip(*level))) for level in levels])
+    return GbmModel(
+        trees_by_category={key: trees[k :: len(Y)] for k, key in enumerate(targets)},
+        base_by_category=dict(zip(targets, bases)),
+        hyper=hyper,
+        seed=seed,
+    )
 
 
 def predict_gbm_matrix(model: GbmModel, X: np.ndarray) -> dict[str, np.ndarray]:
-    """base + learning_rate-scaled tree outputs, added in tree order, per category."""
+    """base + learning_rate-scaled tree outputs, added in tree order, per category.
+
+    Every category's trees are walked in one ``_leaf_values`` call.
+    """
+    steps = model.hyper.learning_rate * _leaf_values(
+        list(chain.from_iterable(model.trees_by_category.values())), X
+    )
     out = {}
+    start = 0
     for key, trees in model.trees_by_category.items():
-        steps = model.hyper.learning_rate * _leaf_values(trees, X)
         base = np.full((1, X.shape[0]), model.base_by_category[key])
-        out[key] = np.cumsum(np.vstack([base, steps]), axis=0)[-1]
+        out[key] = np.cumsum(np.vstack([base, steps[start : start + len(trees)]]), axis=0)[-1]
+        start += len(trees)
     return out
 
 

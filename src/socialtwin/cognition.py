@@ -217,12 +217,14 @@ def render_prompt(persona: Persona, context: SimContext, template: str) -> Promp
     return PromptText(text=skeleton.fill(skeleton.values(context)), persona_id=persona.id)
 
 
+_DECODER = json.JSONDecoder()
+
+
 def _first_json_object(raw: str) -> dict:
-    decoder = json.JSONDecoder()
     idx = raw.find("{")
     while idx != -1:
         try:
-            obj, _ = decoder.raw_decode(raw, idx)
+            obj, _ = _DECODER.raw_decode(raw, idx)
         except json.JSONDecodeError:
             idx = raw.find("{", idx + 1)
             continue
@@ -679,7 +681,7 @@ _KEY_START = len(_INDEXED_PREFIX)
 _NUMBERS = frozenset((int, float))  # JSON numbers; bools are not among them
 
 
-_SCAN = json.JSONDecoder().scan_once
+_SCAN = _DECODER.scan_once
 _WHITESPACE = " \t\n\r"  # what JSON allows around a value
 
 

@@ -16,7 +16,9 @@ value that still describes the program, and is left out of the hash.
 
 from __future__ import annotations
 
+import copy
 import datetime as dt
+import functools
 import hashlib
 import json
 import math
@@ -302,13 +304,22 @@ def _load_yaml(path):
         raise ConfigError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
 
 
-def load_profile(name: str) -> dict:
-    """Read a packaged domain profile by name (dashes map to underscores)."""
+@functools.cache  # an unknown name raises, and is not cached
+def _parsed_profile(name: str) -> dict:
     filename = name.replace("-", "_") + ".yaml"
     ref = resources.files("socialtwin") / "profiles" / filename
     if not ref.is_file():
         raise ConfigError(f"unknown profile {name!r} (no packaged {filename})")
     return _load_yaml(ref)
+
+
+def load_profile(name: str) -> dict:
+    """Read a packaged domain profile by name (dashes map to underscores).
+
+    The packaged file does not change while a process runs, so it is parsed
+    once; each caller gets its own copy.
+    """
+    return copy.deepcopy(_parsed_profile(name))
 
 
 def packaged_template(filename: str) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -153,11 +154,14 @@ def _parse_date(raw: str, path: str, row: int) -> dt.date:
 
 def _parse_float(raw: str, path: str, row: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise DataError(
             f"{path}: row {row}: unparseable number {raw!r} in column {column!r}"
         ) from None
+    if not math.isfinite(value):  # float() reads nan and inf, which would poison every fit
+        raise DataError(f"{path}: row {row}: non-finite number {raw!r} in column {column!r}")
+    return value
 
 
 @contextmanager
@@ -197,7 +201,8 @@ def load_policy_csv(
     ``column_map`` names the columns: keys ``date`` and ``stringency`` are
     required, ``government_response`` optional. Rows with an empty stringency
     cell are dropped and counted in the returned LoadReport; malformed dates
-    or numbers raise DataError naming the offending row.
+    or numbers, and non-finite ones (``nan``, ``inf``), raise DataError naming
+    the offending row.
     """
     cols = {"date": "date", "stringency": "stringency"}
     cols.update(column_map or {})
@@ -242,7 +247,8 @@ def load_observations_csv(
     ``category_columns`` maps each category key to its CSV column. Rows
     missing any category value are excluded whole (per-category imputation
     would contaminate downstream error metrics) and counted in the report.
-    Duplicate dates are an error naming the date.
+    Duplicate dates are an error naming the date; a malformed or non-finite
+    value is an error naming its row and column.
     """
     report = LoadReport(path=str(path))
     categories = tuple(category_columns.keys())

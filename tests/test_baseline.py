@@ -193,6 +193,66 @@ def test_gbm_empty_training_set_refused():
         bl.fit_gbm(np.empty((0, 8)), {"c": []}, bl.GbmHyper(n_trees=5))
 
 
+def category_targets(X, n_cats):
+    """``wave`` splits to any depth; ``flat`` is constant, so its trees are single
+    leaves; the rest are noisy lines."""
+    rng = np.random.default_rng(n_cats)
+    targets = {
+        "wave": 30.0 * np.sin(X[:, 0] / 7.0) + rng.normal(0.0, 1.0, len(X)),
+        "flat": np.full(len(X), 4.5),
+    }
+    for k in range(2, n_cats):
+        targets[f"line{k}"] = k * X[:, k] + rng.normal(0.0, 10.0, len(X))
+    return dict(list(targets.items())[:n_cats])
+
+
+def fit_together_as_alone(X, targets, hyper):
+    """The fit of all ``targets`` at once, after checking that each category's
+    trees, base and predictions equal those of its fit alone, bit for bit."""
+    together = bl.fit_gbm(X, targets, hyper)
+    on_train = bl.predict_gbm_matrix(together, X)
+    for key, y in targets.items():
+        alone = bl.fit_gbm(X, {key: y}, hyper)
+        assert together.trees_by_category[key] == alone.trees_by_category[key]
+        assert together.base_by_category[key] == alone.base_by_category[key]
+        assert np.array_equal(on_train[key], bl.predict_gbm_matrix(alone, X)[key])
+    return together
+
+
+def tree_depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
+@pytest.mark.parametrize("n_cats", range(1, 7))
+def test_gbm_categories_do_not_interact(n_cats):
+    X, _ = varied_features(days=60)
+    hyper = bl.GbmHyper(n_trees=8, max_depth=3, min_leaf=3)
+    model = fit_together_as_alone(X, category_targets(X, n_cats), hyper)
+    assert tree_depth(model.trees_by_category["wave"][0]) == hyper.max_depth
+    if n_cats > 1:
+        assert all(tree.feature == [-1] for tree in model.trees_by_category["flat"])
+
+
+@pytest.mark.parametrize("n_trees", [0, 5])
+@pytest.mark.parametrize("n_cats", [1, 6])
+def test_gbm_categories_do_not_interact_in_single_leaf_fits(n_cats, n_trees):
+    X, _ = varied_features(days=6)  # fewer rows than 2 * min_leaf: every tree is one leaf
+    hyper = bl.GbmHyper(n_trees=n_trees)
+    model = fit_together_as_alone(X, category_targets(X, n_cats), hyper)
+    for trees in model.trees_by_category.values():
+        assert len(trees) == n_trees
+        assert all(tree.feature == [-1] for tree in trees)
+
+
+def test_gbm_target_length_mismatch_names_the_first_bad_category():
+    X, _ = varied_features(days=20)
+    targets = {"a": np.zeros(20), "b": np.zeros(19), "c": np.zeros(18)}
+    with pytest.raises(DataError, match=r"^category 'b': 19 targets for 20 feature rows$"):
+        bl.fit_gbm(X, targets, bl.GbmHyper(n_trees=2))
+
+
 def test_gbm_serialization_roundtrip(tmp_path):
     X, _ = varied_features(days=90)
     y = 2.0 * X[:, 1] + X[:, 5]
@@ -241,8 +301,9 @@ def test_gbm_serialization_roundtrip(tmp_path):
 
 # ------------------------------------------------ reference: recursive trees
 #
-# The dict-based recursive trees the flat node lists replaced. The flat
-# implementation must reproduce their losses and predictions bit for bit.
+# Dict-based trees grown depth first, one category at a time. The level-wise
+# fit must reproduce their losses, their predictions and, flattened in
+# preorder, their node lists, bit for bit.
 
 
 def reference_build_tree(bins, thresholds, residuals, idx, depth, hyper):
@@ -317,6 +378,38 @@ def reference_fit_predict(X, y, hyper, X_new):
     return losses, predictions
 
 
+def reference_flat_trees(X, y, hyper):
+    """The reference's trees, each flattened to node lists in preorder, left
+    subtree first: the layout ``gbm_model.json`` stores."""
+    thresholds = [bl._bin_thresholds(X[:, j], hyper.n_bins) for j in range(X.shape[1])]
+    bins = np.column_stack(
+        [np.searchsorted(thresholds[j], X[:, j], side="left") for j in range(X.shape[1])]
+    )
+
+    def flatten(node, flat):
+        i = len(flat.feature)
+        for column, blank in zip(flat, (-1, 0.0, -1, -1, 0.0)):
+            column.append(blank)
+        if "value" in node:
+            flat.value[i] = node["value"]
+        else:
+            flat.feature[i], flat.threshold[i] = node["feature"], node["threshold"]
+            flat.left[i] = flatten(node["left"], flat)
+            flat.right[i] = flatten(node["right"], flat)
+        return i
+
+    current = np.full(len(y), float(np.mean(y)))
+    trees = []
+    for _ in range(hyper.n_trees):
+        tree = reference_build_tree(bins, thresholds, y - current, np.arange(len(y)), 0, hyper)
+        outputs = np.array([reference_tree_predict(tree, row) for row in X])
+        current = current + hyper.learning_rate * outputs
+        flat = bl.Tree([], [], [], [], [])
+        flatten(tree, flat)
+        trees.append(flat)
+    return trees
+
+
 @st.composite
 def gbm_problems(draw):
     """Small fits with tied and constant columns, 1 row, large min_leaf, and
@@ -375,3 +468,4 @@ def test_gbm_flat_trees_equal_recursive_reference(problem):
         losses, expected = reference_fit_predict(X, y, hyper, np.vstack([X, X_new]))
         assert train_losses(model, X, targets, key) == losses
         assert np.array_equal(np.concatenate([on_train[key], on_new[key]]), expected)
+        assert model.trees_by_category[key] == reference_flat_trees(X, y, hyper)

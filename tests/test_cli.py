@@ -61,6 +61,33 @@ def test_missing_csv_nonzero_exit_names_path(workspace, capsys):
     assert "policy.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "csv_name, date",
+    [
+        ("observations.csv", "2020-06-01"),  # a train row
+        ("observations.csv", "2021-08-02"),  # a test row
+        ("policy.csv", "2021-08-02"),
+    ],
+)
+def test_non_finite_input_value_exits_two_naming_file_row_and_column(
+    workspace, capsys, csv_name, date, raw
+):
+    """Such a value would reach the fits: NaN test RMSEs in the manifest, or a
+    calibration and GBM fitted to it."""
+    root, config_path = workspace
+    path = root / csv_name
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    row = next(i for i, line in enumerate(lines) if line.startswith(date))
+    lines[row] = ",".join(lines[row].split(",")[:-1] + [raw])
+    path.write_text("\n".join(lines) + "\n")
+    assert run(config_path, "simulate") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: row {row + 1}: non-finite number {raw!r} in column {header[-1]!r}\n"
+    )
+
+
 def test_overlapping_split_refused_before_any_computation(dataset, tmp_path, capsys):
     overlapping = {
         "train": {"start": "2020-04-01", "end": "2021-03-31"},
@@ -229,6 +256,30 @@ def test_invalid_yaml_in_spec_or_scenarios_exits_one(workspace, capsys, broken):
     assert code == 1
     assert err.startswith("config error:") and err.count(name) == 1 and "invalid YAML" in err
     assert len(err.splitlines()) == 1
+
+
+def test_packaged_profile_is_parsed_once_and_each_caller_gets_its_own_copy(
+    workspace, monkeypatch
+):
+    from socialtwin import config
+
+    _, config_path = workspace
+    config._parsed_profile.cache_clear()
+    parsed = []
+    load_yaml = config._load_yaml
+    monkeypatch.setattr(config, "_load_yaml", lambda path: parsed.append(path.name) or load_yaml(path))
+    first, second = load_run_config(config_path), load_run_config(config_path)
+    assert sorted(parsed) == ["pandemic_uae.yaml", "run.yaml", "run.yaml"]
+    assert first.config_hash == second.config_hash
+
+    mine = load_profile("pandemic-uae")
+    categories = [dict(c) for c in mine["categories"]]
+    mine["categories"][0]["key"] = "changed"
+    mine["categories"].pop()
+    assert load_profile("pandemic-uae")["categories"] == categories
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="unknown profile 'no-such'"):
+            load_profile("no-such")
 
 
 def test_config_hash_follows_population_attribute_order(workspace):
