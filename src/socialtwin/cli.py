@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime as dt
+import functools
 import hashlib
 import json
 import sys
@@ -460,7 +461,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` reuses it."""
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, help="run configuration YAML")
     common.add_argument("--seed-override", type=int, default=None, help="set all seeds to N")

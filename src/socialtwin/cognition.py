@@ -13,10 +13,13 @@ Three interchangeable engines sit behind one interface:
 Every response, whatever its source, flows through the same JSON parsing and
 validation; parsed vectors are cached on disk keyed by (engine digest, prompt
 text, category list) so a populated cache replays a full run byte-for-byte.
-Cache records are JSON lines that start with their ``key`` field; opening a
-cache indexes them by key and decodes each on its first lookup, so a corrupt
+Cache records are JSON lines of three fields, ``key``, ``probs`` and
+``raw``, in that order, each appended with one write; opening a cache
+indexes them by key and decodes each on its first lookup, so a corrupt
 record of that layout fails when it is first used, not at open. Records of
-the older sorted layout (``created`` first) are still read, decoded at open.
+the older layouts are still read: five-field records (with ``engine`` and
+``created`` after ``raw``) like new ones, sorted records (``created``
+first) decoded at open.
 
 The ``remote-http`` engine speaks HTTP through the standard library's
 ``http.client``, loaded on its first request. It opens one connection per
@@ -38,7 +41,6 @@ import os
 import re
 import string
 import threading
-import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -245,9 +247,12 @@ def parse_response(raw: str, categories: CategorySchema) -> BehaviorVector:
     obj = _first_json_object(raw)
     probs: dict[str, float] = {}
     for cat in categories:
+        value = obj.get(cat.response_key)
+        if type(value) is float and 0.0 < value <= 1.0:  # the common case, as it is
+            probs[cat.key] = value
+            continue
         if cat.response_key not in obj:
             raise ParseError(f"response missing key {cat.response_key!r}")
-        value = obj[cat.response_key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(
                 f"response key {cat.response_key!r} has non-numeric value {value!r}"
@@ -259,7 +264,10 @@ def parse_response(raw: str, categories: CategorySchema) -> BehaviorVector:
                 f"[-{VALUE_SLACK}, {1 + VALUE_SLACK}]"
             )
         probs[cat.key] = min(1.0, max(0.0, value))
-    return BehaviorVector(probs)
+    # every value is now in [0, 1], so the vector is not checked a second time
+    vector = object.__new__(BehaviorVector)
+    object.__setattr__(vector, "probs", probs)
+    return vector
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +342,20 @@ def oracle_respond(params: OracleParams, persona: Persona, context: SimContext) 
     the persona id, so two personas with identical attributes get identical
     responses; that keeps the oracle consistent with prompt-keyed caching.
     """
+    return BehaviorVector(_oracle_probs(params, persona, context, params.digest()))
+
+
+def _oracle_probs(
+    params: OracleParams, persona: Persona, context: SimContext, params_digest: str
+) -> dict[str, float]:
+    """``oracle_respond``'s probabilities by category key, in ``intercepts``
+    order; ``params_digest`` is ``params.digest()``, which seeds the noise."""
     offsets = _offset_sum(params, persona)
     s = context.stringency / 100.0
     if params.noise_scale > 0:
         seed_payload = json.dumps(
             [
-                params.digest(),
+                params_digest,
                 sorted(persona.attributes.items()),
                 context.date.isoformat(),
                 context.stringency,
@@ -348,14 +364,15 @@ def oracle_respond(params: OracleParams, persona: Persona, context: SimContext) 
         seed = int.from_bytes(
             hashlib.sha256(seed_payload.encode("utf-8")).digest()[:8], "big"
         )
-        noise = np.random.default_rng(seed).normal(0.0, params.noise_scale, len(params.intercepts))
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(0.0, params.noise_scale, len(params.intercepts)).tolist()
     else:
-        noise = np.zeros(len(params.intercepts))
-    probs = {}
-    for i, (key, a) in enumerate(params.intercepts.items()):
-        z = a + params.slopes[key] * s + offsets + float(noise[i])
-        probs[key] = logistic(z)
-    return BehaviorVector(probs)
+        noise = [0.0] * len(params.intercepts)
+    slopes = params.slopes
+    return {
+        key: logistic(a + slopes[key] * s + offsets + e)
+        for (key, a), e in zip(params.intercepts.items(), noise)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +443,13 @@ class EngineConfig:
 
 
 class SyntheticOracleEngine:
-    """Deterministic engine that emits the oracle's vector as a JSON string."""
+    """Deterministic engine that emits the oracle's vector as a JSON string.
+
+    The reply is ``json.dumps({response_key: probability})`` in schema
+    order, encoded without ``json.dumps``: the engine fills a text made once
+    from its response keys, where a key that two categories share keeps its
+    first place and the later category's value, as in a dict.
+    """
 
     replay_only = False
 
@@ -435,17 +458,24 @@ class SyntheticOracleEngine:
         assert params is not None
         params.validate_directions(schema)
         self.params = params
-        self.schema = schema
         self.digest = config.engine_digest()
         self.retry_limit = config.retry_limit
         self.call_count = 0
         self._count_lock = threading.Lock()  # respond runs on worker threads
+        self._params_digest = params.digest()
+        self._reply_fields = {c.response_key: c.key for c in schema}
+        self._reply = "{%s}" % ", ".join(
+            encode_basestring_ascii(k).replace("%", "%%") + ": %r" for k in self._reply_fields
+        )
 
     def respond(self, prompt: PromptText, persona: Persona, context: SimContext) -> str:
         with self._count_lock:
             self.call_count += 1
-        vector = oracle_respond(self.params, persona, context)
-        return json.dumps({c.response_key: vector[c.key] for c in self.schema})
+        probs = _oracle_probs(self.params, persona, context, self._params_digest)
+        values = tuple([probs[k] for k in self._reply_fields.values()])
+        if math.isnan(sum(values)):  # json.dumps spells NaN its own way
+            return json.dumps(dict(zip(self._reply_fields, values)))
+        return self._reply % values
 
 
 def walk_response_path(node, path: str):
@@ -685,6 +715,16 @@ _SCAN = _DECODER.scan_once
 _WHITESPACE = " \t\n\r"  # what JSON allows around a value
 
 
+def _record_line(key: str, raw: str, probs: dict[str, float]) -> bytes:
+    """``json.dumps({"key": key, "probs": probs, "raw": raw})`` and a newline,
+    as bytes: the strings escaped as ``json.dumps`` escapes them, to ASCII,
+    and each float written with ``float.__repr__``."""
+    escape = encode_basestring_ascii
+    fields = ", ".join([escape(k) + ": " + float.__repr__(v) for k, v in probs.items()])
+    line = f'{{"key": {escape(key)}, "probs": {{{fields}}}, "raw": {escape(raw)}}}\n'
+    return line.encode("ascii")
+
+
 def _decoded(line: bytes) -> dict | None:
     """The cache record on ``line``, or None unless it decodes to an object
     with a string ``key``, a string ``raw`` and ``probs`` mapping to numbers
@@ -721,20 +761,26 @@ class ResponseCache:
     """Append-safe store of raw responses and parsed vectors.
 
     On-disk format is line-delimited JSON, one record per line (the last
-    record read for a key wins). ``put`` writes ``key``, ``probs``, ``raw``,
-    ``engine`` and ``created`` in that order, so a record's line starts with
-    ``{"key": "<key>"``. Opening the file indexes such lines by key without
-    decoding them; ``get`` decodes a record on its first hit. Older records,
-    written with sorted fields (``created`` first), are still read: they and
-    any other line are decoded at open. A corrupt line that starts like a
-    new record is therefore found on its first ``get``, not at open, and is
-    then a DataError naming the file and line.
+    record read for a key wins). ``put`` writes ``key``, ``probs`` and
+    ``raw`` in that order, the line ``json.dumps`` gives, so a record's line
+    starts with ``{"key": "<key>"``. The key already hashes the engine
+    digest, and a record holds nothing that changes from run to run, so two
+    runs that append the same records write the same bytes. Opening the
+    file indexes such lines by key without decoding them; ``get`` decodes a
+    record on its first hit. Records of earlier versions are still read:
+    five-field ones (``engine`` and ``created`` after ``raw``) are indexed
+    the same way, and sorted ones (``created`` first) and any other line
+    are decoded at open. A corrupt line that starts like a new record is
+    therefore found on its first ``get``, not at open, and is then a
+    DataError naming the file and line.
 
     An incomplete last line, which a crash mid-append leaves, is skipped and
     counted; the first ``put`` cuts it off before appending. Any other line
-    that is not a record is a DataError. Each ``put`` writes and flushes one
-    line through an append handle that ``close`` (or leaving a ``with``
-    block) releases. A ``path`` of None keeps the cache purely in memory.
+    that is not a record is a DataError. Each ``put`` appends its record in
+    one write(2) on an unbuffered ``O_APPEND`` file that ``close`` (or
+    leaving a ``with`` block) releases; processes that append to one local
+    file therefore never interleave records. A ``path`` of None keeps the
+    cache purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -814,28 +860,24 @@ class ResponseCache:
             raise DataError(f"{self.path}:{number}: not a cache record")
         return rec
 
-    def put(self, key: str, raw: str, probs: dict[str, float], engine_digest: str) -> None:
-        rec = {
-            "key": key,
-            "probs": probs,
-            "raw": raw,
-            "engine": engine_digest,
-            "created": time.time(),
-        }
-        line = json.dumps(rec) + "\n"
+    def put(self, key: str, raw: str, probs: dict[str, float]) -> None:
+        """Store ``raw`` and its probabilities (floats, as ``parse_response``
+        gives them) under ``key``, and append their record to the file."""
+        rec = {"key": key, "probs": probs, "raw": raw}
         with self._lock:
             self._entries[key] = rec
             if self.path is None:
                 return
+            line = _record_line(key, raw, probs)
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("a", encoding="utf-8")
+                self._fh = self.path.open("ab", buffering=0)
                 if self.skipped_lines:
                     self._fh.truncate(self._end)
                 elif self._unterminated:
-                    self._fh.write("\n")
-            self._fh.write(line)
-            self._fh.flush()
+                    line = b"\n" + line
+            while line:  # one write, unless the file system takes only part of it
+                line = line[self._fh.write(line):]
 
 
 def cached_row(rec: dict, categories: CategorySchema) -> list[float]:
@@ -887,7 +929,7 @@ def ask_engine(
         except ParseError as exc:
             last_error = exc
             continue
-        cache.put(key, raw, vector.to_dict(), engine.digest)
+        cache.put(key, raw, vector.probs)
         return vector
     message = (
         f"persona {prompt.persona_id} on {context.date}: "

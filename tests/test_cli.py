@@ -156,6 +156,42 @@ def test_usage_errors_exit_one(capsys):
     assert main(["simulate", "--config", "/nonexistent/run.yaml"]) == 1
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    from socialtwin import cli
+
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    assert main(["simulate", "--config", "/nonexistent/run.yaml", "--parallelism", "2"]) == 1
+    capsys.readouterr()
+    assert main(["simulate", "--parallelism", "two"]) == 1  # a usage error on the reused parser
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--parallelism" in err
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_cold_simulate_writes_the_same_cache_each_run(workspace, parallelism):
+    """A record holds nothing that changes from run to run: two cold runs
+    write the same bytes, in the same order unless requests overlap."""
+    root, config_path = workspace
+    caches = []
+    for _ in range(2):
+        for stale in (root / "cache").glob("*.jsonl"):
+            stale.unlink()
+        assert run(config_path, "simulate", "--parallelism", str(parallelism)) == 0
+        caches.append(next((root / "cache").glob("*.jsonl")).read_bytes())
+    if parallelism == 1:
+        assert caches[0] == caches[1]
+    else:
+        assert sorted(caches[0].splitlines()) == sorted(caches[1].splitlines())
+
+
 def test_ablate_writes_all_variants(workspace):
     root, config_path = workspace
     assert run(config_path, "simulate") == 0

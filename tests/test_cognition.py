@@ -2,15 +2,19 @@ import datetime as dt
 import hashlib
 import json
 import math
+import os
 import string
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import socialtwin
 from socialtwin.cognition import (
     BehaviorVector,
     EngineConfig,
@@ -19,6 +23,8 @@ from socialtwin.cognition import (
     SimContext,
     SyntheticOracleEngine,
     _decoded,
+    _oracle_probs,
+    _record_line,
     ask_engine,
     build_engine,
     cached_row,
@@ -32,6 +38,7 @@ from socialtwin.cognition import (
 )
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
+from socialtwin.schema import CategorySchema
 from synthetic import default_oracle_params
 
 from conftest import loopback_server
@@ -502,7 +509,7 @@ def test_make_key_equals_json_dumps_payload_digest(digest, text, response_keys):
 def test_cache_persists_across_instances(schema, tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k1", "raw", {"stay_home": 0.5}, "model:x")
+        cache.put("k1", "raw", {"stay_home": 0.5})
     with ResponseCache(path) as reopened:
         assert reopened.get("k1")["probs"] == {"stay_home": 0.5}
 
@@ -525,19 +532,101 @@ def test_oracle_engine_response_parses_back_exactly(schema, pandemic_template):
     assert parse_response(raw, schema) == oracle_respond(params, PERSONA, CONTEXT)
 
 
+# reply texts of a noisy oracle (noise_scale 0.3), as the json.dumps encoder gave them
+NOISY_REPLIES = [
+    (PERSONA, SimContext(dt.date(2020, 4, 15), 90.0),
+     '{"go_work_prob": 0.290973787188578, "discretionary_outings_prob": 0.07236203779957252, '
+     '"essentials_prob": 0.40887120333621824, "transit_use_prob": 0.12238197602555509, '
+     '"outdoor_leisure_prob": 0.3095396585642364, "stay_home_prob": 0.9395108279244275}'),
+    (PERSONA, SimContext(dt.date(2020, 4, 16), 12.5),
+     '{"go_work_prob": 0.5977581636040159, "discretionary_outings_prob": 0.36434831661607703, '
+     '"essentials_prob": 0.5907390479758018, "transit_use_prob": 0.5237363394112673, '
+     '"outdoor_leisure_prob": 0.5547525930782989, "stay_home_prob": 0.6156391384943601}'),
+    (Persona(id="p1", attributes={"risk_perception": "High"}), SimContext(dt.date(2021, 1, 1), 0.0),
+     '{"go_work_prob": 0.6645564443453179, "discretionary_outings_prob": 0.5999441788149511, '
+     '"essentials_prob": 0.7699516156285742, "transit_use_prob": 0.5639137769860012, '
+     '"outdoor_leisure_prob": 0.7172422061734635, "stay_home_prob": 0.6597534327026704}'),
+]
+
+
+def test_noisy_oracle_replies_are_pinned_and_digest_params_once(schema, monkeypatch):
+    digests = []
+    digest = OracleParams.digest
+    monkeypatch.setattr(OracleParams, "digest", lambda self: digests.append(1) or digest(self))
+    params = default_oracle_params(noise_scale=0.3)
+    engine = oracle_engine(schema, params)
+    at_build = len(digests)
+    for persona, context, reply in NOISY_REPLIES:
+        assert engine.respond(None, persona, context) == reply
+        assert parse_response(reply, schema) == oracle_respond(params, persona, context)
+    engine.respond(None, PERSONA, CONTEXT)
+    assert len(digests) == at_build + len(NOISY_REPLIES)  # only oracle_respond's own
+
+
+def _oracle_with_response_keys(response_keys, intercepts, offset):
+    """An oracle engine whose schema asks for ``response_keys`` (repeats
+    allowed); each category's intercept, and one attribute offset."""
+    schema = CategorySchema.from_dicts([
+        {"key": f"c{i}", "response_key": rk, "observation_column": f"m{i}", "label": f"c{i}",
+         "direction": 1}
+        for i, rk in enumerate(response_keys)
+    ])
+    params = OracleParams(
+        intercepts={f"c{i}": a for i, a in enumerate(intercepts)},
+        slopes={f"c{i}": 0.5 for i in range(len(response_keys))},
+        attribute_offsets={"trait": {"x": offset}},
+    )
+    engine = oracle_engine(schema, params)
+    return engine, schema, params
+
+
+def _oracle_reply_reference(engine, schema, persona, context):
+    """The reply as ``json.dumps`` writes the oracle's probabilities."""
+    probs = _oracle_probs(engine.params, persona, context, engine.params.digest())
+    return json.dumps({c.response_key: probs[c.key] for c in schema})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    response_keys=st.lists(
+        st.text(ANY_CHAR, max_size=6) | st.sampled_from(['"', "\\", "%", "%r", "\U0001f600"]),
+        min_size=1, max_size=5,
+    ),
+    intercept=st.floats(-50, 50),
+    offset=st.floats(-50, 50),
+)
+def test_oracle_reply_equals_json_dumps(response_keys, intercept, offset):
+    intercepts = [intercept + i for i in range(len(response_keys))]
+    engine, schema, _ = _oracle_with_response_keys(response_keys, intercepts, offset)
+    persona = Persona(id="p", attributes={"trait": "x"})
+    context = SimContext(dt.date(2020, 4, 15), 37.5)
+    assert engine.respond(None, persona, context) == _oracle_reply_reference(
+        engine, schema, persona, context
+    )
+
+
+def test_oracle_reply_with_a_nan_probability_equals_json_dumps():
+    # an infinite intercept against an infinite offset: a NaN that json.dumps spells NaN
+    engine, schema, _ = _oracle_with_response_keys(["a", "b"], [math.inf, 0.0], -math.inf)
+    persona = Persona(id="p", attributes={"trait": "x"})
+    reply = engine.respond(None, persona, CONTEXT)
+    assert reply == _oracle_reply_reference(engine, schema, persona, CONTEXT)
+    assert reply.startswith('{"a": NaN, "b": ')
+
+
 def _cache_bytes(tmp_path, n):
     path = tmp_path / "full.jsonl"
     with ResponseCache(path) as cache:
         for i in range(n):
-            cache.put(f"k{i}", f"raw {i}", {"stay_home": i / n}, "model:x")
+            cache.put(f"k{i}", f"raw {i}", {"stay_home": i / n})
     return path.read_bytes()
 
 
 def test_cache_two_puts_then_reopen_loads_both(tmp_path):
     path = tmp_path / "sub" / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k1", "raw one", {"stay_home": 0.25}, "model:x")
-        cache.put("k2", "raw two", {"stay_home": 0.75}, "model:x")
+        cache.put("k1", "raw one", {"stay_home": 0.25})
+        cache.put("k2", "raw two", {"stay_home": 0.75})
         # each record reaches the file before put returns
         assert ResponseCache(path).get("k2")["raw"] == "raw two"
     reopened = ResponseCache(path)
@@ -551,7 +640,7 @@ def test_cache_reopen_finds_keys_that_json_escapes(tmp_path):
     keys = ["plain", 'quote"d', "back\\slash", "caf\u00e9", ""]
     with ResponseCache(path) as cache:
         for key in keys:
-            cache.put(key, f"raw {key}", {"stay_home": 0.5}, "model:x")
+            cache.put(key, f"raw {key}", {"stay_home": 0.5})
     # a record written by another JSON writer, with its key in raw UTF-8
     unescaped = {"key": "naïve", "probs": {"stay_home": 0.5}, "raw": "raw naïve"}
     with path.open("ab") as fh:
@@ -560,6 +649,71 @@ def test_cache_reopen_finds_keys_that_json_escapes(tmp_path):
     reopened = ResponseCache(path)
     assert len(reopened) == len(keys)
     assert [reopened.get(key)["raw"] for key in keys] == [f"raw {key}" for key in keys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.text(ANY_CHAR, max_size=12),
+    raw=st.text(ANY_CHAR)
+    | st.lists(st.sampled_from(['"', "\\", "\U0001f600", "\ud800", "\udfff", "x"])).map("".join),
+    probs=st.dictionaries(st.text(ANY_CHAR, max_size=8), st.floats(0.0, 1.0), max_size=6),
+)
+@example(
+    key='k"\\', raw='{"a_prob": 0.5}\n\\ \U0001f600 \ud83d \ude00 \udfff\ud800',
+    probs={"a": 0.1, '"q"': 1.0},
+)
+def test_cache_record_line_equals_json_dumps(key, raw, probs):
+    rec = {"key": key, "probs": probs, "raw": raw}
+    assert _record_line(key, raw, probs) == json.dumps(rec).encode("ascii") + b"\n"
+
+
+# each writer says it is ready, waits for the go line, then appends n records of over 4 KiB
+_WRITER = """
+import sys
+from socialtwin.cognition import ResponseCache
+
+path, tag, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+print("ready", flush=True)
+sys.stdin.readline()
+with ResponseCache(path) as cache:
+    for i in range(n):
+        cache.put(f"{tag}{i}", f"{tag}{i} " + tag * 5000, {"stay_home": i / n})
+"""
+
+
+def test_cache_two_writer_processes_append_whole_records(tmp_path):
+    path, n = tmp_path / "cache" / "responses.jsonl", 500
+    src = str(Path(socialtwin.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    writers = [
+        subprocess.Popen(
+            [sys.executable, "-c", _WRITER, str(path), tag, str(n)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        for tag in ("a", "b")
+    ]
+    try:
+        assert [w.stdout.readline() for w in writers] == ["ready\n", "ready\n"]
+        for w in writers:  # both start appending at once
+            w.stdin.write("go\n")
+            w.stdin.close()
+        codes = [w.wait(timeout=120) for w in writers]
+    finally:
+        for w in writers:
+            if w.poll() is None:
+                w.kill()
+                w.wait()
+            w.stdin.close()
+            w.stdout.close()
+    assert codes == [0, 0]
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 * n
+    assert all(_decoded(line) is not None for line in lines)
+    reopened = ResponseCache(path)
+    assert len(reopened) == 2 * n
+    for tag in ("a", "b"):
+        assert all(reopened.get(f"{tag}{i}")["raw"].startswith(f"{tag}{i} ") for i in range(n))
 
 
 @pytest.fixture(scope="module")
@@ -591,7 +745,7 @@ def test_cache_append_after_torn_tail_cuts_the_torn_line(tmp_path):
     path.write_bytes(full[:-10])
     with ResponseCache(path) as cache:
         assert len(cache) == 1
-        cache.put("k9", "raw 9", {"stay_home": 0.5}, "model:x")
+        cache.put("k9", "raw 9", {"stay_home": 0.5})
     assert path.read_bytes().startswith(first)
     assert path.read_bytes().count(b"\n") == 2
     reopened = ResponseCache(path)
@@ -606,7 +760,7 @@ def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
     path.write_bytes(full[:-1])
     with ResponseCache(path) as cache:
         assert len(cache) == 2
-        cache.put("k9", "raw 9", {"stay_home": 0.5}, "model:x")
+        cache.put("k9", "raw 9", {"stay_home": 0.5})
     reopened = ResponseCache(path)
     assert len(reopened) == 3
     assert all(reopened.get(key) is not None for key in ("k0", "k1", "k9"))
@@ -639,33 +793,45 @@ def _filled_cache(schema, template, path, n_contexts=4):
     return list(zip(prompts, contexts, vectors))
 
 
+def _five_fields(line: bytes) -> bytes:
+    """A record as the earlier key-first writer laid it out, with the
+    ``engine`` and ``created`` fields after ``raw``."""
+    rec = {**json.loads(line), "engine": "oracle:ab", "created": 1700000000.25}
+    return json.dumps(rec).encode() + b"\n"
+
+
 def _sorted_fields(line: bytes) -> bytes:
-    """A record as the older writer laid it out: every field sorted, ``created`` first."""
-    return json.dumps(json.loads(line), sort_keys=True).encode() + b"\n"
+    """A record as the oldest writer laid it out: all five fields sorted,
+    ``created`` first. A three-field record keeps ``key`` first when sorted,
+    so the two fields it lacks go in before sorting."""
+    return json.dumps(json.loads(_five_fields(line)), sort_keys=True).encode() + b"\n"
 
 
 def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path):
     path = tmp_path / "cache.jsonl"
     _filled_cache(schema, pandemic_template, path, n_contexts=2)
     for line in path.read_bytes().splitlines(keepends=True):
-        assert list(json.loads(line)) == ["key", "probs", "raw", "engine", "created"]
-        # same fields and separators as the sorted layout, so the same length
-        assert len(_sorted_fields(line)) == len(line)
+        assert list(json.loads(line)) == ["key", "probs", "raw"]
+        assert line == json.dumps(json.loads(line)).encode() + b"\n"
+        assert list(json.loads(_sorted_fields(line)))[0] == "created"
 
 
-@pytest.mark.parametrize("layout", ["sorted", "mixed"])
+@pytest.mark.parametrize("layout", ["sorted", "mixed", "three-layouts"])
 def test_cache_serves_sorted_records_without_engine_calls(
     schema, pandemic_template, tmp_path, layout
 ):
     path = tmp_path / "cache.jsonl"
-    answered = _filled_cache(schema, pandemic_template, path)
+    answered = _filled_cache(schema, pandemic_template, path, n_contexts=6)
     lines = path.read_bytes().splitlines(keepends=True)
     if layout == "sorted":
         path.write_bytes(b"".join(_sorted_fields(line) for line in lines))
-    else:
+    elif layout == "mixed":
         path.write_bytes(
             b"".join(_sorted_fields(line) if i % 2 else line for i, line in enumerate(lines))
         )
+    else:  # the current layout, then the earlier key-first one, then sorted
+        relaid = (lambda line: line, _five_fields, _sorted_fields)
+        path.write_bytes(b"".join(relaid[i % 3](line) for i, line in enumerate(lines)))
     assert path.read_bytes() != b"".join(lines)
     engine = oracle_engine(schema)
     with ResponseCache(path) as cache:
@@ -806,7 +972,7 @@ def test_cache_record_with_malformed_probs_exits_two(
 
 def test_cache_counters_exact_under_threads():
     cache = ResponseCache(None)
-    cache.put("hit", "raw", {"stay_home": 0.5}, "model:x")
+    cache.put("hit", "raw", {"stay_home": 0.5})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -42,10 +42,12 @@ def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
     path = tmp_path / "cache.jsonl"
     with cognition.ResponseCache(path) as cache:
         for i in range(3):
-            cache.put(f"k{i}", f"raw {i}", {"stay_home": 0.5}, "model:x")
+            cache.put(f"k{i}", f"raw {i}", {"stay_home": 0.5})
     lines = path.read_bytes().splitlines(keepends=True)
-    # the last record in the older layout, with its fields sorted
-    lines[2] = json.dumps(json.loads(lines[2]), sort_keys=True).encode() + b"\n"
+    # the last record in the oldest layout: five fields, sorted, so ``created`` comes first
+    older = {**json.loads(lines[2]), "engine": "model:x", "created": 1.5}
+    lines[2] = json.dumps(older, sort_keys=True).encode() + b"\n"
+    assert not lines[2].startswith(b'{"key"')
     path.write_bytes(b"".join(lines))
 
     patched = ("__init__", "make_key", "get", "put")
