@@ -13,13 +13,16 @@ Three interchangeable engines sit behind one interface:
 Every response, whatever its source, flows through the same JSON parsing and
 validation; parsed vectors are cached on disk keyed by (engine digest, prompt
 text, category list) so a populated cache replays a full run byte-for-byte.
-Cache records are JSON lines of three fields, ``key``, ``probs`` and
-``raw``, in that order, each appended with one write; opening a cache
-indexes them by key and decodes each on its first lookup, so a corrupt
-record of that layout fails when it is first used, not at open. Records of
-the older layouts are still read: five-field records (with ``engine`` and
-``created`` after ``raw``) like new ones, sorted records (``created``
-first) decoded at open.
+Cache records are JSON lines of four fields, ``key``, ``row``, ``raw`` and
+``crc``, in that order, each appended with one write. ``row`` is the
+parsed probabilities in response-key order, packed as little-endian
+doubles and written in hex; ``crc`` is the CRC-32 of the bytes before it.
+Opening a cache indexes the lines by key; a lookup checks a record's CRC
+and unpacks its row on first use, so a corrupt record fails when it is
+first used, not at open, and never yields a wrong row. Records of the
+older layouts, with a ``probs`` mapping in place of ``row`` and ``crc``,
+are still read: three- and five-field ones on first use, sorted ones
+(``created`` first) at open.
 
 The ``remote-http`` engine speaks HTTP through the standard library's
 ``http.client``, loaded on its first request. It opens one connection per
@@ -32,7 +35,9 @@ with the ``Content-Type`` charset, else UTF-8.
 from __future__ import annotations
 
 import base64
+import binascii
 import datetime as dt
+import fcntl
 import functools
 import hashlib
 import json
@@ -40,7 +45,9 @@ import math
 import os
 import re
 import string
+import struct
 import threading
+import zlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -709,26 +716,74 @@ def _key_suffix(response_keys: tuple[str, ...]) -> str:
 _INDEXED_PREFIX = b'{"key": "'
 _KEY_START = len(_INDEXED_PREFIX)
 _NUMBERS = frozenset((int, float))  # JSON numbers; bools are not among them
+# the text of a record around its row, and before its CRC
+_ROW_FIELD = b'", "row": "'
+_RAW_FIELD = b'", "raw": "'
+_CRC_FIELD = b', "crc": "'
+# a record line ends in its CRC field, eight hex digits, '"}' and a newline
+_CRC_END = len(b'00000000"}\n')
+_CRC_TAIL = len(_CRC_FIELD) + _CRC_END
 
 
 _SCAN = _DECODER.scan_once
 _WHITESPACE = " \t\n\r"  # what JSON allows around a value
 
 
-def _record_line(key: str, raw: str, probs: dict[str, float]) -> bytes:
-    """``json.dumps({"key": key, "probs": probs, "raw": raw})`` and a newline,
-    as bytes: the strings escaped as ``json.dumps`` escapes them, to ASCII,
-    and each float written with ``float.__repr__``."""
+@functools.lru_cache(maxsize=16)
+def _packing(n: int) -> struct.Struct:
+    """A row of ``n`` probabilities as little-endian doubles."""
+    return struct.Struct(f"<{n}d")
+
+
+def _record_line(key: str, raw: str, row: list[float]) -> bytes:
+    """The record of ``raw`` and its ``row`` under ``key``, as ASCII bytes:
+    ``{"key": K, "row": R, "raw": T, "crc": C}`` and a newline. ``K`` and
+    ``T`` are escaped as ``json.dumps`` escapes them; ``R`` is the row
+    packed as little-endian doubles, in lowercase hex; ``C`` is the CRC-32
+    of every byte before ``, "crc"``, as eight lowercase hex digits."""
     escape = encode_basestring_ascii
-    fields = ", ".join([escape(k) + ": " + float.__repr__(v) for k, v in probs.items()])
-    line = f'{{"key": {escape(key)}, "probs": {{{fields}}}, "raw": {escape(raw)}}}\n'
-    return line.encode("ascii")
+    packed = _packing(len(row)).pack(*row).hex()
+    body = f'{{"key": {escape(key)}, "row": "{packed}", "raw": {escape(raw)}'.encode("ascii")
+    return body + b'%s%08x"}\n' % (_CRC_FIELD, zlib.crc32(body))
+
+
+def _unpacked_row(line: bytes, start: int, n: int) -> list[float] | None:
+    """The row of the record ``line`` (``_record_line``'s layout), whose hex
+    row starts at ``start``, or None unless the line ends in the CRC of the
+    bytes before its CRC field, holds ``n`` values right before ``raw`` and
+    every value is in [0, 1]."""
+    end = start + 16 * n
+    if (
+        line[-_CRC_TAIL:-_CRC_END] != _CRC_FIELD
+        or line[-3:] != b'"}\n'
+        or b"%08x" % zlib.crc32(line[:-_CRC_TAIL]) != line[-_CRC_END:-3]
+        or line[end:end + len(_RAW_FIELD)] != _RAW_FIELD
+    ):
+        return None
+    try:
+        row = _packing(n).unpack(binascii.a2b_hex(line[start:end]))
+    except binascii.Error:  # not hex
+        return None
+    for value in row:
+        if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+            return None
+    return list(row)
+
+
+def _escaped_key(line: bytes) -> str | None:
+    """The JSON-escaped key of an ASCII line that starts ``{"key": "``, as
+    ``put`` writes it, or None if the line holds no whole ASCII string
+    there."""
+    try:
+        return json.decoder.scanstring(line.decode("ascii"), _KEY_START)[0]
+    except ValueError:  # UnicodeDecodeError too
+        return None
 
 
 def _decoded(line: bytes) -> dict | None:
-    """The cache record on ``line``, or None unless it decodes to an object
-    with a string ``key``, a string ``raw`` and ``probs`` mapping to numbers
-    in [0, 1].
+    """The cache record of an earlier layout on ``line``, or None unless it
+    decodes to an object with a string ``key``, a string ``raw`` and
+    ``probs`` mapping to numbers in [0, 1].
 
     It reads the lines ``json.loads(line)`` reads, as that does: in the
     encoding ``json.detect_encoding`` finds, with encoded surrogates passed
@@ -758,39 +813,57 @@ def _decoded(line: bytes) -> dict | None:
 
 
 class ResponseCache:
-    """Append-safe store of raw responses and parsed vectors.
+    """Append-safe store of raw responses and their rows of probabilities.
 
     On-disk format is line-delimited JSON, one record per line (the last
-    record read for a key wins). ``put`` writes ``key``, ``probs`` and
-    ``raw`` in that order, the line ``json.dumps`` gives, so a record's line
-    starts with ``{"key": "<key>"``. The key already hashes the engine
-    digest, and a record holds nothing that changes from run to run, so two
-    runs that append the same records write the same bytes. Opening the
-    file indexes such lines by key without decoding them; ``get`` decodes a
-    record on its first hit. Records of earlier versions are still read:
-    five-field ones (``engine`` and ``created`` after ``raw``) are indexed
-    the same way, and sorted ones (``created`` first) and any other line
-    are decoded at open. A corrupt line that starts like a new record is
-    therefore found on its first ``get``, not at open, and is then a
-    DataError naming the file and line.
+    record read for a key wins). ``put`` writes ``key``, ``row``, ``raw``
+    and ``crc`` in that order (``_record_line``), so a record's line starts
+    with ``{"key": "<key>"``. ``row`` holds the probabilities in
+    response-key order, the order the key hashes, packed as little-endian
+    doubles in hex. ``crc`` is the CRC-32 of every byte before ``, "crc"``.
+    The key already hashes the engine digest, and a record holds nothing
+    that changes from run to run, so two runs that append the same records
+    write the same bytes.
+
+    Opening the file indexes each line by key without decoding it. The first
+    ``get`` of a key checks the record's CRC and row length, unpacks the row
+    and checks that each value is in [0, 1]; it then keeps only the row. Any
+    failure is a DataError naming the file and line, so a corrupt record is
+    found on its first use, not at open, and never serves a wrong row.
+    Records of earlier versions, which hold a ``probs`` mapping by category
+    key instead of ``row`` and ``crc``, are still read and never written:
+    three- and five-field ones (``engine`` and ``created`` after ``raw``)
+    are indexed the same way and decoded on first use, sorted ones
+    (``created`` first) and any other line are decoded at open. A category
+    key renamed since a record was written needs its ``raw`` re-parsed
+    (``cached_row``) only in those layouts: ``row`` is positional. Earlier
+    versions reject a record of this layout with a DataError naming the
+    file and line; they never serve a wrong row from it.
 
     An incomplete last line, which a crash mid-append leaves, is skipped and
-    counted; the first ``put`` cuts it off before appending. Any other line
-    that is not a record is a DataError. Each ``put`` appends its record in
-    one write(2) on an unbuffered ``O_APPEND`` file that ``close`` (or
-    leaving a ``with`` block) releases; processes that append to one local
-    file therefore never interleave records. A ``path`` of None keeps the
-    cache purely in memory.
+    counted. The first ``put`` takes an exclusive ``flock`` on the file and,
+    under it, cuts that torn line off only while it is still the file's last
+    bytes, at the offset the open saw; otherwise it appends after whatever
+    another writer left, with a newline first unless the file already ends
+    in one. Cutting only what is still the tail keeps the records that other
+    caches opened on the same file appended since (see Pillai et al., "All
+    File Systems Are Not Created Equal", OSDI 2014). Each ``put`` appends
+    its record in one write(2) on an unbuffered ``O_APPEND`` file (opened
+    for reading too, to check the tail) that ``close`` (or leaving a
+    ``with`` block) releases; processes that append to one local file
+    therefore never interleave records. A ``path`` of None keeps the cache
+    purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        # key -> decoded record, or (line number, line bytes) until first get
-        self._entries: dict[str, dict | tuple[int, bytes]] = {}
+        # key -> row; until its first get, (line number, line bytes), or the
+        # decoded record of a sorted line
+        self._entries: dict[str, list[float] | tuple[int, bytes] | dict] = {}
         self._fh = None
-        self._end = 0  # where the first put cuts off a torn last line
-        self._unterminated = False  # the last line has no newline
+        self._torn = b""  # the torn last line the open skipped
+        self._end = 0  # and where it starts
         self.hits = 0
         self.misses = 0
         self.skipped_lines = 0
@@ -799,14 +872,21 @@ class ResponseCache:
 
     def _load(self) -> None:
         entries = self._entries
-        line = b""
         with self.path.open("rb") as fh:
             for number, line in enumerate(fh, 1):
-                if line.startswith(_INDEXED_PREFIX) and line.endswith(b"\n"):
+                key = None
+                if line.startswith(_INDEXED_PREFIX):
                     close = line.find(b'"', _KEY_START)
                     key = line[_KEY_START:close]
-                    if close > 0 and key.isascii() and b"\\" not in key:
-                        entries[key.decode("ascii")] = (number, line)
+                    plain = close > 0 and key.isascii() and b"\\" not in key
+                    key = key.decode("ascii") if plain else _escaped_key(line)
+                if key is not None:
+                    if line.endswith(b"\n"):
+                        entries[key] = (number, line)
+                        continue
+                    if line[1 - _CRC_TAIL:1 - _CRC_END] == _CRC_FIELD and line.endswith(b'"}'):
+                        # a whole record of the current layout, unterminated
+                        entries[key] = (number, line + b"\n")
                         continue
                 rec = _decoded(line)
                 if rec is not None:
@@ -816,9 +896,8 @@ class ResponseCache:
                     if line.endswith(b"\n"):
                         raise DataError(f"{self.path}:{number}: not a cache record")
                     self.skipped_lines = 1
+                    self._torn = line
                     self._end = fh.tell() - len(line)
-                    return
-        self._unterminated = bool(line) and not line.endswith(b"\n")
 
     @staticmethod
     def make_key(engine_digest: str, prompt_text: str, response_keys: tuple[str, ...]) -> str:
@@ -843,51 +922,86 @@ class ResponseCache:
                 self._fh.close()
                 self._fh = None
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str, categories: CategorySchema) -> list[float] | None:
+        """The probabilities stored under ``key``, in the order of
+        ``categories`` (the schema whose response keys ``key`` hashes), or
+        None on a miss."""
         with self._lock:
-            rec = self._entries.get(key)
-            if isinstance(rec, tuple):
-                rec = self._entries[key] = self._decode(key, *rec)
-            if rec is None:
+            row = self._entries.get(key)
+            if row is None:
                 self.misses += 1
-            else:
-                self.hits += 1
-        return rec
+                return None
+            if type(row) is not list:
+                row = self._entries[key] = self._row(key, row, categories)
+            self.hits += 1
+        return row
 
-    def _decode(self, key: str, number: int, line: bytes) -> dict:
-        rec = _decoded(line)
-        if rec is None or rec["key"] != key:
+    def _row(
+        self, key: str, entry: tuple[int, bytes] | dict, categories: CategorySchema
+    ) -> list[float]:
+        if type(entry) is dict:  # a sorted record, decoded at open
+            return cached_row(entry, categories)
+        number, line = entry
+        head = _KEY_START + len(key)  # where the key's closing quote is, unless it was escaped
+        if not line.startswith(_ROW_FIELD, head):
+            head = _KEY_START + len(encode_basestring_ascii(key)) - 2
+        if line.startswith(_ROW_FIELD, head):
+            row = _unpacked_row(line, head + len(_ROW_FIELD), len(categories))
+        else:  # a key-first record of an earlier layout
+            rec = _decoded(line)
+            row = cached_row(rec, categories) if rec is not None and rec["key"] == key else None
+        if row is None:
             raise DataError(f"{self.path}:{number}: not a cache record")
-        return rec
+        return row
 
-    def put(self, key: str, raw: str, probs: dict[str, float]) -> None:
-        """Store ``raw`` and its probabilities (floats, as ``parse_response``
-        gives them) under ``key``, and append their record to the file."""
-        rec = {"key": key, "probs": probs, "raw": raw}
+    def put(self, key: str, raw: str, row: list[float]) -> None:
+        """Store ``raw`` and its probabilities, in response-key order (floats
+        in [0, 1], as ``parse_response`` gives them), under ``key``, and
+        append their record to the file."""
         with self._lock:
-            self._entries[key] = rec
+            self._entries[key] = row
             if self.path is None:
                 return
-            line = _record_line(key, raw, probs)
+            line = _record_line(key, raw, row)
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("ab", buffering=0)
-                if self.skipped_lines:
-                    self._fh.truncate(self._end)
-                elif self._unterminated:
-                    line = b"\n" + line
-            while line:  # one write, unless the file system takes only part of it
-                line = line[self._fh.write(line):]
+                self._fh = self.path.open("a+b", buffering=0)
+                fcntl.flock(self._fh, fcntl.LOCK_EX)  # first puts of other openers wait
+                try:
+                    self._append(self._after_tail(line))
+                finally:
+                    fcntl.flock(self._fh, fcntl.LOCK_UN)
+            else:
+                self._append(line)
+
+    def _after_tail(self, line: bytes) -> bytes:
+        """``line`` as the first append goes after the file's end: the torn
+        line the open skipped is cut off while it is still the file's last
+        bytes, at the same offset; otherwise a newline goes first unless the
+        file is empty or ends in one."""
+        fd = self._fh.fileno()
+        size = os.fstat(fd).st_size
+        torn = self._torn
+        if torn and size == self._end + len(torn) and os.pread(fd, len(torn), self._end) == torn:
+            self._fh.truncate(self._end)
+        elif size and os.pread(fd, 1, size - 1) != b"\n":
+            return b"\n" + line
+        return line
+
+    def _append(self, line: bytes) -> None:
+        while line:  # one write, unless the file system takes only part of it
+            line = line[self._fh.write(line):]
 
 
 def cached_row(rec: dict, categories: CategorySchema) -> list[float]:
-    """The probabilities stored in a cache record, in category order.
+    """The probabilities of a cache record of an earlier layout, in category
+    order.
 
-    Records store probabilities by category ``key``, but the cache key hashes
-    only the response keys. A record written before a category was renamed is
-    therefore re-parsed from its raw text, which holds the same response keys.
-    Stored values are in [0, 1]: ``ResponseCache`` checks each record it
-    reads from disk as it decodes it.
+    Those records store probabilities by category ``key``, but the cache key
+    hashes only the response keys. A record written before a category was
+    renamed is therefore re-parsed from its raw text, which holds the same
+    response keys. Stored values are in [0, 1]: ``ResponseCache`` checks
+    each record it reads from disk as it decodes it.
     """
     try:
         probs = rec["probs"]
@@ -929,7 +1043,7 @@ def ask_engine(
         except ParseError as exc:
             last_error = exc
             continue
-        cache.put(key, raw, vector.probs)
+        cache.put(key, raw, list(vector.probs.values()))
         return vector
     message = (
         f"persona {prompt.persona_id} on {context.date}: "

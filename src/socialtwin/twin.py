@@ -39,7 +39,6 @@ from .cognition import (
     ResponseCache,
     SimContext,
     ask_engine,
-    cached_row,
     prompt_skeleton,
     render_prompt,
     skeleton_key,
@@ -167,10 +166,8 @@ class DigitalTwin:
                     key = skeleton_key(skeleton, values)
                     resolved = outcome.get(key)
                     if resolved is None:
-                        cached = self.cache.get(key)
-                        if cached is not None:
-                            resolved = cached_row(cached, self.schema)
-                        else:  # a miss, the only kind of cell that renders its prompt
+                        resolved = self.cache.get(key, self.schema)
+                        if resolved is None:  # a miss, the only kind of cell that renders its prompt
                             prompt = render_prompt(persona, context, self.template)
                             if pool is None:
                                 resolved = ask(key, prompt, persona, context)

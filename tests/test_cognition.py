@@ -1,12 +1,16 @@
 import datetime as dt
+import fcntl
 import hashlib
 import json
 import math
 import os
+import re
 import string
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
@@ -27,7 +31,6 @@ from socialtwin.cognition import (
     _record_line,
     ask_engine,
     build_engine,
-    cached_row,
     logistic,
     oracle_respond,
     parse_response,
@@ -38,7 +41,7 @@ from socialtwin.cognition import (
 )
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
-from socialtwin.schema import CategorySchema
+from socialtwin.schema import Category, CategorySchema
 from synthetic import default_oracle_params
 
 from conftest import loopback_server
@@ -53,6 +56,8 @@ PERSONA = Persona(
     },
 )
 CONTEXT = SimContext(date=dt.date(2020, 4, 15), stringency=90.0)
+# one category: the schema of the single-value rows the cache tests put
+STAY_HOME = CategorySchema((Category("stay_home", "stay_home_prob", "stay", "Stay home", 1),))
 
 GOOD_JSON = (
     '{"go_work_prob":0.2,"discretionary_outings_prob":0.1,"essentials_prob":0.8,'
@@ -376,9 +381,9 @@ def query(engine, prompt, persona, context, categories, cache):
     """Reference: resolve one (persona, context) cell through the cache and
     engine, as the twin's grouped pass does once per distinct prompt."""
     key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
-    cached = cache.get(key)
+    cached = cache.get(key, categories)
     if cached is not None:
-        return BehaviorVector(dict(zip(categories.keys, cached_row(cached, categories))))
+        return BehaviorVector(dict(zip(categories.keys, cached)))
     return ask_engine(engine, key, prompt, persona, context, categories, cache)
 
 
@@ -509,9 +514,9 @@ def test_make_key_equals_json_dumps_payload_digest(digest, text, response_keys):
 def test_cache_persists_across_instances(schema, tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k1", "raw", {"stay_home": 0.5})
+        cache.put("k1", "raw", [0.5])
     with ResponseCache(path) as reopened:
-        assert reopened.get("k1")["probs"] == {"stay_home": 0.5}
+        assert reopened.get("k1", STAY_HOME) == [0.5]
 
 
 def test_engine_config_validation():
@@ -618,20 +623,20 @@ def _cache_bytes(tmp_path, n):
     path = tmp_path / "full.jsonl"
     with ResponseCache(path) as cache:
         for i in range(n):
-            cache.put(f"k{i}", f"raw {i}", {"stay_home": i / n})
+            cache.put(f"k{i}", f"raw {i}", [i / n])
     return path.read_bytes()
 
 
 def test_cache_two_puts_then_reopen_loads_both(tmp_path):
     path = tmp_path / "sub" / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k1", "raw one", {"stay_home": 0.25})
-        cache.put("k2", "raw two", {"stay_home": 0.75})
+        cache.put("k1", "raw one", [0.25])
+        cache.put("k2", "raw two", [0.75])
         # each record reaches the file before put returns
-        assert ResponseCache(path).get("k2")["raw"] == "raw two"
+        assert ResponseCache(path).get("k2", STAY_HOME) == [0.75]
     reopened = ResponseCache(path)
     assert len(reopened) == 2
-    assert reopened.get("k1")["probs"] == {"stay_home": 0.25}
+    assert reopened.get("k1", STAY_HOME) == [0.25]
     assert reopened.skipped_lines == 0
 
 
@@ -639,50 +644,159 @@ def test_cache_reopen_finds_keys_that_json_escapes(tmp_path):
     path = tmp_path / "cache.jsonl"
     keys = ["plain", 'quote"d', "back\\slash", "caf\u00e9", ""]
     with ResponseCache(path) as cache:
-        for key in keys:
-            cache.put(key, f"raw {key}", {"stay_home": 0.5})
+        for i, key in enumerate(keys):
+            cache.put(key, f"raw {key}", [i / 8])
     # a record written by another JSON writer, with its key in raw UTF-8
-    unescaped = {"key": "naïve", "probs": {"stay_home": 0.5}, "raw": "raw naïve"}
+    unescaped = {"key": "naïve", "probs": {"stay_home": 0.625}, "raw": "raw naïve"}
     with path.open("ab") as fh:
         fh.write(json.dumps(unescaped, ensure_ascii=False).encode("utf-8") + b"\n")
     keys.append("naïve")
     reopened = ResponseCache(path)
     assert len(reopened) == len(keys)
-    assert [reopened.get(key)["raw"] for key in keys] == [f"raw {key}" for key in keys]
+    assert [reopened.get(key, STAY_HOME) for key in keys] == [[i / 8] for i in range(len(keys))]
+
+
+def _record_reference(key: str, raw: str, row: list[float]) -> bytes:
+    """A record line built with ``json.dumps``: ``row`` packed with
+    ``struct`` in hex, and the CRC-32 of the text before ``, "crc"``."""
+    packed = struct.pack(f"<{len(row)}d", *row).hex()
+    text = json.dumps({"key": key, "row": packed, "raw": raw, "crc": "00000000"})
+    body = text[: text.rindex(', "crc": ')].encode("ascii")
+    return body + b', "crc": "%08x"}\n' % zlib.crc32(body)
+
+
+EDGE_VALUES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5]
+ROWS = st.lists(st.floats(0.0, 1.0) | st.sampled_from(EDGE_VALUES), min_size=1, max_size=8)
+RAW_TEXT = (
+    st.text(ANY_CHAR)
+    | st.lists(
+        st.sampled_from(['"', "\\", "\n", "\U0001f600", "\ud800", "\udfff", '"crc"', ', "crc": "', "x"])
+    ).map("".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.text(ANY_CHAR, max_size=12), raw=RAW_TEXT, row=ROWS)
+@example(
+    key='k"\\', raw='{"a_prob": 0.5}\n\\ \U0001f600 \ud83d \ude00 \udfff\ud800 "crc"',
+    row=[0.1, 1.0, 5e-324],
+)
+def test_cache_record_line_equals_json_dumps(key, raw, row):
+    line = _record_line(key, raw, row)
+    assert line == _record_reference(key, raw, row)
+    assert line == json.dumps(json.loads(line)).encode("ascii") + b"\n"
+
+
+def _categories(n: int) -> CategorySchema:
+    """A schema of ``n`` categories: the schema of rows of ``n`` values."""
+    return CategorySchema(
+        tuple(Category(f"c{i}", f"c{i}_prob", f"col{i}", f"C{i}", 1) for i in range(n))
+    )
+
+
+def _bits(row) -> bytes:
+    return struct.pack(f"<{len(row)}d", *row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # a key JSON reads back as itself: no high surrogate right before a low one
+    key=st.text(ANY_CHAR, max_size=12).filter(lambda key: json.loads(json.dumps(key)) == key),
+    raw=RAW_TEXT,
+    row=ROWS,
+)
+@example(key="", raw='"crc": "00000000"}\n', row=[5e-324, 1.0 - 2.0**-53])
+@example(key='q"\\\U0001f600\ud800', raw="\\\udfff\n", row=[0.0, 1.0] * 4)
+def test_cache_record_round_trips_bit_for_bit(tmp_path_factory, key, raw, row):
+    path = tmp_path_factory.mktemp("round") / "cache.jsonl"
+    with ResponseCache(path) as cache:
+        cache.put(key, raw, row)
+    line = path.read_bytes()
+    assert line.count(b"\n") == 1
+    rec = _record_fields(line)
+    # a high surrogate then a low one read back as their pair, as in json.loads
+    assert (rec["key"], rec["raw"]) == (key, json.loads(json.dumps(raw)))
+    reopened = ResponseCache(path)
+    assert len(reopened) == 1
+    assert _bits(reopened.get(key, _categories(len(row)))) == _bits(row)
+
+
+def test_cache_row_of_another_length_is_a_data_error(tmp_path):
+    """A row is checked against the length of the schema it is read for."""
+    path = tmp_path / "cache.jsonl"
+    with ResponseCache(path) as cache:
+        cache.put("k0", "raw 0", [0.25, 0.5])
+    for n in (1, 3):
+        with pytest.raises(DataError, match=r"cache\.jsonl:1: not a cache record"):
+            ResponseCache(path).get("k0", _categories(n))
+    assert ResponseCache(path).get("k0", _categories(2)) == [0.25, 0.5]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    key=st.text(ANY_CHAR, max_size=12),
-    raw=st.text(ANY_CHAR)
-    | st.lists(st.sampled_from(['"', "\\", "\U0001f600", "\ud800", "\udfff", "x"])).map("".join),
-    probs=st.dictionaries(st.text(ANY_CHAR, max_size=8), st.floats(0.0, 1.0), max_size=6),
+    key=st.sampled_from(["k0", "a" * 64, 'q"\U0001f600']),
+    raw=RAW_TEXT.filter(lambda raw: len(raw) < 40),
+    row=ROWS,
+    data=st.data(),
 )
-@example(
-    key='k"\\', raw='{"a_prob": 0.5}\n\\ \U0001f600 \ud83d \ude00 \udfff\ud800',
-    probs={"a": 0.1, '"q"': 1.0},
-)
-def test_cache_record_line_equals_json_dumps(key, raw, probs):
-    rec = {"key": key, "probs": probs, "raw": raw}
-    assert _record_line(key, raw, probs) == json.dumps(rec).encode("ascii") + b"\n"
+def test_cache_one_changed_byte_never_serves_another_row(tmp_path_factory, key, raw, row, data):
+    """A record line with any one byte before its newline changed gives, on
+    every lookup, the row put under that key, a miss, or a DataError naming
+    the file and line; so does the record that follows it."""
+    line = _record_line(key, raw, row)
+    at = data.draw(st.integers(0, len(line) - 2))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != line[at]))
+    other = _record_line("other", "raw other", [0.375])
+    path = tmp_path_factory.mktemp("damage") / "cache.jsonl"
+    path.write_bytes(line[:at] + bytes([byte]) + line[at + 1:] + other)
+    where = re.compile(re.escape(f"{path}:") + r"[12]: not a cache record")
+    try:
+        cache = ResponseCache(path)
+    except DataError as exc:
+        assert where.fullmatch(str(exc))
+        return
+    expected = {key: _bits(row), "other": _bits([0.375])}
+    for indexed in list(cache._entries):
+        n = len(row) if indexed != "other" else 1
+        try:
+            got = cache.get(indexed, _categories(n))
+        except DataError as exc:
+            assert where.fullmatch(str(exc))
+            continue
+        assert _bits(got) == expected.get(indexed)
 
 
-# each writer says it is ready, waits for the go line, then appends n records of over 4 KiB
+# each writer opens the cache, says it is ready, waits for the go line, then
+# appends n records of over 4 KiB; writer "a" puts the rows i / 2n, writer "b"
+# the rows (n + i) / 2n
 _WRITER = """
 import sys
 from socialtwin.cognition import ResponseCache
 
 path, tag, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
-print("ready", flush=True)
-sys.stdin.readline()
+first = 0 if tag == "a" else n
 with ResponseCache(path) as cache:
+    print("ready", flush=True)
+    sys.stdin.readline()
     for i in range(n):
-        cache.put(f"{tag}{i}", f"{tag}{i} " + tag * 5000, {"stay_home": i / n})
+        cache.put(f"{tag}{i}", f"{tag}{i} " + tag * 5000, [(first + i) / (2 * n)])
 """
 
 
-def test_cache_two_writer_processes_append_whole_records(tmp_path):
-    path, n = tmp_path / "cache" / "responses.jsonl", 500
+def _record_fields(line: bytes) -> dict:
+    """The fields of a record line of the current layout, after checking its
+    CRC against the bytes before its CRC field."""
+    rec = json.loads(line)
+    assert list(rec) == ["key", "row", "raw", "crc"]
+    body = line[: line.rindex(b', "crc": "')]
+    assert rec["crc"] == "%08x" % zlib.crc32(body)
+    return rec
+
+
+def _two_writers_append(path, n: int, kept: bytes) -> None:
+    """Start exactly two writer processes on ``path``; once both have opened
+    the cache, each appends ``n`` records at once. Afterwards the file holds
+    ``kept``, then every record whole, and a reopen serves every row."""
     src = str(Path(socialtwin.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -707,13 +821,34 @@ def test_cache_two_writer_processes_append_whole_records(tmp_path):
             w.stdin.close()
             w.stdout.close()
     assert codes == [0, 0]
-    lines = path.read_bytes().splitlines(keepends=True)
+    data = path.read_bytes()
+    assert data.startswith(kept)
+    lines = data[len(kept):].splitlines(keepends=True)
     assert len(lines) == 2 * n
-    assert all(_decoded(line) is not None for line in lines)
+    records = [_record_fields(line) for line in lines]
+    assert all(rec["raw"].startswith(rec["key"] + " ") for rec in records)
     reopened = ResponseCache(path)
-    assert len(reopened) == 2 * n
-    for tag in ("a", "b"):
-        assert all(reopened.get(f"{tag}{i}")["raw"].startswith(f"{tag}{i} ") for i in range(n))
+    assert len(reopened) == 2 * n + kept.count(b"\n")
+    assert reopened.skipped_lines == 0
+    for first, tag in enumerate(("a", "b")):
+        rows = [reopened.get(f"{tag}{i}", STAY_HOME) for i in range(n)]
+        assert rows == [[(first * n + i) / (2 * n)] for i in range(n)]
+
+
+def test_cache_two_writer_processes_append_whole_records(tmp_path):
+    _two_writers_append(tmp_path / "cache" / "responses.jsonl", 500, b"")
+
+
+def test_cache_two_writer_processes_on_a_torn_file_keep_every_record(tmp_path):
+    """Both writers open the file, and see its torn tail, before either
+    appends: only the first ``put`` under the lock may cut the tail."""
+    full = _cache_bytes(tmp_path, 2)
+    kept = full[: full.index(b"\n") + 1]
+    path = tmp_path / "cache" / "responses.jsonl"
+    path.parent.mkdir()
+    path.write_bytes(full[:-10])
+    _two_writers_append(path, 500, kept)
+    assert ResponseCache(path).get("k0", STAY_HOME) == [0.0]
 
 
 @pytest.fixture(scope="module")
@@ -730,9 +865,9 @@ def test_cache_every_byte_prefix_loads_its_complete_records(cache_file, tmp_path
     loaded = ResponseCache(path)
     newlines = [i for i, b in enumerate(cache_file) if b == ord("\n")]
     # a record loads once its JSON text is whole, with or without its newline
-    expected = {f"k{i}" for i, at in enumerate(newlines) if at <= cut}
+    expected = {i for i, at in enumerate(newlines) if at <= cut}
     assert len(loaded) == len(expected)
-    assert all(loaded.get(key) is not None for key in expected)
+    assert all(loaded.get(f"k{i}", STAY_HOME) == [i / 4] for i in expected)
     # only a prefix that ends inside a record's JSON text leaves a torn line
     torn = cut > 0 and cut not in newlines and cut - 1 not in newlines
     assert loaded.skipped_lines == int(torn)
@@ -745,13 +880,95 @@ def test_cache_append_after_torn_tail_cuts_the_torn_line(tmp_path):
     path.write_bytes(full[:-10])
     with ResponseCache(path) as cache:
         assert len(cache) == 1
-        cache.put("k9", "raw 9", {"stay_home": 0.5})
+        cache.put("k9", "raw 9", [0.875])
     assert path.read_bytes().startswith(first)
     assert path.read_bytes().count(b"\n") == 2
     reopened = ResponseCache(path)
     assert len(reopened) == 2
-    assert reopened.get("k0")["raw"] == "raw 0" and reopened.get("k9")["raw"] == "raw 9"
+    assert reopened.get("k0", STAY_HOME) == [0.0] and reopened.get("k9", STAY_HOME) == [0.875]
     assert reopened.skipped_lines == 0
+
+
+def test_cache_torn_tail_is_cut_only_while_it_is_the_files_end(tmp_path):
+    """Two caches open one file with a torn tail. A appends two records,
+    then B one: B must not cut at the offset its open saw, where A's
+    records now are."""
+    full = _cache_bytes(tmp_path, 2)
+    path = tmp_path / "torn.jsonl"
+    path.write_bytes(full[:-10])
+    with ResponseCache(path) as a, ResponseCache(path) as b:
+        assert a.skipped_lines == b.skipped_lines == 1
+        a.put("a1", "raw a1", [0.125])
+        a.put("a2", "raw a2", [0.25])
+        b.put("b1", "raw b1", [0.375])
+    reopened = ResponseCache(path)
+    assert reopened.skipped_lines == 0
+    rows = {key: reopened.get(key, STAY_HOME) for key in ("k0", "a1", "a2", "b1")}
+    assert rows == {"k0": [0.0], "a1": [0.125], "a2": [0.25], "b1": [0.375]}
+    assert len(reopened) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cache_two_openers_of_a_torn_file_keep_every_put(cache_file, tmp_path_factory, data):
+    """Cut a file inside its last record, open two caches on it and put from
+    both in any order: a reopen indexes every put key and every record that
+    was whole before the cut."""
+    last = cache_file.rindex(b"\n", 0, len(cache_file) - 1) + 1
+    cut = data.draw(st.integers(last + 1, len(cache_file) - 2))
+    path = tmp_path_factory.mktemp("torn") / "cache.jsonl"
+    path.write_bytes(cache_file[:cut])
+    order = data.draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=6))
+    with ResponseCache(path) as a, ResponseCache(path) as b:
+        assert a.skipped_lines == b.skipped_lines == 1
+        for i, opener in enumerate(order):
+            (a if opener == "a" else b).put(f"{opener}{i}", f"raw {i}", [i / 8])
+    reopened = ResponseCache(path)
+    assert reopened.skipped_lines == 0
+    whole = {f"k{i}": [i / 4] for i in range(3)}
+    put = {f"{opener}{i}": [i / 8] for i, opener in enumerate(order)}
+    assert len(reopened) == len(whole) + len(put)
+    assert all(reopened.get(key, STAY_HOME) == row for key, row in {**whole, **put}.items())
+
+
+def test_cache_first_put_waits_for_the_lock_then_checks_the_tail(tmp_path):
+    """Another writer holds the lock, cuts the torn tail and appends; the
+    first ``put`` waits for the lock, then appends after that record."""
+    full = _cache_bytes(tmp_path, 2)
+    first = full[: full.index(b"\n") + 1]
+    path = tmp_path / "torn.jsonl"
+    path.write_bytes(full[:-10])
+    theirs = _record_line("o1", "raw o1", [0.125])
+    with ResponseCache(path) as cache:
+        with path.open("r+b") as other:
+            fcntl.flock(other, fcntl.LOCK_EX)
+            put = threading.Thread(target=cache.put, args=("k9", "raw 9", [0.875]))
+            put.start()
+            put.join(timeout=0.3)
+            assert put.is_alive()  # waiting for the lock
+            other.truncate(len(first))
+            other.seek(0, os.SEEK_END)
+            other.write(theirs)
+            other.flush()
+            fcntl.flock(other, fcntl.LOCK_UN)
+        put.join(timeout=30)
+        assert not put.is_alive()
+    assert path.read_bytes() == first + theirs + _record_line("k9", "raw 9", [0.875])
+
+
+def test_cache_first_put_after_another_writers_unterminated_append_adds_a_newline(tmp_path):
+    """The open saw a whole file; before the first ``put``, another writer
+    left a last line without its newline. The record goes on a line of its
+    own, and the other line stays."""
+    full = _cache_bytes(tmp_path, 2)
+    path = tmp_path / "grown.jsonl"
+    first = full[: full.index(b"\n") + 1]
+    path.write_bytes(first)
+    with ResponseCache(path) as cache:
+        with path.open("ab") as fh:
+            fh.write(full[len(first):-1])
+        cache.put("k9", "raw 9", [0.875])
+    assert path.read_bytes() == full + _record_line("k9", "raw 9", [0.875])
 
 
 def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
@@ -760,10 +977,11 @@ def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
     path.write_bytes(full[:-1])
     with ResponseCache(path) as cache:
         assert len(cache) == 2
-        cache.put("k9", "raw 9", {"stay_home": 0.5})
+        cache.put("k9", "raw 9", [0.875])
     reopened = ResponseCache(path)
     assert len(reopened) == 3
-    assert all(reopened.get(key) is not None for key in ("k0", "k1", "k9"))
+    rows = [reopened.get(key, STAY_HOME) for key in ("k0", "k1", "k9")]
+    assert rows == [[0.0], [0.5], [0.875]]
     assert reopened.skipped_lines == 0
 
 
@@ -793,27 +1011,42 @@ def _filled_cache(schema, template, path, n_contexts=4):
     return list(zip(prompts, contexts, vectors))
 
 
+def _three_fields(line: bytes, categories: CategorySchema, keys=None) -> bytes:
+    """A record of the current layout as the earlier three-field writer laid
+    it out: ``key``, then ``probs`` by category key (``keys``, else the
+    schema's), then ``raw``, the line ``json.dumps`` gives."""
+    rec = _record_fields(line)
+    row = struct.unpack(f"<{len(categories)}d", bytes.fromhex(rec["row"]))
+    probs = dict(zip(keys or categories.keys, row))
+    return json.dumps({"key": rec["key"], "probs": probs, "raw": rec["raw"]}).encode() + b"\n"
+
+
 def _five_fields(line: bytes) -> bytes:
-    """A record as the earlier key-first writer laid it out, with the
-    ``engine`` and ``created`` fields after ``raw``."""
+    """A three-field record as the earlier key-first writer laid it out,
+    with the ``engine`` and ``created`` fields after ``raw``."""
     rec = {**json.loads(line), "engine": "oracle:ab", "created": 1700000000.25}
     return json.dumps(rec).encode() + b"\n"
 
 
 def _sorted_fields(line: bytes) -> bytes:
-    """A record as the oldest writer laid it out: all five fields sorted,
-    ``created`` first. A three-field record keeps ``key`` first when sorted,
-    so the two fields it lacks go in before sorting."""
+    """A three-field record as the oldest writer laid it out: all five
+    fields sorted, ``created`` first. A three-field record keeps ``key``
+    first when sorted, so the two fields it lacks go in before sorting."""
     return json.dumps(json.loads(_five_fields(line)), sort_keys=True).encode() + b"\n"
 
 
 def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path):
     path = tmp_path / "cache.jsonl"
-    _filled_cache(schema, pandemic_template, path, n_contexts=2)
-    for line in path.read_bytes().splitlines(keepends=True):
-        assert list(json.loads(line)) == ["key", "probs", "raw"]
-        assert line == json.dumps(json.loads(line)).encode() + b"\n"
-        assert list(json.loads(_sorted_fields(line)))[0] == "created"
+    answered = _filled_cache(schema, pandemic_template, path, n_contexts=2)
+    lines = path.read_bytes().splitlines(keepends=True)
+    for line, (_, _, vector) in zip(lines, answered):
+        rec = _record_fields(line)
+        assert line == json.dumps(rec).encode() + b"\n"
+        assert line.startswith(b'{"key": "%s", ' % rec["key"].encode())
+        # the row packs the probabilities in response-key order
+        assert bytes.fromhex(rec["row"]) == struct.pack("<6d", *vector.probs.values())
+        assert list(json.loads(_three_fields(line, schema))) == ["key", "probs", "raw"]
+        assert list(json.loads(_sorted_fields(_three_fields(line, schema))))[0] == "created"
 
 
 @pytest.mark.parametrize("layout", ["sorted", "mixed", "three-layouts"])
@@ -823,15 +1056,16 @@ def test_cache_serves_sorted_records_without_engine_calls(
     path = tmp_path / "cache.jsonl"
     answered = _filled_cache(schema, pandemic_template, path, n_contexts=6)
     lines = path.read_bytes().splitlines(keepends=True)
+    older = [_three_fields(line, schema) for line in lines]
     if layout == "sorted":
-        path.write_bytes(b"".join(_sorted_fields(line) for line in lines))
+        path.write_bytes(b"".join(_sorted_fields(line) for line in older))
     elif layout == "mixed":
         path.write_bytes(
-            b"".join(_sorted_fields(line) if i % 2 else line for i, line in enumerate(lines))
+            b"".join(_sorted_fields(older[i]) if i % 2 else line for i, line in enumerate(lines))
         )
     else:  # the current layout, then the earlier key-first one, then sorted
-        relaid = (lambda line: line, _five_fields, _sorted_fields)
-        path.write_bytes(b"".join(relaid[i % 3](line) for i, line in enumerate(lines)))
+        relaid = (lines, [_five_fields(line) for line in older], [_sorted_fields(line) for line in older])
+        path.write_bytes(b"".join(relaid[i % 3][i] for i in range(len(lines))))
     assert path.read_bytes() != b"".join(lines)
     engine = oracle_engine(schema)
     with ResponseCache(path) as cache:
@@ -854,10 +1088,10 @@ def test_cache_corrupt_indexed_line_fails_on_first_get(tmp_path, tail):
     path.write_bytes(lines[0] + b'{"key": "k1", ' + tail + lines[2])
     with ResponseCache(path) as cache:  # indexed lines are decoded on first use
         assert len(cache) == 3
-        assert cache.get("k0")["raw"] == "raw 0"
-        assert cache.get("k2")["raw"] == "raw 2"
+        assert cache.get("k0", STAY_HOME) == [0.0]
+        assert cache.get("k2", STAY_HOME) == [2 / 3]
         with pytest.raises(DataError, match=r"bad\.jsonl:2: not a cache record"):
-            cache.get("k1")
+            cache.get("k1", STAY_HOME)
 
 
 def _decoded_reference(line: bytes):
@@ -933,7 +1167,7 @@ def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
     assert main(["simulate", "--config", str(config_path)]) == 0
     path = next((tmp_path / "cache").glob("*.jsonl"))
     lines = path.read_bytes().splitlines(keepends=True)
-    lines[1] = lines[1][: lines[1].index(b'"probs"')] + b"garbage\n"
+    lines[1] = lines[1][: lines[1].index(b'"row"')] + b"garbage\n"
     path.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert main(["simulate", "--config", str(config_path)]) == 2
@@ -944,10 +1178,11 @@ def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
 @pytest.mark.parametrize("layout", ["indexed", "sorted"])
 @pytest.mark.parametrize("damage", ["string", "non-number", "above-one", "nan"])
 def test_cache_record_with_malformed_probs_exits_two(
-    synth_dataset, tmp_path, capsys, damage, layout
+    synth_dataset, tmp_path, capsys, schema, damage, layout
 ):
-    """Sorted records are checked when the cache opens, indexed ones on
-    their first hit. A probability outside [0, 1] is damage too."""
+    """Records of the earlier layouts: sorted ones are checked when the
+    cache opens, indexed ones on their first hit. A probability outside
+    [0, 1] is damage too."""
     from socialtwin.cli import main
 
     from conftest import SPLIT_18MO, write_run_workspace
@@ -956,7 +1191,7 @@ def test_cache_record_with_malformed_probs_exits_two(
     assert main(["simulate", "--config", str(config_path)]) == 0
     path = next((tmp_path / "cache").glob("*.jsonl"))
     lines = path.read_bytes().splitlines(keepends=True)
-    rec = json.loads(lines[1])
+    rec = json.loads(_three_fields(lines[1], schema))
     if damage == "string":
         rec["probs"] = json.dumps(rec["probs"])
     else:
@@ -970,15 +1205,85 @@ def test_cache_record_with_malformed_probs_exits_two(
     assert err.startswith("data error:") and f"{path}:2: not a cache record" in err
 
 
+@pytest.mark.parametrize("damage", ["crc-mismatch", "nan", "above-one", "below-zero"])
+def test_cache_record_with_a_bad_row_exits_two(synth_dataset, tmp_path, capsys, damage):
+    """A record of the current layout whose CRC does not match, or whose row
+    holds a value outside [0, 1] under a valid CRC, fails on its first hit."""
+    from socialtwin.cli import main
+
+    from conftest import SPLIT_18MO, write_run_workspace
+
+    config_path = write_run_workspace(tmp_path, synth_dataset, SPLIT_18MO)
+    assert main(["simulate", "--config", str(config_path)]) == 0
+    path = next((tmp_path / "cache").glob("*.jsonl"))
+    lines = path.read_bytes().splitlines(keepends=True)
+    rec = _record_fields(lines[1])
+    row = list(struct.unpack("<6d", bytes.fromhex(rec["row"])))
+    if damage == "crc-mismatch":  # one bit of the row flipped, the CRC kept
+        at = lines[1].index(b'"row": "') + len(b'"row": "')
+        flipped = b"%x" % (int(lines[1][at:at + 1], 16) ^ 1)
+        lines[1] = lines[1][:at] + flipped + lines[1][at + 1:]
+    else:
+        row[2] = {"nan": math.nan, "above-one": 1.0 + 2.0**-52, "below-zero": -5e-324}[damage]
+        lines[1] = _record_reference(rec["key"], rec["raw"], row)
+        assert _record_fields(lines[1])
+    path.write_bytes(b"".join(lines))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{path}:2: not a cache record" in err
+    assert "Traceback" not in err
+
+
+def test_cache_of_every_layout_replays_a_cold_run(synth_dataset, tmp_path, schema):
+    """One file mixes the current layout with three-field, five-field and
+    sorted records, one of them written before a category key was renamed.
+    It serves every prompt with no engine call and gives the cold run's
+    ``aggregates.json``; a miss appends only records of the current layout."""
+    from socialtwin.cli import main
+
+    from conftest import SPLIT_18MO, write_run_workspace
+
+    config_path = write_run_workspace(tmp_path, synth_dataset, SPLIT_18MO)
+    simulate = ["simulate", "--config", str(config_path)]
+    out = tmp_path / "out"
+    assert main(simulate) == 0
+    cold = (out / "aggregates.json").read_bytes()
+    path = next((tmp_path / "cache").glob("*.jsonl"))
+    lines = path.read_bytes().splitlines(keepends=True)
+    older = [_three_fields(line, schema) for line in lines]
+    layouts = [
+        lines,
+        older,
+        [_five_fields(line) for line in older],
+        [_sorted_fields(line) for line in older],
+    ]
+    relaid = [layouts[i % 4][i] for i in range(len(lines))]
+    renamed = tuple("stay_at_home" if key == "stay_home" else key for key in schema.keys)
+    relaid[5] = _three_fields(lines[5], schema, renamed)
+    assert b'"stay_at_home"' in relaid[5] and len(set(map(len, layouts))) == 1
+
+    def replay(records):
+        path.write_bytes(b"".join(records))
+        (out / "aggregates.json").unlink()
+        assert main(simulate) == 0
+        assert (out / "aggregates.json").read_bytes() == cold
+        return json.loads((out / "simulate_manifest.json").read_text())["engine_calls"]
+
+    assert replay(relaid) == 0
+    assert replay(relaid[:-3]) == 3
+    assert path.read_bytes() == b"".join(relaid[:-3] + lines[-3:])
+
+
 def test_cache_counters_exact_under_threads():
     cache = ResponseCache(None)
-    cache.put("hit", "raw", {"stay_home": 0.5})
+    cache.put("hit", "raw", [0.5])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def lookups():
             for i in range(2000):
-                cache.get("hit" if i % 2 else "miss")
+                cache.get("hit" if i % 2 else "miss", STAY_HOME)
 
         threads = [threading.Thread(target=lookups) for _ in range(8)]
         for t in threads:

@@ -39,15 +39,24 @@ def test_tracer_installs_and_counts_gbm_trees():
 
 
 def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
+    from socialtwin.schema import Category, CategorySchema
+
+    stay_home = CategorySchema((Category("stay_home", "stay_home_prob", "stay", "Stay home", 1),))
     path = tmp_path / "cache.jsonl"
     with cognition.ResponseCache(path) as cache:
-        for i in range(3):
-            cache.put(f"k{i}", f"raw {i}", {"stay_home": 0.5})
+        for i in range(4):
+            cache.put(f"k{i}", f"raw {i}", [i / 4])
     lines = path.read_bytes().splitlines(keepends=True)
-    # the last record in the oldest layout: five fields, sorted, so ``created`` comes first
-    older = {**json.loads(lines[2]), "engine": "model:x", "created": 1.5}
-    lines[2] = json.dumps(older, sort_keys=True).encode() + b"\n"
-    assert not lines[2].startswith(b'{"key"')
+    # one record of each layout: current, then the earlier three-field and
+    # five-field ones, then the oldest, sorted, so ``created`` comes first
+    three = [
+        {"key": f"k{i}", "probs": {"stay_home": i / 4}, "raw": f"raw {i}"} for i in range(4)
+    ]
+    lines[1] = json.dumps(three[1]).encode() + b"\n"
+    lines[2] = json.dumps({**three[2], "engine": "model:x", "created": 1.5}).encode() + b"\n"
+    lines[3] = json.dumps({**three[3], "engine": "model:x", "created": 1.5}, sort_keys=True).encode() + b"\n"
+    assert list(json.loads(lines[0])) == ["key", "row", "raw", "crc"]
+    assert not lines[3].startswith(b'{"key"')
     path.write_bytes(b"".join(lines))
 
     patched = ("__init__", "make_key", "get", "put")
@@ -57,12 +66,12 @@ def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
     try:
         assert cognition.ResponseCache.__dict__["get"] is not originals["get"]
         with cognition.ResponseCache(path) as cache:
-            assert cache.get("k0")["raw"] == "raw 0"
-            assert cache.get("missing") is None
+            assert [cache.get(f"k{i}", stay_home) for i in range(4)] == [[i / 4] for i in range(4)]
+            assert cache.get("missing", stay_home) is None
             cache.make_key("model:x", "prompt", ("stay_home_prob",))
         metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)
-        assert metrics["cognition.cache_records_loaded"]["value"] == 3
-        assert metrics["cognition.cache_hits"]["value"] == 1
+        assert metrics["cognition.cache_records_loaded"]["value"] == 4
+        assert metrics["cognition.cache_hits"]["value"] == 4
         assert metrics["cognition.cache_misses"]["value"] == 1
         assert metrics["cognition.key_calls"]["value"] == 1
     finally:
