@@ -19,10 +19,8 @@ parsed probabilities in response-key order, packed as little-endian
 doubles and written in hex; ``crc`` is the CRC-32 of the bytes before it.
 Opening a cache indexes the lines by key; a lookup checks a record's CRC
 and unpacks its row on first use, so a corrupt record fails when it is
-first used, not at open, and never yields a wrong row. Records of the
-older layouts, with a ``probs`` mapping in place of ``row`` and ``crc``,
-are still read: three- and five-field ones on first use, sorted ones
-(``created`` first) at open.
+first used, not at open, and never yields a wrong row. A line of any other
+layout is not a cache record.
 
 The ``remote-http`` engine speaks HTTP through the standard library's
 ``http.client``, loaded on its first request. It opens one connection per
@@ -342,21 +340,17 @@ def _offset_sum(params: OracleParams, persona: Persona) -> float:
     return total
 
 
-def oracle_respond(params: OracleParams, persona: Persona, context: SimContext) -> BehaviorVector:
-    """prob_k = logistic(a_k + b_k * stringency/100 + attribute offsets + noise).
+def _oracle_probs(
+    params: OracleParams, persona: Persona, context: SimContext, params_digest: str
+) -> dict[str, float]:
+    """prob_k = logistic(a_k + b_k * stringency/100 + attribute offsets + noise),
+    by category key in ``intercepts`` order.
 
     Noise is seeded from (params, persona attributes, context), never from
     the persona id, so two personas with identical attributes get identical
     responses; that keeps the oracle consistent with prompt-keyed caching.
+    ``params_digest`` is ``params.digest()``, which seeds the noise.
     """
-    return BehaviorVector(_oracle_probs(params, persona, context, params.digest()))
-
-
-def _oracle_probs(
-    params: OracleParams, persona: Persona, context: SimContext, params_digest: str
-) -> dict[str, float]:
-    """``oracle_respond``'s probabilities by category key, in ``intercepts``
-    order; ``params_digest`` is ``params.digest()``, which seeds the noise."""
     offsets = _offset_sum(params, persona)
     s = context.stringency / 100.0
     if params.noise_scale > 0:
@@ -715,7 +709,6 @@ def _key_suffix(response_keys: tuple[str, ...]) -> str:
 
 _INDEXED_PREFIX = b'{"key": "'
 _KEY_START = len(_INDEXED_PREFIX)
-_NUMBERS = frozenset((int, float))  # JSON numbers; bools are not among them
 # the text of a record around its row, and before its CRC
 _ROW_FIELD = b'", "row": "'
 _RAW_FIELD = b'", "raw": "'
@@ -723,10 +716,6 @@ _CRC_FIELD = b', "crc": "'
 # a record line ends in its CRC field, eight hex digits, '"}' and a newline
 _CRC_END = len(b'00000000"}\n')
 _CRC_TAIL = len(_CRC_FIELD) + _CRC_END
-
-
-_SCAN = _DECODER.scan_once
-_WHITESPACE = " \t\n\r"  # what JSON allows around a value
 
 
 @functools.lru_cache(maxsize=16)
@@ -747,14 +736,16 @@ def _record_line(key: str, raw: str, row: list[float]) -> bytes:
     return body + b'%s%08x"}\n' % (_CRC_FIELD, zlib.crc32(body))
 
 
-def _unpacked_row(line: bytes, start: int, n: int) -> list[float] | None:
-    """The row of the record ``line`` (``_record_line``'s layout), whose hex
-    row starts at ``start``, or None unless the line ends in the CRC of the
-    bytes before its CRC field, holds ``n`` values right before ``raw`` and
-    every value is in [0, 1]."""
+def _unpacked_row(line: bytes, head: int, n: int) -> list[float] | None:
+    """The row of the record ``line`` (``_record_line``'s layout), whose key
+    ends at ``head``, or None unless its row field starts there, the line
+    ends in the CRC of the bytes before its CRC field, holds ``n`` values
+    right before ``raw`` and every value is in [0, 1]."""
+    start = head + len(_ROW_FIELD)
     end = start + 16 * n
     if (
-        line[-_CRC_TAIL:-_CRC_END] != _CRC_FIELD
+        not line.startswith(_ROW_FIELD, head)
+        or line[-_CRC_TAIL:-_CRC_END] != _CRC_FIELD
         or line[-3:] != b'"}\n'
         or b"%08x" % zlib.crc32(line[:-_CRC_TAIL]) != line[-_CRC_END:-3]
         or line[end:end + len(_RAW_FIELD)] != _RAW_FIELD
@@ -780,38 +771,6 @@ def _escaped_key(line: bytes) -> str | None:
         return None
 
 
-def _decoded(line: bytes) -> dict | None:
-    """The cache record of an earlier layout on ``line``, or None unless it
-    decodes to an object with a string ``key``, a string ``raw`` and
-    ``probs`` mapping to numbers in [0, 1].
-
-    It reads the lines ``json.loads(line)`` reads, as that does: in the
-    encoding ``json.detect_encoding`` finds, with encoded surrogates passed
-    through and whitespace allowed around the value.
-    """
-    try:
-        text = line.decode(json.detect_encoding(line), "surrogatepass")
-        text = text.lstrip(_WHITESPACE)
-        rec, end = _SCAN(text, 0)
-    except (ValueError, StopIteration):  # StopIteration: no value at the start
-        return None
-    if text[end:].strip(_WHITESPACE) or not isinstance(rec, dict):
-        return None
-    probs = rec.get("probs")
-    well_formed = (
-        isinstance(rec.get("key"), str)
-        and isinstance(rec.get("raw"), str)
-        and isinstance(probs, dict)
-        and _NUMBERS.issuperset(map(type, probs.values()))
-    )
-    if not well_formed:
-        return None
-    for value in probs.values():
-        if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
-            return None
-    return rec
-
-
 class ResponseCache:
     """Append-safe store of raw responses and their rows of probabilities.
 
@@ -830,49 +789,52 @@ class ResponseCache:
     and checks that each value is in [0, 1]; it then keeps only the row. Any
     failure is a DataError naming the file and line, so a corrupt record is
     found on its first use, not at open, and never serves a wrong row.
-    Records of earlier versions, which hold a ``probs`` mapping by category
-    key instead of ``row`` and ``crc``, are still read and never written:
-    three- and five-field ones (``engine`` and ``created`` after ``raw``)
-    are indexed the same way and decoded on first use, sorted ones
-    (``created`` first) and any other line are decoded at open. A category
-    key renamed since a record was written needs its ``raw`` re-parsed
-    (``cached_row``) only in those layouts: ``row`` is positional. Earlier
-    versions reject a record of this layout with a DataError naming the
-    file and line; they never serve a wrong row from it.
+    A line of any other layout, such as the ``probs`` mapping that earlier
+    versions wrote, is not a cache record: one that starts with the key
+    fails on its first ``get``, any other when the cache opens, unless it
+    is a torn last line (below). Earlier versions likewise reject a record
+    of this layout with a DataError naming the file and line; they never
+    serve a wrong row from it.
 
     An incomplete last line, which a crash mid-append leaves, is skipped and
-    counted. The first ``put`` takes an exclusive ``flock`` on the file and,
-    under it, cuts that torn line off only while it is still the file's last
-    bytes, at the offset the open saw; otherwise it appends after whatever
-    another writer left, with a newline first unless the file already ends
-    in one. Cutting only what is still the tail keeps the records that other
-    caches opened on the same file appended since (see Pillai et al., "All
-    File Systems Are Not Created Equal", OSDI 2014). Each ``put`` appends
-    its record in one write(2) on an unbuffered ``O_APPEND`` file (opened
-    for reading too, to check the tail) that ``close`` (or leaving a
-    ``with`` block) releases; processes that append to one local file
-    therefore never interleave records. A ``path`` of None keeps the cache
-    purely in memory.
+    counted. Each ``put`` appends its record in one write(2) on an
+    unbuffered ``O_APPEND`` file (opened for reading too, to check the tail)
+    under an exclusive ``flock``; ``close`` (or leaving a ``with`` block)
+    releases the file. Processes that append to one local file therefore
+    never interleave records, and none sees another's record half written.
+    Under the lock, the first ``put`` cuts the torn line off only while it
+    is still the file's last bytes, at the offset the open saw; otherwise it
+    appends after whatever another writer left, with a newline first unless
+    the file already ends in one. Cutting only what is still the tail keeps
+    the records that other caches opened on the same file appended since
+    (see Pillai et al., "All File Systems Are Not Created Equal", OSDI
+    2014). A cache file that cannot be opened is a DataError naming it. A
+    ``path`` of None keeps the cache purely in memory.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._lock = threading.Lock()
-        # key -> row; until its first get, (line number, line bytes), or the
-        # decoded record of a sorted line
-        self._entries: dict[str, list[float] | tuple[int, bytes] | dict] = {}
+        # key -> row; until its first get, (line number, line bytes)
+        self._entries: dict[str, list[float] | tuple[int, bytes]] = {}
         self._fh = None
         self._torn = b""  # the torn last line the open skipped
         self._end = 0  # and where it starts
         self.hits = 0
         self.misses = 0
         self.skipped_lines = 0
-        if self.path is not None and self.path.exists():
+        if self.path is not None:
             self._load()
 
     def _load(self) -> None:
         entries = self._entries
-        with self.path.open("rb") as fh:
+        try:
+            fh = self.path.open("rb")
+        except FileNotFoundError:  # the first put creates it
+            return
+        except OSError as exc:
+            raise DataError(f"{self.path}: cannot open the response cache: {exc.strerror}") from None
+        with fh:
             for number, line in enumerate(fh, 1):
                 key = None
                 if line.startswith(_INDEXED_PREFIX):
@@ -888,10 +850,7 @@ class ResponseCache:
                         # a whole record of the current layout, unterminated
                         entries[key] = (number, line + b"\n")
                         continue
-                rec = _decoded(line)
-                if rec is not None:
-                    entries[rec["key"]] = rec
-                elif line.strip():
+                if line.strip():
                     # only the last line can lack its newline
                     if line.endswith(b"\n"):
                         raise DataError(f"{self.path}:{number}: not a cache record")
@@ -936,20 +895,12 @@ class ResponseCache:
             self.hits += 1
         return row
 
-    def _row(
-        self, key: str, entry: tuple[int, bytes] | dict, categories: CategorySchema
-    ) -> list[float]:
-        if type(entry) is dict:  # a sorted record, decoded at open
-            return cached_row(entry, categories)
+    def _row(self, key: str, entry: tuple[int, bytes], categories: CategorySchema) -> list[float]:
         number, line = entry
         head = _KEY_START + len(key)  # where the key's closing quote is, unless it was escaped
         if not line.startswith(_ROW_FIELD, head):
             head = _KEY_START + len(encode_basestring_ascii(key)) - 2
-        if line.startswith(_ROW_FIELD, head):
-            row = _unpacked_row(line, head + len(_ROW_FIELD), len(categories))
-        else:  # a key-first record of an earlier layout
-            rec = _decoded(line)
-            row = cached_row(rec, categories) if rec is not None and rec["key"] == key else None
+        row = _unpacked_row(line, head, len(categories))
         if row is None:
             raise DataError(f"{self.path}:{number}: not a cache record")
         return row
@@ -963,16 +914,20 @@ class ResponseCache:
             if self.path is None:
                 return
             line = _record_line(key, raw, row)
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = self.path.open("a+b", buffering=0)
-                fcntl.flock(self._fh, fcntl.LOCK_EX)  # first puts of other openers wait
+            first = self._fh is None
+            if first:
                 try:
-                    self._append(self._after_tail(line))
-                finally:
-                    fcntl.flock(self._fh, fcntl.LOCK_UN)
-            else:
-                self._append(line)
+                    self.path.parent.mkdir(parents=True, exist_ok=True)
+                    self._fh = self.path.open("a+b", buffering=0)
+                except OSError as exc:
+                    raise DataError(
+                        f"{self.path}: cannot open the response cache: {exc.strerror}"
+                    ) from None
+            fcntl.flock(self._fh, fcntl.LOCK_EX)  # other writers' appends wait
+            try:
+                self._append(self._after_tail(line) if first else line)
+            finally:
+                fcntl.flock(self._fh, fcntl.LOCK_UN)
 
     def _after_tail(self, line: bytes) -> bytes:
         """``line`` as the first append goes after the file's end: the torn
@@ -993,23 +948,6 @@ class ResponseCache:
             line = line[self._fh.write(line):]
 
 
-def cached_row(rec: dict, categories: CategorySchema) -> list[float]:
-    """The probabilities of a cache record of an earlier layout, in category
-    order.
-
-    Those records store probabilities by category ``key``, but the cache key
-    hashes only the response keys. A record written before a category was
-    renamed is therefore re-parsed from its raw text, which holds the same
-    response keys. Stored values are in [0, 1]: ``ResponseCache`` checks
-    each record it reads from disk as it decodes it.
-    """
-    try:
-        probs = rec["probs"]
-        return [float(probs[key]) for key in categories.keys]
-    except KeyError:
-        return list(parse_response(rec["raw"], categories).probs.values())
-
-
 def ask_engine(
     engine,
     key: str,
@@ -1018,8 +956,9 @@ def ask_engine(
     context: SimContext,
     categories: CategorySchema,
     cache: ResponseCache,
-) -> BehaviorVector:
-    """Resolve a cache miss: ask the engine and store the answer under ``key``.
+) -> list[float]:
+    """Resolve a cache miss: ask the engine, store the answer under ``key``
+    and return its row of probabilities, in category order.
 
     Parse failures re-ask the identical prompt up to the engine config's
     retry limit, then hard-fail the prompt so the caller can exclude and log
@@ -1043,8 +982,9 @@ def ask_engine(
         except ParseError as exc:
             last_error = exc
             continue
-        cache.put(key, raw, list(vector.probs.values()))
-        return vector
+        row = list(vector.probs.values())
+        cache.put(key, raw, row)
+        return row
     message = (
         f"persona {prompt.persona_id} on {context.date}: "
         f"{'response unparseable' if isinstance(last_error, ParseError) else 'engine failed'} "

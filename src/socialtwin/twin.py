@@ -146,15 +146,12 @@ class DigitalTwin:
             if first_error:
                 raise EngineError(f"not sent after an earlier request failed: {first_error[0]}")
             try:
-                vector = ask_engine(
-                    self.engine, key, prompt, persona, context, self.schema, self.cache
-                )
+                return ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
             except ParseError as exc:
                 return exc
             except EngineError as exc:
                 first_error.append(exc)
                 raise
-            return list(vector.probs.values())
 
         window = 2 * self.parallelism
         pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None

@@ -22,11 +22,13 @@ from socialtwin.cognition import (
     EngineConfig,
     OracleParams,
     ResponseCache,
+    SimContext,
+    _oracle_probs,
     build_engine,
 )
 from socialtwin.config import load_profile, packaged_template
 from socialtwin.ingest import ObservationRecord, ObservationSeries, PolicyRecord
-from socialtwin.persona import DemographicSpec, sample_population
+from socialtwin.persona import DemographicSpec, Persona, sample_population
 from socialtwin.schema import CategorySchema
 from socialtwin.twin import DigitalTwin, contexts_from_policy
 
@@ -87,6 +89,12 @@ def default_oracle_params(noise_scale: float = 0.0) -> OracleParams:
         },
         noise_scale=noise_scale,
     )
+
+
+def oracle_respond(params: OracleParams, persona: Persona, context: SimContext) -> BehaviorVector:
+    """The oracle's vector for one persona and context (``_oracle_probs``):
+    what the synthetic-oracle engine's reply parses back to."""
+    return BehaviorVector(_oracle_probs(params, persona, context, params.digest()))
 
 
 def stringency_path(

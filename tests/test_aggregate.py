@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialtwin.aggregate import aggregate_mean
-from socialtwin.cognition import SimContext, oracle_respond
+from socialtwin.cognition import SimContext
 from socialtwin.errors import DataError
 from socialtwin.persona import DemographicSpec, sample_population
-from synthetic import default_oracle_params
+from synthetic import default_oracle_params, oracle_respond
 
 
 def exact_mean(rows, counts):

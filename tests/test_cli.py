@@ -124,6 +124,23 @@ def test_replay_with_empty_cache_exits_three(workspace, capsys):
     assert "replay cache miss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["directory", "dangling-link"])
+def test_cache_file_that_cannot_be_opened_exits_two(workspace, capsys, kind):
+    """A directory fails when the cache opens; a link to a missing directory
+    opens as an empty cache and fails on the first put."""
+    root, config_path = workspace
+    path = root / "cache" / "responses.jsonl"
+    path.parent.mkdir(exist_ok=True)
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to(root / "missing" / "responses.jsonl")
+    assert run(config_path, "simulate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: cannot open the response cache: ")
+    assert "Traceback" not in err
+
+
 def test_evaluate_before_simulate_is_data_error(workspace, capsys):
     _, config_path = workspace
     assert run(config_path, "evaluate") == 2

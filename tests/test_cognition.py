@@ -26,13 +26,11 @@ from socialtwin.cognition import (
     ResponseCache,
     SimContext,
     SyntheticOracleEngine,
-    _decoded,
     _oracle_probs,
     _record_line,
     ask_engine,
     build_engine,
     logistic,
-    oracle_respond,
     parse_response,
     parse_template,
     prompt_skeleton,
@@ -42,7 +40,7 @@ from socialtwin.cognition import (
 from socialtwin.errors import ConfigError, DataError, EngineError, ParseError
 from socialtwin.persona import Persona
 from socialtwin.schema import Category, CategorySchema
-from synthetic import default_oracle_params
+from synthetic import default_oracle_params, oracle_respond
 
 from conftest import loopback_server
 
@@ -381,10 +379,10 @@ def query(engine, prompt, persona, context, categories, cache):
     """Reference: resolve one (persona, context) cell through the cache and
     engine, as the twin's grouped pass does once per distinct prompt."""
     key = cache.make_key(engine.digest, prompt.text, categories.response_keys)
-    cached = cache.get(key, categories)
-    if cached is not None:
-        return BehaviorVector(dict(zip(categories.keys, cached)))
-    return ask_engine(engine, key, prompt, persona, context, categories, cache)
+    row = cache.get(key, categories)
+    if row is None:
+        row = ask_engine(engine, key, prompt, persona, context, categories, cache)
+    return BehaviorVector(dict(zip(categories.keys, row)))
 
 
 def oracle_engine(schema, params=None):
@@ -646,11 +644,6 @@ def test_cache_reopen_finds_keys_that_json_escapes(tmp_path):
     with ResponseCache(path) as cache:
         for i, key in enumerate(keys):
             cache.put(key, f"raw {key}", [i / 8])
-    # a record written by another JSON writer, with its key in raw UTF-8
-    unescaped = {"key": "naïve", "probs": {"stay_home": 0.625}, "raw": "raw naïve"}
-    with path.open("ab") as fh:
-        fh.write(json.dumps(unescaped, ensure_ascii=False).encode("utf-8") + b"\n")
-    keys.append("naïve")
     reopened = ResponseCache(path)
     assert len(reopened) == len(keys)
     assert [reopened.get(key, STAY_HOME) for key in keys] == [[i / 8] for i in range(len(keys))]
@@ -956,6 +949,29 @@ def test_cache_first_put_waits_for_the_lock_then_checks_the_tail(tmp_path):
     assert path.read_bytes() == first + theirs + _record_line("k9", "raw 9", [0.875])
 
 
+def test_cache_every_put_waits_for_another_writers_append(tmp_path):
+    """A put after the first takes the lock too: it waits while another
+    writer holds the lock with half a record written, so no first ``put`` of
+    a third opener can find that half record at the file's end."""
+    path = tmp_path / "cache.jsonl"
+    theirs = _record_line("o1", "raw o1", [0.125])
+    with ResponseCache(path) as cache:
+        cache.put("k0", "raw 0", [0.0])
+        with path.open("ab", buffering=0) as other:
+            fcntl.flock(other, fcntl.LOCK_EX)
+            other.write(theirs[:20])
+            put = threading.Thread(target=cache.put, args=("k1", "raw 1", [0.5]))
+            put.start()
+            put.join(timeout=0.3)
+            assert put.is_alive()  # waiting for the lock
+            other.write(theirs[20:])
+            fcntl.flock(other, fcntl.LOCK_UN)
+        put.join(timeout=30)
+        assert not put.is_alive()
+    mine = [_record_line(f"k{i}", f"raw {i}", [i / 2]) for i in range(2)]
+    assert path.read_bytes() == mine[0] + theirs + mine[1]
+
+
 def test_cache_first_put_after_another_writers_unterminated_append_adds_a_newline(tmp_path):
     """The open saw a whole file; before the first ``put``, another writer
     left a last line without its newline. The record goes on a line of its
@@ -1011,30 +1027,6 @@ def _filled_cache(schema, template, path, n_contexts=4):
     return list(zip(prompts, contexts, vectors))
 
 
-def _three_fields(line: bytes, categories: CategorySchema, keys=None) -> bytes:
-    """A record of the current layout as the earlier three-field writer laid
-    it out: ``key``, then ``probs`` by category key (``keys``, else the
-    schema's), then ``raw``, the line ``json.dumps`` gives."""
-    rec = _record_fields(line)
-    row = struct.unpack(f"<{len(categories)}d", bytes.fromhex(rec["row"]))
-    probs = dict(zip(keys or categories.keys, row))
-    return json.dumps({"key": rec["key"], "probs": probs, "raw": rec["raw"]}).encode() + b"\n"
-
-
-def _five_fields(line: bytes) -> bytes:
-    """A three-field record as the earlier key-first writer laid it out,
-    with the ``engine`` and ``created`` fields after ``raw``."""
-    rec = {**json.loads(line), "engine": "oracle:ab", "created": 1700000000.25}
-    return json.dumps(rec).encode() + b"\n"
-
-
-def _sorted_fields(line: bytes) -> bytes:
-    """A three-field record as the oldest writer laid it out: all five
-    fields sorted, ``created`` first. A three-field record keeps ``key``
-    first when sorted, so the two fields it lacks go in before sorting."""
-    return json.dumps(json.loads(_five_fields(line)), sort_keys=True).encode() + b"\n"
-
-
 def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path):
     path = tmp_path / "cache.jsonl"
     answered = _filled_cache(schema, pandemic_template, path, n_contexts=2)
@@ -1045,35 +1037,6 @@ def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path
         assert line.startswith(b'{"key": "%s", ' % rec["key"].encode())
         # the row packs the probabilities in response-key order
         assert bytes.fromhex(rec["row"]) == struct.pack("<6d", *vector.probs.values())
-        assert list(json.loads(_three_fields(line, schema))) == ["key", "probs", "raw"]
-        assert list(json.loads(_sorted_fields(_three_fields(line, schema))))[0] == "created"
-
-
-@pytest.mark.parametrize("layout", ["sorted", "mixed", "three-layouts"])
-def test_cache_serves_sorted_records_without_engine_calls(
-    schema, pandemic_template, tmp_path, layout
-):
-    path = tmp_path / "cache.jsonl"
-    answered = _filled_cache(schema, pandemic_template, path, n_contexts=6)
-    lines = path.read_bytes().splitlines(keepends=True)
-    older = [_three_fields(line, schema) for line in lines]
-    if layout == "sorted":
-        path.write_bytes(b"".join(_sorted_fields(line) for line in older))
-    elif layout == "mixed":
-        path.write_bytes(
-            b"".join(_sorted_fields(older[i]) if i % 2 else line for i, line in enumerate(lines))
-        )
-    else:  # the current layout, then the earlier key-first one, then sorted
-        relaid = (lines, [_five_fields(line) for line in older], [_sorted_fields(line) for line in older])
-        path.write_bytes(b"".join(relaid[i % 3][i] for i in range(len(lines))))
-    assert path.read_bytes() != b"".join(lines)
-    engine = oracle_engine(schema)
-    with ResponseCache(path) as cache:
-        assert len(cache) == len(answered)
-        for prompt, context, vector in answered:
-            assert query(engine, prompt, PERSONA, context, schema, cache) == vector
-        assert (cache.hits, cache.misses) == (len(answered), 0)
-    assert engine.call_count == 0
 
 
 @pytest.mark.parametrize(
@@ -1094,70 +1057,6 @@ def test_cache_corrupt_indexed_line_fails_on_first_get(tmp_path, tail):
             cache.get("k1", STAY_HOME)
 
 
-def _decoded_reference(line: bytes):
-    """``_decoded`` as it was, decoding with ``json.loads(line)``: what that
-    reads is validated by ``_decoded`` from its plain JSON text."""
-    try:
-        rec = json.loads(line)
-    except ValueError:
-        return None
-    return _decoded(json.dumps(rec).encode()) if isinstance(rec, dict) else None
-
-
-RECORD_LINE = (
-    b'{"key": "k0", "probs": {"stay_home": 0.25, "go_work": 1}, "raw": "r\\u00e9", '
-    b'"engine": "model:x", "created": 1.5}\n'
-)
-DAMAGED_LINES = {
-    "as written": RECORD_LINE,
-    "utf-8 bom": b"\xef\xbb\xbf" + RECORD_LINE,
-    "two boms": b"\xef\xbb\xbf\xef\xbb\xbf" + RECORD_LINE,
-    "utf-16-be": RECORD_LINE.decode().encode("utf-16-be"),
-    "utf-16-le": RECORD_LINE.decode().encode("utf-16-le"),
-    "utf-32 with bom": RECORD_LINE.decode().encode("utf-32"),
-    "escaped lone surrogate": RECORD_LINE.replace(b"r\\u00e9", b"\\ud800"),
-    "encoded lone surrogate": RECORD_LINE.replace(b"r\\u00e9", b"\xed\xa0\x80"),
-    "raw utf-8": RECORD_LINE.replace(b"r\\u00e9", "r\u00e9\U0001f600".encode()),
-    "invalid utf-8": RECORD_LINE.replace(b"r\\u00e9", b"\xff"),
-    "cut multibyte": RECORD_LINE.replace(b"r\\u00e9", b"\xc3"),
-    "leading whitespace": b" \t\r\n" + RECORD_LINE,
-    "leading form feed": b"\x0c" + RECORD_LINE,
-    "leading nbsp": b"\xc2\xa0" + RECORD_LINE,
-    "trailing whitespace": RECORD_LINE[:-1] + b" \t\r \n",
-    "trailing nbsp": RECORD_LINE[:-1] + b"\xc2\xa0\n",
-    "trailing garbage": RECORD_LINE[:-1] + b" x\n",
-    "second object": RECORD_LINE[:-1] + b"{}\n",
-    "no newline": RECORD_LINE[:-1],
-    "torn": RECORD_LINE[:40],
-    "nan probability": RECORD_LINE.replace(b"0.25", b"NaN"),
-    "infinite created": RECORD_LINE.replace(b"1.5", b"-Infinity"),
-    "bool probability": RECORD_LINE.replace(b"1}", b"true}"),
-    "array": b"[" + RECORD_LINE[:-1] + b"]\n",
-    "empty": b"",
-    "blank": b"  \n",
-    "nul second byte": b"{\x00" + RECORD_LINE[1:],
-    "object": b"{}\n",
-}
-
-
-@pytest.mark.parametrize("line", DAMAGED_LINES.values(), ids=DAMAGED_LINES)
-def test_cache_record_decode_accepts_the_lines_json_loads_accepts(line):
-    decoded, reference = _decoded(line), _decoded_reference(line)
-    assert (decoded is None) == (reference is None)
-    assert json.dumps(decoded) == json.dumps(reference)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    at=st.integers(0, len(RECORD_LINE)),
-    cut=st.integers(0, 4),
-    insert=st.binary(max_size=4) | st.sampled_from([b" ", b"\xef\xbb\xbf", b"\x00", b"\\", b'"']),
-)
-def test_cache_record_decode_agrees_with_json_loads_on_any_edit(at, cut, insert):
-    line = RECORD_LINE[:at] + insert + RECORD_LINE[at + cut:]
-    assert json.dumps(_decoded(line)) == json.dumps(_decoded_reference(line))
-
-
 def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
     from socialtwin.cli import main
 
@@ -1175,14 +1074,13 @@ def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
     assert f"{path}:2: not a cache record" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("layout", ["indexed", "sorted"])
-@pytest.mark.parametrize("damage", ["string", "non-number", "above-one", "nan"])
-def test_cache_record_with_malformed_probs_exits_two(
-    synth_dataset, tmp_path, capsys, schema, damage, layout
+@pytest.mark.parametrize("layout", ["three-field", "five-field", "sorted-middle", "sorted-last"])
+def test_cache_line_of_an_earlier_layout_is_a_data_error(
+    synth_dataset, tmp_path, capsys, schema, layout
 ):
-    """Records of the earlier layouts: sorted ones are checked when the
-    cache opens, indexed ones on their first hit. A probability outside
-    [0, 1] is damage too."""
+    """Undamaged records of the layouts earlier versions wrote, with a
+    ``probs`` mapping by category key: a key-first one fails on its first
+    hit, a sorted one (``created`` first) when the cache opens."""
     from socialtwin.cli import main
 
     from conftest import SPLIT_18MO, write_run_workspace
@@ -1191,18 +1089,19 @@ def test_cache_record_with_malformed_probs_exits_two(
     assert main(["simulate", "--config", str(config_path)]) == 0
     path = next((tmp_path / "cache").glob("*.jsonl"))
     lines = path.read_bytes().splitlines(keepends=True)
-    rec = json.loads(_three_fields(lines[1], schema))
-    if damage == "string":
-        rec["probs"] = json.dumps(rec["probs"])
-    else:
-        value = {"non-number": "high", "above-one": 1.5, "nan": math.nan}[damage]
-        rec["probs"][next(iter(rec["probs"]))] = value
-    lines[1] = json.dumps(rec, sort_keys=layout == "sorted").encode() + b"\n"
+    at = len(lines) - 1 if layout == "sorted-last" else 1
+    rec = _record_fields(lines[at])
+    row = struct.unpack("<6d", bytes.fromhex(rec["row"]))
+    rec = {"key": rec["key"], "probs": dict(zip(schema.keys, row)), "raw": rec["raw"]}
+    if layout != "three-field":
+        rec.update(engine="oracle:ab", created=1700000000.25)
+    lines[at] = json.dumps(rec, sort_keys=layout.startswith("sorted")).encode() + b"\n"
     path.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert main(["simulate", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and f"{path}:2: not a cache record" in err
+    assert err.startswith("data error:") and f"{path}:{at + 1}: not a cache record" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("damage", ["crc-mismatch", "nan", "above-one", "below-zero"])
@@ -1235,11 +1134,10 @@ def test_cache_record_with_a_bad_row_exits_two(synth_dataset, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
-def test_cache_of_every_layout_replays_a_cold_run(synth_dataset, tmp_path, schema):
-    """One file mixes the current layout with three-field, five-field and
-    sorted records, one of them written before a category key was renamed.
-    It serves every prompt with no engine call and gives the cold run's
-    ``aggregates.json``; a miss appends only records of the current layout."""
+def test_cache_replays_a_cold_run_and_appends_only_its_misses(synth_dataset, tmp_path):
+    """A warm cache serves every prompt with no engine call and gives the
+    cold run's ``aggregates.json``; with its last three records gone, three
+    engine calls append exactly the cold run's lines again."""
     from socialtwin.cli import main
 
     from conftest import SPLIT_18MO, write_run_workspace
@@ -1251,17 +1149,6 @@ def test_cache_of_every_layout_replays_a_cold_run(synth_dataset, tmp_path, schem
     cold = (out / "aggregates.json").read_bytes()
     path = next((tmp_path / "cache").glob("*.jsonl"))
     lines = path.read_bytes().splitlines(keepends=True)
-    older = [_three_fields(line, schema) for line in lines]
-    layouts = [
-        lines,
-        older,
-        [_five_fields(line) for line in older],
-        [_sorted_fields(line) for line in older],
-    ]
-    relaid = [layouts[i % 4][i] for i in range(len(lines))]
-    renamed = tuple("stay_at_home" if key == "stay_home" else key for key in schema.keys)
-    relaid[5] = _three_fields(lines[5], schema, renamed)
-    assert b'"stay_at_home"' in relaid[5] and len(set(map(len, layouts))) == 1
 
     def replay(records):
         path.write_bytes(b"".join(records))
@@ -1270,9 +1157,9 @@ def test_cache_of_every_layout_replays_a_cold_run(synth_dataset, tmp_path, schem
         assert (out / "aggregates.json").read_bytes() == cold
         return json.loads((out / "simulate_manifest.json").read_text())["engine_calls"]
 
-    assert replay(relaid) == 0
-    assert replay(relaid[:-3]) == 3
-    assert path.read_bytes() == b"".join(relaid[:-3] + lines[-3:])
+    assert replay(lines) == 0
+    assert replay(lines[:-3]) == 3
+    assert path.read_bytes() == b"".join(lines)
 
 
 def test_cache_counters_exact_under_threads():

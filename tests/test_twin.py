@@ -16,13 +16,12 @@ from socialtwin.cognition import (
     ResponseCache,
     SimContext,
     build_engine,
-    oracle_respond,
     render_prompt,
 )
 from socialtwin.errors import ConfigError, EngineError
 from socialtwin.persona import Persona, sample_population
 from socialtwin.schema import CategorySchema
-from synthetic import default_oracle_params, default_population_spec
+from synthetic import default_oracle_params, default_population_spec, oracle_respond
 from socialtwin import twin as twin_module
 from socialtwin.twin import DigitalTwin, contexts_from_policy
 from socialtwin.ingest import DateRange, PolicyRecord
@@ -374,8 +373,9 @@ def test_failed_prompt_is_not_asked_again_later_in_the_pass(
 
 
 def test_renamed_category_served_from_warm_cache(schema, pandemic_template):
-    """Cache records store probabilities by category key; a category renamed
-    under the same response key is still a hit, re-parsed from the raw text."""
+    """Cache records store each row in response-key order, the order the key
+    hashes; a category renamed under the same response key is still a hit,
+    with its value in the same place of the row."""
     contexts = [SimContext(dt.date(2020, 5, 1), 75.0), SimContext(dt.date(2020, 5, 2), 40.0)]
     warm = make_twin(schema, pandemic_template)
     before, _ = warm.simulate_contexts(contexts)
