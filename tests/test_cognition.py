@@ -759,6 +759,132 @@ def test_cache_one_changed_byte_never_serves_another_row(tmp_path_factory, key, 
         assert _bits(got) == expected.get(indexed)
 
 
+RECORD_ROW = [0.25, 1.0]
+RECORD_LINE = _record_line("k0", "ré", RECORD_ROW)
+RECORD_BODY = RECORD_LINE[: RECORD_LINE.rindex(b', "crc": "')]
+OTHER_LINE = _record_line("other", "raw other", [0.375])
+_ROW_HEX = _bits(RECORD_ROW).hex().encode()
+
+
+def _stamped(body: bytes) -> bytes:
+    """``body`` closed with the CRC field of its own bytes: a record any
+    writer could have appended, whatever the body holds."""
+    return body + b', "crc": "%08x"}\n' % zlib.crc32(body)
+
+
+def _with_row(row: list[float]) -> bytes:
+    return _stamped(RECORD_BODY.replace(_ROW_HEX, _bits(row).hex().encode()))
+
+
+# a record line of the current layout, as written or damaged, and what the
+# cache makes of it as the file's second line: "row" serves the row put under
+# "k0"; "open" and "get" are a DataError naming line 2 when the cache opens
+# or on the first get; "torn" skips an unterminated last line; "absent"
+# holds no record of "k0" at all
+DAMAGED_LINES = {
+    "as written": (RECORD_LINE, "row"),
+    "utf-8 bom": (b"\xef\xbb\xbf" + RECORD_LINE, "open"),
+    "two boms": (b"\xef\xbb\xbf\xef\xbb\xbf" + RECORD_LINE, "open"),
+    "utf-16-be": (RECORD_LINE.decode().encode("utf-16-be"), "open"),
+    "utf-16-le": (RECORD_LINE.decode().encode("utf-16-le"), "open"),
+    "utf-32 with bom": (RECORD_LINE.decode().encode("utf-32"), "open"),
+    "whitespace line before": (b" \t\r\n" + RECORD_LINE, "row"),
+    "leading space": (b" " + RECORD_LINE, "open"),
+    "leading form feed": (b"\x0c" + RECORD_LINE, "open"),
+    "leading nbsp": (b"\xc2\xa0" + RECORD_LINE, "open"),
+    "trailing whitespace": (RECORD_LINE[:-1] + b" \t\r \n", "get"),
+    "trailing nbsp": (RECORD_LINE[:-1] + b"\xc2\xa0\n", "get"),
+    "trailing garbage": (RECORD_LINE[:-1] + b" x\n", "get"),
+    "crlf ending": (RECORD_LINE[:-1] + b"\r\n", "get"),
+    "second object": (RECORD_LINE[:-1] + b"{}\n", "get"),
+    "second record": (RECORD_LINE[:-1] + OTHER_LINE, "get"),
+    "no newline": (RECORD_LINE[:-1], "row"),
+    "torn": (RECORD_LINE[:40], "torn"),
+    "torn before the newline": (RECORD_LINE[:-2], "torn"),
+    "empty": (b"", "absent"),
+    "blank": (b"  \n", "absent"),
+    "object": (b"{}\n", "open"),
+    "array": (b"[" + RECORD_LINE[:-1] + b"]\n", "open"),
+    "nul second byte": (b"{\x00" + RECORD_LINE[1:], "open"),
+    "key only": (b'{"key": "k0"}\n', "get"),
+    "row digit changed, crc kept": (RECORD_LINE.replace(_ROW_HEX, b"1" + _ROW_HEX[1:]), "get"),
+    "raw changed, crc kept": (RECORD_LINE.replace(b'"r\\u00e9"', b'"R\\u00e9"'), "get"),
+    # "k1" is indexed instead, and refused on its first get
+    "key changed, crc kept": (RECORD_LINE.replace(b'"k0"', b'"k1"'), "absent"),
+    "raw with an escaped lone surrogate": (_stamped(RECORD_BODY.replace(b"r\\u00e9", b"\\ud800")), "row"),
+    "raw in utf-8": (_stamped(RECORD_BODY.replace(b"r\\u00e9", "ré\U0001f600".encode())), "row"),
+    "raw of invalid utf-8": (_stamped(RECORD_BODY.replace(b"r\\u00e9", b"\xff")), "row"),
+    "nan in row": (_with_row([math.nan, 1.0]), "get"),
+    "infinity in row": (_with_row([0.25, math.inf]), "get"),
+    "above one in row": (_with_row([0.25, 1.0 + 2.0**-52]), "get"),
+    "below zero in row": (_with_row([-5e-324, 1.0]), "get"),
+    "short row": (_with_row([0.25]), "get"),
+    "long row": (_with_row([0.25, 1.0, 0.5]), "get"),
+    "non-hex row": (_stamped(RECORD_BODY.replace(_ROW_HEX, b"g" + _ROW_HEX[1:])), "get"),
+    "row field renamed": (_stamped(RECORD_BODY.replace(b'"row"', b'"Row"')), "get"),
+    "crc field renamed": (RECORD_LINE.replace(b'"crc"', b'"CRC"'), "get"),
+    "crc digit dropped": (RECORD_LINE[:-12] + RECORD_LINE[-11:], "get"),
+    # JSON reads the key as "k0", but json.dumps escapes it otherwise
+    "key escaped otherwise": (_stamped(RECORD_BODY.replace(b'"k0"', b'"\\u006b0"')), "get"),
+}
+
+
+@pytest.mark.parametrize("line, outcome", DAMAGED_LINES.values(), ids=DAMAGED_LINES)
+def test_cache_damaged_record_line_serves_its_row_or_fails_by_line(tmp_path, line, outcome):
+    """A record of the current layout after a whole one, as written or
+    damaged. Only an undamaged record serves its row; a damaged one is a
+    DataError naming its file and line, when the cache opens or on its first
+    get, or a torn last line the open skips. No line serves any other row,
+    and the record before it stays whole."""
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(OTHER_LINE + line)
+    where = re.escape(f"{path}:2: not a cache record")
+    if outcome == "open":
+        with pytest.raises(DataError, match=where):
+            ResponseCache(path)
+        return
+    cache = ResponseCache(path)
+    assert cache.skipped_lines == (outcome == "torn")
+    assert cache.get("other", STAY_HOME) == [0.375]
+    if outcome == "get":
+        with pytest.raises(DataError, match=where):
+            cache.get("k0", _categories(2))
+    else:
+        got = cache.get("k0", _categories(2))
+        assert got == (RECORD_ROW if outcome == "row" else None)
+    for key in set(cache._entries) - {"k0", "other"}:
+        with pytest.raises(DataError, match=where):
+            cache.get(key, _categories(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    at=st.integers(0, len(RECORD_LINE)),
+    cut=st.integers(0, 4),
+    insert=st.binary(max_size=4) | st.sampled_from([b" ", b"\n", b"\xef\xbb\xbf", b"\x00", b"\\", b'"']),
+)
+def test_cache_any_edit_of_a_record_never_serves_another_row(tmp_path_factory, at, cut, insert):
+    """Up to four bytes cut from a record line and up to four put in their
+    place, anywhere, the newline too: every lookup gives the row put under
+    that key, a miss, or a DataError naming the file and line."""
+    path = tmp_path_factory.mktemp("edit") / "cache.jsonl"
+    path.write_bytes(OTHER_LINE + RECORD_LINE[:at] + insert + RECORD_LINE[at + cut:])
+    where = re.compile(re.escape(f"{path}:") + r"\d+: not a cache record")
+    try:
+        cache = ResponseCache(path)
+    except DataError as exc:
+        assert where.fullmatch(str(exc))
+        return
+    assert cache.get("other", STAY_HOME) == [0.375]
+    for key in list(cache._entries):
+        try:
+            got = cache.get(key, _categories(2))
+        except DataError as exc:
+            assert where.fullmatch(str(exc))
+            continue
+        assert _bits(got) == {"k0": _bits(RECORD_ROW), "other": _bits([0.375])}.get(key)
+
+
 # each writer opens the cache, says it is ready, waits for the go line, then
 # appends n records of over 4 KiB; writer "a" puts the rows i / 2n, writer "b"
 # the rows (n + i) / 2n
