@@ -59,6 +59,8 @@ class CategoryCalibration:
     y_max: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ConfigError(f"alpha and beta must be finite, got {self.alpha}, {self.beta}")
         if not self.y_min < self.y_max:
             raise ConfigError(f"clip bounds must satisfy y_min < y_max, got [{self.y_min}, {self.y_max}]")
 

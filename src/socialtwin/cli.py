@@ -129,6 +129,11 @@ def read_aggregates(config: RunConfig) -> dict:
         )
     try:
         keys = payload["categories"]
+        if keys != list(config.schema.keys):
+            raise DataError(
+                f"{path}: aggregated series has categories {keys}, "
+                f"the config's schema has {list(config.schema.keys)}"
+            )
         return {
             dt.date.fromisoformat(row["date"]): BehaviorVector(
                 {k: float(row["probs"][k]) for k in keys}
@@ -156,20 +161,15 @@ def _open_cache(config: RunConfig) -> ResponseCache:
     return ResponseCache(config.cache_path)
 
 
-def _build_twin(config: RunConfig, calibration=None) -> tuple[DigitalTwin, object]:
-    population = sample_population(config.population_spec, config.seeds["population"])
-    engine = build_engine(config.engine, config.schema)
-    cache = _open_cache(config)
-    twin = DigitalTwin(
-        population=population,
-        engine=engine,
-        cache=cache,
+def _build_twin(config: RunConfig) -> DigitalTwin:
+    return DigitalTwin(
+        population=sample_population(config.population_spec, config.seeds["population"]),
+        engine=build_engine(config.engine, config.schema),
+        cache=_open_cache(config),
         template=config.template,
         schema=config.schema,
-        calibration=calibration,
         parallelism=config.parallelism,
     )
-    return twin, engine
 
 
 def _load_inputs(config: RunConfig):
@@ -188,7 +188,7 @@ def _load_inputs(config: RunConfig):
 def cmd_simulate(config: RunConfig) -> None:
     """population -> cognitive engine -> population mean over all split dates."""
     policy, policy_report, _, _ = _load_inputs(config)
-    twin, engine = _build_twin(config)
+    twin = _build_twin(config)
     ranges = [config.split.train, config.split.validation, config.split.test]
     contexts = contexts_from_policy(policy, ranges)
     if not contexts:
@@ -203,8 +203,8 @@ def cmd_simulate(config: RunConfig) -> None:
         config,
         "simulate",
         {
-            "engine_digest": engine.digest,
-            **_engine_counts(engine, twin.cache),
+            "engine_digest": twin.engine.digest,
+            **_engine_counts(twin.engine, twin.cache),
             "n_dates": len(aggregates),
             "policy_load_report": policy_report.to_dict(),
             "simulation_log": sim_log.to_dict(),
@@ -379,9 +379,9 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
         config.output_dir / "calibration.json", expected_config_hash=config.config_hash
     )
     scenarios = load_scenarios(scenario_path)
-    twin, engine = _build_twin(config, calibration=calibration)
+    twin = _build_twin(config)
     with twin.cache:
-        report = run_counterfactuals(twin, scenarios)
+        report = run_counterfactuals(twin, scenarios, calibration)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = report.to_dict()
     payload["config_hash"] = config.config_hash
@@ -395,8 +395,8 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
         config,
         "counterfactual",
         {
-            "engine_digest": engine.digest,
-            **_engine_counts(engine, twin.cache),
+            "engine_digest": twin.engine.digest,
+            **_engine_counts(twin.engine, twin.cache),
             "scenarios": [s.name for s in scenarios],
             "baseline": report.baseline_name,
             "simulation_log": {

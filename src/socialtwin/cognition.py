@@ -11,16 +11,16 @@ Three interchangeable engines sit behind one interface:
   any miss, for hermetic re-runs.
 
 Every response, whatever its source, flows through the same JSON parsing and
-validation; parsed vectors are cached on disk keyed by (engine digest, prompt
-text, category list) so a populated cache replays a full run byte-for-byte.
-Cache records are JSON lines of four fields, ``key``, ``row``, ``raw`` and
-``crc``, in that order, each appended with one write. ``row`` is the
-parsed probabilities in response-key order, packed as little-endian
-doubles and written in hex; ``crc`` is the CRC-32 of the bytes before it.
-Opening a cache indexes the lines by key; a lookup checks a record's CRC
-and unpacks its row on first use, so a corrupt record fails when it is
-first used, not at open, and never yields a wrong row. A line of any other
-layout is not a cache record.
+validation; parsed rows are cached on disk under the SHA-256 hex digest of
+(engine digest, prompt text, category list), so a populated cache replays a
+full run byte-for-byte. Cache records are JSON lines of four fields, ``key``,
+``row``, ``raw`` and ``crc``, in that order, each appended with one write.
+``row`` is the parsed probabilities in response-key order, packed as
+little-endian doubles and written in hex; ``crc`` is the CRC-32 of the bytes
+before it. Opening a cache indexes the lines by the key at its fixed offset;
+a lookup checks a record's CRC and unpacks its row on first use, so a
+corrupt record fails when it is first used, not at open, and never yields a
+wrong row. A line of any other layout is not a cache record.
 
 The ``remote-http`` engine speaks HTTP through the standard library's
 ``http.client``, loaded on its first request. It opens one connection per
@@ -241,8 +241,9 @@ def _first_json_object(raw: str) -> dict:
     raise ParseError(f"no JSON object found in response: {raw[:200]!r}")
 
 
-def parse_response(raw: str, categories: CategorySchema) -> BehaviorVector:
-    """Extract and validate the first JSON object in an engine response.
+def parse_response(raw: str, categories: CategorySchema) -> list[float]:
+    """The row of probabilities, in category order, of the first JSON object
+    in an engine response.
 
     Engines wrap JSON in prose or markdown fences, so the scan starts at each
     ``{`` until a decodable object is found. All configured response keys must
@@ -250,11 +251,11 @@ def parse_response(raw: str, categories: CategorySchema) -> BehaviorVector:
     clamped, anything further out is an error.
     """
     obj = _first_json_object(raw)
-    probs: dict[str, float] = {}
+    row: list[float] = []
     for cat in categories:
         value = obj.get(cat.response_key)
         if type(value) is float and 0.0 < value <= 1.0:  # the common case, as it is
-            probs[cat.key] = value
+            row.append(value)
             continue
         if cat.response_key not in obj:
             raise ParseError(f"response missing key {cat.response_key!r}")
@@ -268,11 +269,8 @@ def parse_response(raw: str, categories: CategorySchema) -> BehaviorVector:
                 f"response key {cat.response_key!r} value {value} outside "
                 f"[-{VALUE_SLACK}, {1 + VALUE_SLACK}]"
             )
-        probs[cat.key] = min(1.0, max(0.0, value))
-    # every value is now in [0, 1], so the vector is not checked a second time
-    vector = object.__new__(BehaviorVector)
-    object.__setattr__(vector, "probs", probs)
-    return vector
+        row.append(min(1.0, max(0.0, value)))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +705,15 @@ def _key_suffix(response_keys: tuple[str, ...]) -> str:
     return '", ' + json.dumps(list(response_keys)) + "]"
 
 
-_INDEXED_PREFIX = b'{"key": "'
-_KEY_START = len(_INDEXED_PREFIX)
-# the text of a record around its row, and before its CRC
+# a cache key: the SHA-256 hex digest that make_key and skeleton_key give
+_KEY = re.compile(r"[0-9a-f]{64}")
+# every record starts with the same head, {"key": "<64 hex digits>", "row": "
+_KEY_FIELD = b'{"key": "'
 _ROW_FIELD = b'", "row": "'
+_KEY_START = len(_KEY_FIELD)
+_KEY_END = _KEY_START + 64
+_HEAD = _KEY_END + len(_ROW_FIELD)
+# the text of a record after its row, and before its CRC
 _RAW_FIELD = b'", "raw": "'
 _CRC_FIELD = b', "crc": "'
 # a record line ends in its CRC field, eight hex digits, '"}' and a newline
@@ -725,34 +728,31 @@ def _packing(n: int) -> struct.Struct:
 
 
 def _record_line(key: str, raw: str, row: list[float]) -> bytes:
-    """The record of ``raw`` and its ``row`` under ``key``, as ASCII bytes:
-    ``{"key": K, "row": R, "raw": T, "crc": C}`` and a newline. ``K`` and
-    ``T`` are escaped as ``json.dumps`` escapes them; ``R`` is the row
+    """The record of ``raw`` and its ``row`` under the hex digest ``key``,
+    as ASCII bytes: ``{"key": "K", "row": "R", "raw": T, "crc": "C"}`` and a
+    newline. ``T`` is escaped as ``json.dumps`` escapes it; ``R`` is the row
     packed as little-endian doubles, in lowercase hex; ``C`` is the CRC-32
     of every byte before ``, "crc"``, as eight lowercase hex digits."""
-    escape = encode_basestring_ascii
     packed = _packing(len(row)).pack(*row).hex()
-    body = f'{{"key": {escape(key)}, "row": "{packed}", "raw": {escape(raw)}'.encode("ascii")
+    body = f'{{"key": "{key}", "row": "{packed}", "raw": {encode_basestring_ascii(raw)}'.encode("ascii")
     return body + b'%s%08x"}\n' % (_CRC_FIELD, zlib.crc32(body))
 
 
-def _unpacked_row(line: bytes, head: int, n: int) -> list[float] | None:
-    """The row of the record ``line`` (``_record_line``'s layout), whose key
-    ends at ``head``, or None unless its row field starts there, the line
-    ends in the CRC of the bytes before its CRC field, holds ``n`` values
-    right before ``raw`` and every value is in [0, 1]."""
-    start = head + len(_ROW_FIELD)
-    end = start + 16 * n
+def _unpacked_row(line: bytes, n: int) -> list[float] | None:
+    """The row of the record ``line`` (``_record_line``'s layout, whose head
+    the open checked), or None unless the line ends in the CRC of the bytes
+    before its CRC field, holds ``n`` values right before ``raw`` and every
+    value is in [0, 1]."""
+    end = _HEAD + 16 * n
     if (
-        not line.startswith(_ROW_FIELD, head)
-        or line[-_CRC_TAIL:-_CRC_END] != _CRC_FIELD
+        line[-_CRC_TAIL:-_CRC_END] != _CRC_FIELD
         or line[-3:] != b'"}\n'
         or b"%08x" % zlib.crc32(line[:-_CRC_TAIL]) != line[-_CRC_END:-3]
         or line[end:end + len(_RAW_FIELD)] != _RAW_FIELD
     ):
         return None
     try:
-        row = _packing(n).unpack(binascii.a2b_hex(line[start:end]))
+        row = _packing(n).unpack(binascii.a2b_hex(line[_HEAD:end]))
     except binascii.Error:  # not hex
         return None
     for value in row:
@@ -761,40 +761,31 @@ def _unpacked_row(line: bytes, head: int, n: int) -> list[float] | None:
     return list(row)
 
 
-def _escaped_key(line: bytes) -> str | None:
-    """The JSON-escaped key of an ASCII line that starts ``{"key": "``, as
-    ``put`` writes it, or None if the line holds no whole ASCII string
-    there."""
-    try:
-        return json.decoder.scanstring(line.decode("ascii"), _KEY_START)[0]
-    except ValueError:  # UnicodeDecodeError too
-        return None
-
-
 class ResponseCache:
     """Append-safe store of raw responses and their rows of probabilities.
 
-    On-disk format is line-delimited JSON, one record per line (the last
-    record read for a key wins). ``put`` writes ``key``, ``row``, ``raw``
-    and ``crc`` in that order (``_record_line``), so a record's line starts
-    with ``{"key": "<key>"``. ``row`` holds the probabilities in
+    A key is a SHA-256 hex digest, 64 lowercase hex digits (``make_key``);
+    ``put`` refuses any other with a ValueError. On-disk format is
+    line-delimited JSON, one record per line (the last record read for a
+    key wins). ``put`` writes ``key``, ``row``, ``raw`` and ``crc`` in that
+    order (``_record_line``), so every record starts with the same 84-byte
+    head, ``{"key": "<key>", "row": "``. ``row`` holds the probabilities in
     response-key order, the order the key hashes, packed as little-endian
     doubles in hex. ``crc`` is the CRC-32 of every byte before ``, "crc"``.
     The key already hashes the engine digest, and a record holds nothing
     that changes from run to run, so two runs that append the same records
     write the same bytes.
 
-    Opening the file indexes each line by key without decoding it. The first
-    ``get`` of a key checks the record's CRC and row length, unpacks the row
-    and checks that each value is in [0, 1]; it then keeps only the row. Any
-    failure is a DataError naming the file and line, so a corrupt record is
-    found on its first use, not at open, and never serves a wrong row.
-    A line of any other layout, such as the ``probs`` mapping that earlier
-    versions wrote, is not a cache record: one that starts with the key
-    fails on its first ``get``, any other when the cache opens, unless it
-    is a torn last line (below). Earlier versions likewise reject a record
-    of this layout with a DataError naming the file and line; they never
-    serve a wrong row from it.
+    Opening the file indexes each line by the key at its fixed offset,
+    without decoding it; a line without that head is not a cache record
+    and fails when the cache opens, unless it is a torn last line (below).
+    That refuses the ``probs`` mapping that earlier versions wrote; they
+    likewise refuse a record of this layout, never serving a wrong row from
+    it. The first ``get`` of a key checks the record's CRC and row length,
+    unpacks the row and checks that each value is in [0, 1]; it then keeps
+    only the row. Any failure is a DataError naming the file and line, so a
+    corrupt record is found on its first use, not at open, and never serves
+    a wrong row.
 
     An incomplete last line, which a crash mid-append leaves, is skipped and
     counted. Each ``put`` appends its record in one write(2) on an
@@ -836,13 +827,9 @@ class ResponseCache:
             raise DataError(f"{self.path}: cannot open the response cache: {exc.strerror}") from None
         with fh:
             for number, line in enumerate(fh, 1):
-                key = None
-                if line.startswith(_INDEXED_PREFIX):
-                    close = line.find(b'"', _KEY_START)
-                    key = line[_KEY_START:close]
-                    plain = close > 0 and key.isascii() and b"\\" not in key
-                    key = key.decode("ascii") if plain else _escaped_key(line)
-                if key is not None:
+                if line.startswith(_ROW_FIELD, _KEY_END) and line.startswith(_KEY_FIELD):
+                    # any bytes decode: a damaged key fails its CRC on first get
+                    key = line[_KEY_START:_KEY_END].decode("latin-1")
                     if line.endswith(b"\n"):
                         entries[key] = (number, line)
                         continue
@@ -891,24 +878,20 @@ class ResponseCache:
                 self.misses += 1
                 return None
             if type(row) is not list:
-                row = self._entries[key] = self._row(key, row, categories)
+                number, line = row
+                row = _unpacked_row(line, len(categories))
+                if row is None:
+                    raise DataError(f"{self.path}:{number}: not a cache record")
+                self._entries[key] = row
             self.hits += 1
-        return row
-
-    def _row(self, key: str, entry: tuple[int, bytes], categories: CategorySchema) -> list[float]:
-        number, line = entry
-        head = _KEY_START + len(key)  # where the key's closing quote is, unless it was escaped
-        if not line.startswith(_ROW_FIELD, head):
-            head = _KEY_START + len(encode_basestring_ascii(key)) - 2
-        row = _unpacked_row(line, head, len(categories))
-        if row is None:
-            raise DataError(f"{self.path}:{number}: not a cache record")
         return row
 
     def put(self, key: str, raw: str, row: list[float]) -> None:
         """Store ``raw`` and its probabilities, in response-key order (floats
-        in [0, 1], as ``parse_response`` gives them), under ``key``, and
-        append their record to the file."""
+        in [0, 1], as ``parse_response`` gives them), under the hex digest
+        ``key``, and append their record to the file."""
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"cache key must be 64 lowercase hex digits, got {key!r}")
         with self._lock:
             self._entries[key] = row
             if self.path is None:
@@ -978,11 +961,10 @@ def ask_engine(
             last_error = exc
             continue
         try:
-            vector = parse_response(raw, categories)
+            row = parse_response(raw, categories)
         except ParseError as exc:
             last_error = exc
             continue
-        row = list(vector.probs.values())
         cache.put(key, raw, row)
         return row
     message = (

@@ -150,12 +150,15 @@ class CounterfactualReport:
         return "\n".join(lines)
 
 
-def run_counterfactuals(twin: DigitalTwin, scenarios: Sequence[Scenario]) -> CounterfactualReport:
+def run_counterfactuals(
+    twin: DigitalTwin, scenarios: Sequence[Scenario], calibration: CalibrationParams
+) -> CounterfactualReport:
     """Run a scenario sweep and assemble deltas and verdicts.
 
     Each scenario replays its date with the stringency override substituted;
-    all scenarios go through one simulation pass. Engine queries are cached
-    under the overridden context like any other, so scenario runs are
+    all scenarios go through one simulation pass, and ``calibration`` maps
+    each aggregate to metrics. Engine queries are cached under the
+    overridden context like any other, so scenario runs are
     order-independent and replayable. The baseline scenario is the first one,
     in stringency order, whose name contains "baseline" (case-insensitive);
     failing that, the first scenario listed. Results are ordered by
@@ -163,15 +166,14 @@ def run_counterfactuals(twin: DigitalTwin, scenarios: Sequence[Scenario]) -> Cou
     """
     if not scenarios:
         raise ConfigError("no scenarios given")
-    if twin.calibration is None:
-        raise ConfigError("counterfactual runs need a fitted calibration")
     contexts = [SimContext(date=s.date, stringency=s.stringency_override) for s in scenarios]
     aggregates, log = twin.simulate_contexts(contexts)
     results = []
     for scenario, aggregate in zip(scenarios, aggregates):
         if aggregate is None:
             raise DataError(f"scenario {scenario.name!r}: every persona cell failed")
-        results.append(ScenarioResult(scenario, aggregate, twin.predict_metrics(aggregate)))
+        metrics = apply_calibration(aggregate, calibration)
+        results.append(ScenarioResult(scenario, aggregate, metrics))
     results.sort(key=lambda r: r.scenario.stringency_override)
 
     baseline_result = next(

@@ -1,5 +1,5 @@
 """The composed pipeline: population -> cognitive engine -> population
-mean, with an optional fitted calibration on top.
+mean.
 
 A simulation pass works once per distinct prompt: personas with the same
 ordered attributes form a profile, and each distinct (profile, context)
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .aggregate import aggregate_mean
-from .calibrate import CalibrationParams, apply_calibration
 from .cognition import (
     BehaviorVector,
     ResponseCache,
@@ -95,14 +94,14 @@ class SimulationLog:
 
 @dataclass
 class DigitalTwin:
-    """Everything needed to turn a (date, stringency) context into metrics."""
+    """Everything needed to turn a (date, stringency) context into an
+    aggregated behavior vector."""
 
     population: list[Persona]
     engine: object
     cache: ResponseCache
     template: str
     schema: CategorySchema
-    calibration: CalibrationParams | None = None
     parallelism: int = 1
 
     def __post_init__(self):
@@ -213,11 +212,6 @@ class DigitalTwin:
             probs = aggregate_mean(rows, counts)
             aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
         return aggregates, log
-
-    def predict_metrics(self, aggregate: BehaviorVector) -> dict[str, float]:
-        if self.calibration is None:
-            raise ConfigError("twin has no fitted calibration; run calibration first")
-        return apply_calibration(aggregate, self.calibration)
 
 
 def contexts_from_policy(policy, date_ranges=None) -> list[SimContext]:

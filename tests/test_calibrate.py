@@ -85,6 +85,13 @@ def test_clip_bounds_must_be_ordered():
         CategoryCalibration(1.0, 0.0, y_min=5.0, y_max=5.0)
 
 
+@pytest.mark.parametrize("alpha, beta", [(math.nan, 0.0), (math.inf, 0.0), (1.0, -math.inf)])
+def test_coefficients_must_be_finite_but_clip_bounds_may_not_be(alpha, beta):
+    with pytest.raises(ConfigError, match="must be finite"):
+        CategoryCalibration(alpha, beta, -100.0, 200.0)
+    assert CategoryCalibration(1.0, 0.0, -math.inf, math.inf).apply(0.5) == 0.5
+
+
 @given(
     st.floats(min_value=-300, max_value=300),
     st.floats(min_value=-150, max_value=150),

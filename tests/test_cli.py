@@ -513,6 +513,49 @@ def test_damaged_aggregates_artifact_is_data_error(workspace, capsys, command, d
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "ablate"])
+def test_aggregates_of_other_categories_than_the_schema_exit_two(workspace, capsys, command):
+    """An ``aggregates.json`` whose ``categories`` leave out one of the
+    schema's is refused by name, not fitted on five categories or read into
+    a KeyError."""
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    path = root / "out" / "aggregates.json"
+    payload = json.loads(path.read_text())
+    schema = list(payload["categories"])
+    payload["categories"] = schema[:-1]
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(config_path, command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: aggregated series has categories {schema[:-1]}")
+    assert f"the config's schema has {schema}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("command", ["evaluate", "counterfactual"])
+def test_calibration_artifact_with_a_non_finite_coefficient_exits_two(
+    workspace, capsys, command, name, value
+):
+    """``json`` reads ``NaN`` and ``Infinity``; a map with such a coefficient
+    would pin every prediction to a clip bound."""
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    path = root / "out" / "calibration.json"
+    payload = json.loads(path.read_text())
+    payload["categories"]["stay_home"][name] = value
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    args = ["--scenarios", str(root / "scenarios.yaml")] if command == "counterfactual" else []
+    assert run(config_path, command, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: calibration artifact is malformed")
+    assert "must be finite" in err and "Traceback" not in err
+
+
 def _chain(root, config_path):
     assert run(config_path, "simulate") == 0
     assert run(config_path, "calibrate") == 0

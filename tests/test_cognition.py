@@ -57,6 +57,16 @@ CONTEXT = SimContext(date=dt.date(2020, 4, 15), stringency=90.0)
 # one category: the schema of the single-value rows the cache tests put
 STAY_HOME = CategorySchema((Category("stay_home", "stay_home_prob", "stay", "Stay home", 1),))
 
+
+def _key(name: str) -> str:
+    """A cache key for ``name``: its SHA-256 hex digest, the form of every key
+    ``make_key`` gives."""
+    return hashlib.sha256(name.encode()).hexdigest()
+
+
+K0, OTHER = _key("k0"), _key("other")  # the keys of the record tests' two lines
+
+
 GOOD_JSON = (
     '{"go_work_prob":0.2,"discretionary_outings_prob":0.1,"essentials_prob":0.8,'
     '"transit_use_prob":0.1,"outdoor_leisure_prob":0.1,"stay_home_prob":0.93}'
@@ -200,17 +210,23 @@ def test_template_placeholder_that_does_not_parse_is_a_config_error(template):
 # -------------------------------------------------------------------- parsing
 
 
+def _parsed(raw: str, schema: CategorySchema) -> dict[str, float]:
+    """The row ``parse_response`` gives, by category key."""
+    row = parse_response(raw, schema)
+    assert len(row) == len(schema.keys)
+    return dict(zip(schema.keys, row))
+
+
 def test_parse_full_response(schema):
-    vector = parse_response(GOOD_JSON, schema)
-    assert vector["stay_home"] == 0.93
-    assert vector["go_work"] == 0.2
-    assert vector.categories == schema.keys
+    # the row holds the probabilities in category order
+    reply = json.loads(GOOD_JSON)
+    assert parse_response(GOOD_JSON, schema) == [reply[k] for k in schema.response_keys]
+    assert _parsed(GOOD_JSON, schema)["stay_home"] == 0.93
 
 
 def test_parse_all_zeros_valid(schema):
     raw = json.dumps({k: 0.0 for k in schema.response_keys})
-    vector = parse_response(raw, schema)
-    assert all(v == 0.0 for v in vector.to_dict().values())
+    assert parse_response(raw, schema) == [0.0] * len(schema.keys)
 
 
 def test_parse_missing_key_named(schema):
@@ -222,12 +238,12 @@ def test_parse_missing_key_named(schema):
 
 def test_parse_json_wrapped_in_prose_and_fences(schema):
     raw = f"Sure! Here is my estimate:\n```json\n{GOOD_JSON}\n```\nHope that helps."
-    assert parse_response(raw, schema)["stay_home"] == 0.93
+    assert _parsed(raw, schema)["stay_home"] == 0.93
 
 
 def test_parse_picks_first_decodable_object(schema):
     raw = "weights {not json} then " + GOOD_JSON
-    assert parse_response(raw, schema)["essentials"] == 0.8
+    assert _parsed(raw, schema)["essentials"] == 0.8
 
 
 def test_parse_no_json_object(schema):
@@ -246,9 +262,9 @@ def test_parse_clamps_small_overshoot_rejects_large(schema):
     obj = json.loads(GOOD_JSON)
     obj["go_work_prob"] = 1.0005
     obj["stay_home_prob"] = -0.0004
-    vector = parse_response(json.dumps(obj), schema)
-    assert vector["go_work"] == 1.0
-    assert vector["stay_home"] == 0.0
+    probs = _parsed(json.dumps(obj), schema)
+    assert probs["go_work"] == 1.0
+    assert probs["stay_home"] == 0.0
     obj["go_work_prob"] = 1.01
     with pytest.raises(ParseError, match="outside"):
         parse_response(json.dumps(obj), schema)
@@ -264,11 +280,11 @@ def test_parse_rejects_boolean_values(schema):
 @given(st.text(max_size=300))
 def test_parse_totality_never_returns_invalid_vector(schema, raw):
     try:
-        vector = parse_response(raw, schema)
+        row = parse_response(raw, schema)
     except ParseError:
         return
-    assert vector.categories == schema.keys
-    assert all(0.0 <= v <= 1.0 for v in vector.to_dict().values())
+    assert len(row) == len(schema.keys)
+    assert all(0.0 <= v <= 1.0 for v in row)
 
 
 def test_behavior_vector_rejects_out_of_range():
@@ -512,9 +528,9 @@ def test_make_key_equals_json_dumps_payload_digest(digest, text, response_keys):
 def test_cache_persists_across_instances(schema, tmp_path):
     path = tmp_path / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k1", "raw", [0.5])
+        cache.put(_key("k1"), "raw", [0.5])
     with ResponseCache(path) as reopened:
-        assert reopened.get("k1", STAY_HOME) == [0.5]
+        assert reopened.get(_key("k1"), STAY_HOME) == [0.5]
 
 
 def test_engine_config_validation():
@@ -532,7 +548,7 @@ def test_oracle_engine_response_parses_back_exactly(schema, pandemic_template):
         EngineConfig(kind="synthetic-oracle", oracle_params=params), schema
     )
     raw = engine.respond(render_prompt(PERSONA, CONTEXT, pandemic_template), PERSONA, CONTEXT)
-    assert parse_response(raw, schema) == oracle_respond(params, PERSONA, CONTEXT)
+    assert _parsed(raw, schema) == oracle_respond(params, PERSONA, CONTEXT).to_dict()
 
 
 # reply texts of a noisy oracle (noise_scale 0.3), as the json.dumps encoder gave them
@@ -561,7 +577,7 @@ def test_noisy_oracle_replies_are_pinned_and_digest_params_once(schema, monkeypa
     at_build = len(digests)
     for persona, context, reply in NOISY_REPLIES:
         assert engine.respond(None, persona, context) == reply
-        assert parse_response(reply, schema) == oracle_respond(params, persona, context)
+        assert _parsed(reply, schema) == oracle_respond(params, persona, context).to_dict()
     engine.respond(None, PERSONA, CONTEXT)
     assert len(digests) == at_build + len(NOISY_REPLIES)  # only oracle_respond's own
 
@@ -621,32 +637,33 @@ def _cache_bytes(tmp_path, n):
     path = tmp_path / "full.jsonl"
     with ResponseCache(path) as cache:
         for i in range(n):
-            cache.put(f"k{i}", f"raw {i}", [i / n])
+            cache.put(_key(f"k{i}"), f"raw {i}", [i / n])
     return path.read_bytes()
 
 
 def test_cache_two_puts_then_reopen_loads_both(tmp_path):
     path = tmp_path / "sub" / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k1", "raw one", [0.25])
-        cache.put("k2", "raw two", [0.75])
+        cache.put(_key("k1"), "raw one", [0.25])
+        cache.put(_key("k2"), "raw two", [0.75])
         # each record reaches the file before put returns
-        assert ResponseCache(path).get("k2", STAY_HOME) == [0.75]
+        assert ResponseCache(path).get(_key("k2"), STAY_HOME) == [0.75]
     reopened = ResponseCache(path)
     assert len(reopened) == 2
-    assert reopened.get("k1", STAY_HOME) == [0.25]
+    assert reopened.get(_key("k1"), STAY_HOME) == [0.25]
     assert reopened.skipped_lines == 0
 
 
-def test_cache_reopen_finds_keys_that_json_escapes(tmp_path):
+@pytest.mark.parametrize(
+    "key", ["k0", K0.upper(), K0[:63]], ids=["short", "uppercase", "63 digits"]
+)
+def test_cache_put_refuses_a_key_that_is_not_a_hex_digest(tmp_path, key):
     path = tmp_path / "cache.jsonl"
-    keys = ["plain", 'quote"d', "back\\slash", "caf\u00e9", ""]
     with ResponseCache(path) as cache:
-        for i, key in enumerate(keys):
-            cache.put(key, f"raw {key}", [i / 8])
-    reopened = ResponseCache(path)
-    assert len(reopened) == len(keys)
-    assert [reopened.get(key, STAY_HOME) for key in keys] == [[i / 8] for i in range(len(keys))]
+        with pytest.raises(ValueError, match="64 lowercase hex digits"):
+            cache.put(key, "raw", [0.5])
+        assert len(cache) == 0
+    assert not path.exists()
 
 
 def _record_reference(key: str, raw: str, row: list[float]) -> bytes:
@@ -658,6 +675,7 @@ def _record_reference(key: str, raw: str, row: list[float]) -> bytes:
     return body + b', "crc": "%08x"}\n' % zlib.crc32(body)
 
 
+KEYS = st.text("0123456789abcdef", min_size=64, max_size=64)  # any hex digest
 EDGE_VALUES = [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.5]
 ROWS = st.lists(st.floats(0.0, 1.0) | st.sampled_from(EDGE_VALUES), min_size=1, max_size=8)
 RAW_TEXT = (
@@ -669,9 +687,9 @@ RAW_TEXT = (
 
 
 @settings(max_examples=300, deadline=None)
-@given(key=st.text(ANY_CHAR, max_size=12), raw=RAW_TEXT, row=ROWS)
+@given(key=KEYS, raw=RAW_TEXT, row=ROWS)
 @example(
-    key='k"\\', raw='{"a_prob": 0.5}\n\\ \U0001f600 \ud83d \ude00 \udfff\ud800 "crc"',
+    key=K0, raw='{"a_prob": 0.5}\n\\ \U0001f600 \ud83d \ude00 \udfff\ud800 "crc"',
     row=[0.1, 1.0, 5e-324],
 )
 def test_cache_record_line_equals_json_dumps(key, raw, row):
@@ -692,14 +710,9 @@ def _bits(row) -> bytes:
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    # a key JSON reads back as itself: no high surrogate right before a low one
-    key=st.text(ANY_CHAR, max_size=12).filter(lambda key: json.loads(json.dumps(key)) == key),
-    raw=RAW_TEXT,
-    row=ROWS,
-)
-@example(key="", raw='"crc": "00000000"}\n', row=[5e-324, 1.0 - 2.0**-53])
-@example(key='q"\\\U0001f600\ud800', raw="\\\udfff\n", row=[0.0, 1.0] * 4)
+@given(key=KEYS, raw=RAW_TEXT, row=ROWS)
+@example(key="0" * 64, raw='"crc": "00000000"}\n', row=[5e-324, 1.0 - 2.0**-53])
+@example(key="f" * 64, raw="\\\udfff\n", row=[0.0, 1.0] * 4)
 def test_cache_record_round_trips_bit_for_bit(tmp_path_factory, key, raw, row):
     path = tmp_path_factory.mktemp("round") / "cache.jsonl"
     with ResponseCache(path) as cache:
@@ -718,16 +731,16 @@ def test_cache_row_of_another_length_is_a_data_error(tmp_path):
     """A row is checked against the length of the schema it is read for."""
     path = tmp_path / "cache.jsonl"
     with ResponseCache(path) as cache:
-        cache.put("k0", "raw 0", [0.25, 0.5])
+        cache.put(K0, "raw 0", [0.25, 0.5])
     for n in (1, 3):
         with pytest.raises(DataError, match=r"cache\.jsonl:1: not a cache record"):
-            ResponseCache(path).get("k0", _categories(n))
-    assert ResponseCache(path).get("k0", _categories(2)) == [0.25, 0.5]
+            ResponseCache(path).get(K0, _categories(n))
+    assert ResponseCache(path).get(K0, _categories(2)) == [0.25, 0.5]
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    key=st.sampled_from(["k0", "a" * 64, 'q"\U0001f600']),
+    key=KEYS,
     raw=RAW_TEXT.filter(lambda raw: len(raw) < 40),
     row=ROWS,
     data=st.data(),
@@ -739,7 +752,7 @@ def test_cache_one_changed_byte_never_serves_another_row(tmp_path_factory, key, 
     line = _record_line(key, raw, row)
     at = data.draw(st.integers(0, len(line) - 2))
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != line[at]))
-    other = _record_line("other", "raw other", [0.375])
+    other = _record_line(OTHER, "raw other", [0.375])
     path = tmp_path_factory.mktemp("damage") / "cache.jsonl"
     path.write_bytes(line[:at] + bytes([byte]) + line[at + 1:] + other)
     where = re.compile(re.escape(f"{path}:") + r"[12]: not a cache record")
@@ -748,9 +761,9 @@ def test_cache_one_changed_byte_never_serves_another_row(tmp_path_factory, key, 
     except DataError as exc:
         assert where.fullmatch(str(exc))
         return
-    expected = {key: _bits(row), "other": _bits([0.375])}
+    expected = {key: _bits(row), OTHER: _bits([0.375])}
     for indexed in list(cache._entries):
-        n = len(row) if indexed != "other" else 1
+        n = len(row) if indexed != OTHER else 1
         try:
             got = cache.get(indexed, _categories(n))
         except DataError as exc:
@@ -760,9 +773,9 @@ def test_cache_one_changed_byte_never_serves_another_row(tmp_path_factory, key, 
 
 
 RECORD_ROW = [0.25, 1.0]
-RECORD_LINE = _record_line("k0", "ré", RECORD_ROW)
+RECORD_LINE = _record_line(K0, "ré", RECORD_ROW)
 RECORD_BODY = RECORD_LINE[: RECORD_LINE.rindex(b', "crc": "')]
-OTHER_LINE = _record_line("other", "raw other", [0.375])
+OTHER_LINE = _record_line(OTHER, "raw other", [0.375])
 _ROW_HEX = _bits(RECORD_ROW).hex().encode()
 
 
@@ -778,9 +791,9 @@ def _with_row(row: list[float]) -> bytes:
 
 # a record line of the current layout, as written or damaged, and what the
 # cache makes of it as the file's second line: "row" serves the row put under
-# "k0"; "open" and "get" are a DataError naming line 2 when the cache opens
-# or on the first get; "torn" skips an unterminated last line; "absent"
-# holds no record of "k0" at all
+# K0; "open" and "get" are a DataError naming line 2 when the cache opens or
+# on the first get; "torn" skips an unterminated last line; "absent" holds no
+# record of K0 at all
 DAMAGED_LINES = {
     "as written": (RECORD_LINE, "row"),
     "utf-8 bom": (b"\xef\xbb\xbf" + RECORD_LINE, "open"),
@@ -806,11 +819,12 @@ DAMAGED_LINES = {
     "object": (b"{}\n", "open"),
     "array": (b"[" + RECORD_LINE[:-1] + b"]\n", "open"),
     "nul second byte": (b"{\x00" + RECORD_LINE[1:], "open"),
-    "key only": (b'{"key": "k0"}\n', "get"),
+    "key only": (b'{"key": "%s"}\n' % K0.encode(), "open"),
     "row digit changed, crc kept": (RECORD_LINE.replace(_ROW_HEX, b"1" + _ROW_HEX[1:]), "get"),
     "raw changed, crc kept": (RECORD_LINE.replace(b'"r\\u00e9"', b'"R\\u00e9"'), "get"),
-    # "k1" is indexed instead, and refused on its first get
-    "key changed, crc kept": (RECORD_LINE.replace(b'"k0"', b'"k1"'), "absent"),
+    # another key is indexed instead, and refused on its first get
+    "key changed, crc kept": (RECORD_LINE.replace(K0.encode(), _key("k1").encode()), "absent"),
+    "key one digit short": (_stamped(RECORD_BODY.replace(K0.encode(), K0[1:].encode())), "open"),
     "raw with an escaped lone surrogate": (_stamped(RECORD_BODY.replace(b"r\\u00e9", b"\\ud800")), "row"),
     "raw in utf-8": (_stamped(RECORD_BODY.replace(b"r\\u00e9", "ré\U0001f600".encode())), "row"),
     "raw of invalid utf-8": (_stamped(RECORD_BODY.replace(b"r\\u00e9", b"\xff")), "row"),
@@ -821,11 +835,14 @@ DAMAGED_LINES = {
     "short row": (_with_row([0.25]), "get"),
     "long row": (_with_row([0.25, 1.0, 0.5]), "get"),
     "non-hex row": (_stamped(RECORD_BODY.replace(_ROW_HEX, b"g" + _ROW_HEX[1:])), "get"),
-    "row field renamed": (_stamped(RECORD_BODY.replace(b'"row"', b'"Row"')), "get"),
+    "row field renamed": (_stamped(RECORD_BODY.replace(b'"row"', b'"Row"')), "open"),
     "crc field renamed": (RECORD_LINE.replace(b'"crc"', b'"CRC"'), "get"),
     "crc digit dropped": (RECORD_LINE[:-12] + RECORD_LINE[-11:], "get"),
-    # JSON reads the key as "k0", but json.dumps escapes it otherwise
-    "key escaped otherwise": (_stamped(RECORD_BODY.replace(b'"k0"', b'"\\u006b0"')), "get"),
+    # JSON reads the key as K0, but json.dumps escapes it otherwise
+    "key escaped otherwise": (
+        _stamped(RECORD_BODY.replace(K0.encode(), b"\\u%04x" % ord(K0[0]) + K0[1:].encode())),
+        "open",
+    ),
 }
 
 
@@ -845,14 +862,14 @@ def test_cache_damaged_record_line_serves_its_row_or_fails_by_line(tmp_path, lin
         return
     cache = ResponseCache(path)
     assert cache.skipped_lines == (outcome == "torn")
-    assert cache.get("other", STAY_HOME) == [0.375]
+    assert cache.get(OTHER, STAY_HOME) == [0.375]
     if outcome == "get":
         with pytest.raises(DataError, match=where):
-            cache.get("k0", _categories(2))
+            cache.get(K0, _categories(2))
     else:
-        got = cache.get("k0", _categories(2))
+        got = cache.get(K0, _categories(2))
         assert got == (RECORD_ROW if outcome == "row" else None)
-    for key in set(cache._entries) - {"k0", "other"}:
+    for key in set(cache._entries) - {K0, OTHER}:
         with pytest.raises(DataError, match=where):
             cache.get(key, _categories(2))
 
@@ -875,20 +892,21 @@ def test_cache_any_edit_of_a_record_never_serves_another_row(tmp_path_factory, a
     except DataError as exc:
         assert where.fullmatch(str(exc))
         return
-    assert cache.get("other", STAY_HOME) == [0.375]
+    assert cache.get(OTHER, STAY_HOME) == [0.375]
     for key in list(cache._entries):
         try:
             got = cache.get(key, _categories(2))
         except DataError as exc:
             assert where.fullmatch(str(exc))
             continue
-        assert _bits(got) == {"k0": _bits(RECORD_ROW), "other": _bits([0.375])}.get(key)
+        assert _bits(got) == {K0: _bits(RECORD_ROW), OTHER: _bits([0.375])}.get(key)
 
 
 # each writer opens the cache, says it is ready, waits for the go line, then
-# appends n records of over 4 KiB; writer "a" puts the rows i / 2n, writer "b"
-# the rows (n + i) / 2n
+# appends n records of over 4 KiB; writer "a" puts the rows i / 2n under the
+# keys _key(f"a{i}"), writer "b" the rows (n + i) / 2n under _key(f"b{i}")
 _WRITER = """
+import hashlib
 import sys
 from socialtwin.cognition import ResponseCache
 
@@ -898,7 +916,9 @@ with ResponseCache(path) as cache:
     print("ready", flush=True)
     sys.stdin.readline()
     for i in range(n):
-        cache.put(f"{tag}{i}", f"{tag}{i} " + tag * 5000, [(first + i) / (2 * n)])
+        name = f"{tag}{i}"
+        key = hashlib.sha256(name.encode()).hexdigest()
+        cache.put(key, name + " " + tag * 5000, [(first + i) / (2 * n)])
 """
 
 
@@ -945,12 +965,12 @@ def _two_writers_append(path, n: int, kept: bytes) -> None:
     lines = data[len(kept):].splitlines(keepends=True)
     assert len(lines) == 2 * n
     records = [_record_fields(line) for line in lines]
-    assert all(rec["raw"].startswith(rec["key"] + " ") for rec in records)
+    assert all(rec["key"] == _key(rec["raw"].split(" ")[0]) for rec in records)
     reopened = ResponseCache(path)
     assert len(reopened) == 2 * n + kept.count(b"\n")
     assert reopened.skipped_lines == 0
     for first, tag in enumerate(("a", "b")):
-        rows = [reopened.get(f"{tag}{i}", STAY_HOME) for i in range(n)]
+        rows = [reopened.get(_key(f"{tag}{i}"), STAY_HOME) for i in range(n)]
         assert rows == [[(first * n + i) / (2 * n)] for i in range(n)]
 
 
@@ -967,7 +987,7 @@ def test_cache_two_writer_processes_on_a_torn_file_keep_every_record(tmp_path):
     path.parent.mkdir()
     path.write_bytes(full[:-10])
     _two_writers_append(path, 500, kept)
-    assert ResponseCache(path).get("k0", STAY_HOME) == [0.0]
+    assert ResponseCache(path).get(K0, STAY_HOME) == [0.0]
 
 
 @pytest.fixture(scope="module")
@@ -986,7 +1006,7 @@ def test_cache_every_byte_prefix_loads_its_complete_records(cache_file, tmp_path
     # a record loads once its JSON text is whole, with or without its newline
     expected = {i for i, at in enumerate(newlines) if at <= cut}
     assert len(loaded) == len(expected)
-    assert all(loaded.get(f"k{i}", STAY_HOME) == [i / 4] for i in expected)
+    assert all(loaded.get(_key(f"k{i}"), STAY_HOME) == [i / 4] for i in expected)
     # only a prefix that ends inside a record's JSON text leaves a torn line
     torn = cut > 0 and cut not in newlines and cut - 1 not in newlines
     assert loaded.skipped_lines == int(torn)
@@ -999,12 +1019,13 @@ def test_cache_append_after_torn_tail_cuts_the_torn_line(tmp_path):
     path.write_bytes(full[:-10])
     with ResponseCache(path) as cache:
         assert len(cache) == 1
-        cache.put("k9", "raw 9", [0.875])
+        cache.put(_key("k9"), "raw 9", [0.875])
     assert path.read_bytes().startswith(first)
     assert path.read_bytes().count(b"\n") == 2
     reopened = ResponseCache(path)
     assert len(reopened) == 2
-    assert reopened.get("k0", STAY_HOME) == [0.0] and reopened.get("k9", STAY_HOME) == [0.875]
+    assert reopened.get(K0, STAY_HOME) == [0.0]
+    assert reopened.get(_key("k9"), STAY_HOME) == [0.875]
     assert reopened.skipped_lines == 0
 
 
@@ -1017,12 +1038,12 @@ def test_cache_torn_tail_is_cut_only_while_it_is_the_files_end(tmp_path):
     path.write_bytes(full[:-10])
     with ResponseCache(path) as a, ResponseCache(path) as b:
         assert a.skipped_lines == b.skipped_lines == 1
-        a.put("a1", "raw a1", [0.125])
-        a.put("a2", "raw a2", [0.25])
-        b.put("b1", "raw b1", [0.375])
+        a.put(_key("a1"), "raw a1", [0.125])
+        a.put(_key("a2"), "raw a2", [0.25])
+        b.put(_key("b1"), "raw b1", [0.375])
     reopened = ResponseCache(path)
     assert reopened.skipped_lines == 0
-    rows = {key: reopened.get(key, STAY_HOME) for key in ("k0", "a1", "a2", "b1")}
+    rows = {key: reopened.get(_key(key), STAY_HOME) for key in ("k0", "a1", "a2", "b1")}
     assert rows == {"k0": [0.0], "a1": [0.125], "a2": [0.25], "b1": [0.375]}
     assert len(reopened) == 4
 
@@ -1041,11 +1062,11 @@ def test_cache_two_openers_of_a_torn_file_keep_every_put(cache_file, tmp_path_fa
     with ResponseCache(path) as a, ResponseCache(path) as b:
         assert a.skipped_lines == b.skipped_lines == 1
         for i, opener in enumerate(order):
-            (a if opener == "a" else b).put(f"{opener}{i}", f"raw {i}", [i / 8])
+            (a if opener == "a" else b).put(_key(f"{opener}{i}"), f"raw {i}", [i / 8])
     reopened = ResponseCache(path)
     assert reopened.skipped_lines == 0
-    whole = {f"k{i}": [i / 4] for i in range(3)}
-    put = {f"{opener}{i}": [i / 8] for i, opener in enumerate(order)}
+    whole = {_key(f"k{i}"): [i / 4] for i in range(3)}
+    put = {_key(f"{opener}{i}"): [i / 8] for i, opener in enumerate(order)}
     assert len(reopened) == len(whole) + len(put)
     assert all(reopened.get(key, STAY_HOME) == row for key, row in {**whole, **put}.items())
 
@@ -1057,11 +1078,11 @@ def test_cache_first_put_waits_for_the_lock_then_checks_the_tail(tmp_path):
     first = full[: full.index(b"\n") + 1]
     path = tmp_path / "torn.jsonl"
     path.write_bytes(full[:-10])
-    theirs = _record_line("o1", "raw o1", [0.125])
+    theirs = _record_line(_key("o1"), "raw o1", [0.125])
     with ResponseCache(path) as cache:
         with path.open("r+b") as other:
             fcntl.flock(other, fcntl.LOCK_EX)
-            put = threading.Thread(target=cache.put, args=("k9", "raw 9", [0.875]))
+            put = threading.Thread(target=cache.put, args=(_key("k9"), "raw 9", [0.875]))
             put.start()
             put.join(timeout=0.3)
             assert put.is_alive()  # waiting for the lock
@@ -1072,7 +1093,7 @@ def test_cache_first_put_waits_for_the_lock_then_checks_the_tail(tmp_path):
             fcntl.flock(other, fcntl.LOCK_UN)
         put.join(timeout=30)
         assert not put.is_alive()
-    assert path.read_bytes() == first + theirs + _record_line("k9", "raw 9", [0.875])
+    assert path.read_bytes() == first + theirs + _record_line(_key("k9"), "raw 9", [0.875])
 
 
 def test_cache_every_put_waits_for_another_writers_append(tmp_path):
@@ -1080,13 +1101,13 @@ def test_cache_every_put_waits_for_another_writers_append(tmp_path):
     writer holds the lock with half a record written, so no first ``put`` of
     a third opener can find that half record at the file's end."""
     path = tmp_path / "cache.jsonl"
-    theirs = _record_line("o1", "raw o1", [0.125])
+    theirs = _record_line(_key("o1"), "raw o1", [0.125])
     with ResponseCache(path) as cache:
-        cache.put("k0", "raw 0", [0.0])
+        cache.put(K0, "raw 0", [0.0])
         with path.open("ab", buffering=0) as other:
             fcntl.flock(other, fcntl.LOCK_EX)
             other.write(theirs[:20])
-            put = threading.Thread(target=cache.put, args=("k1", "raw 1", [0.5]))
+            put = threading.Thread(target=cache.put, args=(_key("k1"), "raw 1", [0.5]))
             put.start()
             put.join(timeout=0.3)
             assert put.is_alive()  # waiting for the lock
@@ -1094,7 +1115,7 @@ def test_cache_every_put_waits_for_another_writers_append(tmp_path):
             fcntl.flock(other, fcntl.LOCK_UN)
         put.join(timeout=30)
         assert not put.is_alive()
-    mine = [_record_line(f"k{i}", f"raw {i}", [i / 2]) for i in range(2)]
+    mine = [_record_line(_key(f"k{i}"), f"raw {i}", [i / 2]) for i in range(2)]
     assert path.read_bytes() == mine[0] + theirs + mine[1]
 
 
@@ -1109,8 +1130,8 @@ def test_cache_first_put_after_another_writers_unterminated_append_adds_a_newlin
     with ResponseCache(path) as cache:
         with path.open("ab") as fh:
             fh.write(full[len(first):-1])
-        cache.put("k9", "raw 9", [0.875])
-    assert path.read_bytes() == full + _record_line("k9", "raw 9", [0.875])
+        cache.put(_key("k9"), "raw 9", [0.875])
+    assert path.read_bytes() == full + _record_line(_key("k9"), "raw 9", [0.875])
 
 
 def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
@@ -1119,10 +1140,10 @@ def test_cache_append_after_unterminated_record_keeps_it(tmp_path):
     path.write_bytes(full[:-1])
     with ResponseCache(path) as cache:
         assert len(cache) == 2
-        cache.put("k9", "raw 9", [0.875])
+        cache.put(_key("k9"), "raw 9", [0.875])
     reopened = ResponseCache(path)
     assert len(reopened) == 3
-    rows = [reopened.get(key, STAY_HOME) for key in ("k0", "k1", "k9")]
+    rows = [reopened.get(_key(key), STAY_HOME) for key in ("k0", "k1", "k9")]
     assert rows == [[0.0], [0.5], [0.875]]
     assert reopened.skipped_lines == 0
 
@@ -1167,20 +1188,22 @@ def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path
 
 @pytest.mark.parametrize(
     "tail",
-    [b'"probs": {not json\n', b'"key": "other", "probs": {}}\n'],
+    [b'{not json\n', b'", "key": "%s", "probs": {}}\n' % OTHER.encode()],
     ids=["undecodable", "second-key"],
 )
 def test_cache_corrupt_indexed_line_fails_on_first_get(tmp_path, tail):
+    """A line with a record's head, ``{"key": "<key>", "row": "``, is
+    indexed, whatever follows it."""
     full = _cache_bytes(tmp_path, 3)
     lines = full.splitlines(keepends=True)
     path = tmp_path / "bad.jsonl"
-    path.write_bytes(lines[0] + b'{"key": "k1", ' + tail + lines[2])
+    path.write_bytes(lines[0] + lines[1][:84] + tail + lines[2])
     with ResponseCache(path) as cache:  # indexed lines are decoded on first use
         assert len(cache) == 3
-        assert cache.get("k0", STAY_HOME) == [0.0]
-        assert cache.get("k2", STAY_HOME) == [2 / 3]
+        assert cache.get(K0, STAY_HOME) == [0.0]
+        assert cache.get(_key("k2"), STAY_HOME) == [2 / 3]
         with pytest.raises(DataError, match=r"bad\.jsonl:2: not a cache record"):
-            cache.get("k1", STAY_HOME)
+            cache.get(_key("k1"), STAY_HOME)
 
 
 def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
@@ -1192,7 +1215,7 @@ def test_cache_corrupt_indexed_line_exits_two(synth_dataset, tmp_path, capsys):
     assert main(["simulate", "--config", str(config_path)]) == 0
     path = next((tmp_path / "cache").glob("*.jsonl"))
     lines = path.read_bytes().splitlines(keepends=True)
-    lines[1] = lines[1][: lines[1].index(b'"row"')] + b"garbage\n"
+    lines[1] = lines[1][: lines[1].index(b'"row": "') + 8] + b"garbage\n"
     path.write_bytes(b"".join(lines))
     capsys.readouterr()
     assert main(["simulate", "--config", str(config_path)]) == 2
@@ -1205,8 +1228,8 @@ def test_cache_line_of_an_earlier_layout_is_a_data_error(
     synth_dataset, tmp_path, capsys, schema, layout
 ):
     """Undamaged records of the layouts earlier versions wrote, with a
-    ``probs`` mapping by category key: a key-first one fails on its first
-    hit, a sorted one (``created`` first) when the cache opens."""
+    ``probs`` mapping by category key, key first or sorted (``created``
+    first): each fails when the cache opens."""
     from socialtwin.cli import main
 
     from conftest import SPLIT_18MO, write_run_workspace
@@ -1290,13 +1313,14 @@ def test_cache_replays_a_cold_run_and_appends_only_its_misses(synth_dataset, tmp
 
 def test_cache_counters_exact_under_threads():
     cache = ResponseCache(None)
-    cache.put("hit", "raw", [0.5])
+    hit = _key("hit")
+    cache.put(hit, "raw", [0.5])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         def lookups():
             for i in range(2000):
-                cache.get("hit" if i % 2 else "miss", STAY_HOME)
+                cache.get(hit if i % 2 else "miss", STAY_HOME)
 
         threads = [threading.Thread(target=lookups) for _ in range(8)]
         for t in threads:

@@ -46,22 +46,25 @@ SHOCK_DATE = dt.date(2020, 4, 15)
 
 
 @pytest.fixture(scope="module")
-def fitted_twin(synth_dataset):
+def oracle_twin(synth_dataset):
     population = sample_population(synth_dataset.population_spec, synth_dataset.population_seed)
     engine = build_engine(
         EngineConfig(kind="synthetic-oracle", oracle_params=synth_dataset.oracle_params),
         synth_dataset.schema,
     )
-    twin = DigitalTwin(
+    return DigitalTwin(
         population=population,
         engine=engine,
         cache=ResponseCache(None),
         template=synth_dataset.template,
         schema=synth_dataset.schema,
     )
+
+
+@pytest.fixture(scope="module")
+def sweep_calibration(synth_dataset):
     pairs = pair_by_date(synth_dataset.aggregates, synth_dataset.observations)
-    twin.calibration, _ = fit_calibration(pairs[:120], FitConfig(trials=25, seed=1))
-    return twin
+    return fit_calibration(pairs[:120], FitConfig(trials=25, seed=1))[0]
 
 
 # ------------------------------------------------------------------ verdicts
@@ -122,22 +125,6 @@ def test_scenario_override_bounds():
         Scenario("bad", SHOCK_DATE, 150.0)
 
 
-def test_sweep_requires_calibration(synth_dataset):
-    population = sample_population(synth_dataset.population_spec, 1)
-    twin = DigitalTwin(
-        population=population,
-        engine=build_engine(
-            EngineConfig(kind="synthetic-oracle", oracle_params=synth_dataset.oracle_params),
-            synth_dataset.schema,
-        ),
-        cache=ResponseCache(None),
-        template=synth_dataset.template,
-        schema=synth_dataset.schema,
-    )
-    with pytest.raises(ConfigError, match="fitted calibration"):
-        run_counterfactuals(twin, sweep())
-
-
 class GarbageEngine:
     replay_only = False
     digest = "model:garbage"
@@ -148,33 +135,33 @@ class GarbageEngine:
         return "no json here"
 
 
-def test_sweep_names_the_scenario_whose_every_cell_failed(fitted_twin):
-    twin = dataclasses.replace(fitted_twin, engine=GarbageEngine(), cache=ResponseCache(None))
+def test_sweep_names_the_scenario_whose_every_cell_failed(oracle_twin, sweep_calibration):
+    twin = dataclasses.replace(oracle_twin, engine=GarbageEngine(), cache=ResponseCache(None))
     with pytest.raises(DataError, match="scenario 'relaxed': every persona cell failed"):
-        run_counterfactuals(twin, sweep())
+        run_counterfactuals(twin, sweep(), sweep_calibration)
 
 
-def test_override_equal_to_actual_gives_zero_delta(fitted_twin, synth_dataset):
+def test_override_equal_to_actual_gives_zero_delta(oracle_twin, sweep_calibration, synth_dataset):
     actual = next(r for r in synth_dataset.policy if r.date == SHOCK_DATE)
     scenarios = [
         Scenario("baseline", SHOCK_DATE, actual.stringency),
         Scenario("same", SHOCK_DATE, actual.stringency),
     ]
-    report = run_counterfactuals(fitted_twin, scenarios)
+    report = run_counterfactuals(oracle_twin, scenarios, sweep_calibration)
     assert all(v == 0.0 for v in report.metric_deltas["same"].values())
     assert all(v == 0.0 for v in report.aggregate_deltas["baseline"].values())
 
 
-def test_sweep_monotonic_in_configured_directions(fitted_twin):
-    report = run_counterfactuals(fitted_twin, sweep())
+def test_sweep_monotonic_in_configured_directions(oracle_twin, sweep_calibration):
+    report = run_counterfactuals(oracle_twin, sweep(), sweep_calibration)
     assert report.baseline_name == "baseline"
     assert all(report.monotonic.values())
     assert report.bounded["stay_home"] is True
 
 
-def test_extreme_pair_has_maximal_stay_home_spread(fitted_twin):
+def test_extreme_pair_has_maximal_stay_home_spread(oracle_twin, sweep_calibration):
     scenarios = [Scenario(f"s{s}", SHOCK_DATE, float(s)) for s in (0, 25, 50, 75, 100)]
-    results = run_counterfactuals(fitted_twin, scenarios).results
+    results = run_counterfactuals(oracle_twin, scenarios, sweep_calibration).results
     values = {r.scenario.stringency_override: r.aggregate["stay_home"] for r in results}
     full_spread = abs(values[100.0] - values[0.0])
     for a in values:
@@ -182,10 +169,10 @@ def test_extreme_pair_has_maximal_stay_home_spread(fitted_twin):
             assert abs(values[a] - values[b]) <= full_spread + 1e-12
 
 
-def test_scenario_order_independence(fitted_twin):
+def test_scenario_order_independence(oracle_twin, sweep_calibration):
     scenarios = sweep()
-    forward = run_counterfactuals(fitted_twin, scenarios)
-    backward = run_counterfactuals(fitted_twin, list(reversed(scenarios)))
+    forward = run_counterfactuals(oracle_twin, scenarios, sweep_calibration)
+    backward = run_counterfactuals(oracle_twin, list(reversed(scenarios)), sweep_calibration)
     for fwd, bwd in zip(forward.results, backward.results):
         assert fwd.scenario == bwd.scenario
         assert fwd.aggregate == bwd.aggregate
@@ -210,15 +197,17 @@ class PerScenarioTwin(DigitalTwin):
     ),
     parallelism=st.sampled_from([1, 4]),
 )
-def test_one_pass_sweep_equals_per_scenario_reference(fitted_twin, cells, parallelism):
+def test_one_pass_sweep_equals_per_scenario_reference(
+    oracle_twin, sweep_calibration, cells, parallelism
+):
     scenarios = [
         Scenario(f"s{i}", SHOCK_DATE + dt.timedelta(days=d), s) for i, (d, s) in enumerate(cells)
     ]
-    one_pass = dataclasses.replace(fitted_twin, cache=ResponseCache(None), parallelism=parallelism)
+    one_pass = dataclasses.replace(oracle_twin, cache=ResponseCache(None), parallelism=parallelism)
     reference = PerScenarioTwin(**dict(vars(one_pass), cache=ResponseCache(None)))
     assert (
-        run_counterfactuals(one_pass, scenarios).to_dict()
-        == run_counterfactuals(reference, scenarios).to_dict()
+        run_counterfactuals(one_pass, scenarios, sweep_calibration).to_dict()
+        == run_counterfactuals(reference, scenarios, sweep_calibration).to_dict()
     )
 
 
@@ -230,9 +219,9 @@ def sweep_with_baseline(name):
     ]
 
 
-def test_delta_antisymmetry(fitted_twin):
-    vs_relaxed = run_counterfactuals(fitted_twin, sweep_with_baseline("relaxed"))
-    vs_extreme = run_counterfactuals(fitted_twin, sweep_with_baseline("extreme"))
+def test_delta_antisymmetry(oracle_twin, sweep_calibration):
+    vs_relaxed = run_counterfactuals(oracle_twin, sweep_with_baseline("relaxed"), sweep_calibration)
+    vs_extreme = run_counterfactuals(oracle_twin, sweep_with_baseline("extreme"), sweep_calibration)
     assert vs_relaxed.baseline_name == "relaxed baseline"
     assert vs_extreme.baseline_name == "extreme baseline"
     d_re = vs_relaxed.metric_deltas["extreme"]
@@ -241,16 +230,20 @@ def test_delta_antisymmetry(fitted_twin):
         assert d_re[key] == pytest.approx(-d_er[key], abs=1e-12)
 
 
-def test_sweep_without_a_baseline_name_uses_the_first_scenario_listed(fitted_twin):
+def test_sweep_without_a_baseline_name_uses_the_first_scenario_listed(
+    oracle_twin, sweep_calibration
+):
     scenarios = [s for s in sweep() if s.name != "baseline"][::-1]  # extreme, relaxed
-    report = run_counterfactuals(fitted_twin, scenarios)
+    report = run_counterfactuals(oracle_twin, scenarios, sweep_calibration)
     assert report.baseline_name == "extreme"
     assert [r.scenario.name for r in report.results] == ["relaxed", "extreme"]
     assert all(v == 0.0 for v in report.metric_deltas["extreme"].values())
 
 
-def test_report_serializes_both_probability_and_metric_columns(fitted_twin, schema):
-    report = run_counterfactuals(fitted_twin, sweep())
+def test_report_serializes_both_probability_and_metric_columns(
+    oracle_twin, sweep_calibration, schema
+):
+    report = run_counterfactuals(oracle_twin, sweep(), sweep_calibration)
     payload = report.to_dict()
     row = payload["scenarios"][0]
     assert "aggregate_probabilities" in row and "calibrated_metrics" in row
@@ -542,19 +535,19 @@ class ProfileBrokenEngine:
         return self.oracle.respond(prompt, persona, context)
 
 
-def test_sweep_logs_each_excluded_persona_under_its_own_id(fitted_twin):
-    attributes = fitted_twin.population[0].attributes
-    members = [p.id for p in fitted_twin.population if p.attributes == attributes]
-    engine = ProfileBrokenEngine(fitted_twin.schema, attributes, {SHOCK_DATE})
-    twin = dataclasses.replace(fitted_twin, engine=engine, cache=ResponseCache(None))
-    log = run_counterfactuals(twin, sweep()).simulation_log
+def test_sweep_logs_each_excluded_persona_under_its_own_id(oracle_twin, sweep_calibration):
+    attributes = oracle_twin.population[0].attributes
+    members = [p.id for p in oracle_twin.population if p.attributes == attributes]
+    engine = ProfileBrokenEngine(oracle_twin.schema, attributes, {SHOCK_DATE})
+    twin = dataclasses.replace(oracle_twin, engine=engine, cache=ResponseCache(None))
+    log = run_counterfactuals(twin, sweep(), sweep_calibration).simulation_log
     # one date, three scenarios: the profile fails in each
     assert [f["persona"] for f in log.failures] == members * 3
     assert {f["date"] for f in log.failures} == {SHOCK_DATE.isoformat()}
     assert [f["stringency"] for f in log.failures] == [
         s.stringency_override for s in sweep() for _ in members
     ]
-    assert log.survivors == [(SHOCK_DATE, len(fitted_twin.population) - len(members))] * 3
+    assert log.survivors == [(SHOCK_DATE, len(oracle_twin.population) - len(members))] * 3
 
 
 def test_ablation_logs_each_excluded_persona_under_its_own_id(ablation_inputs):

@@ -3,6 +3,7 @@ functions by name; a rename that drops one of them must fail here, not only
 under ``--trace 1``."""
 
 import datetime as dt
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -43,9 +44,10 @@ def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
 
     stay_home = CategorySchema((Category("stay_home", "stay_home_prob", "stay", "Stay home", 1),))
     path = tmp_path / "cache.jsonl"
+    keys = [hashlib.sha256(b"k%d" % i).hexdigest() for i in range(4)]
     with cognition.ResponseCache(path) as cache:
-        for i in range(4):
-            cache.put(f"k{i}", f"raw {i}", [i / 4])
+        for i, key in enumerate(keys):
+            cache.put(key, f"raw {i}", [i / 4])
     assert [list(json.loads(line)) for line in path.read_bytes().splitlines()] == [
         ["key", "row", "raw", "crc"]
     ] * 4
@@ -57,7 +59,7 @@ def test_tracer_counts_lazily_indexed_cache_records(tmp_path):
     try:
         assert cognition.ResponseCache.__dict__["get"] is not originals["get"]
         with cognition.ResponseCache(path) as cache:
-            assert [cache.get(f"k{i}", stay_home) for i in range(4)] == [[i / 4] for i in range(4)]
+            assert [cache.get(key, stay_home) for key in keys] == [[i / 4] for i in range(4)]
             assert cache.get("missing", stay_home) is None
             cache.make_key("model:x", "prompt", ("stay_home_prob",))
         metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)

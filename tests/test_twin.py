@@ -18,7 +18,7 @@ from socialtwin.cognition import (
     build_engine,
     render_prompt,
 )
-from socialtwin.errors import ConfigError, EngineError
+from socialtwin.errors import EngineError
 from socialtwin.persona import Persona, sample_population
 from socialtwin.schema import CategorySchema
 from synthetic import default_oracle_params, default_population_spec, oracle_respond
@@ -131,13 +131,6 @@ def test_parallel_equals_serial(schema, pandemic_template):
     serial = make_twin(schema, pandemic_template, parallelism=1).simulate_context(context)
     parallel = make_twin(schema, pandemic_template, parallelism=4).simulate_context(context)
     assert serial == parallel
-
-
-def test_predict_metrics_requires_calibration(schema, pandemic_template):
-    twin = make_twin(schema, pandemic_template)
-    aggregate = twin.simulate_context(SimContext(dt.date(2020, 6, 1), 50.0))
-    with pytest.raises(ConfigError, match="no fitted calibration"):
-        twin.predict_metrics(aggregate)
 
 
 def test_replay_miss_propagates_as_engine_error(schema, pandemic_template):
