@@ -42,7 +42,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .cognition import BehaviorVector
 from .errors import ConfigError, DataError
 from .ingest import ObservationRecord
 
@@ -182,17 +181,17 @@ class FitReport:
         return "\n".join(lines)
 
 
-def apply_calibration(pbar: BehaviorVector, params: CalibrationParams) -> dict[str, float]:
+def apply_calibration(pbar: Mapping[str, float], params: CalibrationParams) -> dict[str, float]:
     """y_hat_k = clip(alpha_k * pbar_k + beta_k, y_min_k, y_max_k)."""
-    missing = [k for k in pbar.categories if k not in params.per_category]
+    missing = [k for k in pbar if k not in params.per_category]
     if missing:
         raise DataError(f"calibration params missing categories {missing}")
-    return {key: params.per_category[key].apply(pbar[key]) for key in pbar.categories}
+    return {key: params.per_category[key].apply(p) for key, p in pbar.items()}
 
 
 def pair_by_date(
     aggregates: Mapping, observations
-) -> list[tuple[BehaviorVector, ObservationRecord]]:
+) -> list[tuple[Mapping[str, float], ObservationRecord]]:
     """Align simulated aggregates with observations on common dates."""
     by_date = observations.by_date()
     pairs = []
@@ -203,13 +202,13 @@ def pair_by_date(
 
 
 def _pairs_from_training(
-    train: Sequence[tuple[BehaviorVector, ObservationRecord]]
+    train: Sequence[tuple[Mapping[str, float], ObservationRecord]]
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Category keys and their (categories, dates) probability and observation
     matrices; row k holds category k's series in date order."""
     if len(train) < 2:
         raise DataError(f"calibration needs >= 2 training dates, got {len(train)}")
-    keys = list(train[0][0].categories)
+    keys = list(train[0][0])
     p = np.array([[vec[key] for vec, _ in train] for key in keys], dtype=float)
     y = np.array([[obs.values[key] for _, obs in train] for key in keys], dtype=float)
     return keys, p, y
@@ -416,7 +415,7 @@ def _fit_result(
 
 
 def fit_calibration(
-    train: Sequence[tuple[BehaviorVector, ObservationRecord]],
+    train: Sequence[tuple[Mapping[str, float], ObservationRecord]],
     config: FitConfig,
 ) -> tuple[CalibrationParams, FitReport]:
     """Fit (alpha_k, beta_k) per category by minimizing clipped-prediction RMSE.
@@ -453,7 +452,7 @@ def fit_calibration(
 
 
 def fit_unclipped(
-    train: Sequence[tuple[BehaviorVector, ObservationRecord]],
+    train: Sequence[tuple[Mapping[str, float], ObservationRecord]],
 ) -> CalibrationParams:
     """The unclipped map of each category: its least-squares line, with
     infinite clip bounds (ablation arm).
@@ -473,7 +472,7 @@ def fit_unclipped(
 
 
 def fit_single_slope(
-    train: Sequence[tuple[BehaviorVector, ObservationRecord]],
+    train: Sequence[tuple[Mapping[str, float], ObservationRecord]],
     config: FitConfig,
 ) -> tuple[CalibrationParams, FitReport]:
     """Fit one shared (alpha, beta) across all categories (ablation arm).

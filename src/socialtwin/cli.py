@@ -37,7 +37,7 @@ from .calibrate import (
     pair_by_date,
     save_calibration,
 )
-from .cognition import BehaviorVector, ResponseCache, build_engine
+from .cognition import ResponseCache, build_engine
 from .config import RunConfig, load_run_config
 from .counterfactual import (
     ABLATION_VARIANTS,
@@ -93,9 +93,7 @@ def _engine_counts(engine, cache: ResponseCache) -> dict:
 
 
 def write_aggregates(config: RunConfig, aggregates: dict) -> None:
-    rows = [
-        {"date": d.isoformat(), "probs": aggregates[d].to_dict()} for d in sorted(aggregates)
-    ]
+    rows = [{"date": d.isoformat(), "probs": aggregates[d]} for d in sorted(aggregates)]
     _write_json(
         config.output_dir / "aggregates.json",
         {
@@ -134,13 +132,15 @@ def read_aggregates(config: RunConfig) -> dict:
                 f"{path}: aggregated series has categories {keys}, "
                 f"the config's schema has {list(config.schema.keys)}"
             )
-        return {
-            dt.date.fromisoformat(row["date"]): BehaviorVector(
-                {k: float(row["probs"][k]) for k in keys}
-            )
-            for row in payload["rows"]
-        }
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        aggregates = {}
+        for row in payload["rows"]:
+            probs = {k: float(row["probs"][k]) for k in keys}
+            for k, p in probs.items():
+                if not 0.0 <= p <= 1.0:  # NaN fails too
+                    raise ValueError(f"probability for {k!r} out of [0, 1]: {p}")
+            aggregates[dt.date.fromisoformat(row["date"])] = probs
+        return aggregates
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: aggregated series is malformed: {exc!r}") from None
 
 
@@ -287,11 +287,21 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
         for i, d in enumerate(eval_dates)
     }
 
-    twin_report = evaluate_predictions("digital-twin", split_name, twin_predictions, obs_split, provenance)
-    gbm_report = evaluate_predictions("gbm", split_name, gbm_predictions, obs_split, provenance)
-    persistence_report = evaluate_predictions(
-        "persistence", split_name, persistence_predictions, obs_split, provenance
-    )
+    # all three methods are scored on the dates every one of them predicts
+    scored = set(twin_predictions).intersection(gbm_predictions, persistence_predictions)
+    if not scored:
+        raise DataError(
+            f"no date in the {split_name} split has a prediction from the twin, "
+            "the boosted baseline and persistence alike"
+        )
+
+    def report(method, predictions):
+        predictions = {d: p for d, p in predictions.items() if d in scored}
+        return evaluate_predictions(method, split_name, predictions, obs_split, provenance)
+
+    twin_report = report("digital-twin", twin_predictions)
+    gbm_report = report("gbm", gbm_predictions)
+    persistence_report = report("persistence", persistence_predictions)
     twin_vs_gbm = compare(twin_report, gbm_report)
 
     labels = {c.key: c.label for c in config.schema}

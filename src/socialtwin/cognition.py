@@ -76,34 +76,9 @@ class SimContext:
 
 @dataclass(frozen=True)
 class PromptText:
-    """A fully rendered prompt, traceable to the persona it was rendered for."""
+    """A fully rendered prompt."""
 
     text: str
-    persona_id: str
-
-
-@dataclass(frozen=True)
-class BehaviorVector:
-    """Ordered per-category probabilities in [0, 1]."""
-
-    probs: dict[str, float]
-
-    def __post_init__(self):
-        if not self.probs:
-            raise ConfigError("behavior vector must have at least one category")
-        for key, value in self.probs.items():
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"probability for {key!r} out of [0, 1]: {value}")
-
-    @property
-    def categories(self) -> tuple[str, ...]:
-        return tuple(self.probs.keys())
-
-    def __getitem__(self, key: str) -> float:
-        return self.probs[key]
-
-    def to_dict(self) -> dict[str, float]:
-        return dict(self.probs)
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,7 +196,7 @@ def render_prompt(persona: Persona, context: SimContext, template: str) -> Promp
     cells it sends to the engine.
     """
     skeleton = prompt_skeleton(persona, template)
-    return PromptText(text=skeleton.fill(skeleton.values(context)), persona_id=persona.id)
+    return PromptText(text=skeleton.fill(skeleton.values(context)))
 
 
 _DECODER = json.JSONDecoder()
@@ -674,7 +649,7 @@ class ReplayEngine:
 
     def respond(self, prompt: PromptText, persona: Persona, context: SimContext) -> str:
         raise EngineError(
-            f"replay-cache engine queried for persona {prompt.persona_id}; "
+            f"replay-cache engine queried for persona {persona.id}; "
             "populate the cache first or switch engine kind"
         )
 
@@ -949,7 +924,7 @@ def ask_engine(
     """
     if engine.replay_only:
         raise EngineError(
-            f"replay cache miss for persona {prompt.persona_id} on {context.date} "
+            f"replay cache miss for persona {persona.id} on {context.date} "
             f"(stringency {context.stringency:g})"
         )
     retry_limit = engine.retry_limit
@@ -968,7 +943,7 @@ def ask_engine(
         cache.put(key, raw, row)
         return row
     message = (
-        f"persona {prompt.persona_id} on {context.date}: "
+        f"persona {persona.id} on {context.date}: "
         f"{'response unparseable' if isinstance(last_error, ParseError) else 'engine failed'} "
         f"after {1 + retry_limit} attempts: {last_error}"
     )

@@ -24,7 +24,7 @@ from .calibrate import (
     fit_unclipped,
     pair_by_date,
 )
-from .cognition import BehaviorVector, ResponseCache, SimContext
+from .cognition import ResponseCache, SimContext
 from .config import _load_yaml
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_predictions
@@ -53,7 +53,7 @@ class Scenario:
 @dataclass
 class ScenarioResult:
     scenario: Scenario
-    aggregate: BehaviorVector
+    aggregate: dict[str, float]
     metrics: dict[str, float]
 
 
@@ -115,7 +115,7 @@ class CounterfactualReport:
                     "name": r.scenario.name,
                     "date": r.scenario.date.isoformat(),
                     "stringency": r.scenario.stringency_override,
-                    "aggregate_probabilities": r.aggregate.to_dict(),
+                    "aggregate_probabilities": r.aggregate,
                     "calibrated_metrics": r.metrics,
                     "metric_delta_vs_baseline": self.metric_deltas.get(r.scenario.name, {}),
                     "aggregate_delta_vs_baseline": self.aggregate_deltas.get(
@@ -189,7 +189,7 @@ def run_counterfactuals(
             k: r.metrics[k] - baseline_result.metrics[k] for k in r.metrics
         }
         report.aggregate_deltas[r.scenario.name] = {
-            k: r.aggregate[k] - baseline_result.aggregate[k] for k in r.aggregate.categories
+            k: r.aggregate[k] - baseline_result.aggregate[k] for k in r.aggregate
         }
     schema_directions = {c.key: c.direction for c in twin.schema}
     distinct = len({r.scenario.stringency_override for r in results})
@@ -237,7 +237,8 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
             date=field(
                 entry,
                 "date",
-                lambda v: v if isinstance(v, dt.date) else dt.date.fromisoformat(str(v)),
+                # a YAML timestamp, which carries a time of day, is not a date
+                lambda v: v if type(v) is dt.date else dt.date.fromisoformat(str(v)),
             ),
             stringency_override=field(entry, "stringency_override", float),
         )
@@ -311,7 +312,7 @@ _POPULATION_BUILDERS = {
 def run_ablation(
     variant: str,
     inputs: AblationInputs,
-    aggregates: dict[dt.date, BehaviorVector],
+    aggregates: dict[dt.date, dict[str, float]],
     calibration: CalibrationParams,
 ) -> tuple[float, dict[str, float]]:
     """Score one pipeline variant on the test dates of the ``aggregates`` of
@@ -332,7 +333,7 @@ def run_ablation(
 
     if variant == "no-calibration":
         predictions = {
-            d: {k: 100.0 * v[k] for k in v.categories} for d, v in test_aggregates.items()
+            d: {k: 100.0 * p for k, p in v.items()} for d, v in test_aggregates.items()
         }
     else:
         if variant == "full":
@@ -360,7 +361,7 @@ def run_ablation_suite(
     inputs: AblationInputs,
     engine,
     cache: ResponseCache,
-    aggregates: dict[dt.date, BehaviorVector],
+    aggregates: dict[dt.date, dict[str, float]],
     calibration: CalibrationParams,
     variants: Sequence[str] = ABLATION_VARIANTS,
 ) -> AblationReport:

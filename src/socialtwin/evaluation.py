@@ -14,14 +14,6 @@ from .ingest import ObservationSeries
 Predictions = Mapping[dt.date, Mapping[str, float]]
 
 
-def rmse(
-    predictions: Predictions, observations: ObservationSeries, category: str
-) -> float:
-    """Root-mean-squared error over dates present on both sides."""
-    value, _ = rmse_with_coverage(predictions, observations, category)
-    return value
-
-
 def rmse_with_coverage(
     predictions: Predictions, observations: ObservationSeries, category: str
 ) -> tuple[float, int]:

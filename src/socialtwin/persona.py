@@ -44,13 +44,14 @@ class DemographicSpec:
         for name, pairs in self.attributes.items():
             if not pairs:
                 raise ConfigError(f"attribute {name!r} has an empty value list")
+            for _, p in pairs:
+                if not 0.0 <= p <= 1.0:  # NaN fails too
+                    raise ConfigError(f"attribute {name!r}: probability {p!r} is not in [0, 1]")
             total = sum(p for _, p in pairs)
             if abs(total - 1.0) > PROB_SUM_TOL:
                 raise ConfigError(
                     f"attribute {name!r}: probabilities sum to {total!r}, expected 1"
                 )
-            if any(p < 0 for _, p in pairs):
-                raise ConfigError(f"attribute {name!r}: negative probability")
 
     @classmethod
     def from_dict(cls, data: dict) -> "DemographicSpec":

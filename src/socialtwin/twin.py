@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .aggregate import aggregate_mean
 from .cognition import (
-    BehaviorVector,
     ResponseCache,
     SimContext,
     ask_engine,
@@ -108,7 +107,7 @@ class DigitalTwin:
         if not self.population:
             raise ConfigError("twin needs a nonempty population")
 
-    def simulate_context(self, context: SimContext) -> BehaviorVector | None:
+    def simulate_context(self, context: SimContext) -> dict[str, float] | None:
         """The aggregate for one context: a one-context ``simulate_contexts``.
 
         The benchmark's tracer (``perfbench/trace_layers.py``) wraps it by name.
@@ -117,8 +116,9 @@ class DigitalTwin:
 
     def simulate_contexts(
         self, contexts: Sequence[SimContext]
-    ) -> tuple[list[BehaviorVector | None], SimulationLog]:
-        """One aggregated vector per context, in context order, and the log.
+    ) -> tuple[list[dict[str, float] | None], SimulationLog]:
+        """One aggregated vector (category -> probability, in schema order)
+        per context, in context order, and the log.
 
         The pass resolves each distinct prompt once, sending its misses in
         order of first occurrence with at most twice ``parallelism``
@@ -186,7 +186,7 @@ class DigitalTwin:
             sizes[j] += 1
         no_row = [0.0] * len(self.schema.keys)
         log = SimulationLog()
-        aggregates: list[BehaviorVector | None] = []
+        aggregates: list[dict[str, float] | None] = []
         for context, outcomes in zip(contexts, cells):
             outcomes = [o.result() if isinstance(o, Future) else o for o in outcomes]
             dead = {j for j, o in enumerate(outcomes) if isinstance(o, ParseError)}
@@ -210,7 +210,7 @@ class DigitalTwin:
             rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
             counts = [0 if j in dead else n for j, n in enumerate(sizes)]
             probs = aggregate_mean(rows, counts)
-            aggregates.append(BehaviorVector(dict(zip(self.schema.keys, probs))))
+            aggregates.append(dict(zip(self.schema.keys, probs)))
         return aggregates, log
 
 

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from socialtwin.cognition import (
-    BehaviorVector,
     EngineConfig,
     OracleParams,
     ResponseCache,
@@ -91,10 +90,12 @@ def default_oracle_params(noise_scale: float = 0.0) -> OracleParams:
     )
 
 
-def oracle_respond(params: OracleParams, persona: Persona, context: SimContext) -> BehaviorVector:
+def oracle_respond(
+    params: OracleParams, persona: Persona, context: SimContext
+) -> dict[str, float]:
     """The oracle's vector for one persona and context (``_oracle_probs``):
     what the synthetic-oracle engine's reply parses back to."""
-    return BehaviorVector(_oracle_probs(params, persona, context, params.digest()))
+    return _oracle_probs(params, persona, context, params.digest())
 
 
 def stringency_path(
@@ -126,7 +127,7 @@ class SyntheticDataset:
     oracle_params: OracleParams
     policy: list[PolicyRecord]
     observations: ObservationSeries
-    aggregates: dict[dt.date, BehaviorVector]  # noiseless truth, per date
+    aggregates: dict[dt.date, dict[str, float]]  # noiseless truth, per date
     true_alpha: dict[str, float]
     true_beta: dict[str, float]
     template: str

@@ -34,7 +34,7 @@ from socialtwin.counterfactual import (
     run_ablation_suite,
     run_counterfactuals,
 )
-from socialtwin.evaluation import compare, improvement_pct, macro_average, rmse
+from socialtwin.evaluation import compare, improvement_pct, macro_average, rmse_with_coverage
 from socialtwin.ingest import DateRange, ObservationRecord, ObservationSeries, TemporalSplit
 from socialtwin.persona import sample_population
 from socialtwin.schema import CategorySchema
@@ -114,7 +114,7 @@ def test_criterion_3_calibration_recovery():
             predictions = {
                 d: {key: cal.apply(vec[key])} for d, vec in held_out.aggregates.items()
             }
-            assert rmse(predictions, held_out.observations, key) <= 1.2 * sigma
+            assert rmse_with_coverage(predictions, held_out.observations, key)[0] <= 1.2 * sigma
 
 
 @pytest.fixture(scope="module")
@@ -322,8 +322,8 @@ def _prop_rmse_symmetry_and_scaling(pairs, scale):
     )
     pred_a = {d: {"k": a} for d, (a, _) in zip(dates, pairs)}
     pred_b = {d: {"k": b} for d, (_, b) in zip(dates, pairs)}
-    forward = rmse(pred_b, obs_a, "k")
-    backward = rmse(pred_a, obs_b, "k")
+    forward = rmse_with_coverage(pred_b, obs_a, "k")[0]
+    backward = rmse_with_coverage(pred_a, obs_b, "k")[0]
     assert forward == pytest.approx(backward, abs=1e-12)
     # scaling both sides scales the RMSE and leaves improvement unchanged
     scaled_obs = ObservationSeries(
@@ -331,7 +331,8 @@ def _prop_rmse_symmetry_and_scaling(pairs, scale):
         tuple(ObservationRecord(d, {"k": a * scale}) for d, (a, _) in zip(dates, pairs)),
     )
     scaled_pred = {d: {"k": b * scale} for d, (_, b) in zip(dates, pairs)}
-    assert rmse(scaled_pred, scaled_obs, "k") == pytest.approx(forward * scale, rel=1e-9, abs=1e-9)
+    scaled = rmse_with_coverage(scaled_pred, scaled_obs, "k")[0]
+    assert scaled == pytest.approx(forward * scale, rel=1e-9, abs=1e-9)
     if forward > 0:
         reference = 2.0 * forward + 1.0
         assert improvement_pct(reference * scale, forward * scale) == pytest.approx(

@@ -43,7 +43,7 @@ def test_mean_matches_naive_loop_over_oracle_vectors():
     population = sample_population(spec, seed=3)
     context = SimContext(dt.date(2020, 4, 15), 90.0)
     vectors = [oracle_respond(params, p, context) for p in population]
-    keys = vectors[0].categories
+    keys = list(vectors[0])
     result = aggregate_mean([[v[k] for k in keys] for v in vectors], [1] * 10)
     for i, key in enumerate(keys):
         total = 0.0

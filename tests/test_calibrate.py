@@ -27,7 +27,6 @@ from socialtwin.calibrate import (
     pair_by_date,
     save_calibration,
 )
-from socialtwin.cognition import BehaviorVector
 from socialtwin.errors import ConfigError, DataError
 from socialtwin.ingest import ObservationRecord
 from synthetic import make_synthetic_dataset
@@ -46,7 +45,7 @@ def make_training(p_values, y_values, key="k"):
     base = dt.date(2020, 4, 1)
     return [
         (
-            BehaviorVector({key: p}),
+            {key: p},
             ObservationRecord(base + dt.timedelta(days=i), {key: y}),
         )
         for i, (p, y) in enumerate(zip(p_values, y_values))
@@ -58,26 +57,21 @@ def make_training(p_values, y_values, key="k"):
 
 def test_apply_identity_map():
     params = make_params(1.0, 0.0, y_min=-math.inf, y_max=math.inf)
-    assert apply_calibration(BehaviorVector({"k": 0.93}), params)["k"] == 0.93
+    assert apply_calibration({"k": 0.93}, params)["k"] == 0.93
 
 
 def test_apply_affine_then_clip():
     params = make_params(-200.0, 100.0)
-    assert apply_calibration(BehaviorVector({"k": 0.9}), params)["k"] == -80.0
+    assert apply_calibration({"k": 0.9}, params)["k"] == -80.0
     # outside [-100, 100]-style bounds: clipped at the floor
     params = make_params(-200.0, 100.0, y_min=-100.0, y_max=100.0)
-    assert apply_calibration(BehaviorVector({"k": 1.0}), params)["k"] == -100.0
+    assert apply_calibration({"k": 1.0}, params)["k"] == -100.0
 
 
 def test_apply_missing_category_params():
     params = make_params(1.0, 0.0, keys=("other",))
     with pytest.raises(DataError, match="missing categories"):
-        apply_calibration(BehaviorVector({"k": 0.5}), params)
-
-
-def test_behavior_vector_invariant_blocks_invalid_probability():
-    with pytest.raises(ConfigError):
-        BehaviorVector({"k": 1.5})
+        apply_calibration({"k": 0.5}, params)
 
 
 def test_clip_bounds_must_be_ordered():
@@ -278,7 +272,7 @@ def test_monotone_composition_through_calibration(synth_dataset):
 
 
 def _ref_pairs_from_training(train):
-    categories = train[0][0].categories
+    categories = train[0][0]
     out = {}
     for key in categories:
         p = np.array([vec[key] for vec, _ in train], dtype=float)
@@ -442,7 +436,7 @@ def random_training(n_categories, n_dates, data_seed, constant_category):
     base = dt.date(2020, 4, 1)
     return [
         (
-            BehaviorVector({k: float(p[i, j]) for i, k in enumerate(keys)}),
+            {k: float(p[i, j]) for i, k in enumerate(keys)},
             ObservationRecord(base + dt.timedelta(days=j), {k: float(y[i, j]) for i, k in enumerate(keys)}),
         )
         for j in range(n_dates)

@@ -1,3 +1,4 @@
+import datetime as dt
 import hashlib
 import importlib.util
 import json
@@ -363,6 +364,7 @@ def test_config_hash_follows_population_attribute_order(workspace):
         ("population", "population_size: 20.7\nattributes: {income: {Low: 1.0}}\n", "population_size"),
         ("population", "population_size: true\nattributes: {income: {Low: 1.0}}\n", "population_size"),
         ("population", "population_size: 20\nattributes: {income: Low}\n", "income"),
+        ("population", "population_size: 20\nattributes: {income: {Low: .nan, High: 1.0}}\n", "income"),
         (
             "population",
             "population_size: 3\nattributes: {income: {Low: 1.0}}\nseed: 5\n",
@@ -371,6 +373,7 @@ def test_config_hash_follows_population_attribute_order(workspace):
         ("scenarios", "- just a string\n", "scenarios.yaml"),
         ("scenarios", "- {name: a, date: 2021-02-30, stringency_override: 50}\n", "scenarios.yaml"),
         ("scenarios", "- {name: a, date: June 1, stringency_override: 50}\n", "invalid date"),
+        ("scenarios", "- {name: a, date: 2020-04-18 10:30:00, stringency_override: 50}\n", "invalid date"),
         ("scenarios", "- {name: a, date: 2020-06-01, stringency_override: high}\n", "stringency_override"),
         (
             "scenarios",
@@ -386,8 +389,9 @@ def test_config_hash_follows_population_attribute_order(workspace):
     ],
     ids=[
         "spec-is-list", "attributes-is-list", "size-not-integer", "size-fractional",
-        "size-boolean", "values-not-mapping", "spec-unknown-key",
-        "entry-is-string", "impossible-date", "unparseable-date", "stringency-not-number",
+        "size-boolean", "values-not-mapping", "nan-probability", "spec-unknown-key",
+        "entry-is-string", "impossible-date", "unparseable-date", "date-with-time",
+        "stringency-not-number",
         "entry-unknown-key",
         "duplicate-name",
     ],
@@ -476,6 +480,7 @@ def test_evaluate_rejects_damaged_calibration_artifact(workspace, capsys, damage
     [
         "truncated", "not-object", "no-categories", "no-rows", "bad-date",
         "missing-probability", "non-numeric-probability", "probability-above-one",
+        "nan-probability",
     ],
 )
 def test_damaged_aggregates_artifact_is_data_error(workspace, capsys, command, damage):
@@ -500,6 +505,8 @@ def test_damaged_aggregates_artifact_is_data_error(workspace, capsys, command, d
             del row["probs"]["stay_home"]
         elif damage == "non-numeric-probability":
             row["probs"]["stay_home"] = "high"
+        elif damage == "nan-probability":
+            row["probs"]["stay_home"] = float("nan")  # json writes NaN, and reads it back
         else:
             row["probs"]["stay_home"] = 1.85
         text = json.dumps(payload)
@@ -510,6 +517,42 @@ def test_damaged_aggregates_artifact_is_data_error(workspace, capsys, command, d
     message = {"truncated": "not valid JSON", "not-object": "must be a JSON object"}
     assert err.startswith("data error:") and "aggregates.json" in err
     assert message.get(damage, "malformed") in err
+    assert "Traceback" not in err
+
+
+def _blank_stringency(root, dates) -> None:
+    """Empty the stringency of the given ISO dates in the workspace's policy.csv."""
+    path = root / "policy.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("".join(f"{d},\n" if d in dates else f"{d},{s}\n" for d, s in rows))
+
+
+def test_evaluate_scores_every_method_on_the_same_dates(workspace):
+    """A date without stringency has no twin aggregate, and neither it nor the
+    four dates 7 to 28 days later have the GBM's lags, while persistence
+    predicts all 91 validation dates: every method is scored on the 86 dates
+    all three predict."""
+    root, config_path = workspace
+    _blank_stringency(root, {"2021-05-10"})
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    assert run(config_path, "evaluate") == 0
+    report = json.loads((root / "out" / "eval_validation.json").read_text())
+    n_dates = {report[m]["n_dates"] for m in ("digital_twin_vs_gbm", "gbm", "persistence")}
+    assert n_dates == {86}
+
+
+def test_evaluate_split_without_a_date_every_method_predicts_exits_two(workspace, capsys):
+    root, config_path = workspace
+    # the twin predicts only 2021-06-30, whose 7-day lag the GBM lacks
+    start = dt.date(2021, 4, 1)
+    _blank_stringency(root, {(start + dt.timedelta(days=i)).isoformat() for i in range(90)})
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    capsys.readouterr()
+    assert run(config_path, "evaluate") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "validation split" in err
     assert "Traceback" not in err
 
 

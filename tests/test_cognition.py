@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 import socialtwin
 from socialtwin.cognition import (
-    BehaviorVector,
     EngineConfig,
     OracleParams,
     ResponseCache,
@@ -82,7 +81,6 @@ def test_render_pandemic_template_substitutes_context(pandemic_template):
     assert "Date: 2020-04-15" in prompt.text
     for value in PERSONA.attributes.values():
         assert value in prompt.text
-    assert prompt.persona_id == "p0"
     namesake = Persona(id="p9", attributes=dict(PERSONA.attributes))
     assert render_prompt(namesake, CONTEXT, pandemic_template).text == prompt.text
 
@@ -287,11 +285,6 @@ def test_parse_totality_never_returns_invalid_vector(schema, raw):
     assert all(0.0 <= v <= 1.0 for v in row)
 
 
-def test_behavior_vector_rejects_out_of_range():
-    with pytest.raises(ConfigError):
-        BehaviorVector({"a": 1.5})
-
-
 # --------------------------------------------------------------------- oracle
 
 
@@ -309,7 +302,7 @@ def test_oracle_zero_params_give_half(schema):
         slopes={k: 1e-12 * c.direction for k, c in zip(schema.keys, schema)},
     )
     vector = oracle_respond(params, PERSONA, SimContext(dt.date(2020, 1, 1), 0.0))
-    assert all(abs(v - 0.5) < 1e-9 for v in vector.to_dict().values())
+    assert all(abs(v - 0.5) < 1e-9 for v in vector.values())
 
 
 def test_oracle_stay_home_slope_three_analytic():
@@ -398,7 +391,7 @@ def query(engine, prompt, persona, context, categories, cache):
     row = cache.get(key, categories)
     if row is None:
         row = ask_engine(engine, key, prompt, persona, context, categories, cache)
-    return BehaviorVector(dict(zip(categories.keys, row)))
+    return dict(zip(categories.keys, row))
 
 
 def oracle_engine(schema, params=None):
@@ -548,7 +541,7 @@ def test_oracle_engine_response_parses_back_exactly(schema, pandemic_template):
         EngineConfig(kind="synthetic-oracle", oracle_params=params), schema
     )
     raw = engine.respond(render_prompt(PERSONA, CONTEXT, pandemic_template), PERSONA, CONTEXT)
-    assert _parsed(raw, schema) == oracle_respond(params, PERSONA, CONTEXT).to_dict()
+    assert _parsed(raw, schema) == oracle_respond(params, PERSONA, CONTEXT)
 
 
 # reply texts of a noisy oracle (noise_scale 0.3), as the json.dumps encoder gave them
@@ -577,7 +570,7 @@ def test_noisy_oracle_replies_are_pinned_and_digest_params_once(schema, monkeypa
     at_build = len(digests)
     for persona, context, reply in NOISY_REPLIES:
         assert engine.respond(None, persona, context) == reply
-        assert _parsed(reply, schema) == oracle_respond(params, persona, context).to_dict()
+        assert _parsed(reply, schema) == oracle_respond(params, persona, context)
     engine.respond(None, PERSONA, CONTEXT)
     assert len(digests) == at_build + len(NOISY_REPLIES)  # only oracle_respond's own
 
@@ -1183,7 +1176,7 @@ def test_cache_record_layout_starts_with_key(schema, pandemic_template, tmp_path
         assert line == json.dumps(rec).encode() + b"\n"
         assert line.startswith(b'{"key": "%s", ' % rec["key"].encode())
         # the row packs the probabilities in response-key order
-        assert bytes.fromhex(rec["row"]) == struct.pack("<6d", *vector.probs.values())
+        assert bytes.fromhex(rec["row"]) == struct.pack("<6d", *vector.values())
 
 
 @pytest.mark.parametrize(

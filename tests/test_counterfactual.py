@@ -329,7 +329,7 @@ def reference_run_ablation(variant, inputs, aggregates, objective="per-category-
     eval_obs = inputs.observations.restrict(eval_range)
     if variant == "no-calibration":
         predictions = {
-            d: {k: 100.0 * v[k] for k in v.categories} for d, v in eval_aggregates.items()
+            d: {k: 100.0 * p for k, p in v.items()} for d, v in eval_aggregates.items()
         }
     else:
         train_pairs = pair_by_date(train_aggregates, train_obs)

@@ -12,7 +12,6 @@ from socialtwin.evaluation import (
     evaluate_predictions,
     improvement_pct,
     macro_average,
-    rmse,
     rmse_with_coverage,
 )
 from socialtwin.ingest import ObservationRecord, ObservationSeries
@@ -54,21 +53,22 @@ def test_rmse_perfect_fit_is_zero():
     dates = days(20)
     obs = series({d: 5.0 for d in dates})
     predictions = {d: {"k": 5.0} for d in dates}
-    assert rmse(predictions, obs, "k") == 0.0
+    assert rmse_with_coverage(predictions, obs, "k")[0] == 0.0
 
 
 def test_rmse_constant_offset():
     dates = days(13)
     obs = series({d: -20.0 for d in dates})
     predictions = {d: {"k": -17.0} for d in dates}
-    assert rmse(predictions, obs, "k") == pytest.approx(3.0, abs=1e-12)
+    assert rmse_with_coverage(predictions, obs, "k")[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_rmse_hand_arithmetic():
     d1, d2 = days(2)
     obs = series({d1: 0.0, d2: 0.0})
     predictions = {d1: {"k": 3.0}, d2: {"k": 4.0}}
-    assert rmse(predictions, obs, "k") == pytest.approx(math.sqrt(12.5), abs=1e-12)
+    value = rmse_with_coverage(predictions, obs, "k")[0]
+    assert value == pytest.approx(math.sqrt(12.5), abs=1e-12)
 
 
 def test_rmse_excludes_and_counts_one_sided_dates():
@@ -83,7 +83,7 @@ def test_rmse_excludes_and_counts_one_sided_dates():
 def test_rmse_zero_common_dates():
     obs = series({dt.date(2021, 1, 1): 1.0})
     with pytest.raises(DataError, match="no common dates"):
-        rmse({dt.date(2022, 1, 1): {"k": 1.0}}, obs, "k")
+        rmse_with_coverage({dt.date(2022, 1, 1): {"k": 1.0}}, obs, "k")
 
 
 # ----------------------------------------------------------------- macro/compare
@@ -165,11 +165,11 @@ def test_rmse_invariant_under_date_reordering(errors, rng):
     dates = days(len(errors))
     obs = series({d: 0.0 for d in dates})
     predictions = {d: {"k": e} for d, e in zip(dates, errors)}
-    base = rmse(predictions, obs, "k")
+    base = rmse_with_coverage(predictions, obs, "k")[0]
     shuffled_dates = list(dates)
     rng.shuffle(shuffled_dates)
     shuffled = {d: predictions[d] for d in shuffled_dates}
-    assert rmse(shuffled, obs, "k") == pytest.approx(base, abs=1e-12)
+    assert rmse_with_coverage(shuffled, obs, "k")[0] == pytest.approx(base, abs=1e-12)
 
 
 @given(
@@ -188,7 +188,8 @@ def test_rmse_symmetry(pairs):
     obs_b = series({d: b for d, (_, b) in zip(dates, pairs)})
     pred_a = {d: {"k": a} for d, (a, _) in zip(dates, pairs)}
     pred_b = {d: {"k": b} for d, (_, b) in zip(dates, pairs)}
-    assert rmse(pred_b, obs_a, "k") == pytest.approx(rmse(pred_a, obs_b, "k"), abs=1e-12)
+    forward = rmse_with_coverage(pred_b, obs_a, "k")[0]
+    assert forward == pytest.approx(rmse_with_coverage(pred_a, obs_b, "k")[0], abs=1e-12)
 
 
 @given(error_lists, st.floats(min_value=0.01, max_value=50))
@@ -197,11 +198,13 @@ def test_rmse_scales_linearly_and_improvement_invariant(errors, scale):
     obs = series({d: 0.0 for d in dates})
     ours = {d: {"k": e} for d, e in zip(dates, errors)}
     ref = {d: {"k": e * 2.0 + 1.0} for d, e in zip(dates, errors)}
-    base_ours, base_ref = rmse(ours, obs, "k"), rmse(ref, obs, "k")
+    base_ours = rmse_with_coverage(ours, obs, "k")[0]
+    base_ref = rmse_with_coverage(ref, obs, "k")[0]
     scaled_ours = {d: {"k": e * scale} for d, e in zip(dates, errors)}
     scaled_ref = {d: {"k": (e * 2.0 + 1.0) * scale} for d, e in zip(dates, errors)}
-    assert rmse(scaled_ours, obs, "k") == pytest.approx(base_ours * scale, rel=1e-9)
-    assert rmse(scaled_ref, obs, "k") == pytest.approx(base_ref * scale, rel=1e-9)
+    scaled_ours_rmse = rmse_with_coverage(scaled_ours, obs, "k")[0]
+    assert scaled_ours_rmse == pytest.approx(base_ours * scale, rel=1e-9)
+    assert rmse_with_coverage(scaled_ref, obs, "k")[0] == pytest.approx(base_ref * scale, rel=1e-9)
     if base_ref > 0:
         assert improvement_pct(base_ref * scale, base_ours * scale) == pytest.approx(
             improvement_pct(base_ref, base_ours), rel=1e-9, abs=1e-9

@@ -51,7 +51,7 @@ def remote_engine(endpoint: str, **settings) -> RemoteHttpEngine:
 
 
 def ask(engine, i: int = 0) -> str:
-    return engine.respond(PromptText(f"prompt {i}", "p0"), None, None)
+    return engine.respond(PromptText(f"prompt {i}"), None, None)
 
 
 def basic(user: str, password: str) -> str:

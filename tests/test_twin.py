@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialtwin.cognition import (
-    BehaviorVector,
     EngineConfig,
     OracleParams,
     ResponseCache,
@@ -158,10 +157,10 @@ def _naive_simulate(twin, contexts):
     out = []
     for context in contexts:
         vectors = _member_vectors(twin, context)
-        out.append(BehaviorVector({
+        out.append({
             key: float(sum(Fraction(v[key]) for v in vectors) / len(vectors))
             for key in twin.schema.keys
-        }))
+        })
     return out
 
 
@@ -389,7 +388,7 @@ def test_renamed_category_served_from_warm_cache(schema, pandemic_template):
     for aggregate, renamed_aggregate in zip(before, after):
         assert renamed_aggregate["renamed"] == aggregate[old_key]
         assert all(renamed_aggregate[k] == aggregate[k] for k in schema.keys if k != old_key)
-    assert vector.categories == renamed.keys
+    assert tuple(vector) == renamed.keys
 
 
 class PartlyBrokenOracle:
