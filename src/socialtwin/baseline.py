@@ -27,6 +27,7 @@ output is its ``value``; an inner node sends a row to ``left`` when
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import json
 from itertools import accumulate, chain
@@ -37,7 +38,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import ObservationSeries, PolicyRecord
+from .ingest import PolicyRecord, Series
 
 LAG_OFFSETS = (0, 7, 14, 21, 28)
 FEATURE_NAMES = tuple(f"stringency_lag_{d}" for d in LAG_OFFSETS) + (
@@ -73,18 +74,16 @@ def build_feature_matrix(
     return np.array(rows, dtype=float), used
 
 
-def persistence_forecast(
-    history: ObservationSeries, target_dates: Sequence[dt.date]
-) -> dict[dt.date, dict[str, float]]:
-    """Prediction for date t = last observed value strictly before t."""
-    records = history.records
-    dates = [r.date for r in records]
-    predictions: dict[dt.date, dict[str, float]] = {}
+def persistence_forecast(history: Series, target_dates: Sequence[dt.date]) -> Series:
+    """Prediction for date t = last observed value strictly before t; the
+    ``history`` dates are ascending."""
+    dates = list(history)
+    predictions: Series = {}
     for target in target_dates:
-        idx = int(np.searchsorted(dates, target)) - 1
+        idx = bisect.bisect_left(dates, target) - 1
         if idx < 0:
             raise DataError(f"no observation strictly before {target}")
-        predictions[target] = dict(records[idx].values)
+        predictions[target] = dict(history[dates[idx]])
     return predictions
 
 

@@ -34,6 +34,7 @@ because of two invariants:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,11 +44,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import ObservationRecord
+from .ingest import Series
 
 TPE_GAMMA = 0.25
 TPE_STARTUP_TRIALS = 10
 TPE_CANDIDATES = 24
+
+Pair = tuple[dict[str, float], dict[str, float]]  # (aggregate, observation) of one date
 
 
 @dataclass(frozen=True)
@@ -189,28 +192,19 @@ def apply_calibration(pbar: Mapping[str, float], params: CalibrationParams) -> d
     return {key: params.per_category[key].apply(p) for key, p in pbar.items()}
 
 
-def pair_by_date(
-    aggregates: Mapping, observations
-) -> list[tuple[Mapping[str, float], ObservationRecord]]:
+def pair_by_date(aggregates: Series, observations: Series) -> list[Pair]:
     """Align simulated aggregates with observations on common dates."""
-    by_date = observations.by_date()
-    pairs = []
-    for date in sorted(aggregates.keys()):
-        if date in by_date:
-            pairs.append((aggregates[date], by_date[date]))
-    return pairs
+    return [(aggregates[d], observations[d]) for d in sorted(aggregates) if d in observations]
 
 
-def _pairs_from_training(
-    train: Sequence[tuple[Mapping[str, float], ObservationRecord]]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _pairs_from_training(train: Sequence[Pair]) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Category keys and their (categories, dates) probability and observation
     matrices; row k holds category k's series in date order."""
     if len(train) < 2:
         raise DataError(f"calibration needs >= 2 training dates, got {len(train)}")
     keys = list(train[0][0])
     p = np.array([[vec[key] for vec, _ in train] for key in keys], dtype=float)
-    y = np.array([[obs.values[key] for _, obs in train] for key in keys], dtype=float)
+    y = np.array([[obs[key] for _, obs in train] for key in keys], dtype=float)
     return keys, p, y
 
 
@@ -415,7 +409,7 @@ def _fit_result(
 
 
 def fit_calibration(
-    train: Sequence[tuple[Mapping[str, float], ObservationRecord]],
+    train: Sequence[Pair],
     config: FitConfig,
 ) -> tuple[CalibrationParams, FitReport]:
     """Fit (alpha_k, beta_k) per category by minimizing clipped-prediction RMSE.
@@ -452,7 +446,7 @@ def fit_calibration(
 
 
 def fit_unclipped(
-    train: Sequence[tuple[Mapping[str, float], ObservationRecord]],
+    train: Sequence[Pair],
 ) -> CalibrationParams:
     """The unclipped map of each category: its least-squares line, with
     infinite clip bounds (ablation arm).
@@ -472,7 +466,7 @@ def fit_unclipped(
 
 
 def fit_single_slope(
-    train: Sequence[tuple[Mapping[str, float], ObservationRecord]],
+    train: Sequence[Pair],
     config: FitConfig,
 ) -> tuple[CalibrationParams, FitReport]:
     """Fit one shared (alpha, beta) across all categories (ablation arm).
@@ -525,12 +519,14 @@ def save_calibration(
 
 def load_calibration(
     path: str | Path, expected_config_hash: str | None = None
-) -> tuple[CalibrationParams, dict]:
+) -> tuple[CalibrationParams, str]:
+    """The artifact's map, and the SHA-256 hex digest of the bytes parsed."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"calibration artifact not found: {p}")
+    data = p.read_bytes()
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{p}: calibration artifact is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -555,4 +551,4 @@ def load_calibration(
         params = CalibrationParams.from_dict(payload["categories"])
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise DataError(f"{p}: calibration artifact is malformed: {exc!r}") from None
-    return params, payload
+    return params, hashlib.sha256(data).hexdigest()

@@ -48,7 +48,7 @@ from .counterfactual import (
 )
 from .errors import ConfigError, DataError, EngineError
 from .evaluation import compare, evaluate_predictions
-from .ingest import load_observations_csv, load_policy_csv
+from .ingest import Series, load_observations_csv, load_policy_csv
 from .persona import sample_population, save_population
 from .twin import DigitalTwin, contexts_from_policy
 
@@ -92,7 +92,7 @@ def _engine_counts(engine, cache: ResponseCache) -> dict:
     }
 
 
-def write_aggregates(config: RunConfig, aggregates: dict) -> None:
+def write_aggregates(config: RunConfig, aggregates: Series) -> None:
     rows = [{"date": d.isoformat(), "probs": aggregates[d]} for d in sorted(aggregates)]
     _write_json(
         config.output_dir / "aggregates.json",
@@ -110,12 +110,14 @@ def write_aggregates(config: RunConfig, aggregates: dict) -> None:
             writer.writerow([row["date"], *(repr(row["probs"][k]) for k in config.schema.keys)])
 
 
-def read_aggregates(config: RunConfig) -> dict:
+def read_aggregates(config: RunConfig) -> tuple[Series, str]:
+    """The aggregated series, and the SHA-256 hex digest of the bytes parsed."""
     path = config.output_dir / "aggregates.json"
     if not path.exists():
         raise DataError(f"aggregated series not found: {path}; run `simulate` first")
+    data = path.read_bytes()
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: aggregated series is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -139,7 +141,7 @@ def read_aggregates(config: RunConfig) -> dict:
                 if not 0.0 <= p <= 1.0:  # NaN fails too
                     raise ValueError(f"probability for {k!r} out of [0, 1]: {p}")
             aggregates[dt.date.fromisoformat(row["date"])] = probs
-        return aggregates
+        return aggregates, hashlib.sha256(data).hexdigest()
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: aggregated series is malformed: {exc!r}") from None
 
@@ -214,11 +216,11 @@ def cmd_simulate(config: RunConfig) -> None:
 
 def cmd_calibrate(config: RunConfig) -> None:
     """Fit the per-category clipped affine map on the train split only."""
-    aggregates = read_aggregates(config)
+    aggregates, _ = read_aggregates(config)
     _, _, observations, obs_report = _load_inputs(config)
-    train_obs = observations.restrict(config.split.train)
-    train_aggregates = {d: v for d, v in aggregates.items() if config.split.train.contains(d)}
-    pairs = pair_by_date(train_aggregates, train_obs)
+    train = config.split.train
+    train_obs = train.restrict(observations)
+    pairs = pair_by_date(train.restrict(aggregates), train_obs)
     params, report = fit_calibration(pairs, config.fit)
     save_calibration(
         params,
@@ -233,8 +235,8 @@ def cmd_calibrate(config: RunConfig) -> None:
         {
             "observations_read": {
                 "split": "train",
-                "start": config.split.train.start.isoformat(),
-                "end": config.split.train.end.isoformat(),
+                "start": train.start.isoformat(),
+                "end": train.end.isoformat(),
                 "n_dates": len(train_obs),
             },
             "observations_load_report": obs_report.to_dict(),
@@ -245,21 +247,18 @@ def cmd_calibrate(config: RunConfig) -> None:
 
 
 def _gbm_fit_on_train(config: RunConfig, policy, observations):
-    train_obs = observations.restrict(config.split.train)
-    X, used_dates = bl.build_feature_matrix(policy, train_obs.dates())
+    train_obs = config.split.train.restrict(observations)
+    X, used_dates = bl.build_feature_matrix(policy, list(train_obs))
     if not used_dates:
         raise DataError("no train dates have full lag coverage for the boosted baseline")
-    by_date = train_obs.by_date()
-    targets = {
-        key: [by_date[d].values[key] for d in used_dates] for key in observations.categories
-    }
+    targets = {key: [train_obs[d][key] for d in used_dates] for key in config.schema.keys}
     return bl.fit_gbm(X, targets, config.gbm, seed=config.seeds["gbm"])
 
 
 def _evaluate_split(config: RunConfig, split_name, policy, observations, aggregates, calibration, gbm_model, calibration_digest):
     split_range = config.split.range_for(split_name)
-    obs_split = observations.restrict(split_range)
-    if len(obs_split) == 0:
+    obs_split = split_range.restrict(observations)
+    if not obs_split:
         raise DataError(f"no observations inside the {split_name} split")
     provenance = {
         "config_hash": config.config_hash,
@@ -272,18 +271,17 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
 
     twin_predictions = {
         d: apply_calibration(vec, calibration)
-        for d, vec in aggregates.items()
-        if split_range.contains(d)
+        for d, vec in split_range.restrict(aggregates).items()
     }
     if not twin_predictions:
         raise DataError(f"no aggregates available inside the {split_name} split")
 
-    persistence_predictions = bl.persistence_forecast(observations, obs_split.dates())
+    persistence_predictions = bl.persistence_forecast(observations, list(obs_split))
 
-    X_eval, eval_dates = bl.build_feature_matrix(policy, obs_split.dates())
+    X_eval, eval_dates = bl.build_feature_matrix(policy, list(obs_split))
     gbm_by_category = bl.predict_gbm_matrix(gbm_model, X_eval)
     gbm_predictions = {
-        d: {key: float(gbm_by_category[key][i]) for key in observations.categories}
+        d: {key: float(gbm_by_category[key][i]) for key in config.schema.keys}
         for i, d in enumerate(eval_dates)
     }
 
@@ -297,7 +295,9 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
 
     def report(method, predictions):
         predictions = {d: p for d, p in predictions.items() if d in scored}
-        return evaluate_predictions(method, split_name, predictions, obs_split, provenance)
+        return evaluate_predictions(
+            method, split_name, predictions, obs_split, config.schema.keys, provenance
+        )
 
     twin_report = report("digital-twin", twin_predictions)
     gbm_report = report("gbm", gbm_predictions)
@@ -328,15 +328,15 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
     with plot_path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", "category", "observed", "twin", "gbm", "persistence"])
-        for rec in obs_split:
-            for key in obs_split.categories:
+        for d, observed in obs_split.items():
+            for key, value in observed.items():
                 def cell(preds):
-                    return repr(preds[rec.date][key]) if rec.date in preds else ""
+                    return repr(preds[d][key]) if d in preds else ""
                 writer.writerow(
                     [
-                        rec.date.isoformat(),
+                        d.isoformat(),
                         key,
-                        repr(rec.values[key]),
+                        repr(value),
                         cell(twin_predictions),
                         cell(gbm_predictions),
                         cell(persistence_predictions),
@@ -350,16 +350,12 @@ def _evaluate_split(config: RunConfig, split_name, policy, observations, aggrega
     }
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def cmd_evaluate(config: RunConfig) -> None:
     """Score the twin, boosted, and persistence methods on validation and test."""
-    aggregates = read_aggregates(config)
-    calib_path = config.output_dir / "calibration.json"
-    calibration, _ = load_calibration(calib_path, expected_config_hash=config.config_hash)
-    calibration_digest = _sha256(calib_path)
+    aggregates, _ = read_aggregates(config)
+    calibration, calibration_digest = load_calibration(
+        config.output_dir / "calibration.json", expected_config_hash=config.config_hash
+    )
     policy, _, observations, _ = _load_inputs(config)
     gbm_model = _gbm_fit_on_train(config, policy, observations)
     bl.save_gbm(gbm_model, config.output_dir / "gbm_model.json")
@@ -422,9 +418,10 @@ def cmd_counterfactual(config: RunConfig, scenario_path: str) -> None:
 def cmd_ablate(config: RunConfig) -> None:
     """Score the ablation matrix on the chain's aggregates and calibration and
     report macro-RMSE per variant; only the persona variants simulate."""
-    aggregates = read_aggregates(config)
-    calib_path = config.output_dir / "calibration.json"
-    calibration, _ = load_calibration(calib_path, expected_config_hash=config.config_hash)
+    aggregates, aggregates_digest = read_aggregates(config)
+    calibration, calibration_digest = load_calibration(
+        config.output_dir / "calibration.json", expected_config_hash=config.config_hash
+    )
     policy, _, observations, _ = _load_inputs(config)
     inputs = AblationInputs(
         policy=policy,
@@ -452,8 +449,8 @@ def cmd_ablate(config: RunConfig) -> None:
         {
             **_engine_counts(engine, cache),
             "variants": list(ABLATION_VARIANTS),
-            "aggregates_sha256": _sha256(config.output_dir / "aggregates.json"),
-            "calibration_artifact_sha256": _sha256(calib_path),
+            "aggregates_sha256": aggregates_digest,
+            "calibration_artifact_sha256": calibration_digest,
             "simulation_log": {
                 variant: log.to_dict() for variant, log in report.simulation_logs.items()
             },

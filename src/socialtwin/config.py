@@ -347,7 +347,7 @@ class RunConfig:
     population_spec: DemographicSpec
     seeds: dict[str, int]
     policy_columns: dict[str, str]
-    observation_columns: dict[str, str]  # category key -> CSV column
+    observation_columns: dict[str, str]  # category key -> CSV column, in schema order
     observation_date_column: str
     parallelism: int
     config_hash: str = ""
@@ -418,9 +418,14 @@ def load_run_config(
         raise ConfigError(f"{spec_path or 'population'}: {exc}") from None
 
     schema = CategorySchema.from_dicts(read["categories"])
-    missing = [k for k in schema.keys if k not in read["observation_columns"]]
+    columns = read["observation_columns"]
+    missing = [k for k in schema.keys if k not in columns]
     if missing:
         raise ConfigError(f"observation_columns missing categories {missing}")
+    extra = [k for k in columns if k not in schema.keys]
+    if extra:
+        raise ConfigError(f"observation_columns names unknown categories {extra}")
+    read["observation_columns"] = {k: columns[k] for k in schema.keys}
     engine = dict(read["engine"])
     oracle = engine.pop("oracle")
     oracle_params = None if oracle is None else OracleParams(**_floats(oracle))

@@ -28,7 +28,7 @@ from .cognition import ResponseCache, SimContext
 from .config import _load_yaml
 from .errors import ConfigError, DataError
 from .evaluation import evaluate_predictions
-from .ingest import ObservationSeries, PolicyRecord, TemporalSplit
+from .ingest import PolicyRecord, Series, TemporalSplit
 from .persona import DemographicSpec, sample_population, uniform_population
 from .schema import CategorySchema
 from .twin import DigitalTwin, SimulationLog, contexts_from_policy
@@ -264,11 +264,12 @@ ABLATION_VARIANTS = (
 
 @dataclass
 class AblationInputs:
-    """The data and settings every ablation variant shares; the engine,
+    """The data and settings every ablation variant shares, the observations
+    as the ``Series`` that ``load_observations_csv`` returns; the engine,
     cache, aggregates and calibration are given to ``run_ablation_suite``."""
 
     policy: list[PolicyRecord]
-    observations: ObservationSeries
+    observations: Series
     split: TemporalSplit
     schema: CategorySchema
     population_spec: DemographicSpec
@@ -312,7 +313,7 @@ _POPULATION_BUILDERS = {
 def run_ablation(
     variant: str,
     inputs: AblationInputs,
-    aggregates: dict[dt.date, dict[str, float]],
+    aggregates: Series,
     calibration: CalibrationParams,
 ) -> tuple[float, dict[str, float]]:
     """Score one pipeline variant on the test dates of the ``aggregates`` of
@@ -327,9 +328,8 @@ def run_ablation(
     """
     if variant not in ABLATION_VARIANTS:
         raise ConfigError(f"unknown ablation variant {variant!r}; expected {ABLATION_VARIANTS}")
-    test = inputs.split.test
-    test_aggregates = {d: v for d, v in aggregates.items() if test.contains(d)}
-    test_obs = inputs.observations.restrict(test)
+    test, train = inputs.split.test, inputs.split.train
+    test_aggregates = test.restrict(aggregates)
 
     if variant == "no-calibration":
         predictions = {
@@ -339,11 +339,8 @@ def run_ablation(
         if variant == "full":
             params = calibration
         else:
-            train_aggregates = {
-                d: v for d, v in aggregates.items() if inputs.split.train.contains(d)
-            }
             train_pairs = pair_by_date(
-                train_aggregates, inputs.observations.restrict(inputs.split.train)
+                train.restrict(aggregates), train.restrict(inputs.observations)
             )
             if variant == "single-slope":
                 params, _ = fit_single_slope(train_pairs, inputs.fit_config)
@@ -353,7 +350,9 @@ def run_ablation(
                 params, _ = fit_calibration(train_pairs, inputs.fit_config)
         predictions = {d: apply_calibration(v, params) for d, v in test_aggregates.items()}
 
-    report = evaluate_predictions(variant, "test", predictions, test_obs)
+    report = evaluate_predictions(
+        variant, "test", predictions, test.restrict(inputs.observations), inputs.schema.keys
+    )
     return report.macro_rmse, report.per_category_rmse
 
 
@@ -361,7 +360,7 @@ def run_ablation_suite(
     inputs: AblationInputs,
     engine,
     cache: ResponseCache,
-    aggregates: dict[dt.date, dict[str, float]],
+    aggregates: Series,
     calibration: CalibrationParams,
     variants: Sequence[str] = ABLATION_VARIANTS,
 ) -> AblationReport:

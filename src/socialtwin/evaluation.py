@@ -1,25 +1,22 @@
-"""Score predictions against observations: per-category RMSE, unweighted
-macro average, and percent improvement versus a reference method."""
+"""Score predictions against observations, both ``ingest.Series`` (date ->
+category -> value): per-category RMSE, unweighted macro average, and percent
+improvement versus a reference method."""
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import DataError
-from .ingest import ObservationSeries
-
-Predictions = Mapping[dt.date, Mapping[str, float]]
+from .ingest import Series
 
 
 def rmse_with_coverage(
-    predictions: Predictions, observations: ObservationSeries, category: str
+    predictions: Series, observations: Series, category: str
 ) -> tuple[float, int]:
     """RMSE plus the number of common dates actually scored."""
-    observed = observations.by_date()
-    common = [d for d in predictions if d in observed]
+    common = [d for d in predictions if d in observations]
     if not common:
         raise DataError(
             f"no common dates between predictions ({len(predictions)}) and "
@@ -27,19 +24,13 @@ def rmse_with_coverage(
         )
     total = 0.0
     for d in common:
-        err = predictions[d][category] - observed[d].values[category]
+        err = predictions[d][category] - observations[d][category]
         total += err * err
     return math.sqrt(total / len(common)), len(common)
 
 
-def macro_average(
-    per_category: Mapping[str, float], expected: Iterable[str] | None = None
-) -> float:
+def macro_average(per_category: Mapping[str, float]) -> float:
     """Unweighted mean of per-category values."""
-    if expected is not None:
-        missing = [k for k in expected if k not in per_category]
-        if missing:
-            raise DataError(f"macro average missing categories {missing}")
     if not per_category:
         raise DataError("macro average of an empty mapping")
     return sum(per_category.values()) / len(per_category)
@@ -117,20 +108,21 @@ class EvalReport:
 def evaluate_predictions(
     method: str,
     split: str,
-    predictions: Predictions,
-    observations: ObservationSeries,
+    predictions: Series,
+    observations: Series,
+    categories: Iterable[str],
     provenance: dict | None = None,
 ) -> EvalReport:
-    """Score one method on one split across all observation categories."""
+    """Score one method on one split in each of ``categories``, in that order."""
     per_category = {}
     n_dates = 0
-    for key in observations.categories:
+    for key in categories:
         per_category[key], n_dates = rmse_with_coverage(predictions, observations, key)
     return EvalReport(
         method=method,
         split=split,
         per_category_rmse=per_category,
-        macro_rmse=macro_average(per_category, observations.categories),
+        macro_rmse=macro_average(per_category),
         n_dates=n_dates,
         provenance=provenance or {},
     )

@@ -2,8 +2,9 @@
 
 CSV layouts are configuration-driven: callers name the columns, so exports
 from different trackers load without code changes. Dates are daily ISO-8601
-calendar dates; intra-day data is out of scope. All loaders return records
-sorted ascending by date and report dropped rows rather than imputing.
+calendar dates; intra-day data is out of scope. The policy loader returns
+records and the observations loader a ``Series``, both ascending by date;
+both report dropped rows rather than imputing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
+
+# A dated series of per-category values: date -> {category key: value}, dates
+# ascending. Observations, aggregates and every method's predictions share it.
+Series = dict[dt.date, dict[str, float]]
 
 
 @dataclass(frozen=True)
@@ -41,56 +46,6 @@ class PolicyRecord:
 
 
 @dataclass(frozen=True)
-class ObservationRecord:
-    """Observed per-category metrics for one day, in percent-change units."""
-
-    date: dt.date
-    values: dict[str, float]
-
-
-@dataclass(frozen=True)
-class ObservationSeries:
-    """Dated sequence of observation records over a fixed category set."""
-
-    categories: tuple[str, ...]
-    records: tuple[ObservationRecord, ...]
-
-    def __post_init__(self):
-        seen: set[dt.date] = set()
-        prev: dt.date | None = None
-        for rec in self.records:
-            if rec.date in seen:
-                raise DataError(f"duplicate observation date {rec.date}")
-            if prev is not None and rec.date < prev:
-                raise DataError("observation records must be sorted ascending by date")
-            if tuple(rec.values.keys()) != self.categories:
-                raise DataError(
-                    f"record {rec.date} has categories {tuple(rec.values)}, "
-                    f"expected {self.categories}"
-                )
-            seen.add(rec.date)
-            prev = rec.date
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def dates(self) -> list[dt.date]:
-        return [r.date for r in self.records]
-
-    def by_date(self) -> dict[dt.date, ObservationRecord]:
-        return {r.date: r for r in self.records}
-
-    def restrict(self, date_range: "DateRange") -> "ObservationSeries":
-        return ObservationSeries(
-            self.categories,
-            tuple(r for r in self.records if date_range.contains(r.date)),
-        )
-
-
-@dataclass(frozen=True)
 class DateRange:
     """Inclusive calendar-date range."""
 
@@ -103,6 +58,10 @@ class DateRange:
 
     def contains(self, date: dt.date) -> bool:
         return self.start <= date <= self.end
+
+    def restrict(self, series: Series) -> Series:
+        """The entries of ``series`` dated inside the range, in its order."""
+        return {d: v for d, v in series.items() if self.contains(d)}
 
 
 @dataclass(frozen=True)
@@ -180,8 +139,8 @@ def _csv_rows(path: str | Path):
         raise DataError(f"{p}: cannot read the CSV file: {exc}") from None
 
 
-def _refuse_duplicate_dates(records: Sequence, path, what: str) -> None:
-    dupes = sorted(d for d, n in Counter(r.date for r in records).items() if n > 1)
+def _refuse_duplicate_dates(dates: Iterable[dt.date], path, what: str) -> None:
+    dupes = sorted(d for d, n in Counter(dates).items() if n > 1)
     if dupes:
         raise DataError(f"{path}: duplicate {what} dates {[d.isoformat() for d in dupes]}")
 
@@ -231,7 +190,7 @@ def load_policy_csv(
                 if raw_gov:
                     gov = _parse_float(raw_gov, str(path), i, gov_col)
             records.append(PolicyRecord(date=date, stringency=stringency, government_response=gov))
-    _refuse_duplicate_dates(records, path, "policy")
+    _refuse_duplicate_dates((r.date for r in records), path, "policy")
     records.sort(key=lambda r: r.date)
     report.rows_kept = len(records)
     return records, report
@@ -241,8 +200,9 @@ def load_observations_csv(
     path: str | Path,
     category_columns: dict[str, str],
     date_column: str = "date",
-) -> tuple[ObservationSeries, LoadReport]:
-    """Load an observations CSV into an ObservationSeries.
+) -> tuple[Series, LoadReport]:
+    """Load an observations CSV into a ``Series``: dates ascending, each
+    date's values in the order of ``category_columns``.
 
     ``category_columns`` maps each category key to its CSV column. Rows
     missing any category value are excluded whole (per-category imputation
@@ -251,11 +211,10 @@ def load_observations_csv(
     value is an error naming its row and column.
     """
     report = LoadReport(path=str(path))
-    categories = tuple(category_columns.keys())
-    records: list[ObservationRecord] = []
+    rows: list[tuple[dt.date, dict[str, float]]] = []
     with _csv_rows(path) as reader:
         if reader.fieldnames is None:
-            return ObservationSeries(categories, ()), report
+            return {}, report
         _require_columns(reader.fieldnames, [date_column, *category_columns.values()], str(path))
         for i, row in enumerate(reader, start=2):
             report.rows_read += 1
@@ -269,8 +228,7 @@ def load_observations_csv(
                 key: _parse_float(raw, str(path), i, category_columns[key])
                 for key, raw in raw_values.items()
             }
-            records.append(ObservationRecord(date=date, values=values))
-    _refuse_duplicate_dates(records, path, "observation")
-    records.sort(key=lambda r: r.date)
-    report.rows_kept = len(records)
-    return ObservationSeries(categories, tuple(records)), report
+            rows.append((date, values))
+    _refuse_duplicate_dates((d for d, _ in rows), path, "observation")
+    report.rows_kept = len(rows)
+    return dict(sorted(rows, key=lambda row: row[0])), report

@@ -78,7 +78,9 @@ def write_run_workspace(
         for rec in dataset.policy:
             writer.writerow([rec.date.isoformat(), repr(rec.stringency)])
     columns = {c.key: c.observation_column for c in dataset.schema}
-    write_observations_csv(dataset.observations, root / "observations.csv", columns)
+    write_observations_csv(
+        dataset.observations, dataset.schema.keys, root / "observations.csv", columns
+    )
     if engine is None:
         engine = {
             "kind": "synthetic-oracle",

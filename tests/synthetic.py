@@ -14,6 +14,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from socialtwin.cognition import (
     build_engine,
 )
 from socialtwin.config import load_profile, packaged_template
-from socialtwin.ingest import ObservationRecord, ObservationSeries, PolicyRecord
+from socialtwin.ingest import PolicyRecord, Series
 from socialtwin.persona import DemographicSpec, Persona, sample_population
 from socialtwin.schema import CategorySchema
 from socialtwin.twin import DigitalTwin, contexts_from_policy
@@ -126,8 +127,8 @@ class SyntheticDataset:
     population_spec: DemographicSpec
     oracle_params: OracleParams
     policy: list[PolicyRecord]
-    observations: ObservationSeries
-    aggregates: dict[dt.date, dict[str, float]]  # noiseless truth, per date
+    observations: Series
+    aggregates: Series  # noiseless truth, per date
     true_alpha: dict[str, float]
     true_beta: dict[str, float]
     template: str
@@ -171,7 +172,7 @@ def make_synthetic_dataset(
     aggregates = {c.date: v for c, v in zip(contexts, vectors) if v is not None}
 
     rng = np.random.default_rng(noise_seed)
-    records = []
+    observations = {}
     for date in sorted(aggregates):
         vec = aggregates[date]
         values = {}
@@ -180,8 +181,7 @@ def make_synthetic_dataset(
             if noise_sigma > 0:
                 y += float(rng.normal(0.0, noise_sigma))
             values[key] = y
-        records.append(ObservationRecord(date=date, values=values))
-    observations = ObservationSeries(schema.keys, tuple(records))
+        observations[date] = values
     return SyntheticDataset(
         schema=schema,
         population_spec=spec,
@@ -197,17 +197,17 @@ def make_synthetic_dataset(
 
 
 def write_observations_csv(
-    series: ObservationSeries,
+    series: Series,
+    categories: Sequence[str],
     path: str | Path,
     category_columns: dict[str, str] | None = None,
     date_column: str = "date",
 ) -> None:
-    """Write a series to CSV (inverse of ``load_observations_csv``)."""
-    colmap = category_columns or {c: c for c in series.categories}
+    """Write a series to CSV, one column per category in ``categories``
+    (inverse of ``load_observations_csv``)."""
+    colmap = category_columns or {c: c for c in categories}
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([date_column, *(colmap[c] for c in series.categories)])
-        for rec in series.records:
-            writer.writerow(
-                [rec.date.isoformat(), *(repr(rec.values[c]) for c in series.categories)]
-            )
+        writer.writerow([date_column, *(colmap[c] for c in categories)])
+        for date, values in series.items():
+            writer.writerow([date.isoformat(), *(repr(values[c]) for c in categories)])

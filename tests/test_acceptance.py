@@ -35,7 +35,7 @@ from socialtwin.counterfactual import (
     run_counterfactuals,
 )
 from socialtwin.evaluation import compare, improvement_pct, macro_average, rmse_with_coverage
-from socialtwin.ingest import DateRange, ObservationRecord, ObservationSeries, TemporalSplit
+from socialtwin.ingest import DateRange, TemporalSplit
 from socialtwin.persona import sample_population
 from socialtwin.schema import CategorySchema
 from gbm_reference import train_losses
@@ -92,7 +92,7 @@ def test_criterion_3_calibration_recovery():
         assert len(pairs) == 365
         # precondition: clipping never active on the generated data
         for _, obs in pairs:
-            for key, value in obs.values.items():
+            for key, value in obs.items():
                 assert -100.0 < value < 200.0
         fitted, report = fit_calibration(pairs, FitConfig(trials=200, seed=17))
         for key in ds.schema.keys:
@@ -195,16 +195,10 @@ def test_criterion_5_counterfactual_sanity(long_dataset):
 
 def test_criterion_6_baseline_correctness():
     with criterion(6, "persistence and boosted-tree baseline behavior"):
-        cats = ("k",)
-        records = tuple(
-            ObservationRecord(dt.date(2021, 1, 1) + dt.timedelta(days=i), {"k": -7.0})
-            for i in range(60)
-        )
-        history = ObservationSeries(cats, records)
-        targets = [r.date for r in records[1:]]
+        history = {dt.date(2021, 1, 1) + dt.timedelta(days=i): {"k": -7.0} for i in range(60)}
+        targets = list(history)[1:]
         predictions = bl.persistence_forecast(history, targets)
-        by_date = history.by_date()
-        errors = [predictions[d]["k"] - by_date[d].values["k"] for d in targets]
+        errors = [predictions[d]["k"] - history[d]["k"] for d in targets]
         assert float(np.sqrt(np.mean(np.square(errors)))) == 0.0
 
         policy = stringency_path(dt.date(2020, 3, 4), 365 + 28, seed=7)
@@ -314,22 +308,13 @@ def _prop_clip_idempotent(alpha, beta, p):
 )
 def _prop_rmse_symmetry_and_scaling(pairs, scale):
     dates = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(len(pairs))]
-    obs_a = ObservationSeries(
-        ("k",), tuple(ObservationRecord(d, {"k": a}) for d, (a, _) in zip(dates, pairs))
-    )
-    obs_b = ObservationSeries(
-        ("k",), tuple(ObservationRecord(d, {"k": b}) for d, (_, b) in zip(dates, pairs))
-    )
-    pred_a = {d: {"k": a} for d, (a, _) in zip(dates, pairs)}
-    pred_b = {d: {"k": b} for d, (_, b) in zip(dates, pairs)}
-    forward = rmse_with_coverage(pred_b, obs_a, "k")[0]
-    backward = rmse_with_coverage(pred_a, obs_b, "k")[0]
+    series_a = {d: {"k": a} for d, (a, _) in zip(dates, pairs)}
+    series_b = {d: {"k": b} for d, (_, b) in zip(dates, pairs)}
+    forward = rmse_with_coverage(series_b, series_a, "k")[0]
+    backward = rmse_with_coverage(series_a, series_b, "k")[0]
     assert forward == pytest.approx(backward, abs=1e-12)
     # scaling both sides scales the RMSE and leaves improvement unchanged
-    scaled_obs = ObservationSeries(
-        ("k",),
-        tuple(ObservationRecord(d, {"k": a * scale}) for d, (a, _) in zip(dates, pairs)),
-    )
+    scaled_obs = {d: {"k": a * scale} for d, (a, _) in zip(dates, pairs)}
     scaled_pred = {d: {"k": b * scale} for d, (_, b) in zip(dates, pairs)}
     scaled = rmse_with_coverage(scaled_pred, scaled_obs, "k")[0]
     assert scaled == pytest.approx(forward * scale, rel=1e-9, abs=1e-9)

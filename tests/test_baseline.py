@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from socialtwin import baseline as bl
 from socialtwin.errors import DataError
-from socialtwin.ingest import ObservationRecord, ObservationSeries, PolicyRecord
+from socialtwin.ingest import PolicyRecord
 from gbm_reference import load_gbm, train_losses
 from synthetic import stringency_path
 
@@ -16,11 +16,9 @@ CATS = ("retail", "parks")
 
 
 def obs_series(start, values_by_day):
-    records = tuple(
-        ObservationRecord(start + dt.timedelta(days=i), {c: v for c in CATS})
-        for i, v in enumerate(values_by_day)
-    )
-    return ObservationSeries(CATS, records)
+    return {
+        start + dt.timedelta(days=i): {c: v for c in CATS} for i, v in enumerate(values_by_day)
+    }
 
 
 def constant_policy(start, days, stringency=90.0):
@@ -40,9 +38,7 @@ def test_persistence_constant_history_zero_rmse():
     history = obs_series(dt.date(2021, 1, 1), [-7.5] * 40)
     targets = [dt.date(2021, 1, 1) + dt.timedelta(days=i) for i in range(10, 40)]
     predictions = bl.persistence_forecast(history, targets)
-    errors = [
-        predictions[d]["retail"] - history.by_date()[d].values["retail"] for d in targets
-    ]
+    errors = [predictions[d]["retail"] - history[d]["retail"] for d in targets]
     assert float(np.sqrt(np.mean(np.square(errors)))) == 0.0
 
 
@@ -70,10 +66,9 @@ def test_persistence_random_walk_beats_iid_noise():
 
     def persistence_rmse(values):
         history = obs_series(dt.date(2020, 1, 1), list(values))
-        targets = history.dates()[1:]
+        targets = list(history)[1:]
         predictions = bl.persistence_forecast(history, targets)
-        by_date = history.by_date()
-        errs = [predictions[d]["retail"] - by_date[d].values["retail"] for d in targets]
+        errs = [predictions[d]["retail"] - history[d]["retail"] for d in targets]
         return float(np.sqrt(np.mean(np.square(errs))))
 
     assert persistence_rmse(walk) < persistence_rmse(iid)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -28,10 +29,7 @@ from socialtwin.calibrate import (
     save_calibration,
 )
 from socialtwin.errors import ConfigError, DataError
-from socialtwin.ingest import ObservationRecord
 from synthetic import make_synthetic_dataset
-
-import datetime as dt
 
 
 def make_params(alpha, beta, y_min=-100.0, y_max=200.0, keys=("k",)):
@@ -42,14 +40,7 @@ def make_params(alpha, beta, y_min=-100.0, y_max=200.0, keys=("k",)):
 
 def make_training(p_values, y_values, key="k"):
     """Paired (vector, observation) rows for a single category."""
-    base = dt.date(2020, 4, 1)
-    return [
-        (
-            {key: p},
-            ObservationRecord(base + dt.timedelta(days=i), {key: y}),
-        )
-        for i, (p, y) in enumerate(zip(p_values, y_values))
-    ]
+    return [({key: p}, {key: y}) for p, y in zip(p_values, y_values)]
 
 
 # ------------------------------------------------------------------ applying
@@ -208,10 +199,7 @@ def test_fit_separability_category_params_independent(synth_dataset):
     key = "go_work"
     scrambled = []
     for vec, obs in pairs:
-        values = {
-            k: (obs.values[k] if k == key else -obs.values[k] - 3.0) for k in obs.values
-        }
-        scrambled.append((vec, ObservationRecord(obs.date, values)))
+        scrambled.append((vec, {k: (y if k == key else -y - 3.0) for k, y in obs.items()}))
     refit, _ = fit_calibration(scrambled, FitConfig(trials=30, seed=4))
     assert refit.per_category[key].alpha == full.per_category[key].alpha
     assert refit.per_category[key].beta == full.per_category[key].beta
@@ -276,7 +264,7 @@ def _ref_pairs_from_training(train):
     out = {}
     for key in categories:
         p = np.array([vec[key] for vec, _ in train], dtype=float)
-        y = np.array([obs.values[key] for _, obs in train], dtype=float)
+        y = np.array([obs[key] for _, obs in train], dtype=float)
         out[key] = (p, y)
     return out
 
@@ -433,11 +421,10 @@ def random_training(n_categories, n_dates, data_seed, constant_category):
     slopes = rng.uniform(-300.0, 300.0, (n_categories, 1))
     y = slopes * p + rng.uniform(-80.0, 80.0, (n_categories, 1)) + rng.normal(0, 5.0, p.shape)
     keys = [f"k{i}" for i in range(n_categories)]
-    base = dt.date(2020, 4, 1)
     return [
         (
             {k: float(p[i, j]) for i, k in enumerate(keys)},
-            ObservationRecord(base + dt.timedelta(days=j), {k: float(y[i, j]) for i, k in enumerate(keys)}),
+            {k: float(y[i, j]) for i, k in enumerate(keys)},
         )
         for j in range(n_dates)
     ]
@@ -527,8 +514,9 @@ def test_artifact_roundtrip_with_hash_check(tmp_path):
     params = make_params(-120.0, 30.0, keys=("k1", "k2"))
     path = tmp_path / "calibration.json"
     save_calibration(params, path, config_hash="abc123" * 10 + "abcd")
-    loaded, payload = load_calibration(path, expected_config_hash="abc123" * 10 + "abcd")
+    loaded, digest = load_calibration(path, expected_config_hash="abc123" * 10 + "abcd")
     assert loaded == params
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     with pytest.raises(ConfigError, match="refusing to mix"):
         load_calibration(path, expected_config_hash="f" * 64)
 

@@ -1,7 +1,9 @@
+import csv
 import datetime as dt
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -694,6 +696,52 @@ def test_config_section_of_the_wrong_shape_exits_one(workspace, capsys, setting,
     assert len(lines) == 1 and lines[0].startswith(f"config error: {key} must be")
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("drop", "observation_columns missing categories ['stay_home']"),
+        ("add", "observation_columns names unknown categories ['extra']"),
+    ],
+)
+def test_observation_columns_off_the_categories_exit_one(
+    workspace, dataset, capsys, change, message
+):
+    _, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    columns = {c.key: c.observation_column for c in dataset.schema}
+    if change == "drop":
+        del columns["stay_home"]
+    else:
+        columns["extra"] = "parks"
+    config["observation_columns"] = columns
+    config_path.write_text(yaml.safe_dump(config))
+    assert run(config_path, "simulate") == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+
+
+def test_observation_columns_are_held_in_schema_order(workspace, dataset):
+    """Listed in another order, the columns keep the config hash, and the
+    evaluation rows follow the categories' order."""
+    root, config_path = workspace
+    config = yaml.safe_load(config_path.read_text())
+    config["observation_columns"] = {
+        c.key: c.observation_column for c in reversed(dataset.schema.categories)
+    }
+    reordered = root / "reordered.yaml"
+    reordered.write_text(yaml.safe_dump(config, sort_keys=False))
+    loaded = load_run_config(reordered)
+    assert list(loaded.observation_columns) == list(loaded.schema.keys)
+    assert loaded.config_hash == load_run_config(config_path).config_hash
+    for command in ("simulate", "calibrate", "evaluate"):
+        assert run(reordered, command) == 0
+    with (root / "out" / "plot_test.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["category"] for r in rows[: len(loaded.schema.keys)]] == list(loaded.schema.keys)
+    text = (root / "out" / "eval_test.txt").read_text()
+    labels = [c.label for c in loaded.schema]
+    assert sorted(labels, key=text.index) == labels
+
+
 @pytest.mark.parametrize("setting", ["output_dir", "cache_dir"])
 def test_unusable_output_path_exits_two_before_any_engine_call(
     workspace, capsys, monkeypatch, setting
@@ -837,6 +885,28 @@ def _bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def test_chain_digests_lists_every_file_of_a_chain_the_same_way_twice():
+    """``tools/chain_digests.py`` checks byte identity against another
+    checkout: one line per file in ``out/`` and ``cache/``, the same from two
+    temporary workspaces, and no workload that needs the engine stub."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "chain_digests.py"
+
+    def chain(workload):
+        return subprocess.run(
+            [sys.executable, str(tool), "--workload", workload, "--seed", "1"],
+            capture_output=True, text=True, timeout=300,
+        )
+
+    first, second = chain("cold_unique"), chain("cold_unique")
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    names = [line.split("  ")[1] for line in first.stdout.splitlines()]
+    assert len(names) == 22 and "cache/responses.jsonl" in names
+    for command in ("simulate", "calibrate", "evaluate", "counterfactual", "ablate"):
+        assert f"out/{command}_manifest.json" in names
+    assert chain("remote_shared").returncode == 2
 
 
 def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(

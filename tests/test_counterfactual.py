@@ -325,8 +325,8 @@ def reference_run_ablation(variant, inputs, aggregates, objective="per-category-
     eval_range = inputs.split.test
     train_aggregates = {d: v for d, v in aggregates.items() if inputs.split.train.contains(d)}
     eval_aggregates = {d: v for d, v in aggregates.items() if eval_range.contains(d)}
-    train_obs = inputs.observations.restrict(inputs.split.train)
-    eval_obs = inputs.observations.restrict(eval_range)
+    train_obs = {d: v for d, v in inputs.observations.items() if inputs.split.train.contains(d)}
+    eval_obs = {d: v for d, v in inputs.observations.items() if eval_range.contains(d)}
     if variant == "no-calibration":
         predictions = {
             d: {k: 100.0 * p for k, p in v.items()} for d, v in eval_aggregates.items()
@@ -340,7 +340,7 @@ def reference_run_ablation(variant, inputs, aggregates, objective="per-category-
         else:
             params, _ = fit_calibration(train_pairs, inputs.fit_config)
         predictions = {d: apply_calibration(v, params) for d, v in eval_aggregates.items()}
-    report = evaluate_predictions(variant, "test", predictions, eval_obs)
+    report = evaluate_predictions(variant, "test", predictions, eval_obs, inputs.schema.keys)
     return report.macro_rmse, report.per_category_rmse
 
 
@@ -379,7 +379,8 @@ def sampled_artifacts(inputs, engine, cache):
     population = sample_population(inputs.population_spec, inputs.population_seed)
     aggregates = reference_aggregates(inputs, engine, cache, population)
     train = {d: v for d, v in aggregates.items() if inputs.split.train.contains(d)}
-    pairs = pair_by_date(train, inputs.observations.restrict(inputs.split.train))
+    train_obs = {d: v for d, v in inputs.observations.items() if inputs.split.train.contains(d)}
+    pairs = pair_by_date(train, train_obs)
     calibration, _ = fit_calibration(pairs, inputs.fit_config)
     return aggregates, calibration
 

@@ -14,7 +14,6 @@ from socialtwin.evaluation import (
     macro_average,
     rmse_with_coverage,
 )
-from socialtwin.ingest import ObservationRecord, ObservationSeries
 
 # Published per-category error columns used as arithmetic fixtures.
 REFERENCE_GBM = {
@@ -36,10 +35,7 @@ REFERENCE_TWIN = {
 
 
 def series(values_by_date, categories=("k",)):
-    records = tuple(
-        ObservationRecord(d, {c: v for c in categories}) for d, v in sorted(values_by_date.items())
-    )
-    return ObservationSeries(categories, records)
+    return {d: {c: v for c in categories} for d, v in sorted(values_by_date.items())}
 
 
 def days(n, start=dt.date(2021, 10, 1)):
@@ -98,9 +94,9 @@ def test_macro_average_constant():
     assert macro_average({c: 4.2 for c in "abcdef"}) == pytest.approx(4.2)
 
 
-def test_macro_average_missing_category():
-    with pytest.raises(DataError, match="missing categories"):
-        macro_average({"a": 1.0}, expected=("a", "b"))
+def test_macro_average_of_no_categories_is_data_error():
+    with pytest.raises(DataError, match="empty mapping"):
+        macro_average({})
 
 
 def make_report(per_category, method="m", split="test"):
@@ -143,7 +139,7 @@ def test_evaluate_predictions_builds_consistent_report():
     dates = days(30)
     obs = series({d: float(i) for i, d in enumerate(dates)}, categories=("x", "y"))
     predictions = {d: {"x": float(i) + 1.0, "y": float(i)} for i, d in enumerate(dates)}
-    report = evaluate_predictions("twin", "test", predictions, obs)
+    report = evaluate_predictions("twin", "test", predictions, obs, ("x", "y"))
     assert report.per_category_rmse["x"] == pytest.approx(1.0)
     assert report.per_category_rmse["y"] == 0.0
     assert report.macro_rmse == pytest.approx(0.5)

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from socialtwin.errors import ConfigError, DataError
 from socialtwin.ingest import (
     DateRange,
-    ObservationRecord,
-    ObservationSeries,
     PolicyRecord,
     TemporalSplit,
     load_observations_csv,
@@ -104,7 +102,7 @@ def test_load_observations_six_columns(tmp_path):
     path = obs_csv(tmp_path, [["2020-04-15", 1, 2, 3, 4, 5, 6]])
     series, report = load_observations_csv(path, {c: c for c in CATS})
     assert len(series) == 1
-    assert series.records[0].values == {c: float(i + 1) for i, c in enumerate(CATS)}
+    assert series == {dt.date(2020, 4, 15): {c: float(i + 1) for i, c in enumerate(CATS)}}
     assert report.rows_kept == 1
 
 
@@ -165,15 +163,13 @@ def test_load_observations_partial_row_excluded_whole(tmp_path):
 
 def test_observations_roundtrip(tmp_path):
     start = dt.date(2021, 6, 1)
-    records = tuple(
-        ObservationRecord(start + dt.timedelta(days=i), {c: float(i) - 17.25 for c in CATS})
-        for i in range(40)
-    )
-    series = ObservationSeries(CATS, records)
+    series = {start + dt.timedelta(days=i): {c: float(i) - 17.25 for c in CATS} for i in range(40)}
     out = tmp_path / "round.csv"
-    write_observations_csv(series, out)
-    reloaded, _ = load_observations_csv(out, {c: c for c in CATS})
+    write_observations_csv(series, CATS, out)
+    reloaded, _ = load_observations_csv(out, {c: c for c in reversed(CATS)})
     assert reloaded == series
+    assert list(reloaded) == list(series)
+    assert all(tuple(values) == CATS[::-1] for values in reloaded.values())
 
 
 # ----------------------------------------------------------------- splitting
@@ -194,11 +190,6 @@ def split_by_dates(series, split):
             if split.range_for(name).contains(rec.date):
                 part.append(rec)
     return parts
-
-
-def split_observations(series, split):
-    """The series restricted to each split range, as the commands read it."""
-    return tuple(series.restrict(split.range_for(name)) for name in ("train", "validation", "test"))
 
 
 def paper_split():
@@ -236,19 +227,6 @@ def test_date_range_inverted_refused():
         DateRange(dt.date(2021, 1, 2), dt.date(2021, 1, 1))
 
 
-def test_split_observations_preserves_type():
-    series = ObservationSeries(
-        CATS,
-        tuple(
-            ObservationRecord(dt.date(2020, 4, 1) + dt.timedelta(days=30 * i), {c: 0.0 for c in CATS})
-            for i in range(20)
-        ),
-    )
-    train, val, test = split_observations(series, paper_split())
-    assert isinstance(train, ObservationSeries)
-    assert len(train) + len(val) + len(test) <= len(series)
-
-
 @given(
     offsets=st.lists(st.integers(min_value=0, max_value=1200), min_size=0, max_size=80),
     bounds=st.lists(st.integers(min_value=0, max_value=1200), min_size=4, max_size=4),
@@ -272,3 +250,11 @@ def test_split_property_disjoint_and_bounded(offsets, bounds):
     for part in (train, val, test):
         dates = [r.date for r in part]
         assert dates == sorted(dates)
+    # a dated series, its dates in the drawn order: each range's restriction
+    # holds exactly its dates, in the series' order, with the same values
+    drawn = {base + dt.timedelta(days=o): {"k": float(o)} for o in offsets}
+    parts = [r.restrict(drawn) for r in ranges]
+    for part, r in zip(parts, ranges):
+        assert list(part) == [d for d in drawn if r.contains(d)]
+        assert all(part[d] is drawn[d] for d in part)
+    assert sum(map(len, parts)) == len(set().union(*parts)) <= len(drawn)

@@ -136,3 +136,24 @@ def test_pass_over_a_filled_cache_renders_no_prompt(schema, pandemic_template):
     assert metrics["cognition.render_calls"]["value"] == 0
     assert metrics["cognition.engine_calls"]["value"] == 0
     assert metrics["cognition.cache_hits"]["value"] == calls
+
+
+def test_tracer_counts_the_rows_both_loaders_keep(tmp_path):
+    """``ingest.rows`` is the number of rows the policy and observation
+    loaders keep, whatever shape each returns them in."""
+    from socialtwin import ingest
+
+    policy = tmp_path / "policy.csv"
+    policy.write_text("date,stringency\n2020-04-01,10\n2020-04-02,\n2020-04-03,30\n")
+    observations = tmp_path / "observations.csv"
+    observations.write_text("date,a,b\n2020-04-01,1,2\n2020-04-02,3,\n2020-04-03,5,6\n2020-04-04,7,8\n")
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        _, policy_report = ingest.load_policy_csv(policy)
+        _, obs_report = ingest.load_observations_csv(observations, {"a": "a", "b": "b"})
+        metrics = tracer.metrics(rounds=1, wall_s=1.0, cache_bytes_appended=0)
+    finally:
+        tracer.uninstall()
+    assert (policy_report.rows_kept, obs_report.rows_kept) == (2, 3)
+    assert metrics["ingest.rows"]["value"] == 5
