@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .ingest import Series
+from .ingest import Series, read_file
 
 TPE_GAMMA = 0.25
 TPE_STARTUP_TRIALS = 10
@@ -524,7 +524,7 @@ def load_calibration(
     p = Path(path)
     if not p.exists():
         raise DataError(f"calibration artifact not found: {p}")
-    data = p.read_bytes()
+    data = read_file(p, text=False)
     try:
         payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError

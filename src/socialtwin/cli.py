@@ -48,7 +48,7 @@ from .counterfactual import (
 )
 from .errors import ConfigError, DataError, EngineError
 from .evaluation import compare, evaluate_predictions
-from .ingest import Series, load_observations_csv, load_policy_csv
+from .ingest import Series, load_observations_csv, load_policy_csv, read_file
 from .persona import sample_population, save_population
 from .twin import DigitalTwin, contexts_from_policy
 
@@ -115,7 +115,7 @@ def read_aggregates(config: RunConfig) -> tuple[Series, str]:
     path = config.output_dir / "aggregates.json"
     if not path.exists():
         raise DataError(f"aggregated series not found: {path}; run `simulate` first")
-    data = path.read_bytes()
+    data = read_file(path, text=False)
     try:
         payload = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError

@@ -18,9 +18,10 @@ full run byte-for-byte. Cache records are JSON lines of four fields, ``key``,
 ``row`` is the parsed probabilities in response-key order, packed as
 little-endian doubles and written in hex; ``crc`` is the CRC-32 of the bytes
 before it. Opening a cache indexes the lines by the key at its fixed offset;
-a lookup checks a record's CRC and unpacks its row on first use, so a
-corrupt record fails when it is first used, not at open, and never yields a
-wrong row. A line of any other layout is not a cache record.
+a record's CRC is checked and its row unpacked on first use (a simulation
+pass unpacks all its records in one batch), so a corrupt record fails when
+it is first used, not at open, and never yields a wrong row. A line of any
+other layout is not a cache record.
 
 The ``remote-http`` engine speaks HTTP through the standard library's
 ``http.client``, loaded on its first request. It opens one connection per
@@ -49,7 +50,7 @@ import zlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 from urllib.parse import unquote, urlsplit
 
 import numpy as np
@@ -150,6 +151,30 @@ def skeleton_key(keyed: PromptSkeleton, values: list[str]) -> str:
     """The cache key of a keyed skeleton (``PromptSkeleton.keyed``) with
     ``values`` in its slots: ``ResponseCache.make_key`` of the prompt."""
     return hashlib.sha256(keyed.fill(values).encode("ascii")).hexdigest()
+
+
+def cell_keys(keyed: Sequence[PromptSkeleton], contexts: Sequence[SimContext]) -> list[str]:
+    """``skeleton_key`` of every (context, keyed skeleton) cell, context by
+    context, the skeletons in order within each.
+
+    A skeleton's head, its text before the first slot, is hashed once: each
+    cell copies that SHA-256 state and hashes only the rest of its text.
+    Skeletons whose text after the head is the same (every persona field
+    comes before the slots) share that rest, filled once per context.
+    """
+    heads = [hashlib.sha256(k.constants[0].encode("ascii")) for k in keyed]
+    rests: dict[tuple[str, ...], int] = {}
+    rest_of = [rests.setdefault(k.constants[1:], len(rests)) for k in keyed]
+    tails = [PromptSkeleton(("",) + rest, keyed[0].slots) for rest in rests]
+    keys: list[str] = []
+    for context in contexts:
+        values = tails[0].values(context)  # a template gives all the same slots
+        filled = [tail.fill(values).encode("ascii") for tail in tails]
+        for head, r in zip(heads, rest_of):
+            state = head.copy()
+            state.update(filled[r])
+            keys.append(state.hexdigest())
+    return keys
 
 
 @functools.lru_cache(maxsize=4096)
@@ -688,6 +713,7 @@ _ROW_FIELD = b'", "row": "'
 _KEY_START = len(_KEY_FIELD)
 _KEY_END = _KEY_START + 64
 _HEAD = _KEY_END + len(_ROW_FIELD)
+_HEX_DIGITS = string.hexdigits.encode()  # what a row field holds; a2b_hex reads either case
 # the text of a record after its row, and before its CRC
 _RAW_FIELD = b'", "raw": "'
 _CRC_FIELD = b', "crc": "'
@@ -713,27 +739,32 @@ def _record_line(key: str, raw: str, row: list[float]) -> bytes:
     return body + b'%s%08x"}\n' % (_CRC_FIELD, zlib.crc32(body))
 
 
-def _unpacked_row(line: bytes, n: int) -> list[float] | None:
-    """The row of the record ``line`` (``_record_line``'s layout, whose head
+def _unpacked_rows(lines: list[bytes], n: int) -> list[list[float] | None]:
+    """The row of each record line (``_record_line``'s layout, whose head
     the open checked), or None unless the line ends in the CRC of the bytes
     before its CRC field, holds ``n`` values right before ``raw`` and every
-    value is in [0, 1]."""
+    value is in [0, 1]. The rows of all the lines are unpacked together."""
     end = _HEAD + 16 * n
-    if (
-        line[-_CRC_TAIL:-_CRC_END] != _CRC_FIELD
-        or line[-3:] != b'"}\n'
-        or b"%08x" % zlib.crc32(line[:-_CRC_TAIL]) != line[-_CRC_END:-3]
-        or line[end:end + len(_RAW_FIELD)] != _RAW_FIELD
-    ):
-        return None
+    whole = [
+        i
+        for i, line in enumerate(lines)
+        if line[-_CRC_TAIL:-_CRC_END] == _CRC_FIELD
+        and line[-3:] == b'"}\n'
+        and b"%08x" % zlib.crc32(line[:-_CRC_TAIL]) == line[-_CRC_END:-3]
+        and line[end:end + len(_RAW_FIELD)] == _RAW_FIELD
+    ]
     try:
-        row = _packing(n).unpack(binascii.a2b_hex(line[_HEAD:end]))
-    except binascii.Error:  # not hex
-        return None
-    for value in row:
-        if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
-            return None
-    return list(row)
+        packed = binascii.a2b_hex(b"".join([lines[i][_HEAD:end] for i in whole]))
+    except binascii.Error:  # a row that is not hex: leave out each such line
+        whole = [i for i in whole if not lines[i][_HEAD:end].translate(None, _HEX_DIGITS)]
+        packed = binascii.a2b_hex(b"".join([lines[i][_HEAD:end] for i in whole]))
+    values = np.frombuffer(packed, dtype="<f8").reshape(len(whole), n)
+    in_range = ((values >= 0.0) & (values <= 1.0)).all(axis=1)  # NaN fails both
+    rows: list[list[float] | None] = [None] * len(lines)
+    for i, ok, row in zip(whole, in_range.tolist(), values.tolist()):
+        if ok:
+            rows[i] = row
+    return rows
 
 
 class ResponseCache:
@@ -756,11 +787,13 @@ class ResponseCache:
     and fails when the cache opens, unless it is a torn last line (below).
     That refuses the ``probs`` mapping that earlier versions wrote; they
     likewise refuse a record of this layout, never serving a wrong row from
-    it. The first ``get`` of a key checks the record's CRC and row length,
-    unpacks the row and checks that each value is in [0, 1]; it then keeps
-    only the row. Any failure is a DataError naming the file and line, so a
-    corrupt record is found on its first use, not at open, and never serves
-    a wrong row.
+    it. A record is unpacked on first use: the first ``get`` of its key, or
+    earlier, in a batch with the other records a simulation pass will get
+    (``unpack``). Either checks the record's CRC and row length, unpacks the
+    row and checks that each value is in [0, 1]; the cache then keeps only
+    the row. A record that fails is a DataError naming the file and line on
+    its first ``get``, so a corrupt record is found on its first use, not at
+    open, and never serves a wrong row.
 
     An incomplete last line, which a crash mid-append leaves, is skipped and
     counted. Each ``put`` appends its record in one write(2) on an
@@ -824,8 +857,8 @@ class ResponseCache:
     def make_key(engine_digest: str, prompt_text: str, response_keys: tuple[str, ...]) -> str:
         """sha256 of ``json.dumps([engine_digest, prompt_text, list(response_keys)])``:
         the key of a skeleton that is all constant text. A simulation pass
-        keys its cells from their skeletons (``PromptSkeleton.keyed``)
-        instead, and never renders a cache hit's prompt."""
+        keys its cells from their skeletons (``cell_keys``) instead, and
+        never renders a cache hit's prompt."""
         return skeleton_key(PromptSkeleton((prompt_text,), ()).keyed(engine_digest, response_keys), [])
 
     def __len__(self) -> int:
@@ -854,12 +887,26 @@ class ResponseCache:
                 return None
             if type(row) is not list:
                 number, line = row
-                row = _unpacked_row(line, len(categories))
+                [row] = _unpacked_rows([line], len(categories))
                 if row is None:
                     raise DataError(f"{self.path}:{number}: not a cache record")
                 self._entries[key] = row
             self.hits += 1
         return row
+
+    def unpack(self, keys: Iterable[str], categories: CategorySchema) -> None:
+        """Check and unpack, together, the file records of ``keys`` that no
+        ``get`` has used yet, as each one's first ``get`` would (rows in the
+        order of ``categories``). A record that fails a check is left as it
+        is, so its first ``get`` raises the DataError naming its line. Only
+        ``get`` counts hits and misses."""
+        with self._lock:
+            entries = self._entries
+            records = [(key, record) for key in keys if type(record := entries.get(key)) is tuple]
+            rows = _unpacked_rows([line for _, (_, line) in records], len(categories))
+            for (key, _), row in zip(records, rows):
+                if row is not None:
+                    entries[key] = row
 
     def put(self, key: str, raw: str, row: list[float]) -> None:
         """Store ``raw`` and its probabilities, in response-key order (floats

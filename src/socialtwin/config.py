@@ -32,8 +32,8 @@ import yaml
 from .baseline import GbmHyper
 from .calibrate import FitConfig
 from .cognition import EngineConfig, OracleParams, parse_template, without_userinfo
-from .errors import ConfigError, DataError
-from .ingest import DateRange, TemporalSplit
+from .errors import ConfigError
+from .ingest import DateRange, TemporalSplit, read_file
 from .persona import DemographicSpec
 from .schema import CategorySchema
 from .twin import DigitalTwin
@@ -284,22 +284,11 @@ def _hashed(read: dict, path: str = "") -> dict:
     return view
 
 
-def _read(path, text=True):
-    """An input file's text (or bytes); an unreadable file is a data error naming it."""
-    try:
-        data = path.read_bytes()
-        return data.decode("utf-8") if text else data
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read the file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _load_yaml(path):
     """Parse one YAML file (a ``Path`` or packaged resource) safely; invalid
     YAML is a config error naming the file, on one line."""
     try:
-        return yaml.load(_read(path), Loader=_YAML_LOADER)
+        return yaml.load(read_file(path), Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date literal like 2021-02-30
         raise ConfigError(f"{path}: invalid YAML: {' '.join(str(exc).split())}") from None
 
@@ -401,7 +390,7 @@ def load_run_config(
     elif not template_path.exists():
         raise ConfigError(f"prompt template not found: {template_path}")
     else:
-        template = _read(template_path)
+        template = read_file(template_path)
         try:
             parse_template(template)
         except ConfigError as exc:
@@ -437,8 +426,8 @@ def load_run_config(
         "attributes": [[a, [list(vp) for vp in vps]] for a, vps in population_spec.attributes.items()],
     }
     semantic["input_digests"] = {
-        "policy_csv": hashlib.sha256(_read(paths["policy_csv"], text=False)).hexdigest(),
-        "observations_csv": hashlib.sha256(_read(paths["observations_csv"], text=False)).hexdigest(),
+        "policy_csv": hashlib.sha256(read_file(paths["policy_csv"], text=False)).hexdigest(),
+        "observations_csv": hashlib.sha256(read_file(paths["observations_csv"], text=False)).hexdigest(),
         "template": hashlib.sha256(template.encode("utf-8")).hexdigest(),
     }
     return RunConfig(

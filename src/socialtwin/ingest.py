@@ -139,6 +139,18 @@ def _csv_rows(path: str | Path):
         raise DataError(f"{p}: cannot read the CSV file: {exc}") from None
 
 
+def read_file(path, text=True):
+    """A file's text (or bytes); one that cannot be read (a directory, say)
+    or is not UTF-8 is a data error naming it."""
+    try:
+        data = path.read_bytes()
+        return data.decode("utf-8") if text else data
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _refuse_duplicate_dates(dates: Iterable[dt.date], path, what: str) -> None:
     dupes = sorted(d for d, n in Counter(dates).items() if n > 1)
     if dupes:

@@ -3,25 +3,30 @@ mean.
 
 A simulation pass works once per distinct prompt: personas with the same
 ordered attributes form a profile, and each distinct (profile, context)
-cell is keyed and looked up once. The pass builds each profile's prompt
-skeleton (the template filled in but for ``date`` and ``stringency``)
-once, so a cell's key is one join and one hash; only a miss renders its
-prompt. A pass takes any list of contexts, such as a command's dates or a
-sweep's scenarios (which may share a date), and returns one result per
-context in the same order.
+cell is looked up once. A pass takes any list of contexts, such as a
+command's dates or a sweep's scenarios (which may share a date), and
+returns one result per context in the same order.
 
-The pass sends, then aggregates. It first walks the contexts and looks
-each distinct prompt up once; the misses go to one worker pool in order of
-first occurrence, at most twice ``parallelism`` outstanding (the pass waits
-for the oldest before sending more). After the last reply it aggregates
-each context over its profiles (``aggregate``): a profile weighs its member
-count, and each result is the exact mean rounded once. Results are
-therefore bit-identical at any query parallelism and in any persona order.
-A prompt that cannot be parsed after retries excludes every member of its
-profile; each is logged under its own id and context, and the survivor
-count of every context goes into the run log so exclusions are auditable.
-The first engine error, in context order, ends the pass: no request starts
-after a request has failed, and queued ones are dropped.
+The pass keys, resolves, then aggregates. It first keys every cell
+(``cognition.cell_keys``): each profile's prompt skeleton (the template
+filled in but for ``date`` and ``stringency``) is built and its head
+hashed once per pass, and a cell hashes only the text from its first slot
+on. Each distinct key gets a slot, in order of first occurrence, and a
+(contexts x profiles) array holds every cell's slot. The cache then
+unpacks the rows of all the pass's file records in one batch. Next the
+pass resolves the slots in order: a hit is one ``get``; a miss renders its
+prompt and goes to one worker pool, at most twice ``parallelism``
+outstanding (the pass waits for the oldest before sending more). After the
+last reply, every slot's row sits in one (slots x categories) table, and
+each context aggregates its profiles' rows of it (``aggregate``): a
+profile weighs its member count, and each result is the exact mean rounded
+once. Results are therefore bit-identical at any query parallelism and in
+any persona order. A prompt that cannot be parsed after retries excludes
+every member of its profile; each is logged under its own id and context,
+and the survivor count of every context goes into the run log so
+exclusions are auditable. The first engine error, in context order, ends
+the pass: no request starts after a request has failed, and queued ones
+are dropped.
 """
 
 from __future__ import annotations
@@ -32,14 +37,16 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .aggregate import aggregate_mean
 from .cognition import (
     ResponseCache,
     SimContext,
     ask_engine,
+    cell_keys,
     prompt_skeleton,
     render_prompt,
-    skeleton_key,
 )
 from .errors import ConfigError, EngineError, ParseError
 from .persona import Persona
@@ -120,34 +127,44 @@ class DigitalTwin:
         """One aggregated vector (category -> probability, in schema order)
         per context, in context order, and the log.
 
-        The pass resolves each distinct prompt once, sending its misses in
-        order of first occurrence with at most twice ``parallelism``
-        outstanding, and aggregates every context after the last reply. A
+        The pass keys every cell first, then resolves each distinct prompt
+        once, in order of first occurrence: hits from the cache, misses sent
+        with at most twice ``parallelism`` outstanding. After the last reply
+        it aggregates every context from one table of the distinct rows. A
         context whose every cell failed gets None (the caller excludes it).
         Contexts may repeat or share a date: results are aligned with the
         contexts, not keyed by date. Parse failures are logged per persona;
-        the first transport or replay error in context order propagates.
+        the first transport or replay error in context order propagates, as
+        does a damaged cache record when the pass reaches it.
         """
         profile_of, representatives = _group_profiles(self.population)
         keyed = [
             prompt_skeleton(p, self.template).keyed(self.engine.digest, self.schema.response_keys)
             for p in representatives
         ]
-        # each distinct prompt's row, ParseError, or the Future of its request
-        outcome: dict[str, list[float] | ParseError | Future] = {}
-        cells: list[list] = []  # each context's outcomes, by profile
+        # one slot per distinct prompt, numbered in order of first occurrence,
+        # and each cell's slot, by context and profile
+        slot_of: dict[str, int] = {}
+        cells = [slot_of.setdefault(key, len(slot_of)) for key in cell_keys(keyed, contexts)]
+        cell_slots = np.array(cells, dtype=np.intp).reshape(len(contexts), len(keyed))
+        first_cell = np.unique(cell_slots, return_index=True)[1].tolist()  # flat, by slot
+        self.cache.unpack(slot_of, self.schema)
+
+        no_row = [0.0] * len(self.schema.keys)
+        rows = [no_row] * len(slot_of)  # each slot's row; a failed prompt keeps zeros
+        failed: dict[int, ParseError] = {}
         sent: deque[Future] = deque()
         first_error: list[EngineError] = []
 
-        def ask(key, prompt, persona, context) -> list[float] | ParseError:
-            """A miss's row of probabilities, or its ParseError; transport and
-            replay errors raise, and no request starts after one has."""
+        def ask(slot, key, prompt, persona, context) -> None:
+            """Resolve a miss into ``rows`` or ``failed``; transport and replay
+            errors raise, and no request starts after one has."""
             if first_error:
                 raise EngineError(f"not sent after an earlier request failed: {first_error[0]}")
             try:
-                return ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
+                rows[slot] = ask_engine(self.engine, key, prompt, persona, context, self.schema, self.cache)
             except ParseError as exc:
-                return exc
+                failed[slot] = exc
             except EngineError as exc:
                 first_error.append(exc)
                 raise
@@ -155,62 +172,53 @@ class DigitalTwin:
         window = 2 * self.parallelism
         pool = ThreadPoolExecutor(self.parallelism) if self.parallelism > 1 else None
         try:
-            for context in contexts:
-                values = keyed[0].values(context)  # a template gives all the same slots
-                outcomes = []
-                for persona, skeleton in zip(representatives, keyed):
-                    key = skeleton_key(skeleton, values)
-                    resolved = outcome.get(key)
-                    if resolved is None:
-                        resolved = self.cache.get(key, self.schema)
-                        if resolved is None:  # a miss, the only kind of cell that renders its prompt
-                            prompt = render_prompt(persona, context, self.template)
-                            if pool is None:
-                                resolved = ask(key, prompt, persona, context)
-                            else:
-                                if len(sent) == window:
-                                    sent.popleft().result()  # raises its EngineError
-                                resolved = pool.submit(ask, key, prompt, persona, context)
-                                sent.append(resolved)
-                        outcome[key] = resolved
-                    outcomes.append(resolved)
-                cells.append(outcomes)
+            for slot, key in enumerate(slot_of):
+                row = self.cache.get(key, self.schema)
+                if row is not None:
+                    rows[slot] = row
+                    continue
+                # a miss, the only kind of cell that renders its prompt
+                i, j = divmod(first_cell[slot], len(keyed))
+                persona, context = representatives[j], contexts[i]
+                prompt = render_prompt(persona, context, self.template)
+                if pool is None:
+                    ask(slot, key, prompt, persona, context)
+                    continue
+                if len(sent) == window:
+                    sent.popleft().result()  # raises its EngineError
+                sent.append(pool.submit(ask, slot, key, prompt, persona, context))
             for future in sent:  # in send order: the first error in context order raises
                 future.result()
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-        sizes = [0] * len(representatives)
-        for j in profile_of:
-            sizes[j] += 1
-        no_row = [0.0] * len(self.schema.keys)
+        table = np.array(rows, dtype=float)
+        dead = np.zeros(len(slot_of), dtype=bool)
+        dead[list(failed)] = True
+        sizes = np.bincount(profile_of, minlength=len(keyed))
         log = SimulationLog()
         aggregates: list[dict[str, float] | None] = []
-        for context, outcomes in zip(contexts, cells):
-            outcomes = [o.result() if isinstance(o, Future) else o for o in outcomes]
-            dead = {j for j, o in enumerate(outcomes) if isinstance(o, ParseError)}
-            if dead:  # log every member of a failed profile, in persona order
+        for context, slots in zip(contexts, cell_slots):
+            counts = sizes
+            if failed and dead[slots].any():  # log every member of a failed profile, in persona order
+                lost = dead[slots]
                 log.failures.extend(
                     {
                         "date": context.date.isoformat(),
                         "stringency": context.stringency,
                         "persona": persona.id,
-                        "error": str(outcomes[j]),
+                        "error": str(failed[slots[j]]),
                     }
                     for persona, j in zip(self.population, profile_of)
-                    if j in dead
+                    if lost[j]
                 )
-            survivors = len(self.population) - sum(sizes[j] for j in dead)
+                counts = np.where(lost, 0, sizes)  # a failed profile counts 0
+            survivors = int(counts.sum())
             log.survivors.append((context.date, survivors))
-            if not survivors:
-                aggregates.append(None)
-                continue
-            # a failed profile keeps a row of zeros, with count 0
-            rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
-            counts = [0 if j in dead else n for j, n in enumerate(sizes)]
-            probs = aggregate_mean(rows, counts)
-            aggregates.append(dict(zip(self.schema.keys, probs)))
+            aggregates.append(
+                dict(zip(self.schema.keys, aggregate_mean(table[slots], counts))) if survivors else None
+            )
         return aggregates, log
 
 

@@ -3,7 +3,6 @@ import datetime as dt
 import hashlib
 import importlib.util
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -522,6 +521,34 @@ def test_damaged_aggregates_artifact_is_data_error(workspace, capsys, command, d
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "artifact, command",
+    [
+        ("aggregates.json", "calibrate"),
+        ("aggregates.json", "evaluate"),
+        ("aggregates.json", "ablate"),
+        ("calibration.json", "evaluate"),
+        ("calibration.json", "counterfactual"),
+        ("calibration.json", "ablate"),
+    ],
+)
+def test_artifact_path_that_cannot_be_read_exits_two_naming_it(workspace, capsys, artifact, command):
+    """An artifact path that exists but is a directory is a data error on one
+    line naming the path, not a traceback."""
+    root, config_path = workspace
+    assert run(config_path, "simulate") == 0
+    assert run(config_path, "calibrate") == 0
+    path = root / "out" / artifact
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    args = ["--scenarios", str(root / "scenarios.yaml")] if command == "counterfactual" else []
+    assert run(config_path, command, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert f"{path}: cannot read the file" in err
+
+
 def _blank_stringency(root, dates) -> None:
     """Empty the stringency of the given ISO dates in the workspace's policy.csv."""
     path = root / "policy.csv"
@@ -885,28 +912,6 @@ def _bench_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
     return workloads
-
-
-def test_chain_digests_lists_every_file_of_a_chain_the_same_way_twice():
-    """``tools/chain_digests.py`` checks byte identity against another
-    checkout: one line per file in ``out/`` and ``cache/``, the same from two
-    temporary workspaces, and no workload that needs the engine stub."""
-    tool = Path(__file__).resolve().parents[1] / "tools" / "chain_digests.py"
-
-    def chain(workload):
-        return subprocess.run(
-            [sys.executable, str(tool), "--workload", workload, "--seed", "1"],
-            capture_output=True, text=True, timeout=300,
-        )
-
-    first, second = chain("cold_unique"), chain("cold_unique")
-    assert first.returncode == 0, first.stderr
-    assert first.stdout == second.stdout
-    names = [line.split("  ")[1] for line in first.stdout.splitlines()]
-    assert len(names) == 22 and "cache/responses.jsonl" in names
-    for command in ("simulate", "calibrate", "evaluate", "counterfactual", "ablate"):
-        assert f"out/{command}_manifest.json" in names
-    assert chain("remote_shared").returncode == 2
 
 
 def test_benchmark_run_config_loads_with_the_hash_of_one_without_its_sampler(

@@ -29,6 +29,7 @@ from socialtwin.cognition import (
     _record_line,
     ask_engine,
     build_engine,
+    cell_keys,
     logistic,
     parse_response,
     parse_template,
@@ -188,6 +189,50 @@ def test_skeleton_text_and_key_equal_the_rendered_prompt(
     keyed = skeleton.keyed(digest, tuple(response_keys))
     key = skeleton_key(keyed, skeleton.values(context))
     assert key == ResponseCache.make_key(digest, expected, tuple(response_keys))
+
+
+def _escape_braces(text: str) -> str:
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+TEMPLATE_PIECES = st.lists(
+    st.one_of(SKELETON_TEXT.map(_escape_braces), st.sampled_from(["{a}", "{b}", "{persona_block}"])),
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slots=st.sampled_from([(), ("date",), ("date", "stringency"), ("stringency", "date")]),
+    # the text before, between and after the slots, persona fields anywhere
+    pieces=st.lists(TEMPLATE_PIECES, min_size=3, max_size=3),
+    # few values, so that profiles repeat and share the text after a slot
+    people=st.lists(st.fixed_dictionaries({"a": st.sampled_from(["x", "é{"]), "b": SKELETON_TEXT}),
+                    min_size=1, max_size=4),
+    contexts=st.lists(
+        st.builds(SimContext, st.dates(dt.date(1, 1, 1), dt.date(9999, 12, 31)), st.floats(0.0, 100.0)),
+        max_size=4,
+    ),
+    digest=SKELETON_TEXT,
+    response_keys=st.lists(SKELETON_TEXT, max_size=3),
+)
+def test_cell_keys_equal_the_key_of_each_rendered_prompt(
+    slots, pieces, people, contexts, digest, response_keys
+):
+    """Keys hashed from each skeleton's SHA-256 head state are the keys of
+    the whole payload: ``skeleton_key`` of every cell, and ``make_key`` of
+    its rendered prompt, context by context."""
+    template = pieces[0] + "".join("{" + slot + "}" + piece for slot, piece in zip(slots, pieces[1:]))
+    personas = [Persona(id=f"p{i}", attributes=attrs) for i, attrs in enumerate(people)]
+    keyed = [prompt_skeleton(p, template).keyed(digest, tuple(response_keys)) for p in personas]
+    assert all(k.slots == slots for k in keyed)
+    keys = cell_keys(keyed, contexts)
+    assert keys == [skeleton_key(k, k.values(c)) for c in contexts for k in keyed]
+    assert keys == [
+        ResponseCache.make_key(digest, render_prompt(p, c, template).text, tuple(response_keys))
+        for c in contexts
+        for p in personas
+    ]
 
 
 def test_prompt_skeleton_is_built_once_per_template_and_profile(pandemic_template):
@@ -767,7 +812,6 @@ def test_cache_one_changed_byte_never_serves_another_row(tmp_path_factory, key, 
 
 RECORD_ROW = [0.25, 1.0]
 RECORD_LINE = _record_line(K0, "ré", RECORD_ROW)
-RECORD_BODY = RECORD_LINE[: RECORD_LINE.rindex(b', "crc": "')]
 OTHER_LINE = _record_line(OTHER, "raw other", [0.375])
 _ROW_HEX = _bits(RECORD_ROW).hex().encode()
 
@@ -778,65 +822,70 @@ def _stamped(body: bytes) -> bytes:
     return body + b', "crc": "%08x"}\n' % zlib.crc32(body)
 
 
-def _with_row(row: list[float]) -> bytes:
-    return _stamped(RECORD_BODY.replace(_ROW_HEX, _bits(row).hex().encode()))
+def damaged_lines(key: str) -> dict[str, tuple[bytes, str]]:
+    """The record of ``RECORD_ROW`` under ``key``, as written or damaged, and
+    what the cache makes of it as the file's second line: "row" serves the
+    row put under ``key``; "open" and "get" are a DataError naming line 2
+    when the cache opens or on the first get; "torn" skips an unterminated
+    last line; "absent" holds no record of ``key`` at all."""
+    record = _record_line(key, "ré", RECORD_ROW)
+    body = record[: record.rindex(b', "crc": "')]
+    k = key.encode()
+
+    def with_row(row: list[float]) -> bytes:
+        return _stamped(body.replace(_ROW_HEX, _bits(row).hex().encode()))
+
+    return {
+        "as written": (record, "row"),
+        "utf-8 bom": (b"\xef\xbb\xbf" + record, "open"),
+        "two boms": (b"\xef\xbb\xbf\xef\xbb\xbf" + record, "open"),
+        "utf-16-be": (record.decode().encode("utf-16-be"), "open"),
+        "utf-16-le": (record.decode().encode("utf-16-le"), "open"),
+        "utf-32 with bom": (record.decode().encode("utf-32"), "open"),
+        "whitespace line before": (b" \t\r\n" + record, "row"),
+        "leading space": (b" " + record, "open"),
+        "leading form feed": (b"\x0c" + record, "open"),
+        "leading nbsp": (b"\xc2\xa0" + record, "open"),
+        "trailing whitespace": (record[:-1] + b" \t\r \n", "get"),
+        "trailing nbsp": (record[:-1] + b"\xc2\xa0\n", "get"),
+        "trailing garbage": (record[:-1] + b" x\n", "get"),
+        "crlf ending": (record[:-1] + b"\r\n", "get"),
+        "second object": (record[:-1] + b"{}\n", "get"),
+        "second record": (record[:-1] + OTHER_LINE, "get"),
+        "no newline": (record[:-1], "row"),
+        "torn": (record[:40], "torn"),
+        "torn before the newline": (record[:-2], "torn"),
+        "empty": (b"", "absent"),
+        "blank": (b"  \n", "absent"),
+        "object": (b"{}\n", "open"),
+        "array": (b"[" + record[:-1] + b"]\n", "open"),
+        "nul second byte": (b"{\x00" + record[1:], "open"),
+        "key only": (b'{"key": "%s"}\n' % k, "open"),
+        "row digit changed, crc kept": (record.replace(_ROW_HEX, b"1" + _ROW_HEX[1:]), "get"),
+        "raw changed, crc kept": (record.replace(b'"r\\u00e9"', b'"R\\u00e9"'), "get"),
+        # another key is indexed instead, and refused on its first get
+        "key changed, crc kept": (record.replace(k, _key("k1").encode()), "absent"),
+        "key one digit short": (_stamped(body.replace(k, k[1:])), "open"),
+        "raw with an escaped lone surrogate": (_stamped(body.replace(b"r\\u00e9", b"\\ud800")), "row"),
+        "raw in utf-8": (_stamped(body.replace(b"r\\u00e9", "ré\U0001f600".encode())), "row"),
+        "raw of invalid utf-8": (_stamped(body.replace(b"r\\u00e9", b"\xff")), "row"),
+        "nan in row": (with_row([math.nan, 1.0]), "get"),
+        "infinity in row": (with_row([0.25, math.inf]), "get"),
+        "above one in row": (with_row([0.25, 1.0 + 2.0**-52]), "get"),
+        "below zero in row": (with_row([-5e-324, 1.0]), "get"),
+        "short row": (with_row([0.25]), "get"),
+        "long row": (with_row([0.25, 1.0, 0.5]), "get"),
+        "non-hex row": (_stamped(body.replace(_ROW_HEX, b"g" + _ROW_HEX[1:])), "get"),
+        "row in upper-case hex": (_stamped(body.replace(_ROW_HEX, _ROW_HEX.upper())), "row"),
+        "row field renamed": (_stamped(body.replace(b'"row"', b'"Row"')), "open"),
+        "crc field renamed": (record.replace(b'"crc"', b'"CRC"'), "get"),
+        "crc digit dropped": (record[:-12] + record[-11:], "get"),
+        # JSON reads the key as itself, but json.dumps escapes it otherwise
+        "key escaped otherwise": (_stamped(body.replace(k, b"\\u%04x" % k[0] + k[1:])), "open"),
+    }
 
 
-# a record line of the current layout, as written or damaged, and what the
-# cache makes of it as the file's second line: "row" serves the row put under
-# K0; "open" and "get" are a DataError naming line 2 when the cache opens or
-# on the first get; "torn" skips an unterminated last line; "absent" holds no
-# record of K0 at all
-DAMAGED_LINES = {
-    "as written": (RECORD_LINE, "row"),
-    "utf-8 bom": (b"\xef\xbb\xbf" + RECORD_LINE, "open"),
-    "two boms": (b"\xef\xbb\xbf\xef\xbb\xbf" + RECORD_LINE, "open"),
-    "utf-16-be": (RECORD_LINE.decode().encode("utf-16-be"), "open"),
-    "utf-16-le": (RECORD_LINE.decode().encode("utf-16-le"), "open"),
-    "utf-32 with bom": (RECORD_LINE.decode().encode("utf-32"), "open"),
-    "whitespace line before": (b" \t\r\n" + RECORD_LINE, "row"),
-    "leading space": (b" " + RECORD_LINE, "open"),
-    "leading form feed": (b"\x0c" + RECORD_LINE, "open"),
-    "leading nbsp": (b"\xc2\xa0" + RECORD_LINE, "open"),
-    "trailing whitespace": (RECORD_LINE[:-1] + b" \t\r \n", "get"),
-    "trailing nbsp": (RECORD_LINE[:-1] + b"\xc2\xa0\n", "get"),
-    "trailing garbage": (RECORD_LINE[:-1] + b" x\n", "get"),
-    "crlf ending": (RECORD_LINE[:-1] + b"\r\n", "get"),
-    "second object": (RECORD_LINE[:-1] + b"{}\n", "get"),
-    "second record": (RECORD_LINE[:-1] + OTHER_LINE, "get"),
-    "no newline": (RECORD_LINE[:-1], "row"),
-    "torn": (RECORD_LINE[:40], "torn"),
-    "torn before the newline": (RECORD_LINE[:-2], "torn"),
-    "empty": (b"", "absent"),
-    "blank": (b"  \n", "absent"),
-    "object": (b"{}\n", "open"),
-    "array": (b"[" + RECORD_LINE[:-1] + b"]\n", "open"),
-    "nul second byte": (b"{\x00" + RECORD_LINE[1:], "open"),
-    "key only": (b'{"key": "%s"}\n' % K0.encode(), "open"),
-    "row digit changed, crc kept": (RECORD_LINE.replace(_ROW_HEX, b"1" + _ROW_HEX[1:]), "get"),
-    "raw changed, crc kept": (RECORD_LINE.replace(b'"r\\u00e9"', b'"R\\u00e9"'), "get"),
-    # another key is indexed instead, and refused on its first get
-    "key changed, crc kept": (RECORD_LINE.replace(K0.encode(), _key("k1").encode()), "absent"),
-    "key one digit short": (_stamped(RECORD_BODY.replace(K0.encode(), K0[1:].encode())), "open"),
-    "raw with an escaped lone surrogate": (_stamped(RECORD_BODY.replace(b"r\\u00e9", b"\\ud800")), "row"),
-    "raw in utf-8": (_stamped(RECORD_BODY.replace(b"r\\u00e9", "ré\U0001f600".encode())), "row"),
-    "raw of invalid utf-8": (_stamped(RECORD_BODY.replace(b"r\\u00e9", b"\xff")), "row"),
-    "nan in row": (_with_row([math.nan, 1.0]), "get"),
-    "infinity in row": (_with_row([0.25, math.inf]), "get"),
-    "above one in row": (_with_row([0.25, 1.0 + 2.0**-52]), "get"),
-    "below zero in row": (_with_row([-5e-324, 1.0]), "get"),
-    "short row": (_with_row([0.25]), "get"),
-    "long row": (_with_row([0.25, 1.0, 0.5]), "get"),
-    "non-hex row": (_stamped(RECORD_BODY.replace(_ROW_HEX, b"g" + _ROW_HEX[1:])), "get"),
-    "row field renamed": (_stamped(RECORD_BODY.replace(b'"row"', b'"Row"')), "open"),
-    "crc field renamed": (RECORD_LINE.replace(b'"crc"', b'"CRC"'), "get"),
-    "crc digit dropped": (RECORD_LINE[:-12] + RECORD_LINE[-11:], "get"),
-    # JSON reads the key as K0, but json.dumps escapes it otherwise
-    "key escaped otherwise": (
-        _stamped(RECORD_BODY.replace(K0.encode(), b"\\u%04x" % ord(K0[0]) + K0[1:].encode())),
-        "open",
-    ),
-}
+DAMAGED_LINES = damaged_lines(K0)
 
 
 @pytest.mark.parametrize("line, outcome", DAMAGED_LINES.values(), ids=DAMAGED_LINES)
@@ -865,6 +914,80 @@ def test_cache_damaged_record_line_serves_its_row_or_fails_by_line(tmp_path, lin
     for key in set(cache._entries) - {K0, OTHER}:
         with pytest.raises(DataError, match=where):
             cache.get(key, _categories(2))
+
+
+class RecordingEngine:
+    """Answers every prompt with ``ENGINE_ROW`` over two categories, and
+    records the prompts it was sent."""
+
+    replay_only = False
+    digest = "model:recording"
+    retry_limit = 0
+
+    def __init__(self):
+        self.prompts = []
+        self.lock = threading.Lock()
+
+    def respond(self, prompt, persona, context):
+        with self.lock:
+            self.prompts.append(prompt.text)
+        return json.dumps(dict(zip(TWO.response_keys, ENGINE_ROW)))
+
+
+TWO = _categories(2)
+ENGINE_ROW, FIRST_ROW = [0.5, 0.125], [0.375, 0.75]
+PASS_TEMPLATE = "{e} on {date} at {stringency}"
+PASS_POPULATION = [Persona(id=f"p{i}", attributes={"e": e}) for i, e in enumerate("xyz")]
+PASS_CONTEXTS = [SimContext(dt.date(2020, 5, 1), 10.0), SimContext(dt.date(2020, 5, 2), 20.0)]
+# the pass's six distinct prompts, in order of first occurrence, and their keys
+PASS_PROMPTS = [
+    render_prompt(p, c, PASS_TEMPLATE).text for c in PASS_CONTEXTS for p in PASS_POPULATION
+]
+PASS_KEYS = [ResponseCache.make_key(RecordingEngine.digest, t, TWO.response_keys) for t in PASS_PROMPTS]
+PASS_DAMAGED_LINES = damaged_lines(PASS_KEYS[2])
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("line, outcome", PASS_DAMAGED_LINES.values(), ids=PASS_DAMAGED_LINES)
+def test_pass_over_a_damaged_record_serves_its_row_or_fails_by_line(
+    tmp_path, line, outcome, parallelism
+):
+    """The damage table as a simulation pass meets it: the file holds the
+    record of the pass's first prompt, then the third prompt's record as
+    written or damaged. The pass serves the record's own row, sends its
+    prompt as a miss, or raises the DataError naming line 2 when it reaches
+    it; then no prompt after it in order of first occurrence is sent (at
+    parallelism 1 exactly the miss before it is). No case serves another
+    row."""
+    from socialtwin.aggregate import aggregate_mean
+    from socialtwin.twin import DigitalTwin
+
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(_record_line(PASS_KEYS[0], "first", FIRST_ROW) + line)
+    where = re.escape(f"{path}:2: not a cache record")
+    if outcome == "open":
+        with pytest.raises(DataError, match=where):
+            ResponseCache(path)
+        return
+    engine = RecordingEngine()
+    with ResponseCache(path) as cache:
+        twin = DigitalTwin(PASS_POPULATION, engine, cache, PASS_TEMPLATE, TWO, parallelism)
+        if outcome == "get":
+            with pytest.raises(DataError, match=where):
+                twin.simulate_contexts(PASS_CONTEXTS)
+            assert set(engine.prompts) <= set(PASS_PROMPTS[1:2])
+            assert parallelism > 1 or engine.prompts == PASS_PROMPTS[1:2]
+            return
+        aggregates, log = twin.simulate_contexts(PASS_CONTEXTS)
+    served = RECORD_ROW if outcome == "row" else ENGINE_ROW
+    assert aggregates == [
+        dict(zip(TWO.keys, aggregate_mean(rows, [1, 1, 1])))
+        for rows in ([FIRST_ROW, ENGINE_ROW, served], [ENGINE_ROW] * 3)
+    ]
+    assert not log.failures
+    sent = [text for text in PASS_PROMPTS[1:] if outcome != "row" or text != PASS_PROMPTS[2]]
+    assert sorted(engine.prompts) == sorted(sent)
+    assert parallelism > 1 or engine.prompts == sent
 
 
 @settings(max_examples=300, deadline=None)

@@ -3,26 +3,32 @@ import datetime as dt
 import json
 import threading
 import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialtwin.aggregate import aggregate_mean
 from socialtwin.cognition import (
     EngineConfig,
     OracleParams,
     ResponseCache,
     SimContext,
+    ask_engine,
     build_engine,
+    prompt_skeleton,
     render_prompt,
+    skeleton_key,
 )
-from socialtwin.errors import EngineError
+from socialtwin.errors import EngineError, ParseError
 from socialtwin.persona import Persona, sample_population
 from socialtwin.schema import CategorySchema
 from synthetic import default_oracle_params, default_population_spec, oracle_respond
 from socialtwin import twin as twin_module
-from socialtwin.twin import DigitalTwin, contexts_from_policy
+from socialtwin.twin import DigitalTwin, SimulationLog, contexts_from_policy
 from socialtwin.ingest import DateRange, PolicyRecord
 from test_cognition import query
 
@@ -572,3 +578,159 @@ def test_first_engine_error_in_context_order_is_raised(schema, pandemic_template
         twin.simulate_contexts(contexts)
     assert "2020-05-01" in str(raised.value)
     assert "first context's request failed" in str(raised.value)
+
+
+# ------------------------------------------------ the per-cell reference pass
+
+
+def _reference_simulate_contexts(twin, contexts):
+    """The pass as it was before it keyed every cell first: per context and
+    profile, the cell's key is hashed from its skeleton filled in whole, its
+    prompt looked up (the first time) and sent at once on a miss; each
+    context is aggregated from a list of its profiles' rows."""
+    profile_of, representatives = twin_module._group_profiles(twin.population)
+    keyed = [
+        prompt_skeleton(p, twin.template).keyed(twin.engine.digest, twin.schema.response_keys)
+        for p in representatives
+    ]
+    outcome, cells, sent, first_error = {}, [], deque(), []
+
+    def ask(key, prompt, persona, context):
+        if first_error:
+            raise EngineError(f"not sent after an earlier request failed: {first_error[0]}")
+        try:
+            return ask_engine(twin.engine, key, prompt, persona, context, twin.schema, twin.cache)
+        except ParseError as exc:
+            return exc
+        except EngineError as exc:
+            first_error.append(exc)
+            raise
+
+    window = 2 * twin.parallelism
+    pool = ThreadPoolExecutor(twin.parallelism) if twin.parallelism > 1 else None
+    try:
+        for context in contexts:
+            values = keyed[0].values(context)
+            outcomes = []
+            for persona, skeleton in zip(representatives, keyed):
+                key = skeleton_key(skeleton, values)
+                resolved = outcome.get(key)
+                if resolved is None:
+                    resolved = twin.cache.get(key, twin.schema)
+                    if resolved is None:
+                        prompt = render_prompt(persona, context, twin.template)
+                        if pool is None:
+                            resolved = ask(key, prompt, persona, context)
+                        else:
+                            if len(sent) == window:
+                                sent.popleft().result()
+                            resolved = pool.submit(ask, key, prompt, persona, context)
+                            sent.append(resolved)
+                    outcome[key] = resolved
+                outcomes.append(resolved)
+            cells.append(outcomes)
+        for future in sent:
+            future.result()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+    sizes = [0] * len(representatives)
+    for j in profile_of:
+        sizes[j] += 1
+    no_row = [0.0] * len(twin.schema.keys)
+    log = SimulationLog()
+    aggregates = []
+    for context, outcomes in zip(contexts, cells):
+        outcomes = [o.result() if isinstance(o, Future) else o for o in outcomes]
+        dead = {j for j, o in enumerate(outcomes) if isinstance(o, ParseError)}
+        log.failures.extend(
+            {"date": context.date.isoformat(), "stringency": context.stringency,
+             "persona": persona.id, "error": str(outcomes[j])}
+            for persona, j in zip(twin.population, profile_of)
+            if j in dead
+        )
+        survivors = len(twin.population) - sum(sizes[j] for j in dead)
+        log.survivors.append((context.date, survivors))
+        if not survivors:
+            aggregates.append(None)
+            continue
+        rows = [no_row if j in dead else o for j, o in enumerate(outcomes)]
+        counts = [0 if j in dead else n for j, n in enumerate(sizes)]
+        aggregates.append(dict(zip(twin.schema.keys, aggregate_mean(rows, counts))))
+    return aggregates, log
+
+
+class RecordingBrokenOracle(PartlyBrokenOracle):
+    """``PartlyBrokenOracle`` that records the prompts it was sent."""
+
+    def __init__(self, schema, broken):
+        super().__init__(schema, broken)
+        self.prompts = []
+        self.lock = threading.Lock()
+
+    def respond(self, prompt, persona, context):
+        with self.lock:
+            self.prompts.append(prompt.text)
+        return super().respond(prompt, persona, context)
+
+
+def _prefilled_row(key: str, n: int) -> list[float]:
+    """A row no engine answer equals, read off the key, so that a hit shows."""
+    return [int(key[2 * i:2 * i + 2], 16) / 256 for i in range(n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    employments=st.lists(st.sampled_from(PROFILE_VALUES["employment"]), min_size=1, max_size=8),
+    broken=st.sets(st.sampled_from(PROFILE_VALUES["employment"]), max_size=2),
+    # few dates and stringencies, so contexts repeat and share dates
+    cells=st.lists(
+        st.tuples(st.integers(0, 2), st.sampled_from([0.0, 37.5, 100.0])), min_size=1, max_size=6
+    ),
+    parallelism=st.sampled_from([1, 2]),
+    data=st.data(),
+)
+def test_pass_equals_the_per_cell_reference_pass(
+    schema, pandemic_template, tmp_path_factory, employments, broken, cells, parallelism, data
+):
+    """Over a file cache that holds a drawn subset of the pass's prompts, the
+    pass gives the reference's aggregates and log, sends it the same
+    prompts, counts the same hits and misses and leaves the same cache file
+    (the same records in another order where requests overlap)."""
+    population = [
+        Persona(id=f"p{i}", attributes={"nationality": "Expatriate", "employment": e,
+                                        "risk_perception": "High", "income": "Low"})
+        for i, e in enumerate(employments)
+    ]
+    contexts = [SimContext(dt.date(2020, 5, 1) + dt.timedelta(days=d), s) for d, s in cells]
+    digest = RecordingBrokenOracle(schema, broken).digest
+    distinct = sorted({
+        ResponseCache.make_key(digest, render_prompt(p, c, pandemic_template).text, schema.response_keys)
+        for c in contexts
+        for p in population
+    })
+    prefilled = data.draw(st.lists(st.sampled_from(distinct), unique=True))
+    root = tmp_path_factory.mktemp("pass")
+    with ResponseCache(root / "filled.jsonl") as cache:
+        for key in prefilled:
+            cache.put(key, "prefilled", _prefilled_row(key, len(schema.keys)))
+
+    runs = []
+    for name, simulate in (("reference", _reference_simulate_contexts),
+                           ("pass", DigitalTwin.simulate_contexts)):
+        path = root / f"{name}.jsonl"
+        if prefilled:
+            path.write_bytes((root / "filled.jsonl").read_bytes())
+        engine = RecordingBrokenOracle(schema, broken)
+        with ResponseCache(path) as cache:
+            twin = make_twin(schema, pandemic_template, parallelism=parallelism,
+                             population=population, engine=engine, cache=cache)
+            aggregates, log = simulate(twin, contexts)
+        lines = path.read_bytes().splitlines(keepends=True) if path.exists() else []
+        runs.append((
+            aggregates, log.survivors, log.failures, cache.hits, cache.misses,
+            engine.prompts if parallelism == 1 else sorted(engine.prompts),
+            lines if parallelism == 1 else sorted(lines),
+        ))
+    assert runs[0] == runs[1]
